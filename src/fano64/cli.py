@@ -37,6 +37,7 @@ from .elimination import (
     sweep_twisted_bundles,
     verify_record,
 )
+from .lattice import det3
 from .ledger import genus_of_degree
 from .surfaces import BaseSurface, P2, SurfaceClass
 from .toric import (
@@ -231,11 +232,15 @@ def _cmd_toric(args) -> int:
     cones_doc = []
     for ci, cone in enumerate(fan.max_cones):
         rays = fan.cone_rays(ci)
-        entry: dict = {"cone": list(cone)}
+        entry: dict = {"cone": list(cone), "degenerate": False}
         prefix = f"cone {ci} {list(cone)}:"
         if len(rays) != 3:
             lines.append(f"{prefix} non-simplicial, index not computed")
             entry["index"] = None
+        elif det3(*rays) == 0:
+            lines.append(f"{prefix} degenerate (rays do not span), index not computed")
+            entry["index"] = None
+            entry["degenerate"] = True
         else:
             index = cone_lattice_index(rays)
             entry["index"] = index

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 QVec = tuple[Fraction, Fraction, Fraction]
 
 

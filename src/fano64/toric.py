@@ -8,19 +8,22 @@ cone singularities, and the polar polytope
     Delta = { m : <m, v> >= -1 for every ray v },
 
 whose normalized volume 6 vol(Delta) is the anticanonical degree of the
-toric variety.  validate_fan performs structural sanity checks and
-returns findings instead of raising, so defective input data can be
+toric variety.  By polar duality each facet of Delta lies on the plane
+<m, v> = -1 of one ray v, so the volume is a sum of pyramids from the
+origin over the facets.  validate_fan performs structural sanity checks
+and returns findings instead of raising, so defective input data can be
 examined rather than rejected.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .lattice import QVec, Vec3, det3, pairing, solve3
 
@@ -53,9 +56,10 @@ class Fan:
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """Vertex representation; vertices are triples of Fractions."""
+    """Vertices (triples of Fractions) and facets (ray v, vertices on <m, v> = -1)."""
 
     vertices: tuple[QVec, ...]
+    facets: tuple[tuple[Vec3, tuple[QVec, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -178,65 +182,67 @@ def _positive_span_fails(rays: tuple[Vec3, ...]) -> Vec3 | None:
 
 
 def anticanonical_polytope(f: Fan) -> RationalPolytope:
-    """Polar polytope Delta of the fan's rays.
+    """Polar polytope Delta of the fan's rays, with its facets.
 
-    Vertices are found by intersecting all triples of the bounding
-    hyperplanes <m, v> = -1 and keeping the feasible intersections.
-    Raises when Delta is unbounded, i.e. the rays fail to positively
-    span the space.
+    The planes <m, a> = <m, b> = <m, c> = -1 of a ray triple meet in
+    m = N / d, where N = -(b x c + c x a + a x b) and d = det(a, b, c).
+    Kept in lowest terms with d > 0, each point is tested once, in
+    integers: it is a vertex when <N, v> >= -d for every ray v, and the
+    rays with equality are tight there.  A ray tight at three or more
+    vertices bounds a facet; a repeated ray counts once.  Raises when
+    Delta is unbounded, i.e. the rays fail to positively span the space.
     """
-    rays = f.rays
-    direction = _positive_span_fails(rays)
+    direction = _positive_span_fails(f.rays)
     if direction is not None:
         raise ValueError(
             f"polytope is unbounded: rays do not positively span (direction {direction})"
         )
-    rhs = (Fraction(-1), Fraction(-1), Fraction(-1))
-    vertices = set()
-    for triple in combinations(rays, 3):
-        m = solve3(triple, rhs)
-        if m is None:
+    rays = tuple(dict.fromkeys(v.as_tuple() for v in f.rays))
+    cross = {(i, j): _cross(a, b) for i, a in enumerate(rays) for j, b in enumerate(rays)}
+    seen = set()
+    vertices = []
+    on_ray: dict[int, list[QVec]] = {}
+    for i, j, k in combinations(range(len(rays)), 3):
+        bc = cross[j, k]
+        d = _dot(rays[i], bc)
+        if d == 0:
             continue
-        if all(pairing(m, v) >= -1 for v in rays):
-            vertices.add(m)
-    return RationalPolytope(tuple(vertices))
-
-
-def _facets(p: RationalPolytope) -> list[tuple[tuple[Fraction, ...], Fraction, tuple[QVec, ...]]]:
-    """Supporting planes (outward normal n, offset d) with their vertex sets.
-
-    A plane through three vertices is a facet plane when every vertex
-    satisfies <n, x> <= d.  Normals are canonicalized to primitive
-    integer vectors so coincident planes deduplicate.
-    """
-    verts = p.vertices
-    found: dict[tuple, tuple] = {}
-    for a, b, c in combinations(verts, 3):
-        u = tuple(bi - ai for ai, bi in zip(a, b))
-        w = tuple(ci - ai for ai, ci in zip(a, c))
-        n = (
-            u[1] * w[2] - u[2] * w[1],
-            u[2] * w[0] - u[0] * w[2],
-            u[0] * w[1] - u[1] * w[0],
-        )
-        if not any(n):
+        ca, ab = cross[k, i], cross[i, j]
+        n = (-bc[0] - ca[0] - ab[0], -bc[1] - ca[1] - ab[1], -bc[2] - ca[2] - ab[2])
+        g = gcd(*n, d) if d > 0 else -gcd(*n, d)
+        x, y, z, d = n[0] // g, n[1] // g, n[2] // g, d // g
+        if (x, y, z, d) in seen:
             continue
-        # clear denominators and divide by the gcd to get a canonical normal
-        denom = lcm(*(x.denominator for x in n))
-        ni = tuple(int(x * denom) for x in n)
-        g = gcd(*ni)
-        ni = tuple(x // g for x in ni)
-        for cand in (ni, tuple(-x for x in ni)):
-            d = sum(cc * aa for cc, aa in zip(cand, a))
-            if all(sum(cc * vv for cc, vv in zip(cand, v)) <= d for v in verts):
-                on_plane = tuple(
-                    v for v in verts if sum(cc * vv for cc, vv in zip(cand, v)) == d
-                )
-                found[(cand, d)] = (tuple(Fraction(x) for x in cand), d, on_plane)
-    return list(found.values())
+        seen.add((x, y, z, d))
+        tight = []
+        for r, (vx, vy, vz) in enumerate(rays):
+            p = x * vx + y * vy + z * vz
+            if p < -d:
+                break
+            if p == -d:
+                tight.append(r)
+        else:
+            m = (Fraction(x, d), Fraction(y, d), Fraction(z, d))
+            vertices.append(m)
+            for r in tight:
+                on_ray.setdefault(r, []).append(m)
+    facets = tuple((Vec3(*rays[r]), tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3)
+    return RationalPolytope(tuple(vertices), facets)
 
 
-def _hull_order(points: tuple[QVec, ...], normal: tuple[Fraction, ...]) -> list[QVec]:
+def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _dot(a: tuple, b: tuple):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _hull_order(points: tuple[QVec, ...], normal: tuple[int, int, int]) -> list[QVec]:
     """Cyclic boundary order of coplanar points via a 2D monotone chain."""
     drop = max(range(3), key=lambda i: abs(normal[i]))
     flat = sorted((tuple(x for i, x in enumerate(pt) if i != drop), pt) for pt in points)
@@ -262,38 +268,21 @@ def _hull_order(points: tuple[QVec, ...], normal: tuple[Fraction, ...]) -> list[
 def polytope_degree(p: RationalPolytope) -> Fraction:
     """6 times the Euclidean volume of the polytope, exact.
 
-    The volume is assembled as a fan of tetrahedra: apex at the vertex
-    centroid (interior for a full-dimensional polytope), one tetrahedron
-    per triangle of each triangulated facet.
+    The origin is interior to Delta, so Delta is the union of the
+    pyramids from the origin over its facets.  Each facet is split into
+    triangles from its first vertex in cyclic order, and each triangle
+    (a, b, c) adds |det(a, b, c)|.  A polytope built from vertices
+    alone carries no facets and has no volume.
     """
-    verts = p.vertices
-    full_dim = any(
-        _tet_vol(a, b, c, d) != 0 for a, b, c, d in combinations(verts, 4)
-    )
-    if not full_dim:
+    total = Fraction(0)
+    for ray, on_facet in p.facets:
+        ring = _hull_order(on_facet, ray.as_tuple())
+        a = ring[0]
+        for b, c in zip(ring[1:], ring[2:]):
+            total += abs(_dot(a, _cross(b, c)))
+    if total == 0:
         raise ValueError("polytope is not full-dimensional")
-    k = len(verts)
-    centroid = tuple(sum(v[i] for v in verts) / k for i in range(3))
-    vol = Fraction(0)
-    for normal, _, on_plane in _facets(p):
-        ring = _hull_order(on_plane, normal)
-        if len(ring) < 3:
-            continue
-        for i in range(1, len(ring) - 1):
-            vol += _tet_vol(centroid, ring[0], ring[i], ring[i + 1])
-    return 6 * vol
-
-
-def _tet_vol(q, a, b, c) -> Fraction:
-    u = tuple(x - y for x, y in zip(a, q))
-    v = tuple(x - y for x, y in zip(b, q))
-    w = tuple(x - y for x, y in zip(c, q))
-    det = (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
-    return abs(Fraction(det)) / 6
+    return total
 
 
 def _positive_dependence(vectors: tuple[Vec3, ...]) -> bool:
@@ -442,13 +431,17 @@ def fan_from_json(text: str) -> Fan:
     """Parse the fan file format: {"rays": [[x,y,z]...], "cones": [[i...]...]}.
 
     Integers only; floats and booleans anywhere are rejected.  Cone
-    entries are 0-based ray indices.
+    entries are 0-based ray indices.  Input nested too deeply for the
+    parser is rejected with ValueError like any other malformed file.
     """
 
     def reject_float(s: str):
         raise ValueError(f"fan files must contain only integers, got {s}")
 
-    data = json.loads(text, parse_float=reject_float)
+    try:
+        data = json.loads(text, parse_float=reject_float)
+    except RecursionError:
+        raise ValueError("fan file is nested too deeply") from None
     if not isinstance(data, dict) or set(data.keys()) != {"rays", "cones"}:
         raise ValueError('fan file must be an object with exactly "rays" and "cones"')
     rays_raw, cones_raw = data["rays"], data["cones"]
@@ -461,11 +454,11 @@ def fan_from_json(text: str) -> Fan:
             or len(entry) != 3
             or any(type(x) is not int for x in entry)
         ):
-            raise ValueError(f"ray {entry!r} is not a triple of integers")
+            raise ValueError(f"ray {reprlib.repr(entry)} is not a triple of integers")
         rays.append(Vec3(*entry))
     cones = []
     for entry in cones_raw:
         if not isinstance(entry, list) or any(type(x) is not int for x in entry):
-            raise ValueError(f"cone {entry!r} is not an array of integer indices")
+            raise ValueError(f"cone {reprlib.repr(entry)} is not an array of integer indices")
         cones.append(tuple(entry))
     return Fan(tuple(rays), tuple(cones))

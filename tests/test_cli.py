@@ -155,6 +155,46 @@ def test_toric_singularity_report(capsys):
     assert "non-simplicial" in out
 
 
+def test_toric_singularities_reports_every_cone(tmp_path, capsys):
+    # cone 0 is coplanar; the report flags it and goes on to the others
+    fan = tmp_path / "coplanar.fan"
+    fan.write_text(
+        json.dumps(
+            {
+                "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                "cones": [[0, 1, 2], [0, 1, 3], [1, 3, 4], [0, 3, 4], [0, 1, 4]],
+            }
+        )
+    )
+    code, out, _ = run(capsys, "toric", str(fan), "singularities")
+    assert code == 0
+    assert "cone 0 [0, 1, 2]: degenerate (rays do not span), index not computed" in out
+    assert "cone 4 [0, 1, 4]: index 1, smooth" in out
+
+    code, out, _ = run(capsys, "toric", str(fan), "singularities", "--machine")
+    assert code == 0
+    cones = json.loads(out)["cones"]
+    assert len(cones) == 5
+    assert cones[0] == {
+        "cone": [0, 1, 2],
+        "degenerate": True,
+        "gorenstein_support": None,
+        "index": None,
+    }
+    assert [c["degenerate"] for c in cones[1:]] == [False] * 4
+    assert [c["index"] for c in cones[1:]] == [1] * 4
+
+
+def test_toric_rejects_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.fan"
+    depth = 100_000
+    deep.write_text('{"rays": ' + "[" * depth + "]" * depth + ', "cones": []}')
+    code, out, err = run(capsys, "toric", str(deep), "degree")
+    assert code == 1
+    assert out == ""
+    assert "error: fan file is nested too deeply" in err
+
+
 def test_toric_file_errors(capsys):
     code, _, err = run(capsys, "toric", str(FANS / "missing.fan"), "degree")
     assert code == 1

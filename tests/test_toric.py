@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from fano64.toric import (
     polytope_degree,
     validate_fan,
 )
+from fano64.wps import Weights, wps_degree
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 
@@ -107,6 +109,75 @@ def test_x66_polytope_degree():
     assert polytope_degree(p) == 66
 
 
+def test_repeated_ray_bounds_one_facet():
+    base = load("p3.fan")
+    f = Fan(rays=base.rays + (Vec3(1, 0, 0),), max_cones=base.max_cones)
+    p = anticanonical_polytope(f)
+    assert p.vertices == anticanonical_polytope(base).vertices
+    assert len(p.facets) == 4
+    assert polytope_degree(p) == 64
+
+
+def test_cube_face_fan_has_the_octahedron_as_polar():
+    # all 26 nonzero points of {-1,0,1}^3, one cone per facet of the cube;
+    # rays such as (1,1,0) or (1,0,0) touch Delta only in an edge or a
+    # vertex and must add no volume
+    rays = tuple(
+        Vec3(*v) for v in product((-1, 0, 1), repeat=3) if v != (0, 0, 0)
+    )
+    cones = tuple(
+        tuple(i for i, v in enumerate(rays) if v.as_tuple()[axis] == sign)
+        for axis in range(3)
+        for sign in (-1, 1)
+    )
+    p = anticanonical_polytope(Fan(rays, cones))
+    units = {tuple(Fraction(s * (i == k)) for i in range(3)) for k in range(3) for s in (-1, 1)}
+    assert set(p.vertices) == units
+    assert {v.as_tuple() for v, _ in p.facets} == set(product((-1, 1), repeat=3))
+    assert polytope_degree(p) == 8
+
+
+def _weight_kernel_rows(weights: tuple[int, ...]) -> tuple[Vec3, ...]:
+    """Rows of a 4x3 integer matrix whose columns span {u : sum a_i u_i = 0}.
+
+    Column reduction: integer column operations on the row of weights,
+    mirrored on the identity, until one entry is the gcd 1 and the rest
+    are 0.  The other three columns of the mirrored matrix then span the
+    kernel, and the images of the standard basis of Z^4 / Z(a) are its rows.
+    """
+    row = list(weights)
+    cols = [[int(i == j) for i in range(4)] for j in range(4)]
+    while sum(1 for x in row if x) > 1:
+        p = min((j for j in range(4) if row[j]), key=lambda j: abs(row[j]))
+        for j in range(4):
+            if j != p and row[j]:
+                q = row[j] // row[p]
+                row[j] -= q * row[p]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[p])]
+    pivot = next(j for j in range(4) if row[j])
+    assert abs(row[pivot]) == 1
+    kernel = [cols[j] for j in range(4) if j != pivot]
+    return tuple(Vec3(*(col[i] for col in kernel)) for i in range(4))
+
+
+def test_toric_degree_of_weighted_projective_space_matches_wps_degree():
+    checked = 0
+    for weights in combinations_with_replacement(range(7, 0, -1), 4):
+        try:
+            w = Weights(*weights)
+        except ValueError:
+            continue
+        rays = _weight_kernel_rows(w.as_tuple())
+        relation = Vec3(0, 0, 0)
+        for v, a in zip(rays, w.as_tuple()):
+            relation = relation + v.scaled(a)
+        assert relation == Vec3(0, 0, 0)
+        f = Fan(rays, tuple(combinations(range(4), 3)))
+        assert polytope_degree(anticanonical_polytope(f)) == wps_degree(w)
+        checked += 1
+    assert checked == 125
+
+
 def test_unbounded_polytope_rejected():
     f = Fan(
         rays=(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)),
@@ -153,14 +224,15 @@ def test_lattice_index_is_unimodular_invariant():
 
 def test_polytope_degree_is_unimodular_invariant():
     rng = random.Random(66)
-    base = load("p3.fan")
-    for _ in range(100):
-        m = random_unimodular(rng)
-        f = Fan(
-            rays=tuple(apply(m, v) for v in base.rays),
-            max_cones=base.max_cones,
-        )
-        assert polytope_degree(anticanonical_polytope(f)) == 64
+    for name, degree in (("p3.fan", 64), ("p1p1p1.fan", 48), ("x66.fan", 66)):
+        base = load(name)
+        for _ in range(100):
+            m = random_unimodular(rng)
+            f = Fan(
+                rays=tuple(apply(m, v) for v in base.rays),
+                max_cones=base.max_cones,
+            )
+            assert polytope_degree(anticanonical_polytope(f)) == degree
 
 
 def test_validate_clean_fans():

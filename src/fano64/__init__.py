@@ -22,7 +22,6 @@ from .bundles import (
     degree_p1_bundle,
     kg2_integral,
     p1_bundle_anticanonical,
-    quadric_bundle_anticanonical,
     rr_dim_anticanonical,
     scroll_anticanonical_and_degree,
     solve_c2_for_degree,
@@ -35,6 +34,7 @@ from .elimination import (
     CaseRecord,
     GeometricArgument,
     Survives,
+    check_ledger,
     classification_summary,
     eliminate_p1_bundles,
     filter_quadric_bundle_degrees,
@@ -49,11 +49,8 @@ from .lattice import Vec3, det3, pairing, solve3
 from .ledger import (
     FanoRecord,
     blowup_curve_degree,
-    blowup_point_degree,
-    exceptional_divisor_plane_degree,
     genus_of_degree,
     project_from_center,
-    projection_center_bound,
 )
 from .surfaces import (
     BaseSurface,
@@ -90,7 +87,6 @@ from .toric import (
 from .wps import (
     QuotientType,
     Weights,
-    fractional_hyperplane_degree,
     wps_anticanonical_index,
     wps_degree,
     wps_edge_singularity,

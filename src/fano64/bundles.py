@@ -259,30 +259,6 @@ def scroll_anticanonical_and_degree(s: Scroll) -> tuple[ScrollClass, int]:
     return cls, degree
 
 
-def quadric_bundle_anticanonical(s: Scroll, r: int) -> tuple[tuple[int, int], int]:
-    """Adjunction data of a divisor W ~ 2M + rF in a rank-4 scroll.
-
-    W is a quadric bundle over the line.  Adjunction gives
-    -K_W = (2M + (2 - d - r)F)|_W, and the degree is computed upstairs:
-
-        (-K_W)^3 = (2M + sF)^3 . (2M + rF),   s = 2 - d - r,
-
-    which via M^4 = d, M^3.F = 1 collapses to 48 - 8d - 16r.
-
-    Returns:
-        ((2, 2 - d - r), degree): the coefficient pair of -K_W in the
-        restricted classes and the exact degree.
-    """
-    if s.rank != 4:
-        raise ValueError(f"expected rank 4, got rank {s.rank}")
-    d = s.total_degree
-    coeff = 2 - d - r
-    # (2M + sF)^3 (2M + rF) = 16 M^4 + (8r + 24s) M^3 F
-    degree = 16 * d + 8 * r + 24 * coeff
-    assert degree == 48 - 8 * d - 16 * r
-    return (2, coeff), degree
-
-
 def rr_dim_anticanonical(degree: int) -> int:
     """dim |-K| = degree/2 + 2 for a threefold with at worst canonical
     Gorenstein singularities (Riemann-Roch plus vanishing)."""

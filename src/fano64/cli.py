@@ -6,8 +6,13 @@ polytope degree, cone singularities), and `reproduce` (the full case
 ledger and classification).  All numeric output is exact; rationals
 print as p/q, never as decimals.
 
+This module only parses arguments and formats results.  What a
+`reproduce` run must satisfy is decided in the library, by
+`elimination.check_ledger`; the report prints its failures.
+
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a value
-requested for verification does not match the computed one.
+requested for verification does not match the computed one or a ledger
+check fails.
 """
 
 from __future__ import annotations
@@ -25,21 +30,22 @@ from .bundles import (
     solve_c2_for_degree,
 )
 from .elimination import (
+    PARTS,
+    SWEEP_BASES,
     ArithmeticContradiction,
     CaseRecord,
     GeometricArgument,
     Survives,
+    check_ledger,
     classification_summary,
     eliminate_p1_bundles,
     filter_quadric_bundle_degrees,
     record_to_payload,
-    surviving_constructions,
     sweep_twisted_bundles,
-    verify_record,
 )
 from .lattice import det3
 from .ledger import genus_of_degree
-from .surfaces import BaseSurface, P2, SurfaceClass
+from .surfaces import BASES, BaseSurface, SurfaceClass
 from .toric import (
     anticanonical_polytope,
     classify_index2_cone,
@@ -57,17 +63,6 @@ from .wps import (
     wps_is_gorenstein,
     wps_vertex_singularity,
 )
-
-_BASES = {
-    "P2": P2,
-    "F0": BaseSurface.hirzebruch(0),
-    "F1": BaseSurface.hirzebruch(1),
-    "F2": BaseSurface.hirzebruch(2),
-    "F3": BaseSurface.hirzebruch(3),
-    "F4": BaseSurface.hirzebruch(4),
-}
-
-_EXPECTED_SURVIVORS = {"cone over P1 x P1", "cone over F1"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +108,7 @@ def _emit(doc: dict, machine: bool, lines: list[str]) -> None:
 
 
 def _cmd_bundle(args) -> int:
-    base = _BASES[args.base]
+    base = BASES[args.base]
     c1 = _parse_c1(base, args.c1)
     lines = [f"base: {base}", f"c1: {c1}"]
     doc: dict = {"base": str(base), "c1": str(c1)}
@@ -130,23 +125,19 @@ def _cmd_bundle(args) -> int:
         )
         if integral:
             data = RankTwoBundle(base, c1, int(c2))
-            lines.append(f"-K: {p1_bundle_anticanonical(data)}")
-            lines.append(f"chi: {_fmt(chi_rank2(data))}")
-            doc["minus_k"] = str(p1_bundle_anticanonical(data))
-            doc["chi"] = _fmt(chi_rank2(data))
+            minus_k, chi = str(p1_bundle_anticanonical(data)), _fmt(chi_rank2(data))
+            lines.append(f"-K: {minus_k}")
+            lines.append(f"chi: {chi}")
+            doc["minus_k"] = minus_k
+            doc["chi"] = chi
     else:
         data = RankTwoBundle(base, c1, args.c2)
-        lines.append(f"-K: {p1_bundle_anticanonical(data)}")
-        lines.append(f"degree: {degree_p1_bundle(data)}")
-        lines.append(f"chi: {_fmt(chi_rank2(data))}")
-        doc.update(
-            {
-                "c2": args.c2,
-                "minus_k": str(p1_bundle_anticanonical(data)),
-                "degree": degree_p1_bundle(data),
-                "chi": _fmt(chi_rank2(data)),
-            }
-        )
+        minus_k, chi = str(p1_bundle_anticanonical(data)), _fmt(chi_rank2(data))
+        degree = degree_p1_bundle(data)
+        lines.append(f"-K: {minus_k}")
+        lines.append(f"degree: {degree}")
+        lines.append(f"chi: {chi}")
+        doc.update({"c2": args.c2, "minus_k": minus_k, "degree": degree, "chi": chi})
     _emit(doc, args.machine, lines)
     return 0
 
@@ -267,68 +258,19 @@ def _cmd_toric(args) -> int:
     return 0
 
 
-_SWEEP_BASE_NAMES = ("P2", "F0", "F2", "F3", "F4")
-
-
-def _reproduce_parts(part: str | None) -> dict:
-    parts: dict = {}
+def _reproduce(part: str | None) -> dict[str, list[CaseRecord]]:
+    """The requested parts as flat sections; the sweep has one per base."""
+    sections: dict[str, list[CaseRecord]] = {}
     if part in (None, "p1-bundles"):
-        parts["p1-bundles"] = eliminate_p1_bundles(64)
+        sections["p1-bundles"] = eliminate_p1_bundles(64)
     if part in (None, "quadric-filter"):
-        parts["quadric-filter"] = filter_quadric_bundle_degrees()
+        sections["quadric-filter"] = filter_quadric_bundle_degrees()
     if part in (None, "twisted-sweep"):
-        parts["twisted-sweep"] = {
-            name: sweep_twisted_bundles(_BASES[name]) for name in _SWEEP_BASE_NAMES
-        }
+        for base in SWEEP_BASES:
+            sections[f"twisted-sweep/{base}"] = sweep_twisted_bundles(base)
     if part in (None, "classification"):
-        parts["classification"] = classification_summary()
-    return parts
-
-
-def _iter_records(parts: dict):
-    for name, content in parts.items():
-        if isinstance(content, dict):
-            for sub, records in content.items():
-                for r in records:
-                    yield f"{name}/{sub}", r
-        else:
-            for r in content:
-                yield name, r
-
-
-def _check_reproduction(parts: dict) -> list[str]:
-    """All cross-cutting consistency checks; returns failure messages."""
-    failures = []
-    for where, record in _iter_records(parts):
-        if not verify_record(record):
-            failures.append(
-                f"{where}: contradiction witness failed to verify in {record.context}"
-            )
-    if "p1-bundles" in parts:
-        survivors = surviving_constructions(parts["p1-bundles"])
-        if survivors != _EXPECTED_SURVIVORS:
-            failures.append(
-                f"p1-bundles: survivors {sorted(survivors)} != {sorted(_EXPECTED_SURVIVORS)}"
-            )
-    if "twisted-sweep" in parts:
-        for name, records in parts["twisted-sweep"].items():
-            for r in records:
-                keys = dict(r.computed)
-                if "c2_prime" in keys:
-                    if keys["c2_prime"] >= 0:
-                        failures.append(f"{r.context}: c2' not negative")
-                    if "chi_prime" in keys and keys["chi_prime"] <= 0:
-                        failures.append(f"{r.context}: chi' not positive")
-    if "classification" in parts:
-        records = parts["classification"]
-        if len(records) != 7:
-            failures.append(f"classification: {len(records)} records, expected 7")
-        for r in records:
-            if r.value("degree") != 64:
-                failures.append(f"{r.context}: degree {r.value('degree')} != 64")
-            if not isinstance(r.verdict, Survives):
-                failures.append(f"{r.context}: unexpected verdict")
-    return failures
+        sections["classification"] = classification_summary()
+    return sections
 
 
 def _describe_verdict(record: CaseRecord) -> str:
@@ -342,33 +284,34 @@ def _describe_verdict(record: CaseRecord) -> str:
 
 
 def _cmd_reproduce(args) -> int:
-    parts = _reproduce_parts(args.part)
-    failures = _check_reproduction(parts)
+    sections = _reproduce(args.part)
+    failures = check_ledger(sections)
     if args.machine:
-        payload: dict = {"parts": {}, "failures": failures}
-        for name, content in parts.items():
-            if isinstance(content, dict):
-                payload["parts"][name] = {
-                    sub: [record_to_payload(r) for r in records]
-                    for sub, records in content.items()
-                }
+        parts: dict = {}
+        for name, records in sections.items():
+            part, _, base = name.partition("/")
+            entries = [record_to_payload(r) for r in records]
+            if base:
+                parts.setdefault(part, {})[base] = entries
             else:
-                payload["parts"][name] = [record_to_payload(r) for r in content]
+                parts[part] = entries
+        payload = {"parts": parts, "failures": failures}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for name, record in _iter_records(parts):
-            print(f"[{name}] {record.context}")
-            for key, value in record.computed:
-                print(f"    {key} = {_fmt(value)}")
-            print(f"    {_describe_verdict(record)}")
-        counts = {name: 0 for name in parts}
-        for name, _ in _iter_records(parts):
-            counts[name.split("/")[0]] += 1
+        counts: dict[str, int] = {}
+        for name, records in sections.items():
+            for record in records:
+                print(f"[{name}] {record.context}")
+                for key, value in record.computed:
+                    print(f"    {key} = {_fmt(value)}")
+                print(f"    {_describe_verdict(record)}")
+            part = name.partition("/")[0]
+            counts[part] = counts.get(part, 0) + len(records)
         summary = ", ".join(f"{name}: {n}" for name, n in counts.items())
         print(f"records: {summary}")
-        if "classification" in parts:
+        if "classification" in sections:
             print("classification:")
-            for r in parts["classification"]:
+            for r in sections["classification"]:
                 if isinstance(r.verdict, Survives):
                     print(f"    degree {r.value('degree')}: {r.verdict.construction}")
         for failure in failures:
@@ -383,7 +326,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bundle = sub.add_parser("bundle", help="rank-2 bundle calculus on a base surface")
-    bundle.add_argument("--base", required=True, choices=sorted(_BASES))
+    bundle.add_argument("--base", required=True, choices=sorted(BASES))
     bundle.add_argument(
         "--c1", required=True, help="c1 coefficients: a (P2) or a,b (F_n)"
     )
@@ -420,7 +363,7 @@ def _build_parser() -> _Parser:
     )
     reproduce.add_argument(
         "--part",
-        choices=("p1-bundles", "quadric-filter", "twisted-sweep", "classification"),
+        choices=PARTS,
         help="restrict to one part of the report",
     )
     reproduce.add_argument("--machine", action="store_true", help="JSON output")

@@ -16,6 +16,9 @@ a verdict.  Three verdicts exist and they encode an honesty contract:
 The enumerations themselves (parity representatives, coefficient
 bounds, Euler-characteristic targets) are stored as data so each case
 is reproducible and individually addressable.
+
+`check_ledger` is the one place that decides whether a run of the
+ledger holds; the command line only prints its failures.
 """
 
 from __future__ import annotations
@@ -43,12 +46,15 @@ from .surfaces import (
     F0,
     F1,
     F2,
+    F3,
+    F4,
     P2,
     BaseSurface,
     SurfaceClass,
     intersect,
     k_squared,
     plane_class,
+    ruled_class,
 )
 from .wps import Weights, wps_degree
 
@@ -158,23 +164,19 @@ def _record(
 # Rank-2 bundle elimination over minimal rational surfaces
 
 
-def _ruled(n: int, a: int, b: int) -> SurfaceClass:
-    return SurfaceClass(BaseSurface.hirzebruch(n), a, b)
-
-
 # Parity representatives of c1 on each admissible base.  Each row:
 # (base, parity label, representative c1 or None, treatment).
 _PARITY_TABLE: tuple[tuple[BaseSurface, str, SurfaceClass | None, str], ...] = (
     (P2, "even", plane_class(0), "solve"),
     (P2, "odd", plane_class(3), "anticanonical-section"),
-    (F0, "even-even", _ruled(0, 2, 2), "cone"),
+    (F0, "even-even", ruled_class(0, 2, 2), "cone"),
     (F0, "odd", None, "external-parity"),
-    (F2, "even-even", _ruled(2, -2, -2), "section-patching"),
+    (F2, "even-even", ruled_class(2, -2, -2), "section-patching"),
     (F2, "odd", None, "external-then-patching"),
-    (F1, "odd-even", _ruled(1, 1, 0), "solve"),
-    (F1, "odd-odd", _ruled(1, 1, 1), "solve"),
-    (F1, "even-odd", _ruled(1, 2, 3), "cone"),
-    (F1, "even-even", _ruled(1, -2, -2), "section-patching"),
+    (F1, "odd-even", ruled_class(1, 1, 0), "solve"),
+    (F1, "odd-odd", ruled_class(1, 1, 1), "solve"),
+    (F1, "even-odd", ruled_class(1, 2, 3), "cone"),
+    (F1, "even-even", ruled_class(1, -2, -2), "section-patching"),
 )
 
 _CONE_LABELS = {F0: "cone over P1 x P1", F1: "cone over F1"}
@@ -377,7 +379,7 @@ def filter_quadric_bundle_degrees(
 # ---------------------------------------------------------------------------
 # Twisted-bundle sweep over minimal rational surfaces
 
-_SWEEP_BASES = {P2, F0, F2, BaseSurface.hirzebruch(3), BaseSurface.hirzebruch(4)}
+SWEEP_BASES = (P2, F0, F2, F3, F4)
 
 _SECTION_EXCLUSION = (
     "c2' < 0 and chi' > 0 give the twisted bundle a nonzero section with "
@@ -415,7 +417,7 @@ def sweep_twisted_bundles(
     chis = sorted(set(chi_values))
     if not chis:
         raise ValueError("need at least one Euler characteristic target")
-    if base not in _SWEEP_BASES:
+    if base not in SWEEP_BASES:
         raise ValueError(f"unsupported base {base}; expected P2, F0, F2, F3 or F4")
     if base.is_plane:
         return _sweep_plane(chis)
@@ -640,6 +642,56 @@ def classification_summary() -> list[CaseRecord]:
     )
 
     return records
+
+
+# ---------------------------------------------------------------------------
+# Ledger check
+
+# The four parts of the ledger, in report order.
+PARTS = ("p1-bundles", "quadric-filter", "twisted-sweep", "classification")
+
+EXPECTED_SURVIVORS = {"cone over P1 x P1", "cone over F1"}
+
+
+def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
+    """Every check on a ledger run; returns the failure messages.
+
+    Sections are named by part, the sweep by `twisted-sweep/<base>`.
+    Every record's verdict must verify, and a record carrying c2' (only
+    sweep records do) must have c2' < 0 and chi' > 0.  A p1-bundles
+    section must leave exactly the two cone constructions; a
+    classification section must hold seven surviving records of degree
+    64.
+    """
+    failures = []
+    for where, records in sections.items():
+        for r in records:
+            if not verify_record(r):
+                failures.append(
+                    f"{where}: contradiction witness failed to verify in {r.context}"
+                )
+            keys = dict(r.computed)
+            if "c2_prime" in keys:
+                if keys["c2_prime"] >= 0:
+                    failures.append(f"{r.context}: c2' not negative")
+                if "chi_prime" in keys and keys["chi_prime"] <= 0:
+                    failures.append(f"{r.context}: chi' not positive")
+    if "p1-bundles" in sections:
+        survivors = surviving_constructions(sections["p1-bundles"])
+        if survivors != EXPECTED_SURVIVORS:
+            failures.append(
+                f"p1-bundles: survivors {sorted(survivors)} != {sorted(EXPECTED_SURVIVORS)}"
+            )
+    if "classification" in sections:
+        records = sections["classification"]
+        if len(records) != 7:
+            failures.append(f"classification: {len(records)} records, expected 7")
+        for r in records:
+            if r.value("degree") != 64:
+                failures.append(f"{r.context}: degree {r.value('degree')} != 64")
+            if not isinstance(r.verdict, Survives):
+                failures.append(f"{r.context}: unexpected verdict")
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ the caller, not verified here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,6 @@ def project_from_center(rec: FanoRecord, center_dim: int) -> FanoRecord:
     return genus_of_degree(new_degree)
 
 
-def blowup_point_degree(degree: int) -> int:
-    """Degree after blowing up a smooth point: degree - 8."""
-    if degree <= 8:
-        raise ValueError(f"degree must exceed 8, got {degree}")
-    return degree - 8
-
-
 def blowup_curve_degree(degree: int, minus_k_dot_c: int, genus_c: int) -> int:
     """Degree after blowing up a curve C.
 
@@ -76,29 +68,3 @@ def blowup_curve_degree(degree: int, minus_k_dot_c: int, genus_c: int) -> int:
     if new_degree <= 0:
         raise ValueError(f"blow-up would drop the degree to {new_degree}")
     return new_degree
-
-
-def projection_center_bound(g: int, g_prime: int) -> tuple[int, int | None]:
-    """Center dimension forced by a genus jump, and the curve-degree cap.
-
-    A birational projection raising the genus from g to g' comes from a
-    center spanning a linear subspace of dimension k = g' - g - 1.  An
-    anticanonically embedded threefold is an intersection of quadrics,
-    so a curve lying in that subspace has -K-degree at most 2(k - 1)
-    when k >= 2; for k < 2 no bound is produced (None).
-    """
-    if g_prime <= g:
-        raise ValueError(f"genus must increase, got {g} -> {g_prime}")
-    center_dim = g_prime - g - 1
-    max_curve_degree = 2 * (center_dim - 1) if center_dim >= 2 else None
-    return center_dim, max_curve_degree
-
-
-def exceptional_divisor_plane_degree(discrepancy: Fraction, self_restriction: int) -> Fraction:
-    """Anticanonical-image degree (K^2.E) of an exceptional divisor.
-
-    For a crepant-type divisor E with K = f*(K') + a E and E|_E of
-    degree k against the relevant ruling, K^2.E = a^2 k^2; the value 1
-    certifies that the image is a plane.
-    """
-    return Fraction(discrepancy) ** 2 * self_restriction ** 2

@@ -28,10 +28,6 @@ class BaseSurface:
             raise ValueError(f"Hirzebruch index must be a non-negative int, got {n!r}")
 
     @classmethod
-    def projective_plane(cls) -> "BaseSurface":
-        return cls(None)
-
-    @classmethod
     def hirzebruch(cls, n: int) -> "BaseSurface":
         return cls(n)
 
@@ -49,12 +45,15 @@ class BaseSurface:
         return "P2" if self.is_plane else f"F{self.hirzebruch_n}"
 
 
-P2 = BaseSurface.projective_plane()
-F0 = BaseSurface.hirzebruch(0)
-F1 = BaseSurface.hirzebruch(1)
-F2 = BaseSurface.hirzebruch(2)
-F3 = BaseSurface.hirzebruch(3)
-F4 = BaseSurface.hirzebruch(4)
+P2 = BaseSurface()
+F0 = BaseSurface(0)
+F1 = BaseSurface(1)
+F2 = BaseSurface(2)
+F3 = BaseSurface(3)
+F4 = BaseSurface(4)
+
+# The one name -> surface table; names are the surfaces' own str().
+BASES = {str(s): s for s in (P2, F0, F1, F2, F3, F4)}
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ class Fan:
     def __post_init__(self) -> None:
         if not self.rays:
             raise ValueError("fan needs at least one ray")
+        if not self.max_cones:
+            raise ValueError("fan needs at least one maximal cone")
         cones = []
         for cone in self.max_cones:
             if len(set(cone)) != len(cone):

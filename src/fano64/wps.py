@@ -109,15 +109,3 @@ def wps_is_gorenstein(w: Weights) -> bool:
     """Gorenstein criterion: every weight divides the sum of the weights."""
     total = sum(w.as_tuple())
     return all(total % a == 0 for a in w.as_tuple())
-
-
-def fractional_hyperplane_degree(m: int, minus_k_dot_c: int) -> Fraction:
-    """O(1)-degree of a curve with given -K-degree on an index-m variety.
-
-    When O(-K) = O(m), a curve C has O(1).C = (-K.C)/m, which need not
-    be an integer; a fractional value pins down curves invisible to the
-    anticanonical system alone.
-    """
-    if m <= 0:
-        raise ValueError(f"index must be positive, got {m}")
-    return Fraction(minus_k_dot_c, m)

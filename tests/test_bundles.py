@@ -20,7 +20,6 @@ from fano64.bundles import (
     degree_p1_bundle,
     kg2_integral,
     p1_bundle_anticanonical,
-    quadric_bundle_anticanonical,
     rr_dim_anticanonical,
     scroll_anticanonical_and_degree,
     solve_c2_for_degree,
@@ -214,16 +213,6 @@ def test_scroll_validation():
         Scroll((2, 1, 1))  # smallest degree must be 0
     with pytest.raises(ValueError):
         Scroll((1, 2, 0))  # not sorted
-
-
-def test_quadric_bundle_inside_scroll():
-    cls, degree = quadric_bundle_anticanonical(Scroll((4, 2, 0, 0)), -4)
-    assert cls == (2, 0)
-    assert degree == 64
-    for d, r in [(0, 0), (1, 0), (2, -1), (4, -4)]:
-        s = Scroll(tuple(sorted((d, d // 2, 0, 0), reverse=True)))
-        _, deg = quadric_bundle_anticanonical(s, r)
-        assert deg == 48 - 8 * s.total_degree - 16 * r
 
 
 def test_anticanonical_rr_dimension():

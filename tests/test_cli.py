@@ -195,6 +195,15 @@ def test_toric_rejects_deeply_nested_json(tmp_path, capsys):
     assert "error: fan file is nested too deeply" in err
 
 
+def test_toric_rejects_a_fan_without_cones(tmp_path, capsys):
+    bare = tmp_path / "bare.fan"
+    bare.write_text('{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], "cones": []}')
+    code, out, err = run(capsys, "toric", str(bare), "validate")
+    assert code == 1
+    assert out == ""
+    assert "error: fan needs at least one maximal cone" in err
+
+
 def test_toric_file_errors(capsys):
     code, _, err = run(capsys, "toric", str(FANS / "missing.fan"), "degree")
     assert code == 1
@@ -239,6 +248,17 @@ def test_reproduce_single_part(capsys):
     doc = json.loads(out)
     assert sorted(doc["parts"]) == ["p1-bundles"]
     assert len(doc["parts"]["p1-bundles"]) == 10
+
+
+def test_reproduce_reports_a_failed_ledger_check(capsys, monkeypatch):
+    from fano64 import cli
+
+    seven = cli.classification_summary()
+    monkeypatch.setattr(cli, "classification_summary", lambda: seven[:-1])
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 2
+    assert "FAILED: classification: 6 records, expected 7" in out
+    assert "all checks passed" not in out
 
 
 def test_machine_records_round_trip_through_the_serializer(capsys):

@@ -6,6 +6,7 @@ violates the stated requirement, and a surviving record must carry the
 target degree.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fano64.elimination import (
+    SWEEP_BASES,
     ArithmeticContradiction,
     CaseRecord,
     GeometricArgument,
     Survives,
+    check_ledger,
     classification_summary,
     eliminate_p1_bundles,
     filter_quadric_bundle_degrees,
@@ -233,6 +236,91 @@ def test_verify_record_rejects_fabricated_contradictions():
         verdict=ArithmeticContradiction("c2", "is-integer", None),
     )
     assert verify_record(ok)
+
+
+def _full_ledger() -> dict:
+    sections = {
+        "p1-bundles": eliminate_p1_bundles(64),
+        "quadric-filter": filter_quadric_bundle_degrees(),
+    }
+    for base in SWEEP_BASES:
+        sections[f"twisted-sweep/{base}"] = sweep_twisted_bundles(base)
+    sections["classification"] = classification_summary()
+    return sections
+
+
+def _with_value(record: CaseRecord, key: str, value) -> CaseRecord:
+    computed = tuple((k, value if k == key else v) for k, v in record.computed)
+    return replace(record, computed=computed)
+
+
+def test_check_ledger_passes_the_full_ledger():
+    assert check_ledger(_full_ledger()) == []
+
+
+def _fabricate_contradiction(sections):
+    fake = CaseRecord(
+        context="made-up",
+        inputs=(),
+        computed=(("c2", 4),),
+        verdict=ArithmeticContradiction("c2", "is-integer"),
+    )
+    sections["quadric-filter"].append(fake)
+    return "quadric-filter: contradiction witness failed to verify in made-up"
+
+
+def _sweep_c2_prime_nonnegative(sections):
+    records = sections["twisted-sweep/F0"]
+    records[0] = _with_value(records[0], "c2_prime", 0)
+    return f"{records[0].context}: c2' not negative"
+
+
+def _sweep_chi_prime_nonpositive(sections):
+    records = sections["twisted-sweep/F2"]
+    records[0] = _with_value(records[0], "chi_prime", 0)
+    return f"{records[0].context}: chi' not positive"
+
+
+def _lose_a_survivor(sections):
+    sections["p1-bundles"] = [
+        r for r in sections["p1-bundles"] if r.verdict != Survives("cone over F1")
+    ]
+    return "p1-bundles: survivors ['cone over P1 x P1'] != ['cone over F1', 'cone over P1 x P1']"
+
+
+def _six_classification_records(sections):
+    sections["classification"].pop()
+    return "classification: 6 records, expected 7"
+
+
+def _classification_degree_62(sections):
+    records = sections["classification"]
+    records[0] = _with_value(records[0], "degree", 62)
+    return "classification/P3: degree 62 != 64"
+
+
+def _classification_not_surviving(sections):
+    records = sections["classification"]
+    records[0] = replace(records[0], verdict=GeometricArgument("made up"))
+    return "classification/P3: unexpected verdict"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _fabricate_contradiction,
+        _sweep_c2_prime_nonnegative,
+        _sweep_chi_prime_nonpositive,
+        _lose_a_survivor,
+        _six_classification_records,
+        _classification_degree_62,
+        _classification_not_surviving,
+    ],
+)
+def test_check_ledger_reports_each_tampered_section(tamper):
+    sections = {name: list(records) for name, records in _full_ledger().items()}
+    expected = tamper(sections)
+    assert check_ledger(sections) == [expected]
 
 
 def test_record_value_lookup():

@@ -1,15 +1,10 @@
-from fractions import Fraction
-
 import pytest
 
 from fano64.ledger import (
     FanoRecord,
     blowup_curve_degree,
-    blowup_point_degree,
-    exceptional_divisor_plane_degree,
     genus_of_degree,
     project_from_center,
-    projection_center_bound,
 )
 
 
@@ -52,13 +47,6 @@ def test_projection_drops_degree_by_twice_center_dim_plus_two():
         project_from_center(FanoRecord(2, 2, 3), 1)
 
 
-def test_point_blowup():
-    assert blowup_point_degree(72) == 64
-    assert blowup_point_degree(64) == 56
-    with pytest.raises(ValueError):
-        blowup_point_degree(8)
-
-
 def test_curve_blowup_chain():
     # repeated blow-ups along rational curves of growing anticanonical
     # degree: 54 -> 62 -> 66 -> 66
@@ -77,17 +65,3 @@ def test_curve_blowup_uses_genus():
     assert blowup_curve_degree(64, 4, 1) == 56
     with pytest.raises(ValueError):
         blowup_curve_degree(10, 10, 0)
-
-
-def test_projection_center_bounds():
-    assert projection_center_bound(33, 37) == (3, 4)
-    assert projection_center_bound(33, 36) == (2, 2)
-    assert projection_center_bound(33, 34) == (0, None)
-    with pytest.raises(ValueError):
-        projection_center_bound(33, 33)
-
-
-def test_exceptional_plane_degree():
-    assert exceptional_divisor_plane_degree(Fraction(1, 2), 2) == 1
-    assert exceptional_divisor_plane_degree(Fraction(1), 1) == 1
-    assert exceptional_divisor_plane_degree(Fraction(1, 3), 3) == 1

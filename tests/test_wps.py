@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fano64.wps import (
     QuotientType,
     Weights,
-    fractional_hyperplane_degree,
     wps_anticanonical_index,
     wps_degree,
     wps_edge_singularity,
@@ -115,10 +114,3 @@ def test_gorenstein_vertex_residues_sum_to_zero(raw):
     for i in range(4):
         q = wps_vertex_singularity(w, i)
         assert sum(q.residues) % q.order == 0
-
-
-def test_fractional_hyperplane_degree():
-    assert fractional_hyperplane_degree(12, 6) == Fraction(1, 2)
-    assert fractional_hyperplane_degree(3, 1) == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        fractional_hyperplane_degree(0, 1)

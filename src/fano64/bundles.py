@@ -48,7 +48,7 @@ class RankTwoBundle:
     c2: int
 
     def __post_init__(self) -> None:
-        if self.c1.surface != self.base:
+        if not (self.c1.surface is self.base or self.c1.surface == self.base):
             raise ValueError(f"c1 lives on {self.c1.surface}, not on the base {self.base}")
 
     def __str__(self) -> str:
@@ -153,9 +153,9 @@ def chi_rank2(data: RankTwoBundle) -> Fraction:
 
         chi(E) = (c1^2 - 2 c2 - K.c1) / 2 + 2.
     """
-    c1, c2 = data.c1, data.c2
+    c1 = data.c1
     k = canonical_class(data.base)
-    return Fraction(intersect(c1, c1) - 2 * c2 - intersect(k, c1), 2) + 2
+    return Fraction(intersect(c1, c1) - 2 * data.c2 - intersect(k, c1) + 4, 2)
 
 
 def twist(data: RankTwoBundle, b: SurfaceClass) -> RankTwoBundle:
@@ -164,7 +164,7 @@ def twist(data: RankTwoBundle, b: SurfaceClass) -> RankTwoBundle:
     c1' = c1 + 2B and c2' = c2 + c1.B + B^2.  The projectivization is
     unchanged, so the anticanonical degree is invariant under twisting.
     """
-    if b.surface != data.base:
+    if not (b.surface is data.base or b.surface == data.base):
         raise ValueError("twisting class lives on a different surface")
     c2_new = data.c2 + intersect(data.c1, b) + intersect(b, b)
     return RankTwoBundle(data.base, data.c1 + 2 * b, c2_new)

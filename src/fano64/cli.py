@@ -100,8 +100,13 @@ def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
 
 
 def _emit(doc: dict, machine: bool, lines: list[str]) -> None:
+    """Print the JSON document or the text lines.
+
+    JSON is one compact line with sorted keys: without `indent`, `json`
+    uses its C encoder.  `python -m json.tool` pretty-prints it.
+    """
     if machine:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -295,8 +300,7 @@ def _cmd_reproduce(args) -> int:
                 parts.setdefault(part, {})[base] = entries
             else:
                 parts[part] = entries
-        payload = {"parts": parts, "failures": failures}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit({"parts": parts, "failures": failures}, True, [])
     else:
         counts: dict[str, int] = {}
         for name, records in sections.items():

@@ -146,6 +146,11 @@ def verify_record(record: CaseRecord) -> bool:
     return True
 
 
+def _exact(q: Fraction) -> int | Fraction:
+    """A rational as recorded: an int when integral, else the Fraction."""
+    return int(q) if q.denominator == 1 else q
+
+
 def _record(
     context: str,
     inputs: dict[str, object],
@@ -253,9 +258,7 @@ def eliminate_p1_bundles(target_degree: int = 64) -> list[CaseRecord]:
             # c1 = -K makes -K_Y = 2D; the section D carries K_D^2 = D^3,
             # which the degree pins to target/8, yet D is a plane.
             k_d_squared = Fraction(target_degree, 8)
-            computed["k_d_squared"] = (
-                int(k_d_squared) if k_d_squared.denominator == 1 else k_d_squared
-            )
+            computed["k_d_squared"] = _exact(k_d_squared)
             computed["k_squared_of_base"] = k_squared(base)
             if k_d_squared != k_squared(base):
                 verdict: Verdict = ArithmeticContradiction(
@@ -288,7 +291,7 @@ def eliminate_p1_bundles(target_degree: int = 64) -> list[CaseRecord]:
                 )
         elif treatment == "section-patching":
             chi = chi_rank2(data)
-            computed["chi"] = int(chi) if chi.denominator == 1 else chi
+            computed["chi"] = _exact(chi)
             fiber = SurfaceClass(base, 0, 1)
             allowed = _forced_vertical_splitting(
                 intersect(c1, fiber), intersect(fiber, fiber)
@@ -361,7 +364,7 @@ def filter_quadric_bundle_degrees(
         eighth = Fraction(degree, 8)
         computed: dict[str, Value] = {
             "rr_dim": rr_dim_anticanonical(degree),
-            "degree_eighth": int(eighth) if eighth.denominator == 1 else eighth,
+            "degree_eighth": _exact(eighth),
             "degree_eighth_integral": kg2_integral(degree),
         }
         if not kg2_integral(degree):
@@ -425,13 +428,14 @@ def sweep_twisted_bundles(
 
 
 def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
-    n = base.n
     records = []
     corner_c2_primes: dict[tuple[int, int], list[int]] = {}
+    cases = []
+    for a, b in _hirzebruch_coefficient_range(base.n):
+        c1 = SurfaceClass(base, a, b)
+        cases.append((a, b, c1, chi_rank2(RankTwoBundle(base, c1, 0))))
     for chi in chis:
-        for a, b in _hirzebruch_coefficient_range(n):
-            c1 = SurfaceClass(base, a, b)
-            chi_at_zero = chi_rank2(RankTwoBundle(base, c1, 0))
+        for a, b, c1, chi_at_zero in cases:
             c = chi_at_zero - chi  # chi is linear in c2 with slope -1
             assert c.denominator == 1
             data = RankTwoBundle(base, c1, int(c))
@@ -445,9 +449,7 @@ def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
                 "a_prime": a_p,
                 "b_prime": b_p,
                 "c2_prime": twisted.c2,
-                "chi_prime": int(chi_prime)
-                if chi_prime.denominator == 1
-                else chi_prime,
+                "chi_prime": _exact(chi_prime),
                 "degree_preserved": degree_p1_bundle(twisted)
                 == degree_p1_bundle(data),
             }
@@ -507,7 +509,7 @@ def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
             {"base": P2, "family": "O(a)+O(a+b), a>=0, b>=0, 2a+b<=3"},
             {
                 "cases": len(chi_values),
-                "chi_max": int(chi_max) if chi_max.denominator == 1 else chi_max,
+                "chi_max": _exact(chi_max),
             },
             ArithmeticContradiction("chi_max", ">=", min(chis)),
         )
@@ -533,8 +535,8 @@ def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
     ):
         for m in m_range:
             c1 = plane_class(c1_of_m(m))
+            chi_at_zero = chi_rank2(RankTwoBundle(P2, c1, 0))
             for chi in chis:
-                chi_at_zero = chi_rank2(RankTwoBundle(P2, c1, 0))
                 c2 = chi_at_zero - chi
                 assert c2.denominator == 1
                 data = RankTwoBundle(P2, c1, int(c2))

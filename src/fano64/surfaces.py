@@ -14,6 +14,7 @@ respectively by l and h + nl.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,11 @@ class SurfaceClass:
     b: int = 0
 
     def __post_init__(self) -> None:
-        if self.surface.is_plane and self.b != 0:
+        if self.surface.hirzebruch_n is None and self.b != 0:
             raise ValueError("classes on the plane have a single coefficient")
 
     def _check_same_surface(self, other: "SurfaceClass") -> None:
-        if self.surface != other.surface:
+        if not (self.surface is other.surface or self.surface == other.surface):
             raise ValueError(
                 f"classes live on different surfaces: {self.surface} vs {other.surface}"
             )
@@ -119,14 +120,19 @@ def ruled_class(n: int, a: int, b: int) -> SurfaceClass:
 def intersect(d1: SurfaceClass, d2: SurfaceClass) -> int:
     """The intersection form: L^2 = 1 on the plane; h^2 = -n, h.l = 1, l^2 = 0."""
     d1._check_same_surface(d2)
-    s = d1.surface
-    if s.is_plane:
+    n = d1.surface.hirzebruch_n
+    if n is None:
         return d1.a * d2.a
-    return -s.n * d1.a * d2.a + d1.a * d2.b + d1.b * d2.a
+    return -n * d1.a * d2.a + d1.a * d2.b + d1.b * d2.a
 
 
+@cache
 def canonical_class(s: BaseSurface) -> SurfaceClass:
-    """K: -3L on the plane, -(2h + (n+2)l) on F_n."""
+    """K: -3L on the plane, -(2h + (n+2)l) on F_n.
+
+    Cached per surface: surfaces are frozen and hashable, and the class
+    is immutable.
+    """
     if s.is_plane:
         return SurfaceClass(s, -3)
     return SurfaceClass(s, -2, -(s.n + 2))
@@ -136,6 +142,7 @@ def anticanonical_class(s: BaseSurface) -> SurfaceClass:
     return -canonical_class(s)
 
 
+@cache
 def k_squared(s: BaseSurface) -> int:
     """K^2: 9 for the plane, 8 for every F_n."""
     k = canonical_class(s)

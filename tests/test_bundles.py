@@ -60,6 +60,24 @@ def test_c1_must_live_on_the_base():
         RankTwoBundle(P2, ruled_class(0, 1, 1), 0)
 
 
+def test_c1_and_twists_must_live_on_the_same_hirzebruch_surface():
+    with pytest.raises(ValueError):
+        RankTwoBundle(F2, ruled_class(1, 1, 1), 0)
+    data = RankTwoBundle(F2, ruled_class(2, 1, 1), 0)
+    with pytest.raises(ValueError):
+        twist(data, ruled_class(1, 1, 0))
+
+
+def test_a_surface_built_afresh_carries_the_same_bundles():
+    fresh = BaseSurface(2)
+    data = RankTwoBundle(fresh, ruled_class(2, -2, -2), -2)
+    assert data == RankTwoBundle(F2, ruled_class(2, -2, -2), -2)
+    assert chi_rank2(data) == 2
+    twisted = twist(data, SurfaceClass(F2, 1, 1))
+    assert twisted.c1 == SurfaceClass(fresh, 0, 0)
+    assert degree_p1_bundle(twisted) == degree_p1_bundle(data) == 64
+
+
 def test_anticanonical_class_of_bundle():
     data = RankTwoBundle(F2, ruled_class(2, -2, -2), -2)
     mk = p1_bundle_anticanonical(data)

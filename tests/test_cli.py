@@ -262,13 +262,52 @@ def test_reproduce_reports_a_failed_ledger_check(capsys, monkeypatch):
 
 
 def test_machine_records_round_trip_through_the_serializer(capsys):
-    from fano64.elimination import eliminate_p1_bundles, record_from_payload
+    from fano64.cli import _reproduce
+    from fano64.elimination import (
+        PARTS,
+        SWEEP_BASES,
+        record_from_payload,
+        record_to_payload,
+    )
 
-    code, out, _ = run(capsys, "reproduce", "--part", "p1-bundles", "--machine")
+    code, out, _ = run(capsys, "reproduce", "--machine")
     assert code == 0
     doc = json.loads(out)
-    rebuilt = [record_from_payload(p) for p in doc["parts"]["p1-bundles"]]
-    assert rebuilt == eliminate_p1_bundles(64)
+    sections = _reproduce(None)
+    parts: dict = {}
+    for name, records in sections.items():
+        part, _, base = name.partition("/")
+        entries = [record_to_payload(r) for r in records]
+        if base:
+            parts.setdefault(part, {})[base] = entries
+        else:
+            parts[part] = entries
+    assert tuple(parts) == PARTS
+    assert list(parts["twisted-sweep"]) == [str(b) for b in SWEEP_BASES]
+    assert doc == {"parts": parts, "failures": []}
+    for name, records in sections.items():
+        part, _, base = name.partition("/")
+        entries = doc["parts"][part][base] if base else doc["parts"][part]
+        assert [record_from_payload(p) for p in entries] == records
+
+
+def _no_floats(text: str):
+    raise AssertionError(f"non-integer number in JSON output: {text}")
+
+
+def test_machine_output_holds_no_floats(capsys):
+    for argv in (
+        ("reproduce",),
+        ("wps", "6", "4", "1", "1"),
+        ("bundle", "--base", "F0", "--c1", "2,2", "--c2", "0"),
+        ("toric", X66, "degree"),
+        ("toric", X66, "validate"),
+        ("toric", X66, "singularities"),
+    ):
+        code, out, _ = run(capsys, *argv, "--machine")
+        assert code == 0, argv
+        assert out.count("\n") == 1, argv
+        json.loads(out, parse_float=_no_floats, parse_constant=_no_floats)
 
 
 def test_no_arguments_is_a_usage_error(capsys):

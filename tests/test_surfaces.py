@@ -63,6 +63,26 @@ def test_class_arithmetic():
         d + plane_class(1)
 
 
+def test_classes_on_different_hirzebruch_surfaces_do_not_combine():
+    on_f1, on_f2 = SurfaceClass(F1, 1, 1), SurfaceClass(F2, 1, 1)
+    with pytest.raises(ValueError):
+        intersect(on_f1, on_f2)
+    with pytest.raises(ValueError):
+        on_f1 + on_f2
+    with pytest.raises(ValueError):
+        on_f2 - on_f1
+
+
+def test_a_surface_built_afresh_is_the_same_surface():
+    fresh = BaseSurface(2)
+    assert fresh is not F2
+    d, e = SurfaceClass(fresh, 1, 3), SurfaceClass(F2, 0, 1)
+    assert d + e == SurfaceClass(F2, 1, 4)
+    assert intersect(d, e) == 1
+    assert canonical_class(fresh) == canonical_class(F2)
+    assert k_squared(fresh) == k_squared(F2) == 8
+
+
 def test_intersection_form():
     # h^2 = -n, h.l = 1, l^2 = 0 on F_n; L^2 = 1 on the plane
     h, l = ruled_class(2, 1, 0), ruled_class(2, 0, 1)

@@ -45,7 +45,7 @@ from .elimination import (
     sweep_twisted_bundles,
     verify_record,
 )
-from .lattice import Vec3, det3, pairing, solve3
+from .lattice import Vec3, det3, solve3
 from .ledger import (
     FanoRecord,
     blowup_curve_degree,

@@ -18,6 +18,7 @@ check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -325,7 +326,9 @@ def _cmd_reproduce(args) -> int:
     return 2 if failures else 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built on the first main() call; parse_args leaves it unchanged, so it is reused."""
     parser = _Parser(prog="fano64", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -63,11 +63,6 @@ class Vec3:
         return f"({self.x},{self.y},{self.z})"
 
 
-def pairing(point: QVec, v: Vec3) -> Fraction:
-    """<m, v> for a rational point m and a lattice vector v."""
-    return point[0] * v.x + point[1] * v.y + point[2] * v.z
-
-
 def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
     """Signed determinant of the 3x3 integer matrix with rows a, b, c."""
     return (
@@ -77,30 +72,31 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
     )
 
 
-def _det3q(m: list[list[Fraction]]) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def solve3(
     rows: tuple[Vec3, Vec3, Vec3],
     rhs: tuple[Fraction | int, Fraction | int, Fraction | int],
 ) -> QVec | None:
     """Solve the 3x3 system rows * m = rhs exactly, by Cramer's rule.
 
-    Returns the unique rational solution, or None when the rows are
-    linearly dependent (a normal outcome, not an error).
+    The work runs in integers.  Scaled by the lcm L of its denominators,
+    the right-hand side becomes integers (p, q, r); for rows a, b, c the
+    solution is (p b x c + q c x a + r a x b) / (d L) with d = det(a, b, c),
+    and one Fraction is built per coordinate.  Returns the unique
+    rational solution, or None when the rows are linearly dependent (a
+    normal outcome, not an error).
     """
-    d = det3(*rows)
+    a, b, c = rows
+    bc = (b.y * c.z - b.z * c.y, b.z * c.x - b.x * c.z, b.x * c.y - b.y * c.x)
+    d = a.x * bc[0] + a.y * bc[1] + a.z * bc[2]
     if d == 0:
         return None
-    base = [[Fraction(v.x), Fraction(v.y), Fraction(v.z)] for v in rows]
-    b = [Fraction(t) for t in rhs]
-    out = []
-    for j in range(3):
-        col = [[b[i] if k == j else base[i][k] for k in range(3)] for i in range(3)]
-        out.append(_det3q(col) / d)
-    return (out[0], out[1], out[2])
+    ca = (c.y * a.z - c.z * a.y, c.z * a.x - c.x * a.z, c.x * a.y - c.y * a.x)
+    ab = (a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
+    lcm = math.lcm(*(t.denominator for t in rhs))
+    p, q, r = (t.numerator * (lcm // t.denominator) for t in rhs)
+    d *= lcm
+    return (
+        Fraction(p * bc[0] + q * ca[0] + r * ab[0], d),
+        Fraction(p * bc[1] + q * ca[1] + r * ab[1], d),
+        Fraction(p * bc[2] + q * ca[2] + r * ab[2], d),
+    )

@@ -12,20 +12,26 @@ toric variety.  By polar duality each facet of Delta lies on the plane
 <m, v> = -1 of one ray v, so the volume is a sum of pyramids from the
 origin over the facets.  validate_fan performs structural sanity checks
 and returns findings instead of raising, so defective input data can be
-examined rather than rejected.
+examined rather than rejected.  The cone checks (rank, strong convexity,
+walls, Gorenstein supports) run on integer tuples; a Gorenstein support
+is the only rational solve, and Fraction is otherwise built only for
+polytope vertices and volumes.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .lattice import QVec, Vec3, det3, pairing, solve3
+from .lattice import QVec, Vec3, det3, solve3
+
+IVec = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -102,18 +108,18 @@ def gorenstein_support(rays: tuple[Vec3, ...]) -> Vec3 | None:
     For a full-dimensional cone such an m is unique if it exists; its
     existence for every cone of a complete fan is the Gorenstein
     condition on the toric variety.  Returns None when the solution is
-    non-integral, inconsistent, or not unique (degenerate cone).
+    non-integral, inconsistent, or not unique (degenerate cone).  The
+    solve on the first independent triple is the only rational step; the
+    other rays are checked with integer dot products.
     """
     for triple in combinations(rays, 3):
         if det3(*triple) != 0:
-            m = solve3(triple, (Fraction(-1), Fraction(-1), Fraction(-1)))
+            m = solve3(triple, (-1, -1, -1))
             assert m is not None
             if any(c.denominator != 1 for c in m):
                 return None
-            point = Vec3(int(m[0]), int(m[1]), int(m[2]))
-            if all(pairing(m, v) == -1 for v in rays):
-                return point
-            return None
+            point = Vec3(m[0].numerator, m[1].numerator, m[2].numerator)
+            return point if all(point.dot(v) == -1 for v in rays) else None
     return None
 
 
@@ -150,11 +156,11 @@ def classify_index2_cone(rays: tuple[Vec3, Vec3, Vec3]) -> ConeSingularity:
     raise ValueError(f"index-2 cone {rays} has no half-integer lattice point")
 
 
-def _rays_have_full_rank(rays: tuple[Vec3, ...]) -> bool:
-    return any(det3(*t) != 0 for t in combinations(rays, 3))
+def _rays_have_full_rank(rays: Sequence[IVec]) -> bool:
+    return any(_dot(a, _cross(b, c)) != 0 for a, b, c in combinations(rays, 3))
 
 
-def _positive_span_fails(rays: tuple[Vec3, ...]) -> Vec3 | None:
+def _positive_span_fails(rays: Sequence[IVec]) -> Vec3 | None:
     """A nonzero direction m with <m, v> >= 0 for all rays, if one exists.
 
     Such an m is an unbounded direction of the polar polytope.  When the
@@ -162,24 +168,25 @@ def _positive_span_fails(rays: tuple[Vec3, ...]) -> Vec3 | None:
     nonzero it has an extremal direction lying on two of the hyperplanes
     <., v> = 0, hence proportional to a cross product of two rays.
     """
+    zero = (0, 0, 0)
     if not _rays_have_full_rank(rays):
         # rank <= 2: some nonzero m is orthogonal to every ray
         for a, b in combinations(rays, 2):
-            m = a.cross(b)
-            if m != Vec3(0, 0, 0):
-                return m
+            m = _cross(a, b)
+            if m != zero:
+                return Vec3(*m)
         for v in rays:
-            if v != Vec3(0, 0, 0):
-                m = v.cross(Vec3(1, 0, 0))
-                return m if m != Vec3(0, 0, 0) else v.cross(Vec3(0, 1, 0))
+            if v != zero:
+                m = _cross(v, (1, 0, 0))
+                return Vec3(*(m if m != zero else _cross(v, (0, 1, 0))))
         return Vec3(1, 0, 0)
     for a, b in combinations(rays, 2):
-        m = a.cross(b)
-        if m == Vec3(0, 0, 0):
+        m = _cross(a, b)
+        if m == zero:
             continue
-        for cand in (m, -m):
-            if all(v.dot(cand) >= 0 for v in rays):
-                return cand
+        for cand in (m, (-m[0], -m[1], -m[2])):
+            if all(_dot(v, cand) >= 0 for v in rays):
+                return Vec3(*cand)
     return None
 
 
@@ -194,12 +201,12 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     vertices bounds a facet; a repeated ray counts once.  Raises when
     Delta is unbounded, i.e. the rays fail to positively span the space.
     """
-    direction = _positive_span_fails(f.rays)
+    rays = tuple(dict.fromkeys(v.as_tuple() for v in f.rays))
+    direction = _positive_span_fails(rays)
     if direction is not None:
         raise ValueError(
             f"polytope is unbounded: rays do not positively span (direction {direction})"
         )
-    rays = tuple(dict.fromkeys(v.as_tuple() for v in f.rays))
     cross = {(i, j): _cross(a, b) for i, a in enumerate(rays) for j, b in enumerate(rays)}
     seen = set()
     vertices = []
@@ -287,7 +294,7 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     return total
 
 
-def _positive_dependence(vectors: tuple[Vec3, ...]) -> bool:
+def _positive_dependence(vectors: Sequence[IVec]) -> bool:
     """Whether 0 is a nontrivial non-negative combination of the vectors.
 
     Equivalent to the generated cone containing a line.  A minimal such
@@ -295,39 +302,33 @@ def _positive_dependence(vectors: tuple[Vec3, ...]) -> bool:
     subsets of size 2 to 4 is exhaustive.
     """
     for a, b in combinations(vectors, 2):
-        if a.cross(b) == Vec3(0, 0, 0) and a.dot(b) < 0:
+        if _cross(a, b) == (0, 0, 0) and _dot(a, b) < 0:
             return True
-    for triple in combinations(vectors, 3):
-        if det3(*triple) != 0:
+    for a, b, c in combinations(vectors, 3):
+        if _dot(a, _cross(b, c)) != 0:
             continue
-        lam = _dependence_coeffs_3(triple)
+        lam = _dependence_coeffs_3((a, b, c))
         if lam is not None and _same_sign(lam):
             return True
-    for quad in combinations(vectors, 4):
-        lam = tuple(
-            (-1) ** i * det3(*(quad[:i] + quad[i + 1 :])) for i in range(4)
-        )
+    for a, b, c, d in combinations(vectors, 4):
+        ab, cd = _cross(a, b), _cross(c, d)
+        lam = (_dot(b, cd), -_dot(a, cd), _dot(d, ab), -_dot(c, ab))
         if any(lam) and _same_sign(lam):
             return True
     return False
 
 
-def _dependence_coeffs_3(t: tuple[Vec3, Vec3, Vec3]) -> tuple[int, int, int] | None:
-    """Nonzero (l1,l2,l3) with sum l_i v_i = 0 for a rank-2 triple, else None."""
-    cols = [v.as_tuple() for v in t]
-    for r, s in combinations(range(3), 2):
-        m = [(cols[j][r], cols[j][s]) for j in range(3)]
-        lam = (
-            m[1][0] * m[2][1] - m[1][1] * m[2][0],
-            -(m[0][0] * m[2][1] - m[0][1] * m[2][0]),
-            m[0][0] * m[1][1] - m[0][1] * m[1][0],
-        )
+def _dependence_coeffs_3(triple: Sequence[IVec]) -> IVec | None:
+    """Nonzero (l1,l2,l3) with sum l_i v_i = 0 for a rank-2 triple, else None.
+
+    Each candidate is the cross product of two coordinate rows of the
+    3x3 matrix whose columns are the vectors.
+    """
+    rows = list(zip(*triple))
+    for r, s in combinations(rows, 2):
+        lam = _cross(r, s)
         if any(lam):
-            if all(
-                sum(lam[j] * cols[j][k] for j in range(3)) == 0 for k in range(3)
-            ):
-                return lam
-            return None
+            return lam if all(_dot(lam, row) == 0 for row in rows) else None
     return None
 
 
@@ -371,7 +372,7 @@ class FanReport:
         return tuple(out)
 
 
-def _cone_walls(rays: tuple[Vec3, ...], indices: tuple[int, ...]):
+def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
     """Walls (2-faces) of a strongly convex full-rank cone.
 
     A pair of rays spans a wall when some plane through them has all the
@@ -380,19 +381,17 @@ def _cone_walls(rays: tuple[Vec3, ...], indices: tuple[int, ...]):
     normal) so the same wall hashes equally from both adjacent cones.
     """
     walls = set()
-    vecs = {i: rays[i] for i in indices}
     for i, j in combinations(indices, 2):
-        n = vecs[i].cross(vecs[j])
-        if n == Vec3(0, 0, 0):
+        n = _cross(rays[i], rays[j])
+        if n == (0, 0, 0):
             continue
-        g = gcd(n.x, n.y, n.z)
-        n = Vec3(n.x // g, n.y // g, n.z // g)
-        sides = {k: n.dot(vecs[k]) for k in indices}
+        g = gcd(*n)
+        n = (n[0] // g, n[1] // g, n[2] // g)
+        sides = {k: _dot(n, rays[k]) for k in indices}
         on_plane = tuple(sorted(k for k, s in sides.items() if s == 0))
         off = [s for s in sides.values() if s != 0]
         if off and (all(s > 0 for s in off) or all(s < 0 for s in off)):
-            key_normal = max(n.as_tuple(), (-n).as_tuple())
-            walls.add((on_plane, key_normal))
+            walls.add((on_plane, max(n, (-n[0], -n[1], -n[2]))))
     return walls
 
 
@@ -405,17 +404,18 @@ def validate_fan(f: Fan) -> FanReport:
     non_convex = []
     wall_count: dict = {}
     no_support = []
-    for ci in range(len(f.max_cones)):
-        rays = f.cone_rays(ci)
+    vecs = [v.as_tuple() for v in f.rays]
+    for ci, cone in enumerate(f.max_cones):
+        rays = [vecs[i] for i in cone]
         if not _rays_have_full_rank(rays):
             degenerate.append(ci)
             continue
         if _positive_dependence(rays):
             non_convex.append(ci)
         else:
-            for wall in _cone_walls(f.rays, f.max_cones[ci]):
+            for wall in _cone_walls(vecs, cone):
                 wall_count[wall] = wall_count.get(wall, 0) + 1
-        if gorenstein_support(rays) is None:
+        if gorenstein_support(f.cone_rays(ci)) is None:
             no_support.append(ci)
     unpaired = tuple(
         f"rays{list(key[0])}" for key, n in sorted(wall_count.items()) if n != 2

@@ -323,3 +323,22 @@ def test_console_script_is_installed():
     )
     assert out.returncode == 0
     assert "degree: 64" in out.stdout
+
+
+def test_back_to_back_calls_match_fresh_processes(capsys, monkeypatch):
+    """main() reuses one parser per process; no call may see state from the one before."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    calls = [
+        ("bundle", "--base", "F0", "--c1", "2,2", "--c2", "0", "--solve-degree", "64"),
+        ("bundle", "--base", "F0", "--c1", "2,2", "--c2", "0"),
+        ("bundle", "--base", "F0", "--c1", "2,2", "--solve-degree", "64"),
+        ("toric", P3, "degree", "--expect", "64"),
+        ("toric", P3, "validate"),
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert in_process[0][0] == 1
+    for argv, result in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fano64.cli", *argv], capture_output=True, text=True
+        )
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv

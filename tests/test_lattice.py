@@ -1,13 +1,18 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano64.lattice import Vec3, det3, pairing, solve3
+import fano64.lattice
+import fano64.toric
+from fano64.lattice import Vec3, det3, solve3
 
 coords = st.integers(min_value=-50, max_value=50)
 vectors = st.builds(Vec3, coords, coords, coords)
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 
 
 def test_vector_arithmetic():
@@ -68,23 +73,42 @@ def test_cross_is_orthogonal(a, b):
     assert n.dot(b) == 0
 
 
-def test_pairing_is_exact():
-    m = (Fraction(1, 2), Fraction(-1, 3), Fraction(0))
-    assert pairing(m, Vec3(6, 6, 1)) == 1
-
-
-@given(vectors, vectors, vectors, vectors)
-def test_solve3_round_trip(a, b, c, x):
+@given(
+    vectors,
+    vectors,
+    vectors,
+    st.tuples(rationals, rationals, rationals),
+    st.tuples(coords, coords, coords),
+)
+def test_solve3_round_trip(a, b, c, x, ints):
+    """Rational solutions, so right-hand sides with denominators; plain-int right-hand sides."""
     rows = (a, b, c)
     if det3(a, b, c) == 0:
         assert solve3(rows, (Fraction(0), Fraction(0), Fraction(0))) is None
+        assert solve3(rows, ints) is None
         return
-    rhs = tuple(Fraction(r.dot(x)) for r in rows)
-    sol = solve3(rows, rhs)
-    assert sol == (Fraction(x.x), Fraction(x.y), Fraction(x.z))
+    rhs = tuple(r.x * x[0] + r.y * x[1] + r.z * x[2] for r in rows)
+    assert solve3(rows, rhs) == x
+    m = solve3(rows, ints)
+    assert all(type(t) is Fraction for t in m)
+    assert tuple(r.x * m[0] + r.y * m[1] + r.z * m[2] for r in rows) == ints
 
 
 def test_solve3_fractional_solution():
     rows = (Vec3(2, 0, 0), Vec3(0, 3, 0), Vec3(0, 0, 1))
     rhs = (Fraction(1), Fraction(1), Fraction(5))
     assert solve3(rows, rhs) == (Fraction(1, 2), Fraction(1, 3), Fraction(5))
+    rhs = (Fraction(1, 3), Fraction(1, 2), Fraction(-5, 4))
+    assert solve3(rows, rhs) == (Fraction(1, 6), Fraction(1, 6), Fraction(-5, 4))
+    assert solve3(rows, (1, -1, 0)) == (Fraction(1, 2), Fraction(-1, 3), Fraction(0))
+
+
+@pytest.mark.parametrize("module", [fano64.lattice, fano64.toric])
+def test_integer_kernels_hold_no_floats(module):
+    """No float literal, no `float` name and no true division: `/` would yield a float silently."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        where = f"{module.__name__} line {getattr(node, 'lineno', '?')}"
+        assert not isinstance(getattr(node, "op", None), ast.Div), where
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), where
+        assert not (isinstance(node, ast.Name) and node.id == "float"), where

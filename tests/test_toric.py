@@ -5,6 +5,8 @@ from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fano64.lattice import Vec3, det3
 from fano64.toric import (
@@ -56,6 +58,54 @@ def test_support_pairs_to_minus_one_on_every_ray():
     m = gorenstein_support(rays)
     for v in rays:
         assert m.dot(v) == -1
+
+
+def _support_oracle(rays: tuple[Vec3, ...]) -> Vec3 | None:
+    """Gorenstein support by Fraction Cramer on the first independent triple, then pairings."""
+
+    def det(m):
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+
+    for triple in combinations(rays, 3):
+        d = det3(*triple)
+        if d != 0:
+            base = [[Fraction(t) for t in v.as_tuple()] for v in triple]
+            m = [
+                det([[Fraction(-1) if k == j else row[k] for k in range(3)] for row in base]) / d
+                for j in range(3)
+            ]
+            if any(c.denominator != 1 for c in m):
+                return None
+            if all(m[0] * v.x + m[1] * v.y + m[2] * v.z == -1 for v in rays):
+                return Vec3(int(m[0]), int(m[1]), int(m[2]))
+            return None
+    return None
+
+
+small = st.integers(min_value=-4, max_value=4)
+small_rays = st.builds(Vec3, small, small, small)
+UNIT = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
+
+
+@given(
+    st.one_of(
+        st.lists(small_rays, min_size=3, max_size=6),
+        # degenerate: every ray in the plane z = 0
+        st.lists(st.builds(Vec3, small, small, st.just(0)), min_size=3, max_size=6),
+        # integral solve on the first triple, so the later rays decide
+        st.lists(small_rays, min_size=1, max_size=3).map(lambda rest: [*UNIT, *rest]),
+    ).map(tuple)
+)
+@example(UNIT[:2] + (Vec3(1, 1, 0),))  # degenerate
+@example(UNIT[:2] + (Vec3(1, 1, 2),))  # non-integral
+@example(UNIT + (Vec3(1, 1, 1),))  # inconsistent
+@example(UNIT + (Vec3(3, -1, -1),))  # integral, four rays
+def test_gorenstein_support_matches_the_fraction_oracle(rays):
+    assert gorenstein_support(rays) == _support_oracle(rays)
 
 
 def test_classify_smooth_cone():

@@ -104,13 +104,13 @@ def _emit(doc: dict, machine: bool, lines: list[str]) -> None:
     """Print the JSON document or the text lines.
 
     JSON is one compact line with sorted keys: without `indent`, `json`
-    uses its C encoder.  `python -m json.tool` pretty-prints it.
+    uses its C encoder.  `python -m json.tool` pretty-prints it.  The
+    text is written in one call, and nothing is written for no lines.
     """
     if machine:
         print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    elif lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_bundle(args) -> int:
@@ -303,26 +303,26 @@ def _cmd_reproduce(args) -> int:
                 parts[part] = entries
         _emit({"parts": parts, "failures": failures}, True, [])
     else:
+        lines = []
         counts: dict[str, int] = {}
         for name, records in sections.items():
             for record in records:
-                print(f"[{name}] {record.context}")
-                for key, value in record.computed:
-                    print(f"    {key} = {_fmt(value)}")
-                print(f"    {_describe_verdict(record)}")
+                lines.append(f"[{name}] {record.context}")
+                lines.extend(f"    {key} = {_fmt(value)}" for key, value in record.computed)
+                lines.append(f"    {_describe_verdict(record)}")
             part = name.partition("/")[0]
             counts[part] = counts.get(part, 0) + len(records)
         summary = ", ".join(f"{name}: {n}" for name, n in counts.items())
-        print(f"records: {summary}")
+        lines.append(f"records: {summary}")
         if "classification" in sections:
-            print("classification:")
+            lines.append("classification:")
             for r in sections["classification"]:
                 if isinstance(r.verdict, Survives):
-                    print(f"    degree {r.value('degree')}: {r.verdict.construction}")
-        for failure in failures:
-            print(f"FAILED: {failure}")
+                    lines.append(f"    degree {r.value('degree')}: {r.verdict.construction}")
+        lines.extend(f"FAILED: {failure}" for failure in failures)
         if not failures:
-            print("all checks passed")
+            lines.append("all checks passed")
+        _emit({}, False, lines)
     return 2 if failures else 0
 
 

@@ -416,6 +416,12 @@ def sweep_twisted_bundles(
     which the records document value by value.  For the plane the same
     is done through the parity normalization of c1.  The final
     exclusion in each surviving case is the recorded section argument.
+
+    The bundle calculus runs once per c1, on the bundle with c2 = 0 and
+    its twist; each chi target then steps in integers, by three affine
+    facts: chi has slope -1 in c2 (so c2 = chi(c2 = 0) - chi), the twist
+    by B gives c2' = c2 + c1.B + B^2, and the degree gap between the
+    twisted and the untwisted bundle does not depend on c2.
     """
     chis = sorted(set(chi_values))
     if not chis:
@@ -427,39 +433,58 @@ def sweep_twisted_bundles(
     return _sweep_hirzebruch(base, chis)
 
 
+def _integral(q: Fraction) -> int:
+    """An Euler characteristic at c2 = 0: integral, as D.(D - K) is even."""
+    assert q.denominator == 1
+    return int(q)
+
+
 def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
     records = []
     corner_c2_primes: dict[tuple[int, int], list[int]] = {}
+    base_text = str(base)
+    argument = GeometricArgument(_SECTION_EXCLUSION)
     cases = []
     for a, b in _hirzebruch_coefficient_range(base.n):
         c1 = SurfaceClass(base, a, b)
-        cases.append((a, b, c1, chi_rank2(RankTwoBundle(base, c1, 0))))
+        a_p, b_p = _negative_parity_part(a), _negative_parity_part(b)
+        p, q = (a - a_p) // 2, (b - b_p) // 2
+        data = RankTwoBundle(base, c1, 0)
+        twisted = twist(data, SurfaceClass(base, -p, -q))
+        assert twisted.c1 == SurfaceClass(base, a_p, b_p)
+        preserved = degree_p1_bundle(twisted) == degree_p1_bundle(data)
+        cases.append(
+            (
+                f"twisted-sweep/{base_text}/a={a}/b={b}/chi=",
+                (("base", base_text), ("c1", str(c1))),
+                _integral(chi_rank2(data)),
+                a_p,
+                b_p,
+                twisted.c2,  # c1.B + B^2, the shift from c2 to c2'
+                _integral(chi_rank2(twisted)),
+                preserved,
+                corner_c2_primes.setdefault((a_p, b_p), []),
+            )
+        )
     for chi in chis:
-        for a, b, c1, chi_at_zero in cases:
-            c = chi_at_zero - chi  # chi is linear in c2 with slope -1
-            assert c.denominator == 1
-            data = RankTwoBundle(base, c1, int(c))
-            a_p, b_p = _negative_parity_part(a), _negative_parity_part(b)
-            p, q = (a - a_p) // 2, (b - b_p) // 2
-            twisted = twist(data, SurfaceClass(base, -p, -q))
-            assert twisted.c1 == SurfaceClass(base, a_p, b_p)
-            chi_prime = chi_rank2(twisted)
-            computed: dict[str, Value] = {
-                "c2": int(c),
-                "a_prime": a_p,
-                "b_prime": b_p,
-                "c2_prime": twisted.c2,
-                "chi_prime": _exact(chi_prime),
-                "degree_preserved": degree_p1_bundle(twisted)
-                == degree_p1_bundle(data),
-            }
-            corner_c2_primes.setdefault((a_p, b_p), []).append(twisted.c2)
+        chi_text = str(chi)
+        for head, inputs, chi_at_zero, a_p, b_p, shift, chi_p_at_zero, preserved, corner in cases:
+            c2 = chi_at_zero - chi
+            c2_prime = c2 + shift
+            corner.append(c2_prime)
             records.append(
-                _record(
-                    f"twisted-sweep/{base}/a={a}/b={b}/chi={chi}",
-                    {"base": base, "c1": c1, "chi": chi},
-                    computed,
-                    GeometricArgument(_SECTION_EXCLUSION),
+                CaseRecord(
+                    head + chi_text,
+                    inputs + (("chi", chi_text),),
+                    (
+                        ("c2", c2),
+                        ("a_prime", a_p),
+                        ("b_prime", b_p),
+                        ("c2_prime", c2_prime),
+                        ("chi_prime", chi_p_at_zero - c2),
+                        ("degree_preserved", preserved),
+                    ),
+                    argument,
                 )
             )
     # chi' is an affine function chi' = threshold - c2' on each twisted
@@ -468,9 +493,7 @@ def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
     # certificate: the subfamily's largest c2' stays strictly below it.
     for (a_p, b_p), values in sorted(corner_c2_primes.items()):
         probe = RankTwoBundle(base, SurfaceClass(base, a_p, b_p), 0)
-        threshold = chi_rank2(probe)
-        assert threshold.denominator == 1
-        threshold = int(threshold)
+        threshold = _integral(chi_rank2(probe))
         if threshold > -1:
             continue
         records.append(
@@ -528,6 +551,11 @@ def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
             ),
         )
     )
+    argument = GeometricArgument(
+        "c2' < 0 makes chi of the twisted bundle positive "
+        "via Serre duality, so it has a section; the zero-"
+        "locus analysis excludes it (external)"
+    )
     # Parity split of 0 <= c1 <= 8: odd c1 = 2m - 3 and even c1 = 2m - 2.
     for parity, c1_of_m, m_range in (
         ("odd", lambda m: 2 * m - 3, range(2, 6)),
@@ -535,26 +563,24 @@ def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
     ):
         for m in m_range:
             c1 = plane_class(c1_of_m(m))
-            chi_at_zero = chi_rank2(RankTwoBundle(P2, c1, 0))
+            data = RankTwoBundle(P2, c1, 0)
+            twisted = twist(data, plane_class(-m))
+            chi_at_zero = _integral(chi_rank2(data))
+            head = f"twisted-sweep/P2/{parity}/m={m}/chi="
+            inputs = (("base", str(P2)), ("c1", str(c1)), ("m", str(m)))
             for chi in chis:
+                chi_text = str(chi)
                 c2 = chi_at_zero - chi
-                assert c2.denominator == 1
-                data = RankTwoBundle(P2, c1, int(c2))
-                twisted = twist(data, plane_class(-m))
                 records.append(
-                    _record(
-                        f"twisted-sweep/P2/{parity}/m={m}/chi={chi}",
-                        {"base": P2, "c1": c1, "m": m, "chi": chi},
-                        {
-                            "c2": int(c2),
-                            "c1_twisted": twisted.c1.a,
-                            "c2_prime": twisted.c2,
-                        },
-                        GeometricArgument(
-                            "c2' < 0 makes chi of the twisted bundle positive "
-                            "via Serre duality, so it has a section; the zero-"
-                            "locus analysis excludes it (external)"
+                    CaseRecord(
+                        head + chi_text,
+                        inputs + (("chi", chi_text),),
+                        (
+                            ("c2", c2),
+                            ("c1_twisted", twisted.c1.a),
+                            ("c2_prime", c2 + twisted.c2),
                         ),
+                        argument,
                     )
                 )
     return records
@@ -564,6 +590,10 @@ def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
 # Classification summary
 
 
+# The computed degree of each kind of construction in the summary.
+_CONSTRUCTION_DEGREES = ("wps_degree", "bundle_degree", "projected_degree")
+
+
 def classification_summary() -> list[CaseRecord]:
     """The seven constructions of anticanonical degree 64.
 
@@ -571,15 +601,18 @@ def classification_summary() -> list[CaseRecord]:
     construction: the weighted projective spaces through their degree
     formula and tangent-space projections, the cones through the bundle
     degree formula, and the two projected families through the scroll
-    and blow-up bookkeeping.
+    and blow-up bookkeeping.  A record's degree is that computed degree;
+    its genus and ambient dimension are those of the target degree 64.
     """
     records = []
+    target = genus_of_degree(64)
 
     def add(label: str, inputs: dict[str, object], computed: dict[str, Value]) -> None:
-        rec = genus_of_degree(64)
+        # the degree is the construction's own: exactly one of these keys
+        (degree,) = (computed[k] for k in _CONSTRUCTION_DEGREES if k in computed)
         computed = dict(computed)
         computed.update(
-            {"degree": 64, "genus": rec.genus, "ambient_dim": rec.ambient_dim}
+            {"degree": degree, "genus": target.genus, "ambient_dim": target.ambient_dim}
         )
         records.append(
             _record(f"classification/{label}", inputs, computed, Survives(label))
@@ -660,7 +693,8 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
 
     Sections are named by part, the sweep by `twisted-sweep/<base>`.
     Every record's verdict must verify, and a record carrying c2' (only
-    sweep records do) must have c2' < 0 and chi' > 0.  A p1-bundles
+    sweep records do) must have c2' < 0 and chi' > 0, and its twist
+    must preserve the degree where it records that.  A p1-bundles
     section must leave exactly the two cone constructions; a
     classification section must hold seven surviving records of degree
     64.
@@ -678,6 +712,8 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
                     failures.append(f"{r.context}: c2' not negative")
                 if "chi_prime" in keys and keys["chi_prime"] <= 0:
                     failures.append(f"{r.context}: chi' not positive")
+                if keys.get("degree_preserved", True) is not True:
+                    failures.append(f"{r.context}: degree not preserved by the twist")
     if "p1-bundles" in sections:
         survivors = surviving_constructions(sections["p1-bundles"])
         if survivors != EXPECTED_SURVIVORS:

@@ -113,13 +113,13 @@ def gorenstein_support(rays: tuple[Vec3, ...]) -> Vec3 | None:
     other rays are checked with integer dot products.
     """
     for triple in combinations(rays, 3):
-        if det3(*triple) != 0:
-            m = solve3(triple, (-1, -1, -1))
-            assert m is not None
-            if any(c.denominator != 1 for c in m):
-                return None
-            point = Vec3(m[0].numerator, m[1].numerator, m[2].numerator)
-            return point if all(point.dot(v) == -1 for v in rays) else None
+        m = solve3(triple, (-1, -1, -1))
+        if m is None:
+            continue
+        if any(c.denominator != 1 for c in m):
+            return None
+        point = Vec3(m[0].numerator, m[1].numerator, m[2].numerator)
+        return point if all(point.dot(v) == -1 for v in rays) else None
     return None
 
 

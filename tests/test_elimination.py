@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fano64 import elimination
+from fano64.bundles import RankTwoBundle, chi_rank2, degree_p1_bundle, twist
 from fano64.elimination import (
     SWEEP_BASES,
     ArithmeticContradiction,
@@ -30,7 +32,8 @@ from fano64.elimination import (
     sweep_twisted_bundles,
     verify_record,
 )
-from fano64.surfaces import F0, F2, F3, F4, P2
+from fano64.surfaces import F0, F2, F3, F4, P2, SurfaceClass, plane_class
+from fano64.wps import Weights
 
 
 def verdict_of(records, context):
@@ -189,6 +192,108 @@ def test_plane_sweep():
         assert r.value("c1_twisted") in (-3, -2)
 
 
+def _per_case_sweep(base, chis):
+    """The sweep's case records, with the bundle calculus run once per (c1, chi).
+
+    An oracle for the per-c1 evaluation in the library: one bundle, one
+    twist and one Euler characteristic per case, no affine step.
+    """
+    chis = sorted(set(chis))
+    records = []
+    if base is P2:
+        for parity, c1_of_m, m_range in (
+            ("odd", lambda m: 2 * m - 3, range(2, 6)),
+            ("even", lambda m: 2 * m - 2, range(1, 6)),
+        ):
+            for m in m_range:
+                c1 = plane_class(c1_of_m(m))
+                for chi in chis:
+                    c2 = chi_rank2(RankTwoBundle(P2, c1, 0)) - chi
+                    assert c2.denominator == 1
+                    twisted = twist(RankTwoBundle(P2, c1, int(c2)), plane_class(-m))
+                    records.append(
+                        CaseRecord(
+                            f"twisted-sweep/P2/{parity}/m={m}/chi={chi}",
+                            (("base", "P2"), ("c1", str(c1)), ("m", str(m)), ("chi", str(chi))),
+                            (
+                                ("c2", int(c2)),
+                                ("c1_twisted", twisted.c1.a),
+                                ("c2_prime", twisted.c2),
+                            ),
+                            GeometricArgument(
+                                "c2' < 0 makes chi of the twisted bundle positive via "
+                                "Serre duality, so it has a section; the zero-locus "
+                                "analysis excludes it (external)"
+                            ),
+                        )
+                    )
+        return records
+    n = base.n
+    for chi in chis:
+        for a in range(0, 3):
+            for b in range(a * n, n + 3):
+                c1 = SurfaceClass(base, a, b)
+                c2 = chi_rank2(RankTwoBundle(base, c1, 0)) - chi
+                assert c2.denominator == 1
+                data = RankTwoBundle(base, c1, int(c2))
+                a_p, b_p = (-2 if a % 2 == 0 else -1), (-2 if b % 2 == 0 else -1)
+                twisted = twist(data, SurfaceClass(base, -(a - a_p) // 2, -(b - b_p) // 2))
+                assert twisted.c1 == SurfaceClass(base, a_p, b_p)
+                chi_prime = chi_rank2(twisted)
+                assert chi_prime.denominator == 1
+                preserved = degree_p1_bundle(twisted) == degree_p1_bundle(data)
+                records.append(
+                    CaseRecord(
+                        f"twisted-sweep/{base}/a={a}/b={b}/chi={chi}",
+                        (("base", str(base)), ("c1", str(c1)), ("chi", str(chi))),
+                        (
+                            ("c2", int(c2)),
+                            ("a_prime", a_p),
+                            ("b_prime", b_p),
+                            ("c2_prime", twisted.c2),
+                            ("chi_prime", int(chi_prime)),
+                            ("degree_preserved", preserved),
+                        ),
+                        GeometricArgument(
+                            "c2' < 0 and chi' > 0 give the twisted bundle a nonzero "
+                            "section with 1-dimensional zero locus; the splitting/"
+                            "patching analysis excludes it"
+                        ),
+                    )
+                )
+    return records
+
+
+@pytest.mark.parametrize("chis", [range(32, 37), range(-4, 41), [7]], ids=str)
+@pytest.mark.parametrize("base", SWEEP_BASES, ids=str)
+def test_sweep_matches_the_per_case_oracle(base, chis):
+    records = sweep_twisted_bundles(base, chis)
+    expected = _per_case_sweep(base, chis)
+    cases = [r for r in records if "/chi=" in r.context]
+    assert cases == expected
+    for got, want in zip(cases, expected):
+        assert [type(v) for _, v in got.computed] == [type(v) for _, v in want.computed]
+    # what is left: the plane's two fixed records, or one certificate per
+    # corner whose largest c2' is the oracle's
+    rest = [r for r in records if "/chi=" not in r.context]
+    assert len(records) == len(expected) + len(rest)
+    if base is P2:
+        assert [r.context for r in rest] == [
+            "twisted-sweep/P2/decomposable",
+            "twisted-sweep/P2/c1-boundary",
+        ]
+        return
+    for r in rest:
+        corner = r.context.split("/corner", 1)[1]
+        values = [
+            w.value("c2_prime")
+            for w in expected
+            if f"({w.value('a_prime')},{w.value('b_prime')})" == corner
+        ]
+        assert r.value("corner_cases") == len(values)
+        assert r.value("c2_prime_max") == max(values)
+
+
 def test_sweep_rejects_surfaces_outside_its_scope():
     from fano64.surfaces import BaseSurface
 
@@ -281,6 +386,12 @@ def _sweep_chi_prime_nonpositive(sections):
     return f"{records[0].context}: chi' not positive"
 
 
+def _sweep_degree_not_preserved(sections):
+    records = sections["twisted-sweep/F3"]
+    records[0] = _with_value(records[0], "degree_preserved", False)
+    return f"{records[0].context}: degree not preserved by the twist"
+
+
 def _lose_a_survivor(sections):
     sections["p1-bundles"] = [
         r for r in sections["p1-bundles"] if r.verdict != Survives("cone over F1")
@@ -311,6 +422,7 @@ def _classification_not_surviving(sections):
         _fabricate_contradiction,
         _sweep_c2_prime_nonnegative,
         _sweep_chi_prime_nonpositive,
+        _sweep_degree_not_preserved,
         _lose_a_survivor,
         _six_classification_records,
         _classification_degree_62,
@@ -321,6 +433,17 @@ def test_check_ledger_reports_each_tampered_section(tamper):
     sections = {name: list(records) for name, records in _full_ledger().items()}
     expected = tamper(sections)
     assert check_ledger(sections) == [expected]
+
+
+def test_classification_degree_is_the_computed_one(monkeypatch):
+    real = elimination.wps_degree
+
+    def p3_reads_63(weights):
+        return Fraction(63) if weights == Weights(1, 1, 1, 1) else real(weights)
+
+    monkeypatch.setattr(elimination, "wps_degree", p3_reads_63)
+    sections = {"classification": classification_summary()}
+    assert check_ledger(sections) == ["classification/P3: degree 63 != 64"]
 
 
 def test_record_value_lookup():

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fano64.bundles
+import fano64.cli
+import fano64.elimination
 import fano64.lattice
+import fano64.ledger
+import fano64.surfaces
 import fano64.toric
+import fano64.wps
 from fano64.lattice import Vec3, det3, solve3
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -103,7 +109,19 @@ def test_solve3_fractional_solution():
     assert solve3(rows, (1, -1, 0)) == (Fraction(1, 2), Fraction(-1, 3), Fraction(0))
 
 
-@pytest.mark.parametrize("module", [fano64.lattice, fano64.toric])
+@pytest.mark.parametrize(
+    "module",
+    [
+        fano64.lattice,
+        fano64.toric,
+        fano64.elimination,
+        fano64.bundles,
+        fano64.surfaces,
+        fano64.cli,
+        fano64.wps,
+        fano64.ledger,
+    ],
+)
 def test_integer_kernels_hold_no_floats(module):
     """No float literal, no `float` name and no true division: `/` would yield a float silently."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))

@@ -50,7 +50,6 @@ from .surfaces import BASES, BaseSurface, SurfaceClass
 from .toric import (
     anticanonical_polytope,
     classify_index2_cone,
-    cone_lattice_index,
     fan_from_json,
     gorenstein_support,
     polytope_degree,
@@ -231,15 +230,16 @@ def _cmd_toric(args) -> int:
         rays = fan.cone_rays(ci)
         entry: dict = {"cone": list(cone), "degenerate": False}
         prefix = f"cone {ci} {list(cone)}:"
-        if len(rays) != 3:
+        d = det3(*rays) if len(rays) == 3 else None
+        if d is None:
             lines.append(f"{prefix} non-simplicial, index not computed")
             entry["index"] = None
-        elif det3(*rays) == 0:
+        elif d == 0:
             lines.append(f"{prefix} degenerate (rays do not span), index not computed")
             entry["index"] = None
             entry["degenerate"] = True
         else:
-            index = cone_lattice_index(rays)
+            index = abs(d)
             entry["index"] = index
             if index <= 2:
                 sing = classify_index2_cone(rays)

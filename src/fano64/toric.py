@@ -10,12 +10,17 @@ cone singularities, and the polar polytope
 whose normalized volume 6 vol(Delta) is the anticanonical degree of the
 toric variety.  By polar duality each facet of Delta lies on the plane
 <m, v> = -1 of one ray v, so the volume is a sum of pyramids from the
-origin over the facets.  validate_fan performs structural sanity checks
-and returns findings instead of raising, so defective input data can be
-examined rather than rejected.  The cone checks (rank, strong convexity,
-walls, Gorenstein supports) run on integer tuples; a Gorenstein support
-is the only rational solve, and Fraction is otherwise built only for
-polytope vertices and volumes.
+origin over the facets.  The pyramid over a facet has
+6 vol = 2 area / |v|, and projecting the facet along the coordinate k
+with |v_k| largest multiplies its area by |v_k| / |v|, so it adds
+twice the projected area over |v_k|: an integer shoelace sum on the
+projected vertices scaled by the lcm of their denominators.
+validate_fan performs structural sanity checks and returns findings
+instead of raising, so defective input data can be examined rather than
+rejected.  The cone checks (rank, strong convexity, walls, Gorenstein
+supports) run on integer tuples; a Gorenstein support is the only
+rational solve, and Fraction is otherwise built only for polytope
+vertices and one per facet volume.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import QVec, Vec3, det3, solve3
 
@@ -235,7 +240,7 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
             vertices.append(m)
             for r in tight:
                 on_ray.setdefault(r, []).append(m)
-    facets = tuple((Vec3(*rays[r]), tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3)
+    facets = tuple([(Vec3(*rays[r]), tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3])
     return RationalPolytope(tuple(vertices), facets)
 
 
@@ -247,48 +252,66 @@ def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
     )
 
 
-def _dot(a: tuple, b: tuple):
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _hull_order(points: tuple[QVec, ...], normal: tuple[int, int, int]) -> list[QVec]:
-    """Cyclic boundary order of coplanar points via a 2D monotone chain."""
-    drop = max(range(3), key=lambda i: abs(normal[i]))
-    flat = sorted((tuple(x for i, x in enumerate(pt) if i != drop), pt) for pt in points)
+def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Twice the signed area of the triangle (o, a, b); positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    def cross(o, a, b):
-        return (a[0][0] - o[0][0]) * (b[0][1] - o[0][1]) - (a[0][1] - o[0][1]) * (
-            b[0][0] - o[0][0]
-        )
 
-    lower: list = []
-    for item in flat:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], item) <= 0:
+def _hull_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Counter-clockwise boundary order of integer points via a monotone chain."""
+    flat = sorted(points)
+    lower: list[tuple[int, int]] = []
+    for pt in flat:
+        while len(lower) >= 2 and _turn(lower[-2], lower[-1], pt) <= 0:
             lower.pop()
-        lower.append(item)
-    upper: list = []
-    for item in reversed(flat):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], item) <= 0:
+        lower.append(pt)
+    upper: list[tuple[int, int]] = []
+    for pt in reversed(flat):
+        while len(upper) >= 2 and _turn(upper[-2], upper[-1], pt) <= 0:
             upper.pop()
-        upper.append(item)
-    return [pt for _, pt in lower[:-1] + upper[:-1]]
+        upper.append(pt)
+    return lower[:-1] + upper[:-1]
 
 
 def polytope_degree(p: RationalPolytope) -> Fraction:
     """6 times the Euclidean volume of the polytope, exact.
 
     The origin is interior to Delta, so Delta is the union of the
-    pyramids from the origin over its facets.  Each facet is split into
-    triangles from its first vertex in cyclic order, and each triangle
-    (a, b, c) adds |det(a, b, c)|.  A polytope built from vertices
-    alone carries no facets and has no volume.
+    pyramids from the origin over its facets.  The facet F on the plane
+    <m, v> = -1 is projected along the coordinate k with |v_k| largest
+    and scaled by the lcm L of its vertices' denominators, which gives
+    integer points; ordered by a monotone chain, their shoelace sum S is
+    2 L^2 times the projected area.  Since vol(pyramid) = area(F)/(3|v|)
+    and the projection scales area by |v_k|/|v|, the pyramid adds
+    6 vol = |S| / (L^2 |v_k|), the one Fraction built per facet.  A
+    polytope built from vertices alone carries no facets and has no
+    volume.
     """
     total = Fraction(0)
     for ray, on_facet in p.facets:
-        ring = _hull_order(on_facet, ray.as_tuple())
-        a = ring[0]
-        for b, c in zip(ring[1:], ring[2:]):
-            total += abs(_dot(a, _cross(b, c)))
+        normal = ray.as_tuple()
+        k = max(range(3), key=lambda i: abs(normal[i]))
+        i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
+        scale = lcm(*[c.denominator for pt in on_facet for c in pt])
+        ring = _hull_order(
+            [
+                (
+                    pt[i].numerator * (scale // pt[i].denominator),
+                    pt[j].numerator * (scale // pt[j].denominator),
+                )
+                for pt in on_facet
+            ]
+        )
+        s = 0
+        x0, y0 = ring[-1]
+        for x1, y1 in ring:
+            s += x0 * y1 - x1 * y0
+            x0, y0 = x1, y1
+        total += Fraction(abs(s), scale * scale * abs(normal[k]))
     if total == 0:
         raise ValueError("polytope is not full-dimensional")
     return total

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fano64.cli import main
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -134,6 +136,62 @@ def test_toric_degree_machine(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"degree": "66", "expected": 66, "match": True, "vertices": 5}
+
+
+def _wps_fan_file(tmp_path, ray: list[int]) -> str:
+    """P(a,b,1,1) with rays e1, e2, ray = (-a,-b,-1) and e3, every triple a cone."""
+    path = tmp_path / "wps.fan"
+    cones = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    path.write_text(json.dumps({"rays": [[1, 0, 0], [0, 1, 0], ray, [0, 0, 1]], "cones": cones}))
+    return str(path)
+
+
+WPS_RAY = {"p6411": [-6, -4, -1], "p5211": [-5, -2, -1]}
+DEGREE_OUTPUT = {
+    "p3": ("degree: 64\n", '{"degree": "64", "vertices": 4}\n'),
+    "p1p1p1": ("degree: 48\n", '{"degree": "48", "vertices": 8}\n'),
+    "x66": ("degree: 66\n", '{"degree": "66", "vertices": 5}\n'),
+    # a facet normal with |v_k| = 6 on the projected-away coordinate
+    "p6411": ("degree: 72\n", '{"degree": "72", "vertices": 4}\n'),
+    # vertices with denominators 2 and 5, and a fractional degree
+    "p5211": ("degree: 729/10\n", '{"degree": "729/10", "vertices": 4}\n'),
+}
+
+
+@pytest.mark.parametrize("fan", sorted(DEGREE_OUTPUT))
+def test_toric_degree_output_is_pinned(tmp_path, capsys, fan):
+    if fan in WPS_RAY:
+        path = _wps_fan_file(tmp_path, WPS_RAY[fan])
+    else:
+        path = str(FANS / f"{fan}.fan")
+    text, machine = DEGREE_OUTPUT[fan]
+    assert run(capsys, "toric", path, "degree") == (0, text, "")
+    assert run(capsys, "toric", path, "degree", "--machine") == (0, machine, "")
+
+
+def test_toric_singularities_output_is_pinned(tmp_path, capsys):
+    path = _wps_fan_file(tmp_path, WPS_RAY["p6411"])
+    assert run(capsys, "toric", path, "singularities") == (
+        0,
+        "cone 0 [0, 1, 2]: index 1, smooth\n"
+        "cone 0 [0, 1, 2]: Gorenstein support (-1,-1,11)\n"
+        "cone 1 [0, 1, 3]: index 1, smooth\n"
+        "cone 1 [0, 1, 3]: Gorenstein support (-1,-1,-1)\n"
+        "cone 2 [0, 2, 3]: index 4, not classified\n"
+        "cone 2 [0, 2, 3]: Gorenstein support (-1,2,-1)\n"
+        "cone 3 [1, 2, 3]: index 6, not classified\n"
+        "cone 3 [1, 2, 3]: Gorenstein support (1,-1,-1)\n",
+        "",
+    )
+    code, out, err = run(capsys, "toric", path, "singularities", "--machine")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"cones": [{"cone": [0, 1, 2], "degenerate": false, "gorenstein_support": [-1, -1, 11], '
+        '"index": 1, "type": "smooth"}, {"cone": [0, 1, 3], "degenerate": false, '
+        '"gorenstein_support": [-1, -1, -1], "index": 1, "type": "smooth"}, {"cone": [0, 2, 3], '
+        '"degenerate": false, "gorenstein_support": [-1, 2, -1], "index": 4}, {"cone": [1, 2, 3], '
+        '"degenerate": false, "gorenstein_support": [1, -1, -1], "index": 6}]}\n'
+    )
 
 
 def test_toric_validate_lists_findings(capsys):

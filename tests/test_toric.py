@@ -21,7 +21,7 @@ from fano64.toric import (
     polytope_degree,
     validate_fan,
 )
-from fano64.wps import Weights, wps_degree
+from fano64.wps import Weights, wps_degree, wps_is_gorenstein
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 
@@ -166,6 +166,13 @@ def test_repeated_ray_bounds_one_facet():
     assert p.vertices == anticanonical_polytope(base).vertices
     assert len(p.facets) == 4
     assert polytope_degree(p) == 64
+    # the same on P(5,2,1,1), whose facets need the lcm and |v_k| scaling
+    base = _wps_fan((5, 2, 1, 1))
+    f = Fan(rays=base.rays + (Vec3(-5, -2, -1), Vec3(0, 1, 0)), max_cones=base.max_cones)
+    p = anticanonical_polytope(f)
+    assert p.vertices == anticanonical_polytope(base).vertices
+    assert len(p.facets) == 4
+    assert polytope_degree(p) == Fraction(729, 10) == _oracle_degree(p)
 
 
 def test_cube_face_fan_has_the_octahedron_as_polar():
@@ -210,22 +217,175 @@ def _weight_kernel_rows(weights: tuple[int, ...]) -> tuple[Vec3, ...]:
     return tuple(Vec3(*(col[i] for col in kernel)) for i in range(4))
 
 
-def test_toric_degree_of_weighted_projective_space_matches_wps_degree():
-    checked = 0
+def _wps_fan(weights: tuple[int, int, int, int]) -> Fan:
+    """The complete simplicial fan of P(weights): the kernel rows, all four triples as cones."""
+    rays = _weight_kernel_rows(weights)
+    relation = Vec3(0, 0, 0)
+    for v, a in zip(rays, weights):
+        relation = relation + v.scaled(a)
+    assert relation == Vec3(0, 0, 0)
+    return Fan(rays, tuple(combinations(range(4), 3)))
+
+
+def _wps_fans() -> list[tuple[Weights, Fan]]:
+    """Every well-formed weight vector with entries at most 7, with its fan."""
+    out = []
     for weights in combinations_with_replacement(range(7, 0, -1), 4):
         try:
             w = Weights(*weights)
         except ValueError:
             continue
-        rays = _weight_kernel_rows(w.as_tuple())
-        relation = Vec3(0, 0, 0)
-        for v, a in zip(rays, w.as_tuple()):
-            relation = relation + v.scaled(a)
-        assert relation == Vec3(0, 0, 0)
-        f = Fan(rays, tuple(combinations(range(4), 3)))
+        out.append((w, _wps_fan(w.as_tuple())))
+    return out
+
+
+def test_toric_degree_of_weighted_projective_space_matches_wps_degree():
+    checked = 0
+    for w, f in _wps_fans():
         assert polytope_degree(anticanonical_polytope(f)) == wps_degree(w)
         checked += 1
     assert checked == 125
+
+
+def _oracle_hull_order(points, normal):
+    """Cyclic boundary order of coplanar Fraction points via a 2D monotone chain."""
+    drop = max(range(3), key=lambda i: abs(normal[i]))
+    flat = sorted((tuple(x for i, x in enumerate(pt) if i != drop), pt) for pt in points)
+
+    def cross(o, a, b):
+        return (a[0][0] - o[0][0]) * (b[0][1] - o[0][1]) - (a[0][1] - o[0][1]) * (
+            b[0][0] - o[0][0]
+        )
+
+    lower: list = []
+    for item in flat:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], item) <= 0:
+            lower.pop()
+        lower.append(item)
+    upper: list = []
+    for item in reversed(flat):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], item) <= 0:
+            upper.pop()
+        upper.append(item)
+    return [pt for _, pt in lower[:-1] + upper[:-1]]
+
+
+def _oracle_degree(p: RationalPolytope) -> Fraction:
+    """6 vol by a Fraction triangle fan: each facet triangle (a, b, c) adds |det(a, b, c)|."""
+
+    def det(a, b, c):
+        return (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+
+    total = Fraction(0)
+    for ray, on_facet in p.facets:
+        ring = _oracle_hull_order(on_facet, ray.as_tuple())
+        a = ring[0]
+        for b, c in zip(ring[1:], ring[2:]):
+            total += abs(det(a, b, c))
+    if total == 0:
+        raise ValueError("polytope is not full-dimensional")
+    return total
+
+
+def _degree_outcome(degree, f: Fan):
+    """The degree of the fan's polytope, or the ValueError message on the way to it."""
+    try:
+        return degree(anticanonical_polytope(f))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _is_integral(p: RationalPolytope) -> bool:
+    return all(c.denominator == 1 for m in p.vertices for c in m)
+
+
+def test_polytope_degree_matches_the_fraction_oracle_on_random_fans():
+    rng = random.Random(2009)
+    fractional = unbounded = 0
+    for _ in range(300):
+        rays = tuple(
+            Vec3(*(rng.randint(-5, 5) for _ in range(3))) for _ in range(rng.randint(4, 12))
+        )
+        f = Fan(rays, ((0, 1, 2),))
+        outcome = _degree_outcome(polytope_degree, f)
+        assert outcome == _degree_outcome(_oracle_degree, f), rays
+        if isinstance(outcome, str):
+            assert outcome.startswith("ValueError: polytope is unbounded")
+            unbounded += 1
+        elif not _is_integral(anticanonical_polytope(f)):
+            fractional += 1
+    assert fractional >= 100
+    assert unbounded >= 20
+
+
+def test_polytope_degree_matches_the_fraction_oracle_on_shipped_and_wps_fans():
+    fans = [load(name) for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    fans += [f for _, f in _wps_fans()]
+    for f in fans:
+        p = anticanonical_polytope(f)
+        assert polytope_degree(p) == _oracle_degree(p)
+    assert len(fans) == 128
+
+
+def _facet_on(p: RationalPolytope, ray: Vec3):
+    (on_facet,) = [ms for v, ms in p.facets if v == ray]
+    return on_facet
+
+
+def test_facet_with_mixed_denominators_is_scaled_by_their_lcm():
+    # P(5,2,1,1): the facet on (-5,-2,-1) has vertices with denominators
+    # 1, 2 and 5, so no single vertex denominator clears the others
+    p = anticanonical_polytope(_wps_fan((5, 2, 1, 1)))
+    on_facet = _facet_on(p, Vec3(-5, -2, -1))
+    assert {c.denominator for m in on_facet for c in m} == {1, 2, 5}
+    assert polytope_degree(p) == Fraction(729, 10) == _oracle_degree(p)
+
+
+def test_facet_normal_with_a_large_dropped_coordinate():
+    # P(6,4,1,1): the facet on (-6,-4,-1) is projected along x, where
+    # |v_x| = 6, so its shoelace sum is divided by 6
+    p = anticanonical_polytope(_wps_fan((6, 4, 1, 1)))
+    normal = Vec3(-6, -4, -1)
+    assert len(_facet_on(p, normal)) == 3
+    assert polytope_degree(p) == 72 == _oracle_degree(p)
+
+
+def _lattice_point_count(f: Fan, p: RationalPolytope) -> int:
+    """#(Delta n Z^3) for a lattice polytope: scan its bounding box, test <m, v> >= -1 in integers."""
+    rays = [v.as_tuple() for v in f.rays]
+    box = [
+        range(min(m[i] for m in p.vertices).numerator, max(m[i] for m in p.vertices).numerator + 1)
+        for i in range(3)
+    ]
+    return sum(
+        1
+        for m in product(*box)
+        if all(m[0] * v[0] + m[1] * v[1] + m[2] * v[2] >= -1 for v in rays)
+    )
+
+
+def test_reflexive_degree_matches_the_lattice_point_count():
+    # for a reflexive Delta, (-K)^3 = 2 (#(Delta n M) - 3), independent of any volume
+    shipped = (("p3.fan", 35, 64), ("p1p1p1.fan", 27, 48), ("x66.fan", 36, 66))
+    for name, points, degree in shipped:
+        f = load(name)
+        p = anticanonical_polytope(f)
+        assert _is_integral(p)
+        assert _lattice_point_count(f, p) == points
+        assert polytope_degree(p) == degree
+    reflexive = 0
+    for w, f in _wps_fans():
+        p = anticanonical_polytope(f)
+        # Delta is a lattice polytope exactly when -K is Cartier
+        assert _is_integral(p) == wps_is_gorenstein(w), w
+        if _is_integral(p):
+            assert polytope_degree(p) == 2 * (_lattice_point_count(f, p) - 3), w
+            reflexive += 1
+    assert reflexive == 9
 
 
 def test_unbounded_polytope_rejected():
@@ -333,6 +493,12 @@ def test_degenerate_polytope_has_no_volume():
     )
     with pytest.raises(ValueError):
         polytope_degree(square)
+    # a facet whose vertices are collinear has a zero shoelace sum
+    line = tuple((Fraction(x), Fraction(2 * x, 3), Fraction(-1)) for x in range(3))
+    flat = RationalPolytope(vertices=line, facets=((Vec3(0, 0, 1), line),))
+    for degree in (polytope_degree, _oracle_degree):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            degree(flat)
 
 
 def test_fan_json_round_trip():

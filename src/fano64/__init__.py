@@ -2,7 +2,7 @@
 
 Submodules:
 
-* lattice: integer vectors, determinants and exact 3x3 solving
+* lattice: lattice vectors as int triples; det3, solve3 and vec_str
 * surfaces: divisor arithmetic on the plane and Hirzebruch surfaces
 * bundles: Chern-class calculus on projectivized bundles and scrolls
 * wps: weighted projective 3-space invariants
@@ -45,7 +45,7 @@ from .elimination import (
     sweep_twisted_bundles,
     verify_record,
 )
-from .lattice import Vec3, det3, solve3
+from .lattice import det3, solve3
 from .ledger import (
     FanoRecord,
     blowup_curve_degree,

@@ -44,7 +44,7 @@ from .elimination import (
     record_to_payload,
     sweep_twisted_bundles,
 )
-from .lattice import det3
+from .lattice import det3, vec_str
 from .ledger import genus_of_degree
 from .surfaces import BASES, BaseSurface, SurfaceClass
 from .toric import (
@@ -246,19 +246,17 @@ def _cmd_toric(args) -> int:
                 entry["type"] = sing.kind.value
                 witness = ""
                 if sing.witness is not None:
-                    entry["witness"] = list(sing.witness.as_tuple())
-                    witness = f", witness {sing.witness}"
+                    entry["witness"] = list(sing.witness)
+                    witness = f", witness {vec_str(sing.witness)}"
                 lines.append(f"{prefix} index {index}, {sing.kind.value}{witness}")
             else:
                 lines.append(f"{prefix} index {index}, not classified")
         support = gorenstein_support(rays)
-        entry["gorenstein_support"] = (
-            None if support is None else list(support.as_tuple())
-        )
+        entry["gorenstein_support"] = None if support is None else list(support)
         if support is None:
             lines.append(f"{prefix} no integral Gorenstein support")
         else:
-            lines.append(f"{prefix} Gorenstein support {support}")
+            lines.append(f"{prefix} Gorenstein support {vec_str(support)}")
         cones_doc.append(entry)
     _emit({"cones": cones_doc}, args.machine, lines)
     return 0

@@ -601,19 +601,18 @@ def classification_summary() -> list[CaseRecord]:
     construction: the weighted projective spaces through their degree
     formula and tangent-space projections, the cones through the bundle
     degree formula, and the two projected families through the scroll
-    and blow-up bookkeeping.  A record's degree is that computed degree;
-    its genus and ambient dimension are those of the target degree 64.
+    and blow-up bookkeeping.  A record's degree is that computed degree,
+    and its genus degree/2 + 1 and ambient dimension genus + 1 follow
+    from it exactly, so a wrong degree shows in all three.
     """
     records = []
-    target = genus_of_degree(64)
 
     def add(label: str, inputs: dict[str, object], computed: dict[str, Value]) -> None:
         # the degree is the construction's own: exactly one of these keys
         (degree,) = (computed[k] for k in _CONSTRUCTION_DEGREES if k in computed)
+        genus = _exact(Fraction(degree, 2) + 1)
         computed = dict(computed)
-        computed.update(
-            {"degree": degree, "genus": target.genus, "ambient_dim": target.ambient_dim}
-        )
+        computed.update({"degree": degree, "genus": genus, "ambient_dim": genus + 1})
         records.append(
             _record(f"classification/{label}", inputs, computed, Survives(label))
         )

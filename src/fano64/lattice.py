@@ -1,79 +1,48 @@
-"""Exact linear algebra in dimension 3.
+"""Exact linear algebra in dimension 3, on int triples.
 
-Everything downstream reduces to integer determinants, Cramer solves over
-the rationals, and gcd bookkeeping.  No floating point appears anywhere in
-this package: ``fractions.Fraction`` carries every non-integer value and
-keeps it in lowest terms with a positive denominator, and Python integers
-are arbitrary precision, so enumeration loops cannot overflow.
+A lattice vector in Z^3 is a plain ``tuple[int, int, int]`` (``IVec``);
+the helper set is ``_cross`` and ``_dot`` (package-internal), ``det3``,
+``solve3`` and the formatter ``vec_str``.  Everything downstream reduces
+to integer determinants, Cramer solves over the rationals, and gcd
+bookkeeping.  No floating point appears anywhere in this package:
+``fractions.Fraction`` carries every non-integer value and keeps it in
+lowest terms with a positive denominator, and Python integers are
+arbitrary precision, so enumeration loops cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+IVec = tuple[int, int, int]
 QVec = tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """A lattice vector in Z^3."""
-
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self) -> None:
-        for coord in (self.x, self.y, self.z):
-            # bool is an int subclass; reject it along with everything else
-            if type(coord) is not int:
-                raise ValueError(f"lattice coordinate must be an int, got {coord!r}")
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
-    def scaled(self, k: int) -> "Vec3":
-        return Vec3(k * self.x, k * self.y, k * self.z)
-
-    def dot(self, other: "Vec3") -> int:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def is_primitive(self) -> bool:
-        """True when gcd(|x|, |y|, |z|) = 1.  The zero vector is not primitive."""
-        return math.gcd(self.x, self.y, self.z) == 1
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
-    def __str__(self) -> str:
-        return f"({self.x},{self.y},{self.z})"
-
-
-def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
-    """Signed determinant of the 3x3 integer matrix with rows a, b, c."""
+def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> IVec:
     return (
-        a.x * (b.y * c.z - b.z * c.y)
-        - a.y * (b.x * c.z - b.z * c.x)
-        + a.z * (b.x * c.y - b.y * c.x)
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
 
 
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def vec_str(v: IVec) -> str:
+    """The vector as "(x,y,z)"."""
+    return f"({v[0]},{v[1]},{v[2]})"
+
+
+def det3(a: IVec, b: IVec, c: IVec) -> int:
+    """Signed determinant of the 3x3 integer matrix with rows a, b, c."""
+    return _dot(a, _cross(b, c))
+
+
 def solve3(
-    rows: tuple[Vec3, Vec3, Vec3],
+    rows: tuple[IVec, IVec, IVec],
     rhs: tuple[Fraction | int, Fraction | int, Fraction | int],
 ) -> QVec | None:
     """Solve the 3x3 system rows * m = rhs exactly, by Cramer's rule.
@@ -86,12 +55,11 @@ def solve3(
     normal outcome, not an error).
     """
     a, b, c = rows
-    bc = (b.y * c.z - b.z * c.y, b.z * c.x - b.x * c.z, b.x * c.y - b.y * c.x)
-    d = a.x * bc[0] + a.y * bc[1] + a.z * bc[2]
+    bc = _cross(b, c)
+    d = _dot(a, bc)
     if d == 0:
         return None
-    ca = (c.y * a.z - c.z * a.y, c.z * a.x - c.x * a.z, c.x * a.y - c.y * a.x)
-    ab = (a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
+    ca, ab = _cross(c, a), _cross(a, b)
     lcm = math.lcm(*(t.denominator for t in rhs))
     p, q, r = (t.numerator * (lcm // t.denominator) for t in rhs)
     d *= lcm

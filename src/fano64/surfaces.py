@@ -28,10 +28,6 @@ class BaseSurface:
         if n is not None and (type(n) is not int or n < 0):
             raise ValueError(f"Hirzebruch index must be a non-negative int, got {n!r}")
 
-    @classmethod
-    def hirzebruch(cls, n: int) -> "BaseSurface":
-        return cls(n)
-
     @property
     def is_plane(self) -> bool:
         return self.hirzebruch_n is None
@@ -114,7 +110,7 @@ def plane_class(a: int) -> SurfaceClass:
 
 
 def ruled_class(n: int, a: int, b: int) -> SurfaceClass:
-    return SurfaceClass(BaseSurface.hirzebruch(n), a, b)
+    return SurfaceClass(BaseSurface(n), a, b)
 
 
 def intersect(d1: SurfaceClass, d2: SurfaceClass) -> int:

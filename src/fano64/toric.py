@@ -34,21 +34,29 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .lattice import QVec, Vec3, det3, solve3
-
-IVec = tuple[int, int, int]
+from .lattice import IVec, QVec, _cross, _dot, det3, solve3, vec_str
 
 
 @dataclass(frozen=True)
 class Fan:
-    """Rays plus maximal cones (tuples of 0-based ray indices)."""
+    """Rays (int triples) plus maximal cones (tuples of 0-based ray indices)."""
 
-    rays: tuple[Vec3, ...]
+    rays: tuple[IVec, ...]
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.rays:
             raise ValueError("fan needs at least one ray")
+        for v in self.rays:
+            # bool is an int subclass; reject it along with everything else
+            if (
+                type(v) is not tuple
+                or len(v) != 3
+                or type(v[0]) is not int
+                or type(v[1]) is not int
+                or type(v[2]) is not int
+            ):
+                raise ValueError(f"ray {reprlib.repr(v)} is not a tuple of three ints")
         if not self.max_cones:
             raise ValueError("fan needs at least one maximal cone")
         cones = []
@@ -63,7 +71,7 @@ class Fan:
             cones.append(tuple(sorted(cone)))
         object.__setattr__(self, "max_cones", tuple(cones))
 
-    def cone_rays(self, cone_index: int) -> tuple[Vec3, ...]:
+    def cone_rays(self, cone_index: int) -> tuple[IVec, ...]:
         return tuple(self.rays[i] for i in self.max_cones[cone_index])
 
 
@@ -72,7 +80,7 @@ class RationalPolytope:
     """Vertices (triples of Fractions) and facets (ray v, vertices on <m, v> = -1)."""
 
     vertices: tuple[QVec, ...]
-    facets: tuple[tuple[Vec3, tuple[QVec, ...]], ...] = ()
+    facets: tuple[tuple[IVec, tuple[QVec, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -96,10 +104,10 @@ class ConeSingularity:
     """
 
     kind: ConeSingularityKind
-    witness: Vec3 | None = None
+    witness: IVec | None = None
 
 
-def cone_lattice_index(rays: tuple[Vec3, Vec3, Vec3]) -> int:
+def cone_lattice_index(rays: tuple[IVec, IVec, IVec]) -> int:
     """Index of the sublattice spanned by a simplicial cone's rays."""
     d = det3(*rays)
     if d == 0:
@@ -107,7 +115,7 @@ def cone_lattice_index(rays: tuple[Vec3, Vec3, Vec3]) -> int:
     return abs(d)
 
 
-def gorenstein_support(rays: tuple[Vec3, ...]) -> Vec3 | None:
+def gorenstein_support(rays: Sequence[IVec]) -> IVec | None:
     """The integral m with <m, v> = -1 for all rays of the cone, if any.
 
     For a full-dimensional cone such an m is unique if it exists; its
@@ -123,12 +131,12 @@ def gorenstein_support(rays: tuple[Vec3, ...]) -> Vec3 | None:
             continue
         if any(c.denominator != 1 for c in m):
             return None
-        point = Vec3(m[0].numerator, m[1].numerator, m[2].numerator)
-        return point if all(point.dot(v) == -1 for v in rays) else None
+        point = (m[0].numerator, m[1].numerator, m[2].numerator)
+        return point if all(_dot(point, v) == -1 for v in rays) else None
     return None
 
 
-def classify_index2_cone(rays: tuple[Vec3, Vec3, Vec3]) -> ConeSingularity:
+def classify_index2_cone(rays: tuple[IVec, IVec, IVec]) -> ConeSingularity:
     """Sort an index-1 or index-2 simplicial cone by singularity type.
 
     Index 1 is smooth.  For index 2 exactly one nonzero combination
@@ -144,12 +152,12 @@ def classify_index2_cone(rays: tuple[Vec3, Vec3, Vec3]) -> ConeSingularity:
     face_witness = None
     interior_witness = None
     for eps in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)):
-        s = Vec3(0, 0, 0)
+        x = y = z = 0
         for e, v in zip(eps, rays):
             if e:
-                s = s + v
-        if s.x % 2 == 0 and s.y % 2 == 0 and s.z % 2 == 0 and s != Vec3(0, 0, 0):
-            point = Vec3(s.x // 2, s.y // 2, s.z // 2)
+                x, y, z = x + v[0], y + v[1], z + v[2]
+        if x % 2 == 0 and y % 2 == 0 and z % 2 == 0 and (x, y, z) != (0, 0, 0):
+            point = (x // 2, y // 2, z // 2)
             if 0 in eps:
                 face_witness = face_witness or point
             else:
@@ -165,7 +173,7 @@ def _rays_have_full_rank(rays: Sequence[IVec]) -> bool:
     return any(_dot(a, _cross(b, c)) != 0 for a, b, c in combinations(rays, 3))
 
 
-def _positive_span_fails(rays: Sequence[IVec]) -> Vec3 | None:
+def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
     """A nonzero direction m with <m, v> >= 0 for all rays, if one exists.
 
     Such an m is an unbounded direction of the polar polytope.  When the
@@ -179,19 +187,19 @@ def _positive_span_fails(rays: Sequence[IVec]) -> Vec3 | None:
         for a, b in combinations(rays, 2):
             m = _cross(a, b)
             if m != zero:
-                return Vec3(*m)
+                return m
         for v in rays:
             if v != zero:
                 m = _cross(v, (1, 0, 0))
-                return Vec3(*(m if m != zero else _cross(v, (0, 1, 0))))
-        return Vec3(1, 0, 0)
+                return m if m != zero else _cross(v, (0, 1, 0))
+        return (1, 0, 0)
     for a, b in combinations(rays, 2):
         m = _cross(a, b)
         if m == zero:
             continue
         for cand in (m, (-m[0], -m[1], -m[2])):
             if all(_dot(v, cand) >= 0 for v in rays):
-                return Vec3(*cand)
+                return cand
     return None
 
 
@@ -206,11 +214,11 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     vertices bounds a facet; a repeated ray counts once.  Raises when
     Delta is unbounded, i.e. the rays fail to positively span the space.
     """
-    rays = tuple(dict.fromkeys(v.as_tuple() for v in f.rays))
+    rays = tuple(dict.fromkeys(f.rays))
     direction = _positive_span_fails(rays)
     if direction is not None:
         raise ValueError(
-            f"polytope is unbounded: rays do not positively span (direction {direction})"
+            f"polytope is unbounded: rays do not positively span (direction {vec_str(direction)})"
         )
     cross = {(i, j): _cross(a, b) for i, a in enumerate(rays) for j, b in enumerate(rays)}
     seen = set()
@@ -240,20 +248,8 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
             vertices.append(m)
             for r in tight:
                 on_ray.setdefault(r, []).append(m)
-    facets = tuple([(Vec3(*rays[r]), tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3])
+    facets = tuple([(rays[r], tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3])
     return RationalPolytope(tuple(vertices), facets)
-
-
-def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -292,8 +288,7 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     volume.
     """
     total = Fraction(0)
-    for ray, on_facet in p.facets:
-        normal = ray.as_tuple()
+    for normal, on_facet in p.facets:
         k = max(range(3), key=lambda i: abs(normal[i]))
         i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
         scale = lcm(*[c.denominator for pt in on_facet for c in pt])
@@ -420,25 +415,22 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
 
 def validate_fan(f: Fan) -> FanReport:
     """Structural checks: primitivity, convexity, wall pairing, supports."""
-    non_primitive = tuple(
-        i for i, v in enumerate(f.rays) if not v.is_primitive()
-    )
+    non_primitive = tuple([i for i, v in enumerate(f.rays) if gcd(*v) != 1])
     degenerate = []
     non_convex = []
     wall_count: dict = {}
     no_support = []
-    vecs = [v.as_tuple() for v in f.rays]
     for ci, cone in enumerate(f.max_cones):
-        rays = [vecs[i] for i in cone]
+        rays = [f.rays[i] for i in cone]
         if not _rays_have_full_rank(rays):
             degenerate.append(ci)
             continue
         if _positive_dependence(rays):
             non_convex.append(ci)
         else:
-            for wall in _cone_walls(vecs, cone):
+            for wall in _cone_walls(f.rays, cone):
                 wall_count[wall] = wall_count.get(wall, 0) + 1
-        if gorenstein_support(f.cone_rays(ci)) is None:
+        if gorenstein_support(rays) is None:
             no_support.append(ci)
     unpaired = tuple(
         f"rays{list(key[0])}" for key, n in sorted(wall_count.items()) if n != 2
@@ -455,16 +447,28 @@ def validate_fan(f: Fan) -> FanReport:
 def fan_from_json(text: str) -> Fan:
     """Parse the fan file format: {"rays": [[x,y,z]...], "cones": [[i...]...]}.
 
-    Integers only; floats and booleans anywhere are rejected.  Cone
-    entries are 0-based ray indices.  Input nested too deeply for the
-    parser is rejected with ValueError like any other malformed file.
+    Integers only; floats and booleans anywhere are rejected, and so is
+    an object that repeats a key, which json would otherwise resolve by
+    keeping the last value.  Cone entries are 0-based ray indices.
+    Input nested too deeply for the parser is rejected with ValueError
+    like any other malformed file.
     """
 
     def reject_float(s: str):
         raise ValueError(f"fan files must contain only integers, got {s}")
 
+    def reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f'fan file repeats the key "{key}"')
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(text, parse_float=reject_float)
+        data = json.loads(
+            text, parse_float=reject_float, object_pairs_hook=reject_repeated_keys
+        )
     except RecursionError:
         raise ValueError("fan file is nested too deeply") from None
     if not isinstance(data, dict) or set(data.keys()) != {"rays", "cones"}:
@@ -480,7 +484,7 @@ def fan_from_json(text: str) -> Fan:
             or any(type(x) is not int for x in entry)
         ):
             raise ValueError(f"ray {reprlib.repr(entry)} is not a triple of integers")
-        rays.append(Vec3(*entry))
+        rays.append(tuple(entry))
     cones = []
     for entry in cones_raw:
         if not isinstance(entry, list) or any(type(x) is not int for x in entry):

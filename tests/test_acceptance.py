@@ -28,7 +28,7 @@ from fano64.elimination import (
     sweep_twisted_bundles,
     verify_record,
 )
-from fano64.lattice import Vec3
+from fano64.lattice import _dot
 from fano64.ledger import (
     FanoRecord,
     blowup_curve_degree,
@@ -94,7 +94,7 @@ def test_genus_integrality_filter_keeps_exactly_64_and_72():
 
 def test_twisted_sweep_has_zero_exceptions():
     for n in (0, 2, 3, 4):
-        base = BaseSurface.hirzebruch(n)
+        base = BaseSurface(n)
         records = sweep_twisted_bundles(base, range(32, 37))
         grid = [r for r in records if "/a=" in r.context]
         # the coefficient box 0 <= a <= 2, a*n <= b <= n+2 at five
@@ -131,16 +131,14 @@ def test_degree_bookkeeping_chains_are_exact():
 
 
 def test_toric_diagnostics_flag_the_defective_cone(capsys):
-    e1 = Vec3(-1, 0, 0)
-    e2 = Vec3(1, -1, 0)
-    e3 = Vec3(-1, -1, 2)
+    e1 = (-1, 0, 0)
+    e2 = (1, -1, 0)
+    e3 = (-1, -1, 2)
     assert cone_lattice_index((e1, e2, e3)) == 2
     out = classify_index2_cone((e1, e2, e3))
     assert out.kind is ConeSingularityKind.TRANSVERSE_A1
-    assert out.witness == Vec3(0, -1, 1)
-    assert gorenstein_support(
-        (e1, e3, Vec3(-1, -1, 3), Vec3(-1, 2, -1))
-    ) == Vec3(1, 0, 0)
+    assert out.witness == (0, -1, 1)
+    assert gorenstein_support((e1, e3, (-1, -1, 3), (-1, 2, -1))) == (1, 0, 0)
 
     p3 = fan_from_json((FANS / "p3.fan").read_text())
     assert polytope_degree(anticanonical_polytope(p3)) == 64
@@ -164,7 +162,7 @@ def test_formula_cross_checks_over_the_full_grids():
     from fano64.lattice import det3
 
     for n in range(5):
-        base = BaseSurface.hirzebruch(n)
+        base = BaseSurface(n)
         for a in range(-5, 6):
             for b in range(-5, 6):
                 for c2 in range(-5, 6):
@@ -178,16 +176,15 @@ def test_formula_cross_checks_over_the_full_grids():
                     assert degree_p1_bundle(twisted) == degree
 
     rng = random.Random(64)
-    cone = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 1, 2))
+    cone = ((1, 0, 0), (0, 1, 0), (1, 1, 2))
     for _ in range(120):
-        rows = [Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)]
+        rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         for _ in range(12):
             i, j = rng.sample(range(3), 2)
-            rows[j] = rows[j] + rows[i].scaled(rng.randint(-3, 3))
+            k = rng.randint(-3, 3)
+            rows[j] = tuple(x + k * y for x, y in zip(rows[j], rows[i]))
         assert abs(det3(*rows)) == 1
-        image = tuple(
-            Vec3(rows[0].dot(v), rows[1].dot(v), rows[2].dot(v)) for v in cone
-        )
+        image = tuple((_dot(rows[0], v), _dot(rows[1], v), _dot(rows[2], v)) for v in cone)
         assert cone_lattice_index(image) == 2
 
 

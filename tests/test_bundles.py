@@ -42,7 +42,7 @@ from fano64.surfaces import (
     ruled_class,
 )
 
-HIRZEBRUCHS = [BaseSurface.hirzebruch(n) for n in range(5)]
+HIRZEBRUCHS = [BaseSurface(n) for n in range(5)]
 
 
 def grid_bundles():
@@ -117,7 +117,7 @@ def test_degree_is_twist_invariant():
 
 def test_chi_agrees_with_hirzebruch_closed_form():
     for n in range(5):
-        base = BaseSurface.hirzebruch(n)
+        base = BaseSurface(n)
         for a in range(-5, 6):
             for b in range(-5, 6):
                 for c in range(-5, 6):
@@ -132,7 +132,7 @@ def test_chi_agrees_with_twisted_closed_form():
     # after twisting down to -2 <= a', b' <= -1 the Euler characteristic
     # collapses to (b' - n*a'/2)(a' + 1) + a' - c2' + 2
     for n in range(5):
-        base = BaseSurface.hirzebruch(n)
+        base = BaseSurface(n)
         for a_p in (-2, -1):
             for b_p in (-2, -1):
                 for c2_p in range(-6, 7):
@@ -150,7 +150,7 @@ def test_chi_of_split_bundles():
     # O + O(B) with B nef: chi = chi(O) + chi(O(B)), and chi(O(B)) counts
     # lattice points of the corresponding polygon on a toric surface
     for n in range(5):
-        base = BaseSurface.hirzebruch(n)
+        base = BaseSurface(n)
         for a in range(0, 4):
             for b in range(n * a, n * a + 5):
                 cls = ruled_class(n, a, b)

@@ -262,6 +262,21 @@ def test_toric_rejects_a_fan_without_cones(tmp_path, capsys):
     assert "error: fan needs at least one maximal cone" in err
 
 
+def test_toric_rejects_a_repeated_key(tmp_path, capsys):
+    # without the check the second "cones" list replaces the first and the
+    # fan reads as one cone of degree 64
+    twice = tmp_path / "twice.fan"
+    twice.write_text(
+        '{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],'
+        ' "cones": [[0, 1, 2]], "cones": [[0, 1, 3]]}'
+    )
+    for action in ("validate", "degree", "singularities"):
+        code, out, err = run(capsys, "toric", str(twice), action)
+        assert code == 1
+        assert out == ""
+        assert err == 'error: fan file repeats the key "cones"\n'
+
+
 def test_toric_file_errors(capsys):
     code, _, err = run(capsys, "toric", str(FANS / "missing.fan"), "degree")
     assert code == 1

@@ -298,7 +298,7 @@ def test_sweep_rejects_surfaces_outside_its_scope():
     from fano64.surfaces import BaseSurface
 
     with pytest.raises(ValueError):
-        sweep_twisted_bundles(BaseSurface.hirzebruch(1))
+        sweep_twisted_bundles(BaseSurface(1))
 
 
 def test_classification_summary():
@@ -437,13 +437,28 @@ def test_check_ledger_reports_each_tampered_section(tamper):
 
 def test_classification_degree_is_the_computed_one(monkeypatch):
     real = elimination.wps_degree
+    for degree, genus, ambient_dim in ((63, Fraction(65, 2), Fraction(67, 2)), (62, 32, 33)):
 
-    def p3_reads_63(weights):
-        return Fraction(63) if weights == Weights(1, 1, 1, 1) else real(weights)
+        def p3_reads(weights):
+            return Fraction(degree) if weights == Weights(1, 1, 1, 1) else real(weights)
 
-    monkeypatch.setattr(elimination, "wps_degree", p3_reads_63)
-    sections = {"classification": classification_summary()}
-    assert check_ledger(sections) == ["classification/P3: degree 63 != 64"]
+        monkeypatch.setattr(elimination, "wps_degree", p3_reads)
+        records = classification_summary()
+        p3 = records[0]
+        assert p3.context == "classification/P3"
+        assert (p3.value("degree"), p3.value("genus"), p3.value("ambient_dim")) == (
+            degree,
+            genus,
+            ambient_dim,
+        )
+        assert type(p3.value("genus")) is type(genus)
+        assert check_ledger({"classification": records}) == [
+            f"classification/P3: degree {degree} != 64"
+        ]
+    # the other six keep genus 33 and ambient dimension 34, as ints
+    for r in records[1:]:
+        assert (r.value("genus"), r.value("ambient_dim")) == (33, 34)
+        assert type(r.value("genus")) is int
 
 
 def test_record_value_lookup():

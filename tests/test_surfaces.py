@@ -19,7 +19,7 @@ from fano64.surfaces import (
     ruled_class,
 )
 
-surfaces = st.sampled_from([P2, F0, F1, F2, BaseSurface.hirzebruch(3)])
+surfaces = st.sampled_from([P2, F0, F1, F2, BaseSurface(3)])
 small = st.integers(min_value=-6, max_value=6)
 
 
@@ -38,7 +38,7 @@ def test_surface_construction():
     assert str(P2) == "P2"
     assert str(F0) == "F0"
     with pytest.raises(ValueError):
-        BaseSurface.hirzebruch(-1)
+        BaseSurface(-1)
 
 
 def test_class_strings():

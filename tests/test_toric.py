@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fano64.lattice import Vec3, det3
+from fano64.lattice import IVec, _dot, det3
 from fano64.toric import (
     ConeSingularityKind,
     Fan,
@@ -27,11 +27,19 @@ FANS = Path(__file__).resolve().parent.parent / "fans"
 
 # rays of the fan whose walls get modified below; e2, e3, e4 span the
 # defective cone
-E1 = Vec3(-1, 0, 0)
-E2 = Vec3(1, -1, 0)
-E3 = Vec3(-1, -1, 2)
-E4 = Vec3(-1, -1, 3)
-E5 = Vec3(-1, 2, -1)
+E1 = (-1, 0, 0)
+E2 = (1, -1, 0)
+E3 = (-1, -1, 2)
+E4 = (-1, -1, 3)
+E5 = (-1, 2, -1)
+
+
+def vsum(*vs: IVec) -> IVec:
+    return (sum(v[0] for v in vs), sum(v[1] for v in vs), sum(v[2] for v in vs))
+
+
+def scaled(v: IVec, k: int) -> IVec:
+    return (k * v[0], k * v[1], k * v[2])
 
 
 def load(name: str) -> Fan:
@@ -39,17 +47,17 @@ def load(name: str) -> Fan:
 
 
 def test_cone_lattice_index():
-    assert cone_lattice_index((Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))) == 1
+    assert cone_lattice_index(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
     assert cone_lattice_index((E1, E2, E3)) == 2
     assert cone_lattice_index((E1, E2, E5)) == 1
     with pytest.raises(ValueError):
-        cone_lattice_index((E1, E2, E1 + E2))
+        cone_lattice_index((E1, E2, vsum(E1, E2)))
 
 
 def test_gorenstein_support():
-    assert gorenstein_support((E1, E2, E3)) == Vec3(1, 2, 1)
-    assert gorenstein_support((E1, E3, E4, E5)) == Vec3(1, 0, 0)
-    assert gorenstein_support((E1, E2, E5)) == Vec3(1, 2, 4)
+    assert gorenstein_support((E1, E2, E3)) == (1, 2, 1)
+    assert gorenstein_support((E1, E3, E4, E5)) == (1, 0, 0)
+    assert gorenstein_support((E1, E2, E5)) == (1, 2, 4)
     assert gorenstein_support((E2, E3, E4, E5)) is None
 
 
@@ -57,10 +65,10 @@ def test_support_pairs_to_minus_one_on_every_ray():
     rays = (E1, E2, E3)
     m = gorenstein_support(rays)
     for v in rays:
-        assert m.dot(v) == -1
+        assert _dot(m, v) == -1
 
 
-def _support_oracle(rays: tuple[Vec3, ...]) -> Vec3 | None:
+def _support_oracle(rays: tuple[IVec, ...]) -> IVec | None:
     """Gorenstein support by Fraction Cramer on the first independent triple, then pairings."""
 
     def det(m):
@@ -73,43 +81,43 @@ def _support_oracle(rays: tuple[Vec3, ...]) -> Vec3 | None:
     for triple in combinations(rays, 3):
         d = det3(*triple)
         if d != 0:
-            base = [[Fraction(t) for t in v.as_tuple()] for v in triple]
+            base = [[Fraction(t) for t in v] for v in triple]
             m = [
                 det([[Fraction(-1) if k == j else row[k] for k in range(3)] for row in base]) / d
                 for j in range(3)
             ]
             if any(c.denominator != 1 for c in m):
                 return None
-            if all(m[0] * v.x + m[1] * v.y + m[2] * v.z == -1 for v in rays):
-                return Vec3(int(m[0]), int(m[1]), int(m[2]))
+            if all(m[0] * v[0] + m[1] * v[1] + m[2] * v[2] == -1 for v in rays):
+                return (int(m[0]), int(m[1]), int(m[2]))
             return None
     return None
 
 
 small = st.integers(min_value=-4, max_value=4)
-small_rays = st.builds(Vec3, small, small, small)
-UNIT = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
+small_rays = st.tuples(small, small, small)
+UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @given(
     st.one_of(
         st.lists(small_rays, min_size=3, max_size=6),
         # degenerate: every ray in the plane z = 0
-        st.lists(st.builds(Vec3, small, small, st.just(0)), min_size=3, max_size=6),
+        st.lists(st.tuples(small, small, st.just(0)), min_size=3, max_size=6),
         # integral solve on the first triple, so the later rays decide
         st.lists(small_rays, min_size=1, max_size=3).map(lambda rest: [*UNIT, *rest]),
     ).map(tuple)
 )
-@example(UNIT[:2] + (Vec3(1, 1, 0),))  # degenerate
-@example(UNIT[:2] + (Vec3(1, 1, 2),))  # non-integral
-@example(UNIT + (Vec3(1, 1, 1),))  # inconsistent
-@example(UNIT + (Vec3(3, -1, -1),))  # integral, four rays
+@example(UNIT[:2] + ((1, 1, 0),))  # degenerate
+@example(UNIT[:2] + ((1, 1, 2),))  # non-integral
+@example(UNIT + ((1, 1, 1),))  # inconsistent
+@example(UNIT + ((3, -1, -1),))  # integral, four rays
 def test_gorenstein_support_matches_the_fraction_oracle(rays):
     assert gorenstein_support(rays) == _support_oracle(rays)
 
 
 def test_classify_smooth_cone():
-    out = classify_index2_cone((Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)))
+    out = classify_index2_cone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert out.kind is ConeSingularityKind.SMOOTH
     assert out.witness is None
 
@@ -117,22 +125,22 @@ def test_classify_smooth_cone():
 def test_classify_transverse_a1():
     out = classify_index2_cone((E1, E2, E3))
     assert out.kind is ConeSingularityKind.TRANSVERSE_A1
-    assert out.witness == Vec3(0, -1, 1)
+    assert out.witness == (0, -1, 1)
     # the witness is the half-sum of two generators, so it lies in the
     # lattice on a two-dimensional face
-    assert out.witness.scaled(2) == E2 + E3
+    assert scaled(out.witness, 2) == vsum(E2, E3)
 
 
 def test_classify_isolated_half_point():
-    rays = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 1, 2))
+    rays = ((1, 0, 0), (0, 1, 0), (1, 1, 2))
     out = classify_index2_cone(rays)
     assert out.kind is ConeSingularityKind.ISOLATED_HALF_POINT
-    assert out.witness.scaled(2) == rays[0] + rays[1] + rays[2]
+    assert scaled(out.witness, 2) == vsum(*rays)
 
 
 def test_classify_rejects_higher_index():
     with pytest.raises(ValueError):
-        classify_index2_cone((Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 1, 3)))
+        classify_index2_cone(((1, 0, 0), (0, 1, 0), (1, 1, 3)))
 
 
 def test_p3_polytope():
@@ -161,14 +169,14 @@ def test_x66_polytope_degree():
 
 def test_repeated_ray_bounds_one_facet():
     base = load("p3.fan")
-    f = Fan(rays=base.rays + (Vec3(1, 0, 0),), max_cones=base.max_cones)
+    f = Fan(rays=base.rays + ((1, 0, 0),), max_cones=base.max_cones)
     p = anticanonical_polytope(f)
     assert p.vertices == anticanonical_polytope(base).vertices
     assert len(p.facets) == 4
     assert polytope_degree(p) == 64
     # the same on P(5,2,1,1), whose facets need the lcm and |v_k| scaling
     base = _wps_fan((5, 2, 1, 1))
-    f = Fan(rays=base.rays + (Vec3(-5, -2, -1), Vec3(0, 1, 0)), max_cones=base.max_cones)
+    f = Fan(rays=base.rays + ((-5, -2, -1), (0, 1, 0)), max_cones=base.max_cones)
     p = anticanonical_polytope(f)
     assert p.vertices == anticanonical_polytope(base).vertices
     assert len(p.facets) == 4
@@ -179,22 +187,20 @@ def test_cube_face_fan_has_the_octahedron_as_polar():
     # all 26 nonzero points of {-1,0,1}^3, one cone per facet of the cube;
     # rays such as (1,1,0) or (1,0,0) touch Delta only in an edge or a
     # vertex and must add no volume
-    rays = tuple(
-        Vec3(*v) for v in product((-1, 0, 1), repeat=3) if v != (0, 0, 0)
-    )
+    rays = tuple(v for v in product((-1, 0, 1), repeat=3) if v != (0, 0, 0))
     cones = tuple(
-        tuple(i for i, v in enumerate(rays) if v.as_tuple()[axis] == sign)
+        tuple(i for i, v in enumerate(rays) if v[axis] == sign)
         for axis in range(3)
         for sign in (-1, 1)
     )
     p = anticanonical_polytope(Fan(rays, cones))
     units = {tuple(Fraction(s * (i == k)) for i in range(3)) for k in range(3) for s in (-1, 1)}
     assert set(p.vertices) == units
-    assert {v.as_tuple() for v, _ in p.facets} == set(product((-1, 1), repeat=3))
+    assert {v for v, _ in p.facets} == set(product((-1, 1), repeat=3))
     assert polytope_degree(p) == 8
 
 
-def _weight_kernel_rows(weights: tuple[int, ...]) -> tuple[Vec3, ...]:
+def _weight_kernel_rows(weights: tuple[int, ...]) -> tuple[IVec, ...]:
     """Rows of a 4x3 integer matrix whose columns span {u : sum a_i u_i = 0}.
 
     Column reduction: integer column operations on the row of weights,
@@ -214,16 +220,13 @@ def _weight_kernel_rows(weights: tuple[int, ...]) -> tuple[Vec3, ...]:
     pivot = next(j for j in range(4) if row[j])
     assert abs(row[pivot]) == 1
     kernel = [cols[j] for j in range(4) if j != pivot]
-    return tuple(Vec3(*(col[i] for col in kernel)) for i in range(4))
+    return tuple(tuple(col[i] for col in kernel) for i in range(4))
 
 
 def _wps_fan(weights: tuple[int, int, int, int]) -> Fan:
     """The complete simplicial fan of P(weights): the kernel rows, all four triples as cones."""
     rays = _weight_kernel_rows(weights)
-    relation = Vec3(0, 0, 0)
-    for v, a in zip(rays, weights):
-        relation = relation + v.scaled(a)
-    assert relation == Vec3(0, 0, 0)
+    assert vsum(*(scaled(v, a) for v, a in zip(rays, weights))) == (0, 0, 0)
     return Fan(rays, tuple(combinations(range(4), 3)))
 
 
@@ -282,7 +285,7 @@ def _oracle_degree(p: RationalPolytope) -> Fraction:
 
     total = Fraction(0)
     for ray, on_facet in p.facets:
-        ring = _oracle_hull_order(on_facet, ray.as_tuple())
+        ring = _oracle_hull_order(on_facet, ray)
         a = ring[0]
         for b, c in zip(ring[1:], ring[2:]):
             total += abs(det(a, b, c))
@@ -308,7 +311,7 @@ def test_polytope_degree_matches_the_fraction_oracle_on_random_fans():
     fractional = unbounded = 0
     for _ in range(300):
         rays = tuple(
-            Vec3(*(rng.randint(-5, 5) for _ in range(3))) for _ in range(rng.randint(4, 12))
+            tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(rng.randint(4, 12))
         )
         f = Fan(rays, ((0, 1, 2),))
         outcome = _degree_outcome(polytope_degree, f)
@@ -331,7 +334,7 @@ def test_polytope_degree_matches_the_fraction_oracle_on_shipped_and_wps_fans():
     assert len(fans) == 128
 
 
-def _facet_on(p: RationalPolytope, ray: Vec3):
+def _facet_on(p: RationalPolytope, ray: IVec):
     (on_facet,) = [ms for v, ms in p.facets if v == ray]
     return on_facet
 
@@ -340,7 +343,7 @@ def test_facet_with_mixed_denominators_is_scaled_by_their_lcm():
     # P(5,2,1,1): the facet on (-5,-2,-1) has vertices with denominators
     # 1, 2 and 5, so no single vertex denominator clears the others
     p = anticanonical_polytope(_wps_fan((5, 2, 1, 1)))
-    on_facet = _facet_on(p, Vec3(-5, -2, -1))
+    on_facet = _facet_on(p, (-5, -2, -1))
     assert {c.denominator for m in on_facet for c in m} == {1, 2, 5}
     assert polytope_degree(p) == Fraction(729, 10) == _oracle_degree(p)
 
@@ -349,14 +352,14 @@ def test_facet_normal_with_a_large_dropped_coordinate():
     # P(6,4,1,1): the facet on (-6,-4,-1) is projected along x, where
     # |v_x| = 6, so its shoelace sum is divided by 6
     p = anticanonical_polytope(_wps_fan((6, 4, 1, 1)))
-    normal = Vec3(-6, -4, -1)
+    normal = (-6, -4, -1)
     assert len(_facet_on(p, normal)) == 3
     assert polytope_degree(p) == 72 == _oracle_degree(p)
 
 
 def _lattice_point_count(f: Fan, p: RationalPolytope) -> int:
     """#(Delta n Z^3) for a lattice polytope: scan its bounding box, test <m, v> >= -1 in integers."""
-    rays = [v.as_tuple() for v in f.rays]
+    rays = f.rays
     box = [
         range(min(m[i] for m in p.vertices).numerator, max(m[i] for m in p.vertices).numerator + 1)
         for i in range(3)
@@ -390,40 +393,40 @@ def test_reflexive_degree_matches_the_lattice_point_count():
 
 def test_unbounded_polytope_rejected():
     f = Fan(
-        rays=(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)),
+        rays=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
         max_cones=((0, 1, 2),),
     )
     with pytest.raises(ValueError):
         anticanonical_polytope(f)
 
 
-def random_unimodular(rng: random.Random) -> tuple[Vec3, Vec3, Vec3]:
-    rows = [Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)]
+def random_unimodular(rng: random.Random) -> tuple[IVec, IVec, IVec]:
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for _ in range(12):
         op = rng.randrange(3)
         i, j = rng.sample(range(3), 2)
         if op == 0:
-            rows[j] = rows[j] + rows[i].scaled(rng.randint(-3, 3))
+            rows[j] = vsum(rows[j], scaled(rows[i], rng.randint(-3, 3)))
         elif op == 1:
             rows[i], rows[j] = rows[j], rows[i]
         else:
-            rows[i] = -rows[i]
+            rows[i] = scaled(rows[i], -1)
     m = tuple(rows)
     assert abs(det3(*m)) == 1
     return m
 
 
-def apply(m: tuple[Vec3, Vec3, Vec3], v: Vec3) -> Vec3:
-    return Vec3(m[0].dot(v), m[1].dot(v), m[2].dot(v))
+def apply(m: tuple[IVec, IVec, IVec], v: IVec) -> IVec:
+    return (_dot(m[0], v), _dot(m[1], v), _dot(m[2], v))
 
 
 def test_lattice_index_is_unimodular_invariant():
     rng = random.Random(64)
     cones = [
-        (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
         (E1, E2, E3),
-        (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 1, 2)),
-        (Vec3(2, 1, 0), Vec3(0, 3, 1), Vec3(1, 0, 5)),
+        ((1, 0, 0), (0, 1, 0), (1, 1, 2)),
+        ((2, 1, 0), (0, 3, 1), (1, 0, 5)),
     ]
     for _ in range(100):
         m = random_unimodular(rng)
@@ -464,11 +467,22 @@ def test_validate_flags_the_defective_fan():
 
 
 def test_validate_flags_non_primitive_rays():
-    f = Fan(
-        rays=(Vec3(2, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1), Vec3(-1, -1, -1)),
-        max_cones=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
-    )
-    assert 0 in validate_fan(f).non_primitive_rays
+    others = ((0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    cones = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    # the zero vector is not primitive either
+    for ray in ((2, 0, 0), (2, 4, 6), (0, 0, 0)):
+        assert validate_fan(Fan((ray, *others), cones)).non_primitive_rays == (0,), ray
+    for ray in ((2, 3, 5), (0, 0, 1)):
+        assert validate_fan(Fan((ray, *others), cones)).non_primitive_rays == (), ray
+
+
+def test_integer_coordinates_required():
+    """A ray is a tuple of exactly three ints; bool is an int subclass but not a coordinate."""
+    others = ((0, 1, 0), (0, 0, 1))
+    bad_rays = ((1, 2, 3.0), (Fraction(1, 2), 0, 0), (True, 0, 0), [1, 0, 0], (1, 0), (1, 0, 0, 0))
+    for ray in bad_rays:
+        with pytest.raises(ValueError, match="is not a tuple of three ints"):
+            Fan((ray, *others), ((0, 1, 2),))
 
 
 def test_polytope_deduplicates_vertices():
@@ -495,7 +509,7 @@ def test_degenerate_polytope_has_no_volume():
         polytope_degree(square)
     # a facet whose vertices are collinear has a zero shoelace sum
     line = tuple((Fraction(x), Fraction(2 * x, 3), Fraction(-1)) for x in range(3))
-    flat = RationalPolytope(vertices=line, facets=((Vec3(0, 0, 1), line),))
+    flat = RationalPolytope(vertices=line, facets=(((0, 0, 1), line),))
     for degree in (polytope_degree, _oracle_degree):
         with pytest.raises(ValueError, match="not full-dimensional"):
             degree(flat)
@@ -504,10 +518,10 @@ def test_degenerate_polytope_has_no_volume():
 def test_fan_json_round_trip():
     f = load("p3.fan")
     assert f.rays == (
-        Vec3(1, 0, 0),
-        Vec3(0, 1, 0),
-        Vec3(0, 0, 1),
-        Vec3(-1, -1, -1),
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+        (-1, -1, -1),
     )
     assert len(f.max_cones) == 4
 
@@ -522,6 +536,16 @@ def test_fan_json_rejects_unknown_keys():
     doc = {"rays": [[1, 0, 0]], "cones": [[0]], "extra": 1}
     with pytest.raises(ValueError):
         fan_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["rays", "cones"])
+def test_fan_json_rejects_a_repeated_key(key):
+    # json.loads alone would keep the last value and drop the first
+    rays = '"rays": [[1,0,0],[0,1,0],[0,0,1],[-1,-1,-1]]'
+    cones = '"cones": [[0,1,2],[0,1,3],[0,2,3],[1,2,3]]'
+    text = "{" + ", ".join((rays, cones, rays if key == "rays" else cones)) + "}"
+    with pytest.raises(ValueError, match=f'^fan file repeats the key "{key}"$'):
+        fan_from_json(text)
 
 
 def test_fan_json_rejects_booleans():

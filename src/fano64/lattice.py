@@ -1,10 +1,10 @@
 """Exact linear algebra in dimension 3, on int triples.
 
 A lattice vector in Z^3 is a plain ``tuple[int, int, int]`` (``IVec``);
-the helper set is ``_cross`` and ``_dot`` (package-internal), ``det3``,
-``solve3`` and the formatter ``vec_str``.  Everything downstream reduces
-to integer determinants, Cramer solves over the rationals, and gcd
-bookkeeping.  No floating point appears anywhere in this package:
+the helper set is ``_cross``, ``_dot`` and ``_is_primitive``
+(package-internal), ``det3``, ``solve3`` and the formatter ``vec_str``.
+Everything downstream reduces to integer determinants, Cramer solves
+over the rationals, and gcd bookkeeping.  No floating point appears anywhere in this package:
 ``fractions.Fraction`` carries every non-integer value and keeps it in
 lowest terms with a positive denominator, and Python integers are
 arbitrary precision, so enumeration loops cannot overflow.
@@ -34,6 +34,11 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 def vec_str(v: IVec) -> str:
     """The vector as "(x,y,z)"."""
     return f"({v[0]},{v[1]},{v[2]})"
+
+
+def _is_primitive(v: IVec) -> bool:
+    """True when gcd of the coordinates is 1; the zero vector is not primitive."""
+    return math.gcd(*v) == 1
 
 
 def det3(a: IVec, b: IVec, c: IVec) -> int:

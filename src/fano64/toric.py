@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .lattice import IVec, QVec, _cross, _dot, det3, solve3, vec_str
+from .lattice import IVec, QVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
 
 
 @dataclass(frozen=True)
@@ -415,7 +415,7 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
 
 def validate_fan(f: Fan) -> FanReport:
     """Structural checks: primitivity, convexity, wall pairing, supports."""
-    non_primitive = tuple([i for i, v in enumerate(f.rays) if gcd(*v) != 1])
+    non_primitive = tuple([i for i, v in enumerate(f.rays) if not _is_primitive(v)])
     degenerate = []
     non_convex = []
     wall_count: dict = {}

@@ -15,7 +15,7 @@ import fano64.ledger
 import fano64.surfaces
 import fano64.toric
 import fano64.wps
-from fano64.lattice import _cross, _dot, det3, solve3, vec_str
+from fano64.lattice import _cross, _dot, _is_primitive, det3, solve3, vec_str
 
 coords = st.integers(min_value=-50, max_value=50)
 vectors = st.tuples(coords, coords, coords)
@@ -33,6 +33,13 @@ def test_cross_product():
     assert _cross(e1, e2) == e3
     assert _cross(e2, e3) == e1
     assert _cross(e3, e1) == e2
+
+
+def test_primitivity():
+    assert _is_primitive((2, 3, 5))
+    assert not _is_primitive((2, 4, 6))
+    assert _is_primitive((0, 0, 1))
+    assert not _is_primitive((0, 0, 0))
 
 
 def test_det3_values():

@@ -64,7 +64,6 @@ from .surfaces import (
     anticanonical_class,
     canonical_class,
     intersect,
-    is_nef,
     k_squared,
     nef_cone_generators,
     plane_class,

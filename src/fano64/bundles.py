@@ -13,10 +13,10 @@ product to intersection numbers on the base:
 
 All arithmetic is exact: integers in, integers (or Fractions) out.
 
-Scrolls over the line are handled by the same mechanism one rank up:
-for P(O(d1) (+) ... (+) O(dr)) with tautological class M and fiber F,
-the normalization d_r = 0 gives M^r = d1 + ... + dr and M^(r-1).F = 1,
-with all higher powers of F vanishing.
+Rank-3 scrolls over the line are handled by the same mechanism one
+rank up: for P(O(d1) (+) O(d2) (+) O(d3)) with tautological class M and
+fiber F, the normalization d3 = 0 gives M^3 = d1 + d2 + d3 and
+M^2.F = 1, with all higher powers of F vanishing.
 """
 
 from __future__ import annotations
@@ -194,29 +194,25 @@ def c1_nef_dominated(base: BaseSurface, c1: SurfaceClass) -> bool:
 
 @dataclass(frozen=True)
 class Scroll:
-    """P(O(d1) (+) ... (+) O(dr)) over the line, rank r in {3, 4}.
+    """P(O(d1) (+) O(d2) (+) O(d3)) over the line, a rank-3 scroll.
 
     Twisting normalizes the last degree to 0; degrees are kept sorted
     non-increasing.  With d = sum(degrees), the tautological class M and
-    fiber F satisfy M^r = d and M^(r-1).F = 1.
+    fiber F satisfy M^3 = d and M^2.F = 1.
     """
 
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
         d = self.degrees
-        if len(d) not in (3, 4):
-            raise ValueError(f"rank must be 3 or 4, got {len(d)}")
+        if len(d) != 3:
+            raise ValueError(f"rank must be 3, got {len(d)}")
         if any(type(x) is not int or x < 0 for x in d):
             raise ValueError(f"degrees must be non-negative integers, got {d}")
         if list(d) != sorted(d, reverse=True):
             raise ValueError(f"degrees must be sorted non-increasing, got {d}")
         if d[-1] != 0:
             raise ValueError(f"normalized scroll needs last degree 0, got {d}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
 
     @property
     def total_degree(self) -> int:
@@ -251,8 +247,6 @@ def scroll_anticanonical_and_degree(s: Scroll) -> tuple[ScrollClass, int]:
     for every rank-3 scroll.  The constant answer is the point: every
     such scroll has anticanonical degree 54.
     """
-    if s.rank != 3:
-        raise ValueError(f"expected rank 3, got rank {s.rank}")
     d = s.total_degree
     cls = ScrollClass(3, 2 - d)
     degree = 27 * d + 27 * (2 - d)

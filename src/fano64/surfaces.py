@@ -150,10 +150,3 @@ def nef_cone_generators(s: BaseSurface) -> tuple[SurfaceClass, ...]:
     if s.is_plane:
         return (SurfaceClass(s, 1),)
     return (SurfaceClass(s, 0, 1), SurfaceClass(s, 1, s.n))
-
-
-def is_nef(d: SurfaceClass) -> bool:
-    """Membership in the nef cone: a >= 0 on the plane; a >= 0 and b >= a*n on F_n."""
-    if d.surface.is_plane:
-        return d.a >= 0
-    return d.a >= 0 and d.b >= d.a * d.surface.n

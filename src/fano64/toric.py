@@ -18,9 +18,11 @@ projected vertices scaled by the lcm of their denominators.
 validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
 rejected.  The cone checks (rank, strong convexity, walls, Gorenstein
-supports) run on integer tuples; a Gorenstein support is the only
-rational solve, and Fraction is otherwise built only for polytope
-vertices and one per facet volume.
+supports) run on integer tuples.  Strong convexity comes from the wall
+normals: one scan finds a full-rank cone's walls, and the sum of their
+inward normals is positive on every ray exactly when the cone contains
+no line.  A Gorenstein support is the only rational solve, and Fraction
+is otherwise built only for polytope vertices and one per facet volume.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class Fan:
                 raise ValueError(f"ray {reprlib.repr(v)} is not a tuple of three ints")
         if not self.max_cones:
             raise ValueError("fan needs at least one maximal cone")
-        cones = []
+        cones: dict[tuple[int, ...], None] = {}
         for cone in self.max_cones:
             if len(set(cone)) != len(cone):
                 raise ValueError(f"cone {cone} repeats a ray index")
@@ -68,7 +70,10 @@ class Fan:
                     raise ValueError(f"cone {cone} references missing ray {i}")
             if len(cone) < 3:
                 raise ValueError(f"maximal cone {cone} has fewer than 3 rays")
-            cones.append(tuple(sorted(cone)))
+            key = tuple(sorted(cone))
+            if key in cones:
+                raise ValueError(f"cone {cone} is listed twice")
+            cones[key] = None
         object.__setattr__(self, "max_cones", tuple(cones))
 
     def cone_rays(self, cone_index: int) -> tuple[IVec, ...]:
@@ -312,49 +317,6 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     return total
 
 
-def _positive_dependence(vectors: Sequence[IVec]) -> bool:
-    """Whether 0 is a nontrivial non-negative combination of the vectors.
-
-    Equivalent to the generated cone containing a line.  A minimal such
-    dependence is supported on at most 4 vectors in rank 3, so checking
-    subsets of size 2 to 4 is exhaustive.
-    """
-    for a, b in combinations(vectors, 2):
-        if _cross(a, b) == (0, 0, 0) and _dot(a, b) < 0:
-            return True
-    for a, b, c in combinations(vectors, 3):
-        if _dot(a, _cross(b, c)) != 0:
-            continue
-        lam = _dependence_coeffs_3((a, b, c))
-        if lam is not None and _same_sign(lam):
-            return True
-    for a, b, c, d in combinations(vectors, 4):
-        ab, cd = _cross(a, b), _cross(c, d)
-        lam = (_dot(b, cd), -_dot(a, cd), _dot(d, ab), -_dot(c, ab))
-        if any(lam) and _same_sign(lam):
-            return True
-    return False
-
-
-def _dependence_coeffs_3(triple: Sequence[IVec]) -> IVec | None:
-    """Nonzero (l1,l2,l3) with sum l_i v_i = 0 for a rank-2 triple, else None.
-
-    Each candidate is the cross product of two coordinate rows of the
-    3x3 matrix whose columns are the vectors.
-    """
-    rows = list(zip(*triple))
-    for r, s in combinations(rows, 2):
-        lam = _cross(r, s)
-        if any(lam):
-            return lam if all(_dot(lam, row) == 0 for row in rows) else None
-    return None
-
-
-def _same_sign(lam: tuple[int, ...]) -> bool:
-    nonzero = [x for x in lam if x != 0]
-    return bool(nonzero) and (all(x > 0 for x in nonzero) or all(x < 0 for x in nonzero))
-
-
 @dataclass(frozen=True)
 class FanReport:
     """Findings from validate_fan; empty tuples everywhere means clean."""
@@ -391,14 +353,20 @@ class FanReport:
 
 
 def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
-    """Walls (2-faces) of a strongly convex full-rank cone.
+    """Strong convexity and walls (2-faces) of a full-rank cone, in one pass.
 
     A pair of rays spans a wall when some plane through them has all the
     cone's other rays strictly on one side; rays lying on the plane are
     absorbed into the wall.  Keys are (ray index set, unsigned primitive
     normal) so the same wall hashes equally from both adjacent cones.
+    The inward normal of a wall is the sign of n with <n, v> > 0 on the
+    off-plane rays; the distinct walls' inward normals sum to m.  A
+    strongly convex cone's walls are its facets, so m lies inside the
+    dual cone and <m, v> > 0 for every ray.  A cone that contains a line
+    has a zero non-negative ray combination, so no m is positive on
+    every ray.  Returns (strongly convex, walls keyed as above).
     """
-    walls = set()
+    walls = {}
     for i, j in combinations(indices, 2):
         n = _cross(rays[i], rays[j])
         if n == (0, 0, 0):
@@ -409,8 +377,14 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
         on_plane = tuple(sorted(k for k, s in sides.items() if s == 0))
         off = [s for s in sides.values() if s != 0]
         if off and (all(s > 0 for s in off) or all(s < 0 for s in off)):
-            walls.add((on_plane, max(n, (-n[0], -n[1], -n[2]))))
-    return walls
+            flipped = (-n[0], -n[1], -n[2])
+            walls[on_plane, max(n, flipped)] = n if off[0] > 0 else flipped
+    m = [0, 0, 0]
+    for x, y, z in walls.values():
+        m[0] += x
+        m[1] += y
+        m[2] += z
+    return all(_dot(m, rays[k]) > 0 for k in indices), walls
 
 
 def validate_fan(f: Fan) -> FanReport:
@@ -425,10 +399,11 @@ def validate_fan(f: Fan) -> FanReport:
         if not _rays_have_full_rank(rays):
             degenerate.append(ci)
             continue
-        if _positive_dependence(rays):
+        convex, walls = _cone_walls(f.rays, cone)
+        if not convex:
             non_convex.append(ci)
         else:
-            for wall in _cone_walls(f.rays, cone):
+            for wall in walls:
                 wall_count[wall] = wall_count.get(wall, 0) + 1
         if gorenstein_support(rays) is None:
             no_support.append(ci)

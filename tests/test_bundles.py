@@ -36,7 +36,6 @@ from fano64.surfaces import (
     SurfaceClass,
     anticanonical_class,
     intersect,
-    is_nef,
     k_squared,
     plane_class,
     ruled_class,
@@ -154,7 +153,6 @@ def test_chi_of_split_bundles():
         for a in range(0, 4):
             for b in range(n * a, n * a + 5):
                 cls = ruled_class(n, a, b)
-                assert is_nef(cls)
                 split = RankTwoBundle(base, cls, 0)
                 sections = sum(b - n * i + 1 for i in range(a + 1))
                 assert chi_rank2(split) == 1 + sections
@@ -213,7 +211,6 @@ def test_c1_nef_domination():
 
 def test_scrolls():
     s = Scroll((5, 2, 0))
-    assert s.rank == 3
     assert s.total_degree == 7
     cls, degree = scroll_anticanonical_and_degree(s)
     assert cls == ScrollClass(3, -5)
@@ -227,6 +224,8 @@ def test_scrolls():
 def test_scroll_validation():
     with pytest.raises(ValueError):
         Scroll((2, 1))  # rank too small
+    with pytest.raises(ValueError, match="rank must be 3, got 4"):
+        Scroll((3, 2, 1, 0))  # rank 4
     with pytest.raises(ValueError):
         Scroll((2, 1, 1))  # smallest degree must be 0
     with pytest.raises(ValueError):

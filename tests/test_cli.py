@@ -205,6 +205,30 @@ def test_toric_validate_lists_findings(capsys):
     assert "clean" in out
 
 
+def test_toric_validate_output_is_pinned(capsys):
+    walls = [
+        f"wall rays[{a}, {b}] is not shared by exactly two maximal cones"
+        for a, b in ((1, 2), (1, 4), (2, 3), (3, 4))
+    ]
+    x66_findings = [
+        "cone 2 is not strongly convex (contains a line)",
+        *walls,
+        "cone 2 has no integral Gorenstein support vector",
+    ]
+    expected = {
+        (X66, False): "rays: 5\nmaximal cones: 4\n"
+        + "".join(f"finding: {f}\n" for f in x66_findings),
+        (X66, True): '{"clean": false, "findings": ['
+        + ", ".join(f'"{f}"' for f in x66_findings)
+        + '], "max_cones": 4, "rays": 5}\n',
+        (P3, False): "rays: 4\nmaximal cones: 4\nclean\n",
+        (P3, True): '{"clean": true, "findings": [], "max_cones": 4, "rays": 4}\n',
+    }
+    for (fan, machine), text in expected.items():
+        argv = ("toric", fan, "validate") + (("--machine",) if machine else ())
+        assert run(capsys, *argv) == (0, text, ""), argv
+
+
 def test_toric_singularity_report(capsys):
     code, out, _ = run(capsys, "toric", X66, "singularities")
     assert code == 0
@@ -275,6 +299,21 @@ def test_toric_rejects_a_repeated_key(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert err == 'error: fan file repeats the key "cones"\n'
+
+
+def test_toric_rejects_a_repeated_cone(tmp_path, capsys):
+    # without the check the two copies pair every wall with each other and
+    # one octant validates as a complete fan
+    twice = tmp_path / "twice.fan"
+    twice.write_text(
+        '{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],'
+        ' "cones": [[0, 1, 2], [2, 1, 0]]}'
+    )
+    for action in ("validate", "degree", "singularities"):
+        code, out, err = run(capsys, "toric", str(twice), action)
+        assert code == 1
+        assert out == ""
+        assert err == "error: cone (2, 1, 0) is listed twice\n"
 
 
 def test_toric_file_errors(capsys):

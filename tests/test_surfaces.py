@@ -12,7 +12,6 @@ from fano64.surfaces import (
     anticanonical_class,
     canonical_class,
     intersect,
-    is_nef,
     k_squared,
     nef_cone_generators,
     plane_class,
@@ -119,27 +118,6 @@ def test_nef_cone():
     gens = nef_cone_generators(F2)
     assert gens == (ruled_class(2, 0, 1), ruled_class(2, 1, 2))
     assert nef_cone_generators(P2) == (plane_class(1),)
-    assert is_nef(ruled_class(2, 1, 2))
-    assert is_nef(ruled_class(2, 1, 3))
-    assert not is_nef(ruled_class(2, 1, 1))  # b >= an fails
-    assert not is_nef(ruled_class(2, -1, 0))
-    assert is_nef(plane_class(0))
-    assert not is_nef(plane_class(-2))
-
-
-@given(classes(), classes())
-def test_nef_cone_is_closed_under_addition(d1, d2):
-    if d1.surface != d2.surface:
-        return
-    if is_nef(d1) and is_nef(d2):
-        assert is_nef(d1 + d2)
-
-
-@given(classes())
-def test_nef_classes_meet_nef_generators_non_negatively(d):
-    if is_nef(d):
-        for g in nef_cone_generators(d.surface):
-            assert intersect(d, g) >= 0
 
 
 def test_plane_classes_have_no_fiber_part():

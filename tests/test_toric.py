@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fano64.lattice import IVec, _dot, det3
+from fano64.lattice import IVec, _cross, _dot, det3
 from fano64.toric import (
     ConeSingularityKind,
     Fan,
@@ -92,6 +92,46 @@ def _support_oracle(rays: tuple[IVec, ...]) -> IVec | None:
                 return (int(m[0]), int(m[1]), int(m[2]))
             return None
     return None
+
+
+def _positive_dependence_oracle(vectors: tuple[IVec, ...]) -> bool:
+    """Whether 0 is a nontrivial non-negative combination of the vectors.
+
+    Equivalent to the generated cone containing a line.  A minimal such
+    dependence is supported on at most 4 vectors in rank 3, so checking
+    subsets of size 2 to 4 is exhaustive: a parallel pair pointing apart,
+    a rank-2 triple whose dependence coefficients share a sign (each
+    candidate is the cross product of two coordinate rows), or a
+    quadruple whose Cramer coefficients share a sign.
+    """
+
+    def same_sign(lam):
+        nonzero = [x for x in lam if x != 0]
+        return bool(nonzero) and (all(x > 0 for x in nonzero) or all(x < 0 for x in nonzero))
+
+    def dependence_coeffs_3(triple):
+        rows = list(zip(*triple))
+        for r, s in combinations(rows, 2):
+            lam = _cross(r, s)
+            if any(lam):
+                return lam if all(_dot(lam, row) == 0 for row in rows) else None
+        return None
+
+    for a, b in combinations(vectors, 2):
+        if _cross(a, b) == (0, 0, 0) and _dot(a, b) < 0:
+            return True
+    for a, b, c in combinations(vectors, 3):
+        if det3(a, b, c) != 0:
+            continue
+        lam = dependence_coeffs_3((a, b, c))
+        if lam is not None and same_sign(lam):
+            return True
+    for a, b, c, d in combinations(vectors, 4):
+        ab, cd = _cross(a, b), _cross(c, d)
+        lam = (_dot(b, cd), -_dot(a, cd), _dot(d, ab), -_dot(c, ab))
+        if any(lam) and same_sign(lam):
+            return True
+    return False
 
 
 small = st.integers(min_value=-4, max_value=4)
@@ -464,6 +504,57 @@ def test_validate_flags_the_defective_fan():
     assert report.degenerate_cones == ()
     assert len(report.unpaired_walls) == 4
     assert any("no integral Gorenstein support" in f for f in report.findings())
+
+
+def _one_cone_is_convex(rays: tuple[IVec, ...]) -> bool:
+    report = validate_fan(Fan(rays, (tuple(range(len(rays))),)))
+    assert report.degenerate_cones == ()
+    return report.non_convex_cones == ()
+
+
+def test_strong_convexity_matches_the_positive_dependence_oracle():
+    half_space = ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1))
+    with_zero_ray = (*UNIT, (0, 0, 0))
+    pointed_four = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+    x66_cone_2 = load("x66.fan").cone_rays(2)
+    for rays, convex in (
+        (half_space, False),
+        (with_zero_ray, False),
+        (pointed_four, True),
+        (x66_cone_2, False),
+        (UNIT, True),
+    ):
+        assert _positive_dependence_oracle(rays) is not convex, rays
+        assert _one_cone_is_convex(rays) is convex, rays
+
+    rng = random.Random(20090)
+    checked = non_convex = 0
+    while checked < 1500:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(3, 9))]
+        # mix in an opposite, a zero and a repeated ray, each at random
+        if rng.random() < 0.3:
+            rays[rng.randrange(len(rays))] = scaled(rng.choice(rays), -1)
+        if rng.random() < 0.2:
+            rays[rng.randrange(len(rays))] = (0, 0, 0)
+        if rng.random() < 0.3:
+            rays[rng.randrange(len(rays))] = rng.choice(rays)
+        rays = tuple(rays)
+        if not any(det3(*t) for t in combinations(rays, 3)):
+            continue
+        dependent = _positive_dependence_oracle(rays)
+        assert _one_cone_is_convex(rays) is not dependent, rays
+        checked += 1
+        non_convex += dependent
+    # both verdicts are well represented
+    assert 300 < non_convex < 1200, non_convex
+
+
+def test_fan_rejects_a_repeated_cone():
+    rays = (*UNIT, (-1, -1, -1))
+    for cones in (((0, 1, 2), (2, 1, 0)), ((2, 1, 0), (0, 1, 2))):
+        with pytest.raises(ValueError) as err:
+            Fan(rays, cones)
+        assert str(err.value) == f"cone {cones[1]} is listed twice"
 
 
 def test_validate_flags_non_primitive_rays():

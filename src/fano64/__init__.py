@@ -4,11 +4,13 @@ Submodules:
 
 * lattice: lattice vectors as int triples; det3, solve3 and vec_str
 * surfaces: divisor arithmetic on the plane and Hirzebruch surfaces
-* bundles: Chern-class calculus on projectivized bundles and scrolls
+* bundles: Chern-class calculus on projectivized bundles, and the
+  anticanonical degree of rank-3 scrolls
 * wps: weighted projective 3-space invariants
 * toric: fans, cone singularities and anticanonical polytopes
 * ledger: degree/genus bookkeeping under blow-ups and projections
-* elimination: the case-analysis engine and classification summary
+* elimination: the case-analysis engine, built at degree 64, and the
+  classification summary
 * cli: the `fano64` command-line tool
 """
 
@@ -16,14 +18,13 @@ from .bundles import (
     BundleClass,
     RankTwoBundle,
     Scroll,
-    ScrollClass,
     c1_nef_dominated,
     chi_rank2,
     degree_p1_bundle,
     kg2_integral,
     p1_bundle_anticanonical,
     rr_dim_anticanonical,
-    scroll_anticanonical_and_degree,
+    scroll_degree,
     solve_c2_for_degree,
     split_gap_bound_holds,
     triple_intersection,

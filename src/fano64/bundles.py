@@ -16,7 +16,8 @@ All arithmetic is exact: integers in, integers (or Fractions) out.
 Rank-3 scrolls over the line are handled by the same mechanism one
 rank up: for P(O(d1) (+) O(d2) (+) O(d3)) with tautological class M and
 fiber F, the normalization d3 = 0 gives M^3 = d1 + d2 + d3 and
-M^2.F = 1, with all higher powers of F vanishing.
+M^2.F = 1, with all higher powers of F vanishing.  Only their
+anticanonical degree is needed, and it is 54 for every such scroll.
 """
 
 from __future__ import annotations
@@ -219,26 +220,8 @@ class Scroll:
         return sum(self.degrees)
 
 
-@dataclass(frozen=True)
-class ScrollClass:
-    """A class a*M + b*F on a scroll over the line."""
-
-    m_coeff: int
-    f_coeff: int
-
-    def __str__(self) -> str:
-        a, b = self.m_coeff, self.f_coeff
-        head = "" if a == 0 else f"{'' if a == 1 else '-' if a == -1 else a}M"
-        if b == 0:
-            return head or "0"
-        tail = f"{'' if b == 1 else '-' if b == -1 else b}F"
-        if head and b > 0:
-            return f"{head}+{tail}"
-        return f"{head}{tail}" if head else tail
-
-
-def scroll_anticanonical_and_degree(s: Scroll) -> tuple[ScrollClass, int]:
-    """Anticanonical class and degree of a rank-3 scroll over the line.
+def scroll_degree(s: Scroll) -> int:
+    """Anticanonical degree of a rank-3 scroll over the line.
 
     -K = 3M + (2 - d)F, and since M^3 = d, M^2.F = 1:
 
@@ -248,9 +231,7 @@ def scroll_anticanonical_and_degree(s: Scroll) -> tuple[ScrollClass, int]:
     such scroll has anticanonical degree 54.
     """
     d = s.total_degree
-    cls = ScrollClass(3, 2 - d)
-    degree = 27 * d + 27 * (2 - d)
-    return cls, degree
+    return 27 * d + 27 * (2 - d)
 
 
 def rr_dim_anticanonical(degree: int) -> int:

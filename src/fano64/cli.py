@@ -266,7 +266,7 @@ def _reproduce(part: str | None) -> dict[str, list[CaseRecord]]:
     """The requested parts as flat sections; the sweep has one per base."""
     sections: dict[str, list[CaseRecord]] = {}
     if part in (None, "p1-bundles"):
-        sections["p1-bundles"] = eliminate_p1_bundles(64)
+        sections["p1-bundles"] = eliminate_p1_bundles()
     if part in (None, "quadric-filter"):
         sections["quadric-filter"] = filter_quadric_bundle_degrees()
     if part in (None, "twisted-sweep"):

@@ -13,9 +13,11 @@ a verdict.  Three verdicts exist and they encode an honesty contract:
   this package does not mechanize.  The record carries a description of
   the argument and claims nothing beyond the values actually computed.
 
-The enumerations themselves (parity representatives, coefficient
-bounds, Euler-characteristic targets) are stored as data so each case
-is reproducible and individually addressable.
+The ledger is built at the one degree the paper classifies, DEGREE =
+64, so its builders take no degree parameter.  The enumerations
+themselves (parity representatives and the verdict each one's treatment
+states, coefficient bounds, Euler-characteristic targets) are stored as
+data so each case is reproducible and individually addressable.
 
 `check_ledger` is the one place that decides whether a run of the
 ledger holds; the command line only prints its failures.
@@ -36,7 +38,7 @@ from .bundles import (
     kg2_integral,
     p1_bundle_anticanonical,
     rr_dim_anticanonical,
-    scroll_anticanonical_and_degree,
+    scroll_degree,
     solve_c2_for_degree,
     split_gap_bound_holds,
     twist,
@@ -169,8 +171,15 @@ def _record(
 # Rank-2 bundle elimination over minimal rational surfaces
 
 
+# The anticanonical degree the ledger classifies.
+DEGREE = 64
+
 # Parity representatives of c1 on each admissible base.  Each row:
-# (base, parity label, representative c1 or None, treatment).
+# (base, parity label, representative c1 or None, treatment).  The
+# treatment fixes the verdict: "solve" is a non-integral c2,
+# "anticanonical-section" a plane section with the wrong K^2, "cone" a
+# surviving cone, and "section-patching" and the external rows are
+# geometric arguments.
 _PARITY_TABLE: tuple[tuple[BaseSurface, str, SurfaceClass | None, str], ...] = (
     (P2, "even", plane_class(0), "solve"),
     (P2, "odd", plane_class(3), "anticanonical-section"),
@@ -186,6 +195,25 @@ _PARITY_TABLE: tuple[tuple[BaseSurface, str, SurfaceClass | None, str], ...] = (
 
 _CONE_LABELS = {F0: "cone over P1 x P1", F1: "cone over F1"}
 
+_EXTERNAL_ARGUMENTS = {
+    "external-parity": (
+        "an odd c1 pairs oddly with a ruling, and the splitting "
+        "analysis on that ruling excludes the bundle (external)"
+    ),
+    "external-then-patching": (
+        "c2 = -2 follows from the splitting analysis over the "
+        "rulings (external); the section/patching exclusion then "
+        "runs as in the even case"
+    ),
+}
+
+_PATCHING_ARGUMENT = (
+    "chi = 2 forces a nonzero section by Serre duality; its "
+    "zero locus is vertical (fiber splitting degree 0 is the "
+    "only one passing the gap bound), and the horizontal "
+    "patching normalization 2q+2 = 0 is unsatisfiable"
+)
+
 
 def _forced_vertical_splitting(c1_fiber_degree: int, fiber_self: int) -> tuple[int, ...]:
     """Splitting degrees q >= 0 on a fiber allowed by the gap bound.
@@ -200,127 +228,56 @@ def _forced_vertical_splitting(c1_fiber_degree: int, fiber_self: int) -> tuple[i
     return tuple(allowed)
 
 
-def eliminate_p1_bundles(target_degree: int = 64) -> list[CaseRecord]:
-    """Run the parity case analysis for P1-bundles hitting a target degree.
+def eliminate_p1_bundles() -> list[CaseRecord]:
+    """Run the parity case analysis for P1-bundles of degree 64.
 
     One record per (base, parity class of c1), with the normalized c1
-    representative.  Integrality of the solved c2 and the section-locus
-    arithmetic are machine-checked; the remaining exclusions are
-    recorded as geometric arguments.  The named cone constructions are
-    only claimed at target degree 64.
+    representative and the verdict its treatment states.  Integrality
+    of the solved c2 and the section-locus arithmetic are claimed as
+    contradictions, which `check_ledger` re-verifies; the remaining
+    exclusions are recorded as geometric arguments.
     """
-    if target_degree % 2 != 0:
-        raise ValueError(f"target degree must be even, got {target_degree}")
     records: list[CaseRecord] = []
     for base, parity, c1, treatment in _PARITY_TABLE:
         context = f"p1-bundle/{base}/{parity}"
         inputs = {
             "base": base,
             "c1": c1 if c1 is not None else "(any in parity class)",
-            "target_degree": target_degree,
+            "target_degree": DEGREE,
         }
         if c1 is None:
-            argument = {
-                "external-parity": (
-                    "an odd c1 pairs oddly with a ruling, and the splitting "
-                    "analysis on that ruling excludes the bundle (external)"
-                ),
-                "external-then-patching": (
-                    "c2 = -2 follows from the splitting analysis over the "
-                    "rulings (external); the section/patching exclusion then "
-                    "runs as in the even case"
-                ),
-            }[treatment]
-            records.append(_record(context, inputs, {}, GeometricArgument(argument)))
+            argument = GeometricArgument(_EXTERNAL_ARGUMENTS[treatment])
+            records.append(_record(context, inputs, {}, argument))
             continue
 
-        c2, integral = solve_c2_for_degree(base, c1, target_degree)
+        c2 = _exact(solve_c2_for_degree(base, c1, DEGREE)[0])
         computed: dict[str, Value] = {
             "degree_at_c2_0": degree_p1_bundle(RankTwoBundle(base, c1, 0)),
             "c2": c2,
         }
-        if not integral:
-            records.append(
-                _record(
-                    context,
-                    inputs,
-                    computed,
-                    ArithmeticContradiction("c2", "is-integer"),
-                )
-            )
+        if treatment == "solve":
+            verdict: Verdict = ArithmeticContradiction("c2", "is-integer")
+            records.append(_record(context, inputs, computed, verdict))
             continue
-        c2 = int(c2)
         data = RankTwoBundle(base, c1, c2)
-        computed["c2"] = c2
         computed["minus_k"] = str(p1_bundle_anticanonical(data))
-
         if treatment == "anticanonical-section":
             # c1 = -K makes -K_Y = 2D; the section D carries K_D^2 = D^3,
-            # which the degree pins to target/8, yet D is a plane.
-            k_d_squared = Fraction(target_degree, 8)
-            computed["k_d_squared"] = _exact(k_d_squared)
+            # which the degree pins to 64/8, yet D is a plane.
+            computed["k_d_squared"] = _exact(Fraction(DEGREE, 8))
             computed["k_squared_of_base"] = k_squared(base)
-            if k_d_squared != k_squared(base):
-                verdict: Verdict = ArithmeticContradiction(
-                    "k_d_squared", "==", k_squared(base)
-                )
-            else:
-                verdict = GeometricArgument(
-                    "the section arithmetic is consistent at this degree; "
-                    "no exclusion computed"
-                )
-            records.append(_record(context, inputs, computed, verdict))
+            verdict = ArithmeticContradiction("k_d_squared", "==", k_squared(base))
         elif treatment == "cone":
-            if target_degree == 64 and c2 == 0:
-                records.append(
-                    _record(
-                        context, inputs, computed, Survives(_CONE_LABELS[base])
-                    )
-                )
-            else:
-                records.append(
-                    _record(
-                        context,
-                        inputs,
-                        computed,
-                        GeometricArgument(
-                            "arithmetic is consistent at this degree; the case "
-                            "is not classified here"
-                        ),
-                    )
-                )
-        elif treatment == "section-patching":
-            chi = chi_rank2(data)
-            computed["chi"] = _exact(chi)
+            verdict = Survives(_CONE_LABELS[base])
+        else:  # section-patching
+            computed["chi"] = _exact(chi_rank2(data))
             fiber = SurfaceClass(base, 0, 1)
             allowed = _forced_vertical_splitting(
                 intersect(c1, fiber), intersect(fiber, fiber)
             )
             computed["fiber_splittings_allowed"] = ",".join(map(str, allowed)) or "none"
-            records.append(
-                _record(
-                    context,
-                    inputs,
-                    computed,
-                    GeometricArgument(
-                        "chi = 2 forces a nonzero section by Serre duality; its "
-                        "zero locus is vertical (fiber splitting degree 0 is the "
-                        "only one passing the gap bound), and the horizontal "
-                        "patching normalization 2q+2 = 0 is unsatisfiable"
-                    ),
-                )
-            )
-        else:
-            records.append(
-                _record(
-                    context,
-                    inputs,
-                    computed,
-                    GeometricArgument(
-                        "solved c2 is integral; no exclusion computed at this degree"
-                    ),
-                )
-            )
+            verdict = GeometricArgument(_PATCHING_ARGUMENT)
+        records.append(_record(context, inputs, computed, verdict))
     return records
 
 
@@ -333,6 +290,11 @@ def surviving_constructions(records: Iterable[CaseRecord]) -> set[str]:
 # ---------------------------------------------------------------------------
 # Degree filter for quadric-bundle candidates
 
+# Candidates have dim |-K| >= 34, i.e. degree >= 64, up to the maximum 72.
+_QUADRIC_MIN_DIM = 34
+_QUADRIC_MAX_DEGREE = 72
+
+# The geometric exclusion of each candidate degree divisible by 8.
 _QUADRIC_FILTER_ARGUMENTS = {
     72: (
         "comparing Picard ranks of terminal modifications on the two sides "
@@ -345,36 +307,33 @@ _QUADRIC_FILTER_ARGUMENTS = {
 }
 
 
-def filter_quadric_bundle_degrees(
-    min_dim: int = 34, max_degree: int = 72
-) -> list[CaseRecord]:
+def filter_quadric_bundle_degrees() -> list[CaseRecord]:
     """Filter candidate anticanonical degrees for quadric-bundle threefolds.
 
-    Candidates are the even degrees whose anticanonical system has
-    dimension at least min_dim, capped at max_degree.  Each candidate
-    gets the eighth-of-degree integrality test (the K^2 of the base of
-    a general elephant); survivors carry the degree-specific geometric
+    Candidates are the even degrees from 64 to 72, those whose
+    anticanonical system has dimension at least 34.  Each candidate gets
+    the eighth-of-degree integrality test (the K^2 of the base of a
+    general elephant); survivors carry the degree-specific geometric
     exclusion.
     """
     records = []
-    lowest = 2 * (min_dim - 2)
-    for degree in range(lowest, max_degree + 1, 2):
+    lowest = 2 * (_QUADRIC_MIN_DIM - 2)
+    for degree in range(lowest, _QUADRIC_MAX_DEGREE + 1, 2):
         context = f"quadric-filter/degree-{degree}"
-        inputs = {"degree": degree, "min_dim": min_dim, "max_degree": max_degree}
-        eighth = Fraction(degree, 8)
+        inputs = {
+            "degree": degree,
+            "min_dim": _QUADRIC_MIN_DIM,
+            "max_degree": _QUADRIC_MAX_DEGREE,
+        }
         computed: dict[str, Value] = {
             "rr_dim": rr_dim_anticanonical(degree),
-            "degree_eighth": _exact(eighth),
+            "degree_eighth": _exact(Fraction(degree, 8)),
             "degree_eighth_integral": kg2_integral(degree),
         }
-        if not kg2_integral(degree):
-            verdict: Verdict = ArithmeticContradiction("degree_eighth", "is-integer")
+        if kg2_integral(degree):
+            verdict: Verdict = GeometricArgument(_QUADRIC_FILTER_ARGUMENTS[degree])
         else:
-            verdict = GeometricArgument(
-                _QUADRIC_FILTER_ARGUMENTS.get(
-                    degree, "eighth-of-degree test passes; no exclusion recorded"
-                )
-            )
+            verdict = ArithmeticContradiction("degree_eighth", "is-integer")
         records.append(_record(context, inputs, computed, verdict))
     return records
 
@@ -659,8 +618,7 @@ def classification_summary() -> list[CaseRecord]:
 
     # X66: built by the scroll ledger 54 -> 62 -> 66 -> 66, then
     # projected from a cDV point.
-    _, scroll_degree = scroll_anticanonical_and_degree(Scroll((5, 2, 0)))
-    chain = [scroll_degree]
+    chain = [scroll_degree(Scroll((5, 2, 0)))]
     for minus_k_dot_c in (-5, -3, -1):
         chain.append(blowup_curve_degree(chain[-1], minus_k_dot_c, 0))
     sixty_six = chain[-1]
@@ -694,9 +652,9 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
     Every record's verdict must verify, and a record carrying c2' (only
     sweep records do) must have c2' < 0 and chi' > 0, and its twist
     must preserve the degree where it records that.  A p1-bundles
-    section must leave exactly the two cone constructions; a
-    classification section must hold seven surviving records of degree
-    64.
+    section must leave exactly the two cone constructions, each with
+    c2 = 0; a classification section must hold seven surviving records
+    of degree 64.
     """
     failures = []
     for where, records in sections.items():
@@ -714,6 +672,10 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
                 if keys.get("degree_preserved", True) is not True:
                     failures.append(f"{r.context}: degree not preserved by the twist")
     if "p1-bundles" in sections:
+        for r in sections["p1-bundles"]:
+            if isinstance(r.verdict, Survives) and r.value("c2") != 0:
+                c2 = r.value("c2")
+                failures.append(f"{r.context}: surviving cone has c2 {c2} != 0")
         survivors = surviving_constructions(sections["p1-bundles"])
         if survivors != EXPECTED_SURVIVORS:
             failures.append(
@@ -724,8 +686,8 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
         if len(records) != 7:
             failures.append(f"classification: {len(records)} records, expected 7")
         for r in records:
-            if r.value("degree") != 64:
-                failures.append(f"{r.context}: degree {r.value('degree')} != 64")
+            if r.value("degree") != DEGREE:
+                failures.append(f"{r.context}: degree {r.value('degree')} != {DEGREE}")
             if not isinstance(r.verdict, Survives):
                 failures.append(f"{r.context}: unexpected verdict")
     return failures

@@ -17,12 +17,14 @@ twice the projected area over |v_k|: an integer shoelace sum on the
 projected vertices scaled by the lcm of their denominators.
 validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
-rejected.  The cone checks (rank, strong convexity, walls, Gorenstein
-supports) run on integer tuples.  Strong convexity comes from the wall
-normals: one scan finds a full-rank cone's walls, and the sum of their
-inward normals is positive on every ray exactly when the cone contains
-no line.  A Gorenstein support is the only rational solve, and Fraction
-is otherwise built only for polytope vertices and one per facet volume.
+rejected.  A ray that lies in no maximal cone is one finding: it still
+bounds Delta, so it changes the degree.  The cone checks (rank, strong
+convexity, walls, Gorenstein supports) run on integer tuples.  Strong
+convexity comes from the wall normals: one scan finds a full-rank cone's
+walls, and the sum of their inward normals is positive on every ray
+exactly when the cone contains no line.  A Gorenstein support is the
+only rational solve, and Fraction is otherwise built only for polytope
+vertices and one per facet volume.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class Fan:
             raise ValueError("fan needs at least one maximal cone")
         cones: dict[tuple[int, ...], None] = {}
         for cone in self.max_cones:
+            if any(type(i) is not int for i in cone):
+                raise ValueError(
+                    f"cone {reprlib.repr(cone)} has an index that is not an int"
+                )
             if len(set(cone)) != len(cone):
                 raise ValueError(f"cone {cone} repeats a ray index")
             for i in cone:
@@ -322,6 +328,7 @@ class FanReport:
     """Findings from validate_fan; empty tuples everywhere means clean."""
 
     non_primitive_rays: tuple[int, ...]
+    unused_rays: tuple[int, ...]
     degenerate_cones: tuple[int, ...]
     non_convex_cones: tuple[int, ...]
     unpaired_walls: tuple[str, ...]
@@ -331,6 +338,7 @@ class FanReport:
     def is_clean(self) -> bool:
         return not (
             self.non_primitive_rays
+            or self.unused_rays
             or self.degenerate_cones
             or self.non_convex_cones
             or self.unpaired_walls
@@ -341,6 +349,8 @@ class FanReport:
         out = []
         for i in self.non_primitive_rays:
             out.append(f"ray {i} is not primitive")
+        for i in self.unused_rays:
+            out.append(f"ray {i} lies in no maximal cone")
         for i in self.degenerate_cones:
             out.append(f"cone {i} is degenerate (rays do not span)")
         for i in self.non_convex_cones:
@@ -388,8 +398,10 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
 
 
 def validate_fan(f: Fan) -> FanReport:
-    """Structural checks: primitivity, convexity, wall pairing, supports."""
+    """Structural checks: primitivity, ray use, convexity, wall pairing, supports."""
     non_primitive = tuple([i for i, v in enumerate(f.rays) if not _is_primitive(v)])
+    used = {i for cone in f.max_cones for i in cone}
+    unused = tuple([i for i in range(len(f.rays)) if i not in used])
     degenerate = []
     non_convex = []
     wall_count: dict = {}
@@ -412,6 +424,7 @@ def validate_fan(f: Fan) -> FanReport:
     )
     return FanReport(
         non_primitive_rays=non_primitive,
+        unused_rays=unused,
         degenerate_cones=tuple(degenerate),
         non_convex_cones=tuple(non_convex),
         unpaired_walls=unpaired,

@@ -194,7 +194,7 @@ def test_reproduce_exits_zero_with_the_seven_fold_classification(capsys):
     assert code == 0
     assert "all checks passed" in captured.out
 
-    survivors = surviving_constructions(eliminate_p1_bundles(64))
+    survivors = surviving_constructions(eliminate_p1_bundles())
     assert survivors == {"cone over P1 x P1", "cone over F1"}
 
     records = classification_summary()

@@ -14,14 +14,13 @@ from fano64.bundles import (
     BundleClass,
     RankTwoBundle,
     Scroll,
-    ScrollClass,
     c1_nef_dominated,
     chi_rank2,
     degree_p1_bundle,
     kg2_integral,
     p1_bundle_anticanonical,
     rr_dim_anticanonical,
-    scroll_anticanonical_and_degree,
+    scroll_degree,
     solve_c2_for_degree,
     split_gap_bound_holds,
     triple_intersection,
@@ -212,13 +211,12 @@ def test_c1_nef_domination():
 def test_scrolls():
     s = Scroll((5, 2, 0))
     assert s.total_degree == 7
-    cls, degree = scroll_anticanonical_and_degree(s)
-    assert cls == ScrollClass(3, -5)
-    assert str(cls) == "3M-5F"
-    assert degree == 54
-    # rank-3 scroll degree is independent of the splitting type
-    for degrees in [(0, 0, 0), (1, 0, 0), (3, 1, 0), (9, 4, 0)]:
-        assert scroll_anticanonical_and_degree(Scroll(degrees))[1] == 54
+    # rank-3 scroll degree is independent of the splitting type; cube
+    # -K = 3M + (2 - d)F term by term with M^3 = d, M^2.F = 1, F^2 = 0
+    for degrees in [(0, 0, 0), (1, 0, 0), (3, 1, 0), (5, 2, 0), (9, 4, 0)]:
+        d = sum(degrees)
+        a, b = 3, 2 - d
+        assert scroll_degree(Scroll(degrees)) == a**3 * d + 3 * a**2 * b == 54
 
 
 def test_scroll_validation():

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fano64
 from fano64.cli import main
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -16,6 +18,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter that imports the fano64 under test."""
+    src = str(Path(fano64.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fano64.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_wps_table_output(capsys):
@@ -229,6 +243,27 @@ def test_toric_validate_output_is_pinned(capsys):
         assert run(capsys, *argv) == (0, text, ""), argv
 
 
+def test_toric_validate_flags_an_unused_ray(tmp_path, capsys):
+    # the unused ray still bounds the polytope, so the degree reads 56, not 64
+    unused = tmp_path / "unused.fan"
+    unused.write_text(
+        '{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],'
+        ' "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}'
+    )
+    finding = "ray 4 lies in no maximal cone"
+    assert run(capsys, "toric", str(unused), "validate") == (
+        0,
+        f"rays: 5\nmaximal cones: 4\nfinding: {finding}\n",
+        "",
+    )
+    assert run(capsys, "toric", str(unused), "validate", "--machine") == (
+        0,
+        f'{{"clean": false, "findings": ["{finding}"], "max_cones": 4, "rays": 5}}\n',
+        "",
+    )
+    assert run(capsys, "toric", str(unused), "degree") == (0, "degree: 56\n", "")
+
+
 def test_toric_singularity_report(capsys):
     code, out, _ = run(capsys, "toric", X66, "singularities")
     assert code == 0
@@ -428,11 +463,7 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 
 def test_console_script_is_installed():
-    out = subprocess.run(
-        [sys.executable, "-m", "fano64.cli", "wps", "1", "1", "1", "1"],
-        capture_output=True,
-        text=True,
-    )
+    out = run_fresh("wps", "1", "1", "1", "1")
     assert out.returncode == 0
     assert "degree: 64" in out.stdout
 
@@ -450,7 +481,5 @@ def test_back_to_back_calls_match_fresh_processes(capsys, monkeypatch):
     in_process = [run(capsys, *argv) for argv in calls]
     assert in_process[0][0] == 1
     for argv, result in zip(calls, in_process):
-        fresh = subprocess.run(
-            [sys.executable, "-m", "fano64.cli", *argv], capture_output=True, text=True
-        )
+        fresh = run_fresh(*argv)
         assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv

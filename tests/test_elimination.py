@@ -57,7 +57,7 @@ def test_requirement_holds():
 
 
 def test_p1_bundle_elimination():
-    records = eliminate_p1_bundles(64)
+    records = eliminate_p1_bundles()
     assert len(records) == 10
     assert all(verify_record(r) for r in records)
 
@@ -97,15 +97,6 @@ def test_p1_bundle_elimination():
         "cone over P1 x P1",
         "cone over F1",
     }
-
-
-def test_elimination_away_from_the_target_degree_never_survives():
-    for degree in (16, 32, 40, 48, 56, 72):
-        records = eliminate_p1_bundles(degree)
-        assert all(verify_record(r) for r in records)
-        assert surviving_constructions(records) == set()
-    with pytest.raises(ValueError):
-        eliminate_p1_bundles(63)
 
 
 def test_quadric_bundle_degree_filter():
@@ -345,7 +336,7 @@ def test_verify_record_rejects_fabricated_contradictions():
 
 def _full_ledger() -> dict:
     sections = {
-        "p1-bundles": eliminate_p1_bundles(64),
+        "p1-bundles": eliminate_p1_bundles(),
         "quadric-filter": filter_quadric_bundle_degrees(),
     }
     for base in SWEEP_BASES:
@@ -399,6 +390,13 @@ def _lose_a_survivor(sections):
     return "p1-bundles: survivors ['cone over P1 x P1'] != ['cone over F1', 'cone over P1 x P1']"
 
 
+def _cone_survivor_c2_one(sections):
+    records = sections["p1-bundles"]
+    i = next(i for i, r in enumerate(records) if r.verdict == Survives("cone over F1"))
+    records[i] = _with_value(records[i], "c2", 1)
+    return "p1-bundle/F1/even-odd: surviving cone has c2 1 != 0"
+
+
 def _six_classification_records(sections):
     sections["classification"].pop()
     return "classification: 6 records, expected 7"
@@ -424,6 +422,7 @@ def _classification_not_surviving(sections):
         _sweep_chi_prime_nonpositive,
         _sweep_degree_not_preserved,
         _lose_a_survivor,
+        _cone_survivor_c2_one,
         _six_classification_records,
         _classification_degree_62,
         _classification_not_surviving,

@@ -1,0 +1,52 @@
+"""Static checks on the package's shape.
+
+The library carries no public function or class that only tests reach,
+unless it is an independent cross-check oracle named below.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fano64"
+
+# Public names that only tests call, each kept as an independent cross-check.
+ORACLES = {
+    "triple_intersection": "cubes a divisor class term by term, against degree_p1_bundle",
+    "record_from_payload": "reads a serialized record back, against record_to_payload",
+}
+
+
+def unreferenced_public_names(package: Path) -> set[str]:
+    """Top-level public functions and classes used nowhere else in the package.
+
+    A name counts as used when it is loaded or read as an attribute
+    outside its own definition; `__init__`'s re-exports do not count.
+    """
+    defined = set()
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if not owner.startswith("_"):
+                    defined.add(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return defined - used
+
+
+def test_no_public_library_code_only_tests_reach():
+    unreferenced = unreferenced_public_names(PACKAGE)
+    # a name outside the list is test-only code; a listed name now in use,
+    # or gone, leaves the list stale
+    assert unreferenced == set(ORACLES), sorted(unreferenced ^ set(ORACLES))

@@ -501,6 +501,7 @@ def test_validate_flags_the_defective_fan():
     assert 2 in report.non_convex_cones
     assert 2 in report.cones_without_gorenstein_support
     assert report.non_primitive_rays == ()
+    assert report.unused_rays == ()
     assert report.degenerate_cones == ()
     assert len(report.unpaired_walls) == 4
     assert any("no integral Gorenstein support" in f for f in report.findings())
@@ -567,13 +568,33 @@ def test_validate_flags_non_primitive_rays():
         assert validate_fan(Fan((ray, *others), cones)).non_primitive_rays == (), ray
 
 
+def test_validate_flags_unused_rays():
+    p3_rays = (*UNIT, (-1, -1, -1))
+    cones = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    # an unused ray still cuts the polytope: P3's degree 64 drops to 56
+    report = validate_fan(Fan((*p3_rays, (1, 1, 1)), cones))
+    assert report.unused_rays == (4,)
+    assert not report.is_clean
+    assert report.findings() == ("ray 4 lies in no maximal cone",)
+    assert validate_fan(Fan((*p3_rays, (1, 1, 1), (2, 1, 1)), cones)).unused_rays == (4, 5)
+    # the octant alone leaves the fourth ray in no cone
+    assert validate_fan(Fan(p3_rays, cones[:1])).unused_rays == (3,)
+    assert validate_fan(Fan(p3_rays, cones)).unused_rays == ()
+
+
 def test_integer_coordinates_required():
-    """A ray is a tuple of exactly three ints; bool is an int subclass but not a coordinate."""
+    """A ray is a tuple of exactly three ints and a cone index an int; bool is neither."""
     others = ((0, 1, 0), (0, 0, 1))
     bad_rays = ((1, 2, 3.0), (Fraction(1, 2), 0, 0), (True, 0, 0), [1, 0, 0], (1, 0), (1, 0, 0, 0))
     for ray in bad_rays:
         with pytest.raises(ValueError, match="is not a tuple of three ints"):
             Fan((ray, *others), ((0, 1, 2),))
+    # (0, True, 2) would otherwise be read as the cone (0, 1, 2)
+    p3_rays = (*UNIT, (-1, -1, -1))
+    for cone in ((0, 1, 2.0), (0, True, 2)):
+        with pytest.raises(ValueError) as err:
+            Fan(p3_rays, (cone, (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        assert str(err.value) == f"cone {cone} has an index that is not an int"
 
 
 def test_polytope_deduplicates_vertices():

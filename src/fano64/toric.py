@@ -8,13 +8,13 @@ cone singularities, and the polar polytope
     Delta = { m : <m, v> >= -1 for every ray v },
 
 whose normalized volume 6 vol(Delta) is the anticanonical degree of the
-toric variety.  By polar duality each facet of Delta lies on the plane
-<m, v> = -1 of one ray v, so the volume is a sum of pyramids from the
-origin over the facets.  The pyramid over a facet has
-6 vol = 2 area / |v|, and projecting the facet along the coordinate k
-with |v_k| largest multiplies its area by |v_k| / |v|, so it adds
-twice the projected area over |v_k|: an integer shoelace sum on the
-projected vertices scaled by the lcm of their denominators.
+toric variety.  Delta is the polar of conv(rays), so its vertices come
+from an integer walk over the facets of conv(rays), a facet <n, x> = c
+giving the vertex -n / c; the search for a direction in which Delta is
+unbounded runs only to word that error.  Each facet of Delta lies on
+the plane <m, v> = -1 of one ray v, so the volume is a sum of pyramids
+from the origin over the facets, each an integer shoelace sum on the
+facet projected along the coordinate k with |v_k| largest.
 validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
 rejected.  A ray that lies in no maximal cone is one finding: it still
@@ -214,51 +214,90 @@ def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
     return None
 
 
+def _wrap(pts: Sequence[IVec], a: IVec, b: IVec) -> tuple[IVec, int]:
+    """Rotate a plane about the line ab until no point lies beyond it.
+
+    <(b - a) x (r - a), p - a> > 0 says p lies further round than r; about
+    a hull edge or a supporting line the points span under a half turn,
+    so one pass suffices.  Returns the primitive outward normal and
+    offset: 0 and -1 when every point is on the line.
+    """
+    e = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    # n = 0 with c = -1 takes the first point off the line
+    (nx, ny, nz), c = (0, 0, 0), -1
+    for p in pts:
+        if nx * p[0] + ny * p[1] + nz * p[2] > c:
+            n = _cross(e, (p[0] - a[0], p[1] - a[1], p[2] - a[2]))
+            if n != (0, 0, 0):
+                (nx, ny, nz), c = n, _dot(n, a)
+    g = gcd(nx, ny, nz) or 1
+    return (nx // g, ny // g, nz // g), c // g
+
+
+def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | None:
+    """The facets <n, x> = c of conv(pts) with their points, by gift wrapping.
+
+    The walk starts on a supporting plane through the vertical line at
+    the largest point, and crosses to a facet where a plane meets the
+    hull in an edge only.  A facet's ring turns about -n, so wrapping
+    about its edge p -> q reaches the facet that runs it as q -> p.
+    None when the origin is not inside the hull (some c <= 0).
+    """
+    a = max(pts)
+    todo = [_wrap(pts, a, (a[0], a[1], a[2] + 1))]
+    facets: dict[tuple[IVec, int], list[int]] = {}
+    wrapped = set()
+    while todo:
+        plane = todo.pop()
+        if plane[1] <= 0:
+            return None
+        if plane in facets:
+            continue
+        n, c = plane
+        nx, ny, nz = n
+        pairings = [nx * p[0] + ny * p[1] + nz * p[2] for p in pts]
+        if max(pairings) > c:
+            raise ArithmeticError(f"hull walk reached a plane {plane} that is not a facet")
+        tight = [t for t, s in enumerate(pairings) if s == c]
+        k = max(range(3), key=lambda i: abs(n[i]))
+        flat = {(pts[t][(k + 1) % 3], pts[t][(k + 2) % 3]): t for t in tight}
+        ring = [flat[q] for q in _hull_order(list(flat))]
+        if len(ring) == 2:
+            todo.append(_wrap(pts, pts[ring[0]], pts[ring[1]]))
+            continue
+        facets[plane] = tight
+        # counter-clockwise in coordinates k + 1, k + 2 turns about +e_k
+        if n[k] > 0:
+            ring.reverse()
+        for p, q in zip(ring[-1:] + ring, ring):
+            if (q, p) not in wrapped:
+                wrapped.add((p, q))
+                todo.append(_wrap(pts, pts[p], pts[q]))
+    return facets
+
+
 def anticanonical_polytope(f: Fan) -> RationalPolytope:
     """Polar polytope Delta of the fan's rays, with its facets.
 
-    The planes <m, a> = <m, b> = <m, c> = -1 of a ray triple meet in
-    m = N / d, where N = -(b x c + c x a + a x b) and d = det(a, b, c).
-    Kept in lowest terms with d > 0, each point is tested once, in
-    integers: it is a vertex when <N, v> >= -d for every ray v, and the
-    rays with equality are tight there.  A ray tight at three or more
-    vertices bounds a facet; a repeated ray counts once.  Raises when
-    Delta is unbounded, i.e. the rays fail to positively span the space.
+    Each facet <n, x> = c of conv(rays), n primitive and outward, is the
+    vertex -n / c of Delta, and the rays on it are tight there.  A ray
+    tight at three or more vertices bounds a facet; a repeated ray
+    counts once.  Raises when Delta is unbounded, i.e. the rays fail to
+    positively span the space; only then does a search run for the
+    direction the message names.
     """
     rays = tuple(dict.fromkeys(f.rays))
-    direction = _positive_span_fails(rays)
-    if direction is not None:
+    hull = _hull_facets(rays)
+    if hull is None:
+        direction = _positive_span_fails(rays)
         raise ValueError(
             f"polytope is unbounded: rays do not positively span (direction {vec_str(direction)})"
         )
-    cross = {(i, j): _cross(a, b) for i, a in enumerate(rays) for j, b in enumerate(rays)}
-    seen = set()
-    vertices = []
+    vertices = [(Fraction(-x, c), Fraction(-y, c), Fraction(-z, c)) for (x, y, z), c in hull]
     on_ray: dict[int, list[QVec]] = {}
-    for i, j, k in combinations(range(len(rays)), 3):
-        bc = cross[j, k]
-        d = _dot(rays[i], bc)
-        if d == 0:
-            continue
-        ca, ab = cross[k, i], cross[i, j]
-        n = (-bc[0] - ca[0] - ab[0], -bc[1] - ca[1] - ab[1], -bc[2] - ca[2] - ab[2])
-        g = gcd(*n, d) if d > 0 else -gcd(*n, d)
-        x, y, z, d = n[0] // g, n[1] // g, n[2] // g, d // g
-        if (x, y, z, d) in seen:
-            continue
-        seen.add((x, y, z, d))
-        tight = []
-        for r, (vx, vy, vz) in enumerate(rays):
-            p = x * vx + y * vy + z * vz
-            if p < -d:
-                break
-            if p == -d:
-                tight.append(r)
-        else:
-            m = (Fraction(x, d), Fraction(y, d), Fraction(z, d))
-            vertices.append(m)
-            for r in tight:
-                on_ray.setdefault(r, []).append(m)
+    for m, tight in zip(vertices, hull.values()):
+        for r in tight:
+            on_ray.setdefault(r, []).append(m)
     facets = tuple([(rays[r], tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3])
     return RationalPolytope(tuple(vertices), facets)
 

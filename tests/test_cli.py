@@ -183,6 +183,41 @@ def test_toric_degree_output_is_pinned(tmp_path, capsys, fan):
     assert run(capsys, "toric", path, "degree", "--machine") == (0, machine, "")
 
 
+E = ([1, 0, 0], [0, 1, 0], [0, 0, 1])
+P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+DEGENERATE_FANS = {
+    # conv(rays) is a triangle off the origin
+    "flat-hull": ([*E], [[0, 1, 2]], "(0,0,1)"),
+    # the origin lies on the facet z = 0 of conv(rays)
+    "origin-on-facet": (
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
+        [[0, 2, 4], [1, 2, 4], [0, 3, 4], [1, 3, 4]],
+        "(0,0,1)",
+    ),
+    "rank-2": ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [[0, 1, 2]], "(1,1,1)"),
+    # a repeated ray counts once
+    "p3-repeated-ray": ([*E, [-1, -1, -1], [1, 0, 0]], P3_CONES, None),
+}
+
+
+@pytest.mark.parametrize("fan", sorted(DEGENERATE_FANS))
+def test_toric_degree_on_degenerate_hulls_is_pinned(tmp_path, capsys, fan):
+    rays, cones, direction = DEGENERATE_FANS[fan]
+    path = tmp_path / "degenerate.fan"
+    path.write_text(json.dumps({"rays": rays, "cones": cones}))
+    for machine in (False, True):
+        argv = ("toric", str(path), "degree") + (("--machine",) if machine else ())
+        if direction is None:
+            out = '{"degree": "64", "vertices": 4}\n' if machine else "degree: 64\n"
+            assert run(capsys, *argv) == (0, out, ""), argv
+        else:
+            err = (
+                "error: polytope is unbounded: rays do not positively span"
+                f" (direction {direction})\n"
+            )
+            assert run(capsys, *argv) == (1, "", err), argv
+
+
 def test_toric_singularities_output_is_pinned(tmp_path, capsys):
     path = _wps_fan_file(tmp_path, WPS_RAY["p6411"])
     assert run(capsys, "toric", path, "singularities") == (

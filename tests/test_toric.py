@@ -2,17 +2,19 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fano64.lattice import IVec, _cross, _dot, det3
+from fano64.lattice import IVec, _cross, _dot, det3, vec_str
 from fano64.toric import (
     ConeSingularityKind,
     Fan,
     RationalPolytope,
+    _positive_span_fails,
     anticanonical_polytope,
     classify_index2_cone,
     cone_lattice_index,
@@ -486,6 +488,114 @@ def test_polytope_degree_is_unimodular_invariant():
                 max_cones=base.max_cones,
             )
             assert polytope_degree(anticanonical_polytope(f)) == degree
+
+
+def _oracle_polytope(f: Fan) -> RationalPolytope:
+    """Delta by testing every ray triple: O(n^4) whatever the output size.
+
+    The planes <m, a> = <m, b> = <m, c> = -1 meet in m = N / d with
+    N = -(b x c + c x a + a x b) and d = det(a, b, c); kept in lowest
+    terms with d > 0, m is a vertex when <N, v> >= -d for every ray v.
+    """
+    rays = tuple(dict.fromkeys(f.rays))
+    direction = _positive_span_fails(rays)
+    if direction is not None:
+        raise ValueError(
+            f"polytope is unbounded: rays do not positively span (direction {vec_str(direction)})"
+        )
+    seen = set()
+    vertices = []
+    on_ray: dict[int, list] = {}
+    for a, b, c in combinations(rays, 3):
+        bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
+        d = _dot(a, bc)
+        if d == 0:
+            continue
+        n = tuple(-x - y - z for x, y, z in zip(bc, ca, ab))
+        g = gcd(*n, d) if d > 0 else -gcd(*n, d)
+        n, d = tuple(x // g for x in n), d // g
+        if (n, d) in seen:
+            continue
+        seen.add((n, d))
+        pairings = [_dot(n, v) for v in rays]
+        if min(pairings) >= -d:
+            m = tuple(Fraction(x, d) for x in n)
+            vertices.append(m)
+            for r, p in enumerate(pairings):
+                if p == -d:
+                    on_ray.setdefault(r, []).append(m)
+    facets = tuple((rays[r], tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3)
+    return RationalPolytope(tuple(vertices), facets)
+
+
+def _polytope_outcome(build, f: Fan):
+    """Vertices, facet incidences as sets and degree, or the ValueError message."""
+    try:
+        p = build(f)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    return p.vertices, {(v, frozenset(ms)) for v, ms in p.facets}, polytope_degree(p)
+
+
+def _huge_unimodular(rng: random.Random) -> tuple[IVec, IVec, IVec]:
+    """Row operations with multipliers up to 10^6 until some entry exceeds 10^30."""
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    while max(abs(x) for row in rows for x in row) <= 10**30:
+        i, j = rng.sample(range(3), 2)
+        rows[i] = vsum(rows[i], scaled(rows[j], rng.choice((-1, 1)) * rng.randint(1, 10**6)))
+    return tuple(rows)
+
+
+def test_hull_walk_matches_the_triple_oracle():
+    fans = [load(name) for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    fans += [f for _, f in _wps_fans()]
+    p3 = load("p3.fan")
+    fans += [
+        # repeated rays
+        Fan(p3.rays + p3.rays[:2], p3.max_cones),
+        # a zero ray inside the hull, and one at a vertex of it
+        Fan(p3.rays + ((0, 0, 0),), p3.max_cones),
+        Fan((*UNIT, (0, 0, 0)), ((0, 1, 2),)),
+        # rays of rank 2, with and without the origin inside their hull
+        Fan(((1, -1, 0), (0, 1, -1), (-1, 0, 1)), ((0, 1, 2),)),
+        Fan(((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((0, 1, 2),)),
+    ]
+    rng = random.Random(1970)
+    cube = [v for v in product((-1, 0, 1), repeat=3) if v != (0, 0, 0)]
+    base = load("p1p1p1.fan")
+    for _ in range(3):
+        m = _huge_unimodular(rng)
+        fans.append(Fan(tuple(apply(m, v) for v in base.rays), base.max_cones))
+    assert max(abs(x) for v in fans[-1].rays for x in v) > 10**30
+    for _ in range(3000):
+        kind = rng.randrange(4)
+        if kind == 0:
+            # faces of {-1,0,1}^3 hold many coplanar and collinear rays
+            rays = rng.sample(cube, rng.randint(3, 20))
+        elif kind == 1:
+            bound = rng.randint(1, 5)
+            rays = [
+                tuple(rng.randint(-bound, bound) for _ in range(3))
+                for _ in range(rng.randint(3, 10))
+            ]
+        elif kind == 2:
+            rays = [(rng.randint(-2, 2), rng.randint(-2, 2), 0) for _ in range(rng.randint(3, 7))]
+            if rng.random() < 0.5:
+                rays.append((0, 0, rng.choice((-1, 1))))
+        else:
+            rays = rng.sample(cube, rng.randint(3, 10))
+            rays += [rng.choice(rays) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                rays.append((0, 0, 0))
+            rng.shuffle(rays)
+        fans.append(Fan(tuple(rays), ((0, 1, 2),)))
+    unbounded = 0
+    for f in fans:
+        outcome = _polytope_outcome(anticanonical_polytope, f)
+        assert outcome == _polytope_outcome(_oracle_polytope, f), f.rays
+        unbounded += isinstance(outcome, str)
+    assert len(fans) == 3136
+    assert 1000 < unbounded < 2000, unbounded
 
 
 def test_validate_clean_fans():

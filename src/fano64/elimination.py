@@ -16,8 +16,9 @@ a verdict.  Three verdicts exist and they encode an honesty contract:
 The ledger is built at the one degree the paper classifies, DEGREE =
 64, so its builders take no degree parameter.  The enumerations
 themselves (parity representatives and the verdict each one's treatment
-states, coefficient bounds, Euler-characteristic targets) are stored as
-data so each case is reproducible and individually addressable.
+states, coefficient bounds, the Euler-characteristic targets
+CHI_TARGETS) are stored as data so each case is reproducible and
+individually addressable.
 
 `check_ledger` is the one place that decides whether a run of the
 ledger holds; the command line only prints its failures.
@@ -342,6 +343,8 @@ def filter_quadric_bundle_degrees() -> list[CaseRecord]:
 # Twisted-bundle sweep over minimal rational surfaces
 
 SWEEP_BASES = (P2, F0, F2, F3, F4)
+# the Euler characteristics chi of the rank-2 bundles the sweep exhausts
+CHI_TARGETS = range(32, 37)
 
 _SECTION_EXCLUSION = (
     "c2' < 0 and chi' > 0 give the twisted bundle a nonzero section with "
@@ -364,9 +367,7 @@ def _negative_parity_part(x: int) -> int:
     return -2 if x % 2 == 0 else -1
 
 
-def sweep_twisted_bundles(
-    base: BaseSurface, chi_values: Iterable[int] = range(32, 37)
-) -> list[CaseRecord]:
+def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
     """Exhaust the Chern-class cases for rank-2 bundles with many sections.
 
     For a Hirzebruch base every feasible (a, b, chi) determines c2
@@ -377,19 +378,16 @@ def sweep_twisted_bundles(
     exclusion in each surviving case is the recorded section argument.
 
     The bundle calculus runs once per c1, on the bundle with c2 = 0 and
-    its twist; each chi target then steps in integers, by three affine
-    facts: chi has slope -1 in c2 (so c2 = chi(c2 = 0) - chi), the twist
-    by B gives c2' = c2 + c1.B + B^2, and the degree gap between the
-    twisted and the untwisted bundle does not depend on c2.
+    its twist; each chi in CHI_TARGETS then steps in integers, by three
+    affine facts: chi has slope -1 in c2 (so c2 = chi(c2 = 0) - chi), the
+    twist by B gives c2' = c2 + c1.B + B^2, and the degree gap between
+    the twisted and the untwisted bundle does not depend on c2.
     """
-    chis = sorted(set(chi_values))
-    if not chis:
-        raise ValueError("need at least one Euler characteristic target")
     if base not in SWEEP_BASES:
         raise ValueError(f"unsupported base {base}; expected P2, F0, F2, F3 or F4")
     if base.is_plane:
-        return _sweep_plane(chis)
-    return _sweep_hirzebruch(base, chis)
+        return _sweep_plane()
+    return _sweep_hirzebruch(base)
 
 
 def _integral(q: Fraction) -> int:
@@ -398,7 +396,7 @@ def _integral(q: Fraction) -> int:
     return int(q)
 
 
-def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
+def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
     records = []
     corner_c2_primes: dict[tuple[int, int], list[int]] = {}
     base_text = str(base)
@@ -425,7 +423,7 @@ def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
                 corner_c2_primes.setdefault((a_p, b_p), []),
             )
         )
-    for chi in chis:
+    for chi in CHI_TARGETS:
         chi_text = str(chi)
         for head, inputs, chi_at_zero, a_p, b_p, shift, chi_p_at_zero, preserved, corner in cases:
             c2 = chi_at_zero - chi
@@ -461,7 +459,7 @@ def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
                 {
                     "base": base,
                     "subfamily": f"(a, b) twisting to (a', b') = ({a_p}, {b_p})",
-                    "chi": ",".join(map(str, chis)),
+                    "chi": ",".join(map(str, CHI_TARGETS)),
                 },
                 {
                     "corner_cases": len(values),
@@ -474,7 +472,7 @@ def _sweep_hirzebruch(base: BaseSurface, chis: list[int]) -> list[CaseRecord]:
     return records
 
 
-def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
+def _sweep_plane() -> list[CaseRecord]:
     records = []
     # Decomposable bundles O(a) (+) O(a+b): nefness and the ruling bound
     # confine (a, b) to a >= 0, b >= 0, 2a + b <= 3, and the largest
@@ -493,7 +491,7 @@ def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
                 "cases": len(chi_values),
                 "chi_max": _exact(chi_max),
             },
-            ArithmeticContradiction("chi_max", ">=", min(chis)),
+            ArithmeticContradiction("chi_max", ">=", min(CHI_TARGETS)),
         )
     )
     # c1 = 9 saturates the nef-domination bound and is decomposable by
@@ -527,7 +525,7 @@ def _sweep_plane(chis: list[int]) -> list[CaseRecord]:
             chi_at_zero = _integral(chi_rank2(data))
             head = f"twisted-sweep/P2/{parity}/m={m}/chi="
             inputs = (("base", str(P2)), ("c1", str(c1)), ("m", str(m)))
-            for chi in chis:
+            for chi in CHI_TARGETS:
                 chi_text = str(chi)
                 c2 = chi_at_zero - chi
                 records.append(

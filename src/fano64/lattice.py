@@ -3,11 +3,12 @@
 A lattice vector in Z^3 is a plain ``tuple[int, int, int]`` (``IVec``);
 the helper set is ``_cross``, ``_dot`` and ``_is_primitive``
 (package-internal), ``det3``, ``solve3`` and the formatter ``vec_str``.
-Everything downstream reduces to integer determinants, Cramer solves
-over the rationals, and gcd bookkeeping.  No floating point appears anywhere in this package:
-``fractions.Fraction`` carries every non-integer value and keeps it in
-lowest terms with a positive denominator, and Python integers are
-arbitrary precision, so enumeration loops cannot overflow.
+Everything downstream reduces to integer determinants, Cramer solves of
+integer systems over the rationals, and gcd bookkeeping.  No floating
+point appears anywhere in this package: ``fractions.Fraction`` carries
+every non-integer value and keeps it in lowest terms with a positive
+denominator, and Python integers are arbitrary precision, so
+enumeration loops cannot overflow.
 """
 
 from __future__ import annotations
@@ -46,18 +47,14 @@ def det3(a: IVec, b: IVec, c: IVec) -> int:
     return _dot(a, _cross(b, c))
 
 
-def solve3(
-    rows: tuple[IVec, IVec, IVec],
-    rhs: tuple[Fraction | int, Fraction | int, Fraction | int],
-) -> QVec | None:
+def solve3(rows: tuple[IVec, IVec, IVec], rhs: IVec) -> QVec | None:
     """Solve the 3x3 system rows * m = rhs exactly, by Cramer's rule.
 
-    The work runs in integers.  Scaled by the lcm L of its denominators,
-    the right-hand side becomes integers (p, q, r); for rows a, b, c the
-    solution is (p b x c + q c x a + r a x b) / (d L) with d = det(a, b, c),
-    and one Fraction is built per coordinate.  Returns the unique
-    rational solution, or None when the rows are linearly dependent (a
-    normal outcome, not an error).
+    The work runs in integers.  For rows a, b, c and right-hand side
+    (p, q, r) the solution is (p b x c + q c x a + r a x b) / d with
+    d = det(a, b, c), and one Fraction is built per coordinate.  Returns
+    the unique rational solution, or None when the rows are linearly
+    dependent (a normal outcome, not an error).
     """
     a, b, c = rows
     bc = _cross(b, c)
@@ -65,9 +62,7 @@ def solve3(
     if d == 0:
         return None
     ca, ab = _cross(c, a), _cross(a, b)
-    lcm = math.lcm(*(t.denominator for t in rhs))
-    p, q, r = (t.numerator * (lcm // t.denominator) for t in rhs)
-    d *= lcm
+    p, q, r = rhs
     return (
         Fraction(p * bc[0] + q * ca[0] + r * ab[0], d),
         Fraction(p * bc[1] + q * ca[1] + r * ab[1], d),

@@ -20,11 +20,11 @@ instead of raising, so defective input data can be examined rather than
 rejected.  A ray that lies in no maximal cone is one finding: it still
 bounds Delta, so it changes the degree.  The cone checks (rank, strong
 convexity, walls, Gorenstein supports) run on integer tuples.  Strong
-convexity comes from the wall normals: one scan finds a full-rank cone's
-walls, and the sum of their inward normals is positive on every ray
-exactly when the cone contains no line.  A Gorenstein support is the
-only rational solve, and Fraction is otherwise built only for polytope
-vertices and one per facet volume.
+convexity comes from the wall normals: one scan over a cone's ray pairs
+finds its rank and its walls, and the sum of their inward normals is
+positive on every ray exactly when the cone contains no line.  A
+Gorenstein support is the only rational solve, and Fraction is otherwise
+built only for polytope vertices and one per facet volume.
 """
 
 from __future__ import annotations
@@ -180,10 +180,6 @@ def classify_index2_cone(rays: tuple[IVec, IVec, IVec]) -> ConeSingularity:
     raise ValueError(f"index-2 cone {rays} has no half-integer lattice point")
 
 
-def _rays_have_full_rank(rays: Sequence[IVec]) -> bool:
-    return any(_dot(a, _cross(b, c)) != 0 for a, b, c in combinations(rays, 3))
-
-
 def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
     """A nonzero direction m with <m, v> >= 0 for all rays, if one exists.
 
@@ -193,7 +189,7 @@ def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
     <., v> = 0, hence proportional to a cross product of two rays.
     """
     zero = (0, 0, 0)
-    if not _rays_have_full_rank(rays):
+    if not any(_dot(a, _cross(b, c)) for a, b, c in combinations(rays, 3)):
         # rank <= 2: some nonzero m is orthogonal to every ray
         for a, b in combinations(rays, 2):
             m = _cross(a, b)
@@ -402,19 +398,22 @@ class FanReport:
 
 
 def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
-    """Strong convexity and walls (2-faces) of a full-rank cone, in one pass.
+    """Rank, strong convexity and walls (2-faces) of a cone, in one pass.
 
-    A pair of rays spans a wall when some plane through them has all the
-    cone's other rays strictly on one side; rays lying on the plane are
-    absorbed into the wall.  Keys are (ray index set, unsigned primitive
-    normal) so the same wall hashes equally from both adjacent cones.
-    The inward normal of a wall is the sign of n with <n, v> > 0 on the
-    off-plane rays; the distinct walls' inward normals sum to m.  A
-    strongly convex cone's walls are its facets, so m lies inside the
+    The cone has rank 3 exactly when some pair of its rays spans a plane
+    with a ray of the cone off it.  Such a pair spans a wall when all the
+    cone's off-plane rays lie strictly on one side; rays lying on the
+    plane are absorbed into the wall.  Keys are (ray index set, unsigned
+    primitive normal) so the same wall hashes equally from both adjacent
+    cones.  The inward normal of a wall is the sign of n with <n, v> > 0
+    on the off-plane rays; the distinct walls' inward normals sum to m.
+    A strongly convex cone's walls are its facets, so m lies inside the
     dual cone and <m, v> > 0 for every ray.  A cone that contains a line
     has a zero non-negative ray combination, so no m is positive on
-    every ray.  Returns (strongly convex, walls keyed as above).
+    every ray.  Returns (full rank, strongly convex, walls keyed as
+    above); a cone of rank <= 2 has no walls.
     """
+    full_rank = False
     walls = {}
     for i, j in combinations(indices, 2):
         n = _cross(rays[i], rays[j])
@@ -422,18 +421,21 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
             continue
         g = gcd(*n)
         n = (n[0] // g, n[1] // g, n[2] // g)
-        sides = {k: _dot(n, rays[k]) for k in indices}
-        on_plane = tuple(sorted(k for k, s in sides.items() if s == 0))
-        off = [s for s in sides.values() if s != 0]
-        if off and (all(s > 0 for s in off) or all(s < 0 for s in off)):
+        sides = [_dot(n, rays[k]) for k in indices]
+        low, high = min(sides), max(sides)
+        if low == high == 0:
+            continue
+        full_rank = True
+        if low >= 0 or high <= 0:
+            on_plane = tuple([k for k, s in zip(indices, sides) if s == 0])
             flipped = (-n[0], -n[1], -n[2])
-            walls[on_plane, max(n, flipped)] = n if off[0] > 0 else flipped
+            walls[on_plane, max(n, flipped)] = n if low >= 0 else flipped
     m = [0, 0, 0]
     for x, y, z in walls.values():
         m[0] += x
         m[1] += y
         m[2] += z
-    return all(_dot(m, rays[k]) > 0 for k in indices), walls
+    return full_rank, all(_dot(m, rays[k]) > 0 for k in indices), walls
 
 
 def validate_fan(f: Fan) -> FanReport:
@@ -446,17 +448,16 @@ def validate_fan(f: Fan) -> FanReport:
     wall_count: dict = {}
     no_support = []
     for ci, cone in enumerate(f.max_cones):
-        rays = [f.rays[i] for i in cone]
-        if not _rays_have_full_rank(rays):
+        full_rank, convex, walls = _cone_walls(f.rays, cone)
+        if not full_rank:
             degenerate.append(ci)
             continue
-        convex, walls = _cone_walls(f.rays, cone)
         if not convex:
             non_convex.append(ci)
         else:
             for wall in walls:
                 wall_count[wall] = wall_count.get(wall, 0) + 1
-        if gorenstein_support(rays) is None:
+        if gorenstein_support([f.rays[i] for i in cone]) is None:
             no_support.append(ci)
     unpaired = tuple(
         f"rays{list(key[0])}" for key, n in sorted(wall_count.items()) if n != 2

@@ -95,7 +95,7 @@ def test_genus_integrality_filter_keeps_exactly_64_and_72():
 def test_twisted_sweep_has_zero_exceptions():
     for n in (0, 2, 3, 4):
         base = BaseSurface(n)
-        records = sweep_twisted_bundles(base, range(32, 37))
+        records = sweep_twisted_bundles(base)
         grid = [r for r in records if "/a=" in r.context]
         # the coefficient box 0 <= a <= 2, a*n <= b <= n+2 at five
         # Euler-characteristic targets
@@ -105,7 +105,7 @@ def test_twisted_sweep_has_zero_exceptions():
         for r in grid:
             assert r.value("c2_prime") < 0
             assert r.value("chi_prime") > 0
-    plane = sweep_twisted_bundles(P2, range(32, 37))
+    plane = sweep_twisted_bundles(P2)
     parity = [r for r in plane if "/m=" in r.context]
     assert len(parity) == 45
     for r in parity:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -422,6 +423,21 @@ def test_reproduce_machine(capsys):
     ]
     assert len(doc["parts"]["classification"]) == 7
     assert sorted(doc["parts"]["twisted-sweep"]) == ["F0", "F2", "F3", "F4", "P2"]
+
+
+# sha256 of the full `reproduce` stdout; a change to any record, verdict,
+# line or byte of either format shows here
+REPRODUCE_DIGESTS = {
+    (): "317f5826f657c82d4c0e26d2c0b5581ada801d7ad73505171f1e95c9cd95d082",
+    ("--machine",): "990f775439f7ea3fc72cf540380fcac96a0e46c93f328f57bd3d37c92f0966fc",
+}
+
+
+def test_reproduce_output_is_pinned_by_digest(capsys):
+    for flags, digest in REPRODUCE_DIGESTS.items():
+        code, out, err = run(capsys, "reproduce", *flags)
+        assert (code, err) == (0, ""), flags
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, flags
 
 
 def test_reproduce_single_part(capsys):

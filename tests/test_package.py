@@ -1,7 +1,9 @@
 """Static checks on the package's shape.
 
 The library carries no public function or class that only tests reach,
-unless it is an independent cross-check oracle named below.
+unless it is an independent cross-check oracle named below, and each
+public name has one home, its submodule: the package namespace binds
+nothing but `__version__`.
 """
 
 import ast
@@ -20,13 +22,11 @@ def unreferenced_public_names(package: Path) -> set[str]:
     """Top-level public functions and classes used nowhere else in the package.
 
     A name counts as used when it is loaded or read as an attribute
-    outside its own definition; `__init__`'s re-exports do not count.
+    outside its own definition.
     """
     defined = set()
     used = set()
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -50,3 +50,11 @@ def test_no_public_library_code_only_tests_reach():
     # a name outside the list is test-only code; a listed name now in use,
     # or gone, leaves the list stale
     assert unreferenced == set(ORACLES), sorted(unreferenced ^ set(ORACLES))
+
+
+def test_package_namespace_binds_only_the_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    # one binding, `__version__ = "<str>"`: no import, no re-export, no helper
+    rest = [ast.unparse(stmt) for stmt in tree.body[1:]]
+    assert len(rest) == 1 and rest[0].startswith("__version__ = '"), rest

@@ -660,6 +660,25 @@ def test_strong_convexity_matches_the_positive_dependence_oracle():
     assert 300 < non_convex < 1200, non_convex
 
 
+def test_validate_flags_rank_deficient_cones():
+    """A cone whose rays span a plane or less is degenerate, not non-convex, and has no walls."""
+    rng = random.Random(20091)
+    cones = [
+        UNIT[:2] + ((1, 1, 0),),
+        ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),
+        ((1, 2, 3), (0, 0, 0), (-2, -4, -6)),
+    ]
+    while len(cones) < 300:
+        u, w = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
+        coefficients = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(3, 6))]
+        cones.append(tuple(vsum(scaled(u, i), scaled(w, j)) for i, j in coefficients))
+    for rays in cones:
+        assert not any(det3(*t) for t in combinations(rays, 3)), rays
+        report = validate_fan(Fan(rays, (tuple(range(len(rays))),)))
+        assert report.degenerate_cones == (0,), rays
+        assert (report.non_convex_cones, report.unpaired_walls) == ((), ()), rays
+
+
 def test_fan_rejects_a_repeated_cone():
     rays = (*UNIT, (-1, -1, -1))
     for cones in (((0, 1, 2), (2, 1, 0)), ((2, 1, 0), (0, 1, 2))):

@@ -14,7 +14,9 @@ giving the vertex -n / c; the search for a direction in which Delta is
 unbounded runs only to word that error.  Each facet of Delta lies on
 the plane <m, v> = -1 of one ray v, so the volume is a sum of pyramids
 from the origin over the facets, each an integer shoelace sum on the
-facet projected along the coordinate k with |v_k| largest.
+facet projected along the coordinate k with |v_k| largest.  A vertex is
+kept as the integer pair (p, d) = (-n, c), the point p / d in lowest
+terms, so Delta is a lattice polytope exactly when every d is 1.
 validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
 rejected.  A ray that lies in no maximal cone is one finding: it still
@@ -24,7 +26,7 @@ convexity comes from the wall normals: one scan over a cone's ray pairs
 finds its rank and its walls, and the sum of their inward normals is
 positive on every ray exactly when the cone contains no line.  A
 Gorenstein support is the only rational solve, and Fraction is otherwise
-built only for polytope vertices and one per facet volume.
+built only once per facet volume.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .lattice import IVec, QVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
+from .lattice import IVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,16 @@ class Fan:
         return tuple(self.rays[i] for i in self.max_cones[cone_index])
 
 
+# the rational point p / d, with d > 0 and gcd(p, d) = 1
+QPoint = tuple[IVec, int]
+
+
 @dataclass(frozen=True)
 class RationalPolytope:
-    """Vertices (triples of Fractions) and facets (ray v, vertices on <m, v> = -1)."""
+    """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1)."""
 
-    vertices: tuple[QVec, ...]
-    facets: tuple[tuple[IVec, tuple[QVec, ...]], ...] = ()
+    vertices: tuple[QPoint, ...]
+    facets: tuple[tuple[IVec, tuple[QPoint, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -276,11 +282,12 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     """Polar polytope Delta of the fan's rays, with its facets.
 
     Each facet <n, x> = c of conv(rays), n primitive and outward, is the
-    vertex -n / c of Delta, and the rays on it are tight there.  A ray
-    tight at three or more vertices bounds a facet; a repeated ray
-    counts once.  Raises when Delta is unbounded, i.e. the rays fail to
-    positively span the space; only then does a search run for the
-    direction the message names.
+    vertex (-n, c) of Delta: c > 0, so -n / c is in lowest terms.  The
+    rays on the facet are tight at that vertex.  A ray tight at three or
+    more vertices bounds a facet; a repeated ray counts once.  Raises
+    when Delta is unbounded, i.e. the rays fail to positively span the
+    space; only then does a search run for the direction the message
+    names.
     """
     rays = tuple(dict.fromkeys(f.rays))
     hull = _hull_facets(rays)
@@ -289,8 +296,8 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
         raise ValueError(
             f"polytope is unbounded: rays do not positively span (direction {vec_str(direction)})"
         )
-    vertices = [(Fraction(-x, c), Fraction(-y, c), Fraction(-z, c)) for (x, y, z), c in hull]
-    on_ray: dict[int, list[QVec]] = {}
+    vertices = [((-x, -y, -z), c) for (x, y, z), c in hull]
+    on_ray: dict[int, list[QPoint]] = {}
     for m, tight in zip(vertices, hull.values()):
         for r in tight:
             on_ray.setdefault(r, []).append(m)
@@ -325,8 +332,8 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     The origin is interior to Delta, so Delta is the union of the
     pyramids from the origin over its facets.  The facet F on the plane
     <m, v> = -1 is projected along the coordinate k with |v_k| largest
-    and scaled by the lcm L of its vertices' denominators, which gives
-    integer points; ordered by a monotone chain, their shoelace sum S is
+    and scaled by the lcm L of its vertices' d, which gives integer
+    points p L / d; ordered by a monotone chain, their shoelace sum S is
     2 L^2 times the projected area.  Since vol(pyramid) = area(F)/(3|v|)
     and the projection scales area by |v_k|/|v|, the pyramid adds
     6 vol = |S| / (L^2 |v_k|), the one Fraction built per facet.  A
@@ -337,16 +344,8 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     for normal, on_facet in p.facets:
         k = max(range(3), key=lambda i: abs(normal[i]))
         i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
-        scale = lcm(*[c.denominator for pt in on_facet for c in pt])
-        ring = _hull_order(
-            [
-                (
-                    pt[i].numerator * (scale // pt[i].denominator),
-                    pt[j].numerator * (scale // pt[j].denominator),
-                )
-                for pt in on_facet
-            ]
-        )
+        scale = lcm(*[d for _, d in on_facet])
+        ring = _hull_order([(m[i] * (scale // d), m[j] * (scale // d)) for m, d in on_facet])
         s = 0
         x0, y0 = ring[-1]
         for x1, y1 in ring:
@@ -371,14 +370,7 @@ class FanReport:
 
     @property
     def is_clean(self) -> bool:
-        return not (
-            self.non_primitive_rays
-            or self.unused_rays
-            or self.degenerate_cones
-            or self.non_convex_cones
-            or self.unpaired_walls
-            or self.cones_without_gorenstein_support
-        )
+        return not self.findings()
 
     def findings(self) -> tuple[str, ...]:
         out = []

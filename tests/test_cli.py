@@ -300,6 +300,36 @@ def test_toric_validate_flags_an_unused_ray(tmp_path, capsys):
     assert run(capsys, "toric", str(unused), "degree") == (0, "degree: 56\n", "")
 
 
+def test_toric_validate_pins_the_ray_and_cone_findings(tmp_path, capsys):
+    # ray 0 is 2 e1; cone 4 holds 2 e1, e2 and e1 + e2, which lie in one plane
+    bad = tmp_path / "bad.fan"
+    bad.write_text(
+        json.dumps(
+            {
+                "rays": [[2, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 0]],
+                "cones": [*P3_CONES, [0, 1, 4]],
+            }
+        )
+    )
+    findings = [
+        "ray 0 is not primitive",
+        "cone 4 is degenerate (rays do not span)",
+        *(f"cone {i} has no integral Gorenstein support vector" for i in range(3)),
+    ]
+    assert run(capsys, "toric", str(bad), "validate") == (
+        0,
+        "rays: 5\nmaximal cones: 5\n" + "".join(f"finding: {f}\n" for f in findings),
+        "",
+    )
+    assert run(capsys, "toric", str(bad), "validate", "--machine") == (
+        0,
+        '{"clean": false, "findings": ['
+        + ", ".join(f'"{f}"' for f in findings)
+        + '], "max_cones": 5, "rays": 5}\n',
+        "",
+    )
+
+
 def test_toric_singularity_report(capsys):
     code, out, _ = run(capsys, "toric", X66, "singularities")
     assert code == 0
@@ -399,6 +429,62 @@ def test_toric_rejects_float_entries(tmp_path, capsys):
     code, _, err = run(capsys, "toric", str(bad), "degree")
     assert code == 1
     assert "only integers" in err
+
+
+P3_RAYS = [*E, [-1, -1, -1]]
+ALL_ACTIONS = ("validate", "degree", "singularities")
+NOT_ARRAYS = '"rays" and "cones" must be arrays'
+HOSTILE_FANS = {
+    # name: (rays, cones, actions that reject the file, message)
+    "no-rays": ([], P3_CONES, ALL_ACTIONS, "fan needs at least one ray"),
+    "rays-not-array": ({"0": [1, 0, 0]}, P3_CONES, ALL_ACTIONS, NOT_ARRAYS),
+    "cones-not-array": (P3_RAYS, 5, ALL_ACTIONS, NOT_ARRAYS),
+    "cone-not-array": (P3_RAYS, [5], ALL_ACTIONS, "cone 5 is not an array of integer indices"),
+    "cone-string-index": (
+        P3_RAYS,
+        [["0", 1, 2]],
+        ALL_ACTIONS,
+        "cone ['0', 1, 2] is not an array of integer indices",
+    ),
+    "cone-index-too-large": (
+        P3_RAYS,
+        [[0, 1, 7]],
+        ALL_ACTIONS,
+        "cone (0, 1, 7) references missing ray 7",
+    ),
+    "cone-index-negative": (
+        P3_RAYS,
+        [[0, 1, -1]],
+        ALL_ACTIONS,
+        "cone (0, 1, -1) references missing ray -1",
+    ),
+    "cone-repeats-index": (P3_RAYS, [[0, 1, 1]], ALL_ACTIONS, "cone (0, 1, 1) repeats a ray index"),
+    "cone-of-two-rays": (
+        P3_RAYS,
+        [[0, 1]],
+        ALL_ACTIONS,
+        "maximal cone (0, 1) has fewer than 3 rays",
+    ),
+    # parses and validates, but Delta is unbounded
+    "zero-rays": (
+        [[0, 0, 0]] * 3,
+        [[0, 1, 2]],
+        ("degree",),
+        "polytope is unbounded: rays do not positively span (direction (1,0,0))",
+    ),
+}
+
+
+@pytest.mark.parametrize("fan", sorted(HOSTILE_FANS))
+def test_toric_rejects_a_hostile_fan_file(tmp_path, capsys, fan):
+    rays, cones, actions, message = HOSTILE_FANS[fan]
+    path = tmp_path / "hostile.fan"
+    path.write_text(json.dumps({"rays": rays, "cones": cones}))
+    for action in actions:
+        for machine in ((), ("--machine",)):
+            argv = ("toric", str(path), action, *machine)
+            # one line on stderr and nothing else: no traceback, no partial output
+            assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_reproduce_table(capsys):

@@ -188,10 +188,10 @@ def test_classify_rejects_higher_index():
 def test_p3_polytope():
     p = anticanonical_polytope(load("p3.fan"))
     assert set(p.vertices) == {
-        (Fraction(-1), Fraction(-1), Fraction(-1)),
-        (Fraction(-1), Fraction(-1), Fraction(3)),
-        (Fraction(-1), Fraction(3), Fraction(-1)),
-        (Fraction(3), Fraction(-1), Fraction(-1)),
+        ((-1, -1, -1), 1),
+        ((-1, -1, 3), 1),
+        ((-1, 3, -1), 1),
+        ((3, -1, -1), 1),
     }
     assert polytope_degree(p) == 64
 
@@ -236,7 +236,7 @@ def test_cube_face_fan_has_the_octahedron_as_polar():
         for sign in (-1, 1)
     )
     p = anticanonical_polytope(Fan(rays, cones))
-    units = {tuple(Fraction(s * (i == k)) for i in range(3)) for k in range(3) for s in (-1, 1)}
+    units = {(tuple(s * (i == k) for i in range(3)), 1) for k in range(3) for s in (-1, 1)}
     assert set(p.vertices) == units
     assert {v for v, _ in p.facets} == set(product((-1, 1), repeat=3))
     assert polytope_degree(p) == 8
@@ -315,7 +315,17 @@ def _oracle_hull_order(points, normal):
     return [pt for _, pt in lower[:-1] + upper[:-1]]
 
 
-def _oracle_degree(p: RationalPolytope) -> Fraction:
+def _fraction_point(vertex) -> tuple[Fraction, Fraction, Fraction]:
+    (x, y, z), d = vertex
+    return (Fraction(x, d), Fraction(y, d), Fraction(z, d))
+
+
+def _fraction_facets(p: RationalPolytope) -> list:
+    """The polytope's facets as (ray, Fraction vertices), the form the oracles work in."""
+    return [(ray, tuple(_fraction_point(m) for m in ms)) for ray, ms in p.facets]
+
+
+def _fraction_volume(facets) -> Fraction:
     """6 vol by a Fraction triangle fan: each facet triangle (a, b, c) adds |det(a, b, c)|."""
 
     def det(a, b, c):
@@ -326,7 +336,7 @@ def _oracle_degree(p: RationalPolytope) -> Fraction:
         )
 
     total = Fraction(0)
-    for ray, on_facet in p.facets:
+    for ray, on_facet in facets:
         ring = _oracle_hull_order(on_facet, ray)
         a = ring[0]
         for b, c in zip(ring[1:], ring[2:]):
@@ -334,6 +344,11 @@ def _oracle_degree(p: RationalPolytope) -> Fraction:
     if total == 0:
         raise ValueError("polytope is not full-dimensional")
     return total
+
+
+def _oracle_degree(p: RationalPolytope) -> Fraction:
+    """The triangle-fan volume of the polytope's facets, read as Fractions."""
+    return _fraction_volume(_fraction_facets(p))
 
 
 def _degree_outcome(degree, f: Fan):
@@ -345,7 +360,7 @@ def _degree_outcome(degree, f: Fan):
 
 
 def _is_integral(p: RationalPolytope) -> bool:
-    return all(c.denominator == 1 for m in p.vertices for c in m)
+    return all(d == 1 for _, d in p.vertices)
 
 
 def test_polytope_degree_matches_the_fraction_oracle_on_random_fans():
@@ -386,7 +401,7 @@ def test_facet_with_mixed_denominators_is_scaled_by_their_lcm():
     # 1, 2 and 5, so no single vertex denominator clears the others
     p = anticanonical_polytope(_wps_fan((5, 2, 1, 1)))
     on_facet = _facet_on(p, (-5, -2, -1))
-    assert {c.denominator for m in on_facet for c in m} == {1, 2, 5}
+    assert {d for _, d in on_facet} == {1, 2, 5}
     assert polytope_degree(p) == Fraction(729, 10) == _oracle_degree(p)
 
 
@@ -402,10 +417,8 @@ def test_facet_normal_with_a_large_dropped_coordinate():
 def _lattice_point_count(f: Fan, p: RationalPolytope) -> int:
     """#(Delta n Z^3) for a lattice polytope: scan its bounding box, test <m, v> >= -1 in integers."""
     rays = f.rays
-    box = [
-        range(min(m[i] for m in p.vertices).numerator, max(m[i] for m in p.vertices).numerator + 1)
-        for i in range(3)
-    ]
+    points = [m for m, _ in p.vertices]
+    box = [range(min(m[i] for m in points), max(m[i] for m in points) + 1) for i in range(3)]
     return sum(
         1
         for m in product(*box)
@@ -490,8 +503,8 @@ def test_polytope_degree_is_unimodular_invariant():
             assert polytope_degree(anticanonical_polytope(f)) == degree
 
 
-def _oracle_polytope(f: Fan) -> RationalPolytope:
-    """Delta by testing every ray triple: O(n^4) whatever the output size.
+def _oracle_polytope(f: Fan):
+    """Delta's Fraction vertices and facets from every ray triple: O(n^4) whatever the output size.
 
     The planes <m, a> = <m, b> = <m, c> = -1 meet in m = N / d with
     N = -(b x c + c x a + a x b) and d = det(a, b, c); kept in lowest
@@ -524,17 +537,30 @@ def _oracle_polytope(f: Fan) -> RationalPolytope:
             for r, p in enumerate(pairings):
                 if p == -d:
                     on_ray.setdefault(r, []).append(m)
-    facets = tuple((rays[r], tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3)
-    return RationalPolytope(tuple(vertices), facets)
+    facets = [(rays[r], tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3]
+    return vertices, facets
 
 
-def _polytope_outcome(build, f: Fan):
-    """Vertices, facet incidences as sets and degree, or the ValueError message."""
+def _polytope_outcome(f: Fan):
+    """Sorted Fraction vertices, facet incidences as sets and degree, or the ValueError message."""
     try:
-        p = build(f)
+        p = anticanonical_polytope(f)
     except ValueError as e:
         return f"ValueError: {e}"
-    return p.vertices, {(v, frozenset(ms)) for v, ms in p.facets}, polytope_degree(p)
+    # each vertex p / d is in lowest terms with d > 0
+    assert all(d > 0 and gcd(*m, d) == 1 for m, d in p.vertices), p.vertices
+    facets = {(v, frozenset(ms)) for v, ms in _fraction_facets(p)}
+    return sorted(map(_fraction_point, p.vertices)), facets, polytope_degree(p)
+
+
+def _oracle_outcome(f: Fan):
+    """The same as _polytope_outcome, from the triple oracle and the Fraction volume."""
+    try:
+        vertices, facets = _oracle_polytope(f)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    incidences = {(v, frozenset(ms)) for v, ms in facets}
+    return sorted(vertices), incidences, _fraction_volume(facets)
 
 
 def _huge_unimodular(rng: random.Random) -> tuple[IVec, IVec, IVec]:
@@ -591,8 +617,8 @@ def test_hull_walk_matches_the_triple_oracle():
         fans.append(Fan(tuple(rays), ((0, 1, 2),)))
     unbounded = 0
     for f in fans:
-        outcome = _polytope_outcome(anticanonical_polytope, f)
-        assert outcome == _polytope_outcome(_oracle_polytope, f), f.rays
+        outcome = _polytope_outcome(f)
+        assert outcome == _oracle_outcome(f), f.rays
         unbounded += isinstance(outcome, str)
     assert len(fans) == 3136
     assert 1000 < unbounded < 2000, unbounded
@@ -727,29 +753,17 @@ def test_integer_coordinates_required():
 
 
 def test_polytope_deduplicates_vertices():
-    p = RationalPolytope(
-        vertices=(
-            (Fraction(0), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(0)),
-            (Fraction(1), Fraction(0), Fraction(0)),
-        )
-    )
+    p = RationalPolytope(vertices=(((0, 0, 0), 1), ((0, 0, 0), 1), ((1, 0, 0), 1)))
     assert len(p.vertices) == 2
 
 
 def test_degenerate_polytope_has_no_volume():
-    square = RationalPolytope(
-        vertices=(
-            (Fraction(0), Fraction(0), Fraction(0)),
-            (Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(1), Fraction(1), Fraction(0)),
-        )
-    )
+    square = RationalPolytope(vertices=tuple(((x, y, 0), 1) for x in (0, 1) for y in (0, 1)))
     with pytest.raises(ValueError):
         polytope_degree(square)
     # a facet whose vertices are collinear has a zero shoelace sum
-    line = tuple((Fraction(x), Fraction(2 * x, 3), Fraction(-1)) for x in range(3))
+    # the points (x, 2x/3, -1) for x = 0, 1, 2
+    line = (((0, 0, -1), 1), ((3, 2, -3), 3), ((6, 4, -3), 3))
     flat = RationalPolytope(vertices=line, facets=(((0, 0, 1), line),))
     for degree in (polytope_degree, _oracle_degree):
         with pytest.raises(ValueError, match="not full-dimensional"):

@@ -41,7 +41,7 @@ from .elimination import (
     classification_summary,
     eliminate_p1_bundles,
     filter_quadric_bundle_degrees,
-    record_to_payload,
+    record_to_json,
     sweep_twisted_bundles,
 )
 from .lattice import det3, vec_str
@@ -75,9 +75,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
+    # exact types: an isinstance test against Fraction runs the slow ABC check
+    if type(v) is bool:
         return "true" if v else "false"
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         if v.denominator == 1:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
@@ -287,19 +288,29 @@ def _describe_verdict(record: CaseRecord) -> str:
     return f"geometric argument: {v.argument}"
 
 
+def _json_object(members: dict) -> str:
+    """A JSON object with sorted keys, from values that are JSON text or such dicts."""
+    quote = json.encoder.encode_basestring_ascii
+    return "{" + ", ".join(
+        f"{quote(k)}: {v if type(v) is str else _json_object(v)}"
+        for k, v in sorted(members.items())
+    ) + "}"
+
+
 def _cmd_reproduce(args) -> int:
     sections = _reproduce(args.part)
     failures = check_ledger(sections)
     if args.machine:
+        # the sorted-key line `_emit` would print, joined from each record's JSON text
         parts: dict = {}
         for name, records in sections.items():
             part, _, base = name.partition("/")
-            entries = [record_to_payload(r) for r in records]
+            entries = "[" + ", ".join(map(record_to_json, records)) + "]"
             if base:
                 parts.setdefault(part, {})[base] = entries
             else:
                 parts[part] = entries
-        _emit({"parts": parts, "failures": failures}, True, [])
+        print(_json_object({"failures": json.dumps(failures), "parts": parts}))
     else:
         lines = []
         counts: dict[str, int] = {}

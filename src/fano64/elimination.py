@@ -22,12 +22,15 @@ individually addressable.
 
 `check_ledger` is the one place that decides whether a run of the
 ledger holds; the command line only prints its failures.
+`record_to_json` writes a record as `reproduce --machine` JSON text, and
+`record_from_payload` reads the parsed text back to an equal record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Union
 
 from .bundles import (
@@ -692,19 +695,41 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Record serialization (exact round-trip)
+# Record serialization (exact round-trip): the text is byte for byte
+# json.dumps(payload, sort_keys=True) of the nested dicts and lists that
+# record_from_payload reads; strings go through json's own ASCII escaper.
 
 
-def _value_to_payload(v: Value) -> dict:
-    if isinstance(v, bool):
-        return {"t": "bool", "v": v}
-    if isinstance(v, int):
-        return {"t": "int", "v": v}
-    if isinstance(v, Fraction):
-        return {"t": "frac", "v": f"{v.numerator}/{v.denominator}"}
-    if isinstance(v, str):
-        return {"t": "str", "v": v}
+def _value_to_json(v: Value) -> str:
+    t = type(v)
+    if t is int:
+        return f'{{"t": "int", "v": {v}}}'
+    if t is str:
+        return f'{{"t": "str", "v": {_quote(v)}}}'
+    if t is bool:
+        return '{"t": "bool", "v": true}' if v else '{"t": "bool", "v": false}'
+    if t is Fraction:
+        return f'{{"t": "frac", "v": "{v.numerator}/{v.denominator}"}}'
     raise TypeError(f"unsupported record value {v!r}")
+
+
+def record_to_json(r: CaseRecord) -> str:
+    """The record as one JSON object, the text `reproduce --machine` prints for it."""
+    computed = ", ".join([f"[{_quote(k)}, {_value_to_json(v)}]" for k, v in r.computed])
+    inputs = ", ".join([f"[{_quote(k)}, {_quote(v)}]" for k, v in r.inputs])
+    v = r.verdict
+    if isinstance(v, ArithmeticContradiction):
+        target = "null" if v.target is None else _value_to_json(v.target)
+        verdict = (
+            f'{{"kind": "arithmetic-contradiction", "op": {_quote(v.op)}, '
+            f'"quantity": {_quote(v.quantity)}, "target": {target}}}'
+        )
+    elif isinstance(v, Survives):
+        verdict = f'{{"construction": {_quote(v.construction)}, "kind": "survives"}}'
+    else:
+        verdict = f'{{"argument": {_quote(v.argument)}, "kind": "geometric-argument"}}'
+    head = f'{{"computed": [{computed}], "context": {_quote(r.context)}, "inputs": [{inputs}]'
+    return f'{head}, "verdict": {verdict}}}'
 
 
 def _value_from_payload(d: dict) -> Value:
@@ -721,19 +746,6 @@ def _value_from_payload(d: dict) -> Value:
     raise ValueError(f"unknown value tag {tag!r}")
 
 
-def _verdict_to_payload(v: Verdict) -> dict:
-    if isinstance(v, ArithmeticContradiction):
-        return {
-            "kind": "arithmetic-contradiction",
-            "quantity": v.quantity,
-            "op": v.op,
-            "target": None if v.target is None else _value_to_payload(v.target),
-        }
-    if isinstance(v, Survives):
-        return {"kind": "survives", "construction": v.construction}
-    return {"kind": "geometric-argument", "argument": v.argument}
-
-
 def _verdict_from_payload(d: dict) -> Verdict:
     kind = d["kind"]
     if kind == "arithmetic-contradiction":
@@ -748,15 +760,6 @@ def _verdict_from_payload(d: dict) -> Verdict:
     if kind == "geometric-argument":
         return GeometricArgument(d["argument"])
     raise ValueError(f"unknown verdict kind {kind!r}")
-
-
-def record_to_payload(r: CaseRecord) -> dict:
-    return {
-        "context": r.context,
-        "inputs": [[k, v] for k, v in r.inputs],
-        "computed": [[k, _value_to_payload(v)] for k, v in r.computed],
-        "verdict": _verdict_to_payload(r.verdict),
-    }
 
 
 def record_from_payload(d: dict) -> CaseRecord:

@@ -511,11 +511,36 @@ def test_reproduce_machine(capsys):
     assert sorted(doc["parts"]["twisted-sweep"]) == ["F0", "F2", "F3", "F4", "P2"]
 
 
-# sha256 of the full `reproduce` stdout; a change to any record, verdict,
-# line or byte of either format shows here
+# sha256 of the `reproduce` stdout, whole and for each part; a change to
+# any record, verdict, line or byte of either format shows here.  A single
+# part takes its own path through the nested twisted-sweep object.
 REPRODUCE_DIGESTS = {
     (): "317f5826f657c82d4c0e26d2c0b5581ada801d7ad73505171f1e95c9cd95d082",
     ("--machine",): "990f775439f7ea3fc72cf540380fcac96a0e46c93f328f57bd3d37c92f0966fc",
+    ("--part", "p1-bundles"): (
+        "4cdf541283fd2a93afa7a36e10132e718872d1260b27ded00563b81c0c366c1b"
+    ),
+    ("--part", "p1-bundles", "--machine"): (
+        "c3ee069bf251a4666a1f964c01783227ce45ef9803a7f84469adc09beb99048d"
+    ),
+    ("--part", "quadric-filter"): (
+        "e37f1cb9e82f087334ba9ebf3233bf7f8ee2beae2bd7bb64cba1b15bfcc4e3cd"
+    ),
+    ("--part", "quadric-filter", "--machine"): (
+        "5ef3def70522ca419847ceb8751815816a389e3b8c985045813711e2e0323b37"
+    ),
+    ("--part", "twisted-sweep"): (
+        "a4c03424217bfacd3b9c97bd6cedac55f002844854eba49f2137823827ae1892"
+    ),
+    ("--part", "twisted-sweep", "--machine"): (
+        "fd67aebb578e11e7f20d12a19c5c1c546c51c542a9f01fa8c7b8837aa571b18c"
+    ),
+    ("--part", "classification"): (
+        "2b2a17e93ce40ce70a0aabd3f9e863741fa768cec563389b213374f0ae7f19be"
+    ),
+    ("--part", "classification", "--machine"): (
+        "acca3c6901a5eb6748c35a1d4ebe9433f4a812014960f9fbac3609db1cc5ada4"
+    ),
 }
 
 
@@ -545,13 +570,25 @@ def test_reproduce_reports_a_failed_ledger_check(capsys, monkeypatch):
     assert "all checks passed" not in out
 
 
+def test_reproduce_machine_reports_a_failed_ledger_check(capsys, monkeypatch):
+    from fano64 import cli
+
+    seven = cli.classification_summary()
+    monkeypatch.setattr(cli, "classification_summary", lambda: seven[:-1])
+    code, out, _ = run(capsys, "reproduce", "--part", "classification", "--machine")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["failures"] == ["classification: 6 records, expected 7"]
+    assert len(doc["parts"]["classification"]) == 6
+
+
 def test_machine_records_round_trip_through_the_serializer(capsys):
     from fano64.cli import _reproduce
     from fano64.elimination import (
         PARTS,
         SWEEP_BASES,
         record_from_payload,
-        record_to_payload,
+        record_to_json,
     )
 
     code, out, _ = run(capsys, "reproduce", "--machine")
@@ -561,7 +598,7 @@ def test_machine_records_round_trip_through_the_serializer(capsys):
     parts: dict = {}
     for name, records in sections.items():
         part, _, base = name.partition("/")
-        entries = [record_to_payload(r) for r in records]
+        entries = [json.loads(record_to_json(r)) for r in records]
         if base:
             parts.setdefault(part, {})[base] = entries
         else:

@@ -6,6 +6,7 @@ violates the stated requirement, and a surviving record must carry the
 target degree.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from fano64.elimination import (
     eliminate_p1_bundles,
     filter_quadric_bundle_degrees,
     record_from_payload,
-    record_to_payload,
+    record_to_json,
     requirement_holds,
     surviving_constructions,
     sweep_twisted_bundles,
@@ -482,7 +483,7 @@ verdicts = st.one_of(
         ArithmeticContradiction,
         st.sampled_from(["c2", "chi", "degree"]),
         st.sampled_from(["is-integer", "==", "!=", "<", "<=", ">", ">="]),
-        st.integers(min_value=-100, max_value=100),
+        st.none() | values,
     ),
 )
 records = st.builds(
@@ -499,9 +500,59 @@ records = st.builds(
 )
 
 
+# The dict builder `reproduce --machine` once serialized with
+# json.dumps(..., sort_keys=True): the oracle for record_to_json's bytes.
+
+
+def _value_to_payload(v) -> dict:
+    if isinstance(v, bool):
+        return {"t": "bool", "v": v}
+    if isinstance(v, int):
+        return {"t": "int", "v": v}
+    if isinstance(v, Fraction):
+        return {"t": "frac", "v": f"{v.numerator}/{v.denominator}"}
+    if isinstance(v, str):
+        return {"t": "str", "v": v}
+    raise TypeError(f"unsupported record value {v!r}")
+
+
+def _verdict_to_payload(v) -> dict:
+    if isinstance(v, ArithmeticContradiction):
+        return {
+            "kind": "arithmetic-contradiction",
+            "quantity": v.quantity,
+            "op": v.op,
+            "target": None if v.target is None else _value_to_payload(v.target),
+        }
+    if isinstance(v, Survives):
+        return {"kind": "survives", "construction": v.construction}
+    return {"kind": "geometric-argument", "argument": v.argument}
+
+
+def record_to_payload(r: CaseRecord) -> dict:
+    return {
+        "context": r.context,
+        "inputs": [[k, v] for k, v in r.inputs],
+        "computed": [[k, _value_to_payload(v)] for k, v in r.computed],
+        "verdict": _verdict_to_payload(r.verdict),
+    }
+
+
 @given(records)
 def test_serialization_round_trip(r):
-    assert record_from_payload(record_to_payload(r)) == r
+    assert record_from_payload(json.loads(record_to_json(r))) == r
+
+
+@given(records)
+def test_record_json_is_json_dumps_of_the_payload(r):
+    assert record_to_json(r) == json.dumps(record_to_payload(r), sort_keys=True)
+
+
+def test_record_json_rejects_a_value_of_another_type():
+    for value in (1.5, None, (1, 2)):
+        r = CaseRecord("c", (), (("x", value),), GeometricArgument("x"))
+        with pytest.raises(TypeError):
+            record_to_json(r)
 
 
 def test_serialized_fractions_stay_exact():
@@ -511,6 +562,6 @@ def test_serialized_fractions_stay_exact():
         computed=(("q", Fraction(-5, 4)),),
         verdict=GeometricArgument("x"),
     )
-    payload = record_to_payload(r)
+    payload = json.loads(record_to_json(r))
     assert payload["computed"][0][1] == {"t": "frac", "v": "-5/4"}
     assert record_from_payload(payload).value("q") == Fraction(-5, 4)

@@ -14,7 +14,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fano64"
 # Public names that only tests call, each kept as an independent cross-check.
 ORACLES = {
     "triple_intersection": "cubes a divisor class term by term, against degree_p1_bundle",
-    "record_from_payload": "reads a serialized record back, against record_to_payload",
+    "record_from_payload": "reads a serialized record back, against record_to_json",
 }
 
 

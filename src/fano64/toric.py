@@ -21,12 +21,19 @@ validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
 rejected.  A ray that lies in no maximal cone is one finding: it still
 bounds Delta, so it changes the degree.  The cone checks (rank, strong
-convexity, walls, Gorenstein supports) run on integer tuples.  Strong
-convexity comes from the wall normals: one scan over a cone's ray pairs
-finds its rank and its walls, and the sum of their inward normals is
-positive on every ray exactly when the cone contains no line.  A
-Gorenstein support is the only rational solve, and Fraction is otherwise
-built only once per facet volume.
+convexity, walls, Gorenstein supports) run on integer tuples from one
+support plane per cone: the rational m with <m, v> = -1 on the cone's
+first independent triple, scaled by the lcm L of its denominators to
+the integer plane <s, x> = -L.  The cone has rank 3 exactly when such a
+triple exists, and a Gorenstein support exactly when L = 1 and every
+ray lies on the plane.  A cone whose rays all lie on the plane is the
+cone over a convex polygon in it, so it is pointed, and its walls are
+the consecutive pairs of the polygon's ring.  Only a cone off its plane
+goes through the pair scan: a pair of rays spans a wall when every ray
+lies on one side of its plane, and the sum of the walls' inward normals
+is positive on every ray exactly when the cone contains no line.  The
+support solve is the only rational step of the cone checks, and
+Fraction is otherwise built only once per facet volume.
 """
 
 from __future__ import annotations
@@ -132,6 +139,31 @@ def cone_lattice_index(rays: tuple[IVec, IVec, IVec]) -> int:
     return abs(d)
 
 
+def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int] | None:
+    """The integer plane <s, x> = -L through a cone's rational support, if any.
+
+    The rational m with <m, v> = -1 on the first independent triple of
+    rays is the one rational solve of the toric checks.  Scaled by the
+    lcm L of its denominators it is the integer s = L m.  The cone is
+    Q-Cartier exactly when every ray has <s, v> = -L, and Gorenstein when
+    moreover L = 1.  Returns (s, L), or None when the rays have rank at
+    most 2.
+    """
+    for triple in combinations(rays, 3):
+        m = solve3(triple, (-1, -1, -1))
+        if m is None:
+            continue
+        x, y, z = m
+        level = lcm(x.denominator, y.denominator, z.denominator)
+        s = (
+            x.numerator * (level // x.denominator),
+            y.numerator * (level // y.denominator),
+            z.numerator * (level // z.denominator),
+        )
+        return s, level
+    return None
+
+
 def gorenstein_support(rays: Sequence[IVec]) -> IVec | None:
     """The integral m with <m, v> = -1 for all rays of the cone, if any.
 
@@ -139,18 +171,14 @@ def gorenstein_support(rays: Sequence[IVec]) -> IVec | None:
     existence for every cone of a complete fan is the Gorenstein
     condition on the toric variety.  Returns None when the solution is
     non-integral, inconsistent, or not unique (degenerate cone).  The
-    solve on the first independent triple is the only rational step; the
-    other rays are checked with integer dot products.
+    support plane <s, x> = -L of the cone decides: m = s when L = 1 and
+    every ray lies on the plane.
     """
-    for triple in combinations(rays, 3):
-        m = solve3(triple, (-1, -1, -1))
-        if m is None:
-            continue
-        if any(c.denominator != 1 for c in m):
-            return None
-        point = (m[0].numerator, m[1].numerator, m[2].numerator)
-        return point if all(_dot(point, v) == -1 for v in rays) else None
-    return None
+    plane = _support_plane(rays)
+    if plane is None or plane[1] != 1:
+        return None
+    s = plane[0]
+    return s if all(_dot(s, v) == -1 for v in rays) else None
 
 
 def classify_index2_cone(rays: tuple[IVec, IVec, IVec]) -> ConeSingularity:
@@ -389,23 +417,58 @@ class FanReport:
         return tuple(out)
 
 
-def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
-    """Rank, strong convexity and walls (2-faces) of a cone, in one pass.
+def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> dict:
+    """Walls (2-faces) of a cone whose rays all lie on one plane <s, x> = -L, L > 0.
 
-    The cone has rank 3 exactly when some pair of its rays spans a plane
-    with a ray of the cone off it.  Such a pair spans a wall when all the
-    cone's off-plane rays lie strictly on one side; rays lying on the
-    plane are absorbed into the wall.  Keys are (ray index set, unsigned
-    primitive normal) so the same wall hashes equally from both adjacent
-    cones.  The inward normal of a wall is the sign of n with <n, v> > 0
-    on the off-plane rays; the distinct walls' inward normals sum to m.
-    A strongly convex cone's walls are its facets, so m lies inside the
-    dual cone and <m, v> > 0 for every ray.  A cone that contains a line
-    has a zero non-negative ray combination, so no m is positive on
-    every ray.  Returns (full rank, strongly convex, walls keyed as
-    above); a cone of rank <= 2 has no walls.
+    The plane misses the origin, so the cone is pointed: it is the cone
+    over the convex polygon its rays span in that plane, and its walls are
+    the cones over the polygon's edges.  Projected along the coordinate k
+    with |s_k| largest, the plane maps one to one onto two coordinates,
+    and _hull_order lists the polygon's vertices in order, so each wall is
+    spanned by two consecutive vertices.  A wall holds the rays on its
+    plane, and its inward normal is the sign of the wall's normal that is
+    positive on the next vertex of the ring.  Three rays are their own
+    ring, and each of their walls holds just its own two.  Keys are those
+    of _cone_walls.
     """
-    full_rank = False
+    three = len(indices) == 3
+    if three:
+        a, b, c = indices
+        edges = ((a, b, c), (a, c, b), (b, c, a))
+    else:
+        k = max(range(3), key=lambda i: abs(s[i]))
+        i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
+        flat = {(rays[t][i], rays[t][j]): t for t in indices}
+        ring = [flat[q] for q in _hull_order(list(flat))]
+        edges = zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2])
+    walls = {}
+    for p, q, r in edges:
+        n = _cross(rays[p], rays[q])
+        g = gcd(*n)
+        n = (n[0] // g, n[1] // g, n[2] // g)
+        on_plane = (p, q) if three else tuple([t for t in indices if _dot(n, rays[t]) == 0])
+        flipped = (-n[0], -n[1], -n[2])
+        walls[on_plane, max(n, flipped)] = n if _dot(n, rays[r]) > 0 else flipped
+    return walls
+
+
+def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
+    """Strong convexity and walls (2-faces) of a rank-3 cone off its support plane.
+
+    This is the pair scan, for the cones _ring_walls cannot take: those
+    that are not Q-Cartier, and those with a zero ray.  A pair of rays
+    spans a wall when all the cone's off-plane rays lie on one side of
+    its plane; rank 3 means some ray is off every such plane, and rays
+    lying on the plane are absorbed into the wall.  Keys are (ray index
+    set, unsigned primitive normal) so the same wall hashes equally from
+    both adjacent cones.  The inward normal of a wall is the sign of n
+    with <n, v> > 0 on the off-plane rays; the distinct walls' inward
+    normals sum to m.  A strongly convex cone's walls are its facets, so
+    m lies inside the dual cone and <m, v> > 0 for every ray.  A cone
+    that contains a line has a zero non-negative ray combination, so no
+    m is positive on every ray.  Returns (strongly convex, walls keyed as
+    above).
+    """
     walls = {}
     for i, j in combinations(indices, 2):
         n = _cross(rays[i], rays[j])
@@ -415,9 +478,6 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
         n = (n[0] // g, n[1] // g, n[2] // g)
         sides = [_dot(n, rays[k]) for k in indices]
         low, high = min(sides), max(sides)
-        if low == high == 0:
-            continue
-        full_rank = True
         if low >= 0 or high <= 0:
             on_plane = tuple([k for k, s in zip(indices, sides) if s == 0])
             flipped = (-n[0], -n[1], -n[2])
@@ -427,11 +487,16 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
         m[0] += x
         m[1] += y
         m[2] += z
-    return full_rank, all(_dot(m, rays[k]) > 0 for k in indices), walls
+    return all(_dot(m, rays[k]) > 0 for k in indices), walls
 
 
 def validate_fan(f: Fan) -> FanReport:
-    """Structural checks: primitivity, ray use, convexity, wall pairing, supports."""
+    """Structural checks: primitivity, ray use, convexity, wall pairing, supports.
+
+    One support plane per cone decides its rank and its Gorenstein
+    support, and chooses how its walls are found: from the ring of its
+    rays when they all lie on the plane, else by the pair scan.
+    """
     non_primitive = tuple([i for i, v in enumerate(f.rays) if not _is_primitive(v)])
     used = {i for cone in f.max_cones for i in cone}
     unused = tuple([i for i in range(len(f.rays)) if i not in used])
@@ -440,17 +505,24 @@ def validate_fan(f: Fan) -> FanReport:
     wall_count: dict = {}
     no_support = []
     for ci, cone in enumerate(f.max_cones):
-        full_rank, convex, walls = _cone_walls(f.rays, cone)
-        if not full_rank:
+        plane = _support_plane([f.rays[i] for i in cone])
+        if plane is None:
             degenerate.append(ci)
             continue
+        s, level = plane
+        # three independent rays always lie on their plane
+        if len(cone) == 3 or all(_dot(s, f.rays[i]) == -level for i in cone):
+            convex, walls = True, _ring_walls(f.rays, cone, s)
+            if level != 1:
+                no_support.append(ci)
+        else:
+            convex, walls = _cone_walls(f.rays, cone)
+            no_support.append(ci)
         if not convex:
             non_convex.append(ci)
         else:
             for wall in walls:
                 wall_count[wall] = wall_count.get(wall, 0) + 1
-        if gorenstein_support([f.rays[i] for i in cone]) is None:
-            no_support.append(ci)
     unpaired = tuple(
         f"rays{list(key[0])}" for key, n in sorted(wall_count.items()) if n != 2
     )

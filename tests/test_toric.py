@@ -14,7 +14,10 @@ from fano64.toric import (
     ConeSingularityKind,
     Fan,
     RationalPolytope,
+    _cone_walls,
     _positive_span_fails,
+    _ring_walls,
+    _support_plane,
     anticanonical_polytope,
     classify_index2_cone,
     cone_lattice_index,
@@ -494,6 +497,9 @@ def test_polytope_degree_is_unimodular_invariant():
     rng = random.Random(66)
     for name, degree in (("p3.fan", 64), ("p1p1p1.fan", 48), ("x66.fan", 66)):
         base = load(name)
+        findings = validate_fan(base).findings()
+        # x66 has a cone off its support plane, which takes the pair scan
+        assert (len(findings) == 6) is (name == "x66.fan"), findings
         for _ in range(100):
             m = random_unimodular(rng)
             f = Fan(
@@ -501,6 +507,8 @@ def test_polytope_degree_is_unimodular_invariant():
                 max_cones=base.max_cones,
             )
             assert polytope_degree(anticanonical_polytope(f)) == degree
+            # the ring walls project along a coordinate, so they depend on coordinates
+            assert validate_fan(f).findings() == findings
 
 
 def _oracle_polytope(f: Fan):
@@ -684,6 +692,45 @@ def test_strong_convexity_matches_the_positive_dependence_oracle():
         non_convex += dependent
     # both verdicts are well represented
     assert 300 < non_convex < 1200, non_convex
+
+
+def test_ring_walls_match_the_pair_scan_on_q_cartier_cones():
+    """Rays on a plane <s, x> = -L: the ring of their polygon and the pair scan find the same walls.
+
+    Points of a small box in the plane z = -L, some repeated, many on the
+    polygon's edges or inside it, sometimes shifted by 10^12, are mapped
+    by a unimodular matrix T; the plane becomes <s, x> = -L with
+    s = T e1 x T e2 up to sign.
+    """
+    rng = random.Random(20092)
+    checked = beyond_triangles = 0
+    while checked < 600:
+        level = rng.choice((1, 2, 3, 6))
+        bound = rng.randint(1, 3)
+        shift = rng.choice((0, 0, 0, 10**12))
+        points = [
+            (rng.randint(-bound, bound) + shift, rng.randint(-bound, bound) - shift, -level)
+            for _ in range(rng.randint(3, 10))
+        ]
+        points += [rng.choice(points) for _ in range(rng.randint(0, 2))]
+        m = random_unimodular(rng)
+        rays = tuple(apply(m, p) for p in points)
+        s = _cross(apply(m, (1, 0, 0)), apply(m, (0, 1, 0)))
+        if _dot(s, apply(m, (0, 0, 1))) < 0:
+            s = scaled(s, -1)
+        plane = _support_plane(rays)
+        if plane is None:
+            # the points are collinear
+            continue
+        assert plane == (s, level), rays
+        assert all(_dot(s, v) == -level for v in rays)
+        indices = tuple(range(len(rays)))
+        convex, walls = _cone_walls(rays, indices)
+        assert convex, rays
+        assert _ring_walls(rays, indices, s) == walls, rays
+        checked += 1
+        beyond_triangles += len(walls) > 3
+    assert beyond_triangles > 200, beyond_triangles
 
 
 def test_validate_flags_rank_deficient_cones():

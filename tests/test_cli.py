@@ -331,11 +331,28 @@ def test_toric_validate_pins_the_ray_and_cone_findings(tmp_path, capsys):
 
 
 def test_toric_singularity_report(capsys):
-    code, out, _ = run(capsys, "toric", X66, "singularities")
-    assert code == 0
-    assert "index 2, transverse-A1, witness (0,-1,1)" in out
-    assert "no integral Gorenstein support" in out
-    assert "non-simplicial" in out
+    # x66 has an index-2 witness, two non-simplicial cones and a cone with no support
+    assert run(capsys, "toric", X66, "singularities") == (
+        0,
+        "cone 0 [0, 1, 2]: index 2, transverse-A1, witness (0,-1,1)\n"
+        "cone 0 [0, 1, 2]: Gorenstein support (1,2,1)\n"
+        "cone 1 [0, 2, 3, 4]: non-simplicial, index not computed\n"
+        "cone 1 [0, 2, 3, 4]: Gorenstein support (1,0,0)\n"
+        "cone 2 [1, 2, 3, 4]: non-simplicial, index not computed\n"
+        "cone 2 [1, 2, 3, 4]: no integral Gorenstein support\n"
+        "cone 3 [0, 1, 4]: index 1, smooth\n"
+        "cone 3 [0, 1, 4]: Gorenstein support (1,2,4)\n",
+        "",
+    )
+    assert run(capsys, "toric", X66, "singularities", "--machine") == (
+        0,
+        '{"cones": [{"cone": [0, 1, 2], "degenerate": false, "gorenstein_support": [1, 2, 1], '
+        '"index": 2, "type": "transverse-A1", "witness": [0, -1, 1]}, {"cone": [0, 2, 3, 4], '
+        '"degenerate": false, "gorenstein_support": [1, 0, 0], "index": null}, {"cone": [1, 2, 3, 4], '
+        '"degenerate": false, "gorenstein_support": null, "index": null}, {"cone": [0, 1, 4], '
+        '"degenerate": false, "gorenstein_support": [1, 2, 4], "index": 1, "type": "smooth"}]}\n',
+        "",
+    )
 
 
 def test_toric_singularities_reports_every_cone(tmp_path, capsys):

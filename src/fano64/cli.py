@@ -8,7 +8,10 @@ print as p/q, never as decimals.
 
 This module only parses arguments and formats results.  What a
 `reproduce` run must satisfy is decided in the library, by
-`elimination.check_ledger`; the report prints its failures.
+`elimination.check_ledger`; the report prints its failures.  What
+`toric singularities` says of each cone is decided by
+`toric.cone_singularity`.  Integer arguments are plain decimals: an
+optional sign and ASCII digits, with surrounding spaces allowed.
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a value
 requested for verification does not match the computed one or a ledger
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -44,14 +48,13 @@ from .elimination import (
     record_to_json,
     sweep_twisted_bundles,
 )
-from .lattice import det3, vec_str
+from .lattice import vec_str
 from .ledger import genus_of_degree
 from .surfaces import BASES, BaseSurface, SurfaceClass
 from .toric import (
     anticanonical_polytope,
-    classify_index2_cone,
+    cone_singularity,
     fan_from_json,
-    gorenstein_support,
     polytope_degree,
     validate_fan,
 )
@@ -85,12 +88,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
-    parts = text.split(",")
+def _integer(text: str) -> int:
+    """An optional sign and ASCII decimal digits, with surrounding spaces stripped.
+
+    int() alone would also read Python literal syntax: "1_0" as 10, and
+    non-ASCII digits such as "\u0663" as 3.
+    """
+    digits = text.strip()
+    if not re.fullmatch("[+-]?[0-9]+", digits):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
     try:
-        coeffs = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"c1 coefficients must be integers, got {text!r}")
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
+    try:
+        coeffs = [_integer(p) for p in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"c1 coefficients must be integers, got {text!r}") from None
     if base.is_plane:
         if len(coeffs) != 1:
             raise ValueError("c1 on P2 takes a single coefficient")
@@ -228,36 +245,27 @@ def _cmd_toric(args) -> int:
     lines = []
     cones_doc = []
     for ci, cone in enumerate(fan.max_cones):
-        rays = fan.cone_rays(ci)
-        entry: dict = {"cone": list(cone), "degenerate": False}
+        sing = cone_singularity(fan.cone_rays(ci))
+        entry: dict = {"cone": list(cone), "degenerate": sing.degenerate, "index": sing.index}
         prefix = f"cone {ci} {list(cone)}:"
-        d = det3(*rays) if len(rays) == 3 else None
-        if d is None:
-            lines.append(f"{prefix} non-simplicial, index not computed")
-            entry["index"] = None
-        elif d == 0:
+        if sing.degenerate:
             lines.append(f"{prefix} degenerate (rays do not span), index not computed")
-            entry["index"] = None
-            entry["degenerate"] = True
+        elif sing.index is None:
+            lines.append(f"{prefix} non-simplicial, index not computed")
+        elif sing.kind is None:
+            lines.append(f"{prefix} index {sing.index}, not classified")
         else:
-            index = abs(d)
-            entry["index"] = index
-            if index <= 2:
-                sing = classify_index2_cone(rays)
-                entry["type"] = sing.kind.value
-                witness = ""
-                if sing.witness is not None:
-                    entry["witness"] = list(sing.witness)
-                    witness = f", witness {vec_str(sing.witness)}"
-                lines.append(f"{prefix} index {index}, {sing.kind.value}{witness}")
-            else:
-                lines.append(f"{prefix} index {index}, not classified")
-        support = gorenstein_support(rays)
-        entry["gorenstein_support"] = None if support is None else list(support)
-        if support is None:
+            entry["type"] = sing.kind.value
+            witness = ""
+            if sing.witness is not None:
+                entry["witness"] = list(sing.witness)
+                witness = f", witness {vec_str(sing.witness)}"
+            lines.append(f"{prefix} index {sing.index}, {sing.kind.value}{witness}")
+        entry["gorenstein_support"] = None if sing.support is None else list(sing.support)
+        if sing.support is None:
             lines.append(f"{prefix} no integral Gorenstein support")
         else:
-            lines.append(f"{prefix} Gorenstein support {vec_str(support)}")
+            lines.append(f"{prefix} Gorenstein support {vec_str(sing.support)}")
         cones_doc.append(entry)
     _emit({"cones": cones_doc}, args.machine, lines)
     return 0
@@ -347,10 +355,10 @@ def _build_parser() -> _Parser:
         "--c1", required=True, help="c1 coefficients: a (P2) or a,b (F_n)"
     )
     group = bundle.add_mutually_exclusive_group(required=True)
-    group.add_argument("--c2", type=int, help="second Chern number")
+    group.add_argument("--c2", type=_integer, help="second Chern number")
     group.add_argument(
         "--solve-degree",
-        type=int,
+        type=_integer,
         metavar="N",
         help="solve for the c2 giving anticanonical degree N",
     )
@@ -358,7 +366,7 @@ def _build_parser() -> _Parser:
     bundle.set_defaults(func=_cmd_bundle)
 
     wps = sub.add_parser("wps", help="weighted projective space invariants")
-    wps.add_argument("weights", type=int, nargs=4, metavar="W")
+    wps.add_argument("weights", type=_integer, nargs=4, metavar="W")
     wps.add_argument("--machine", action="store_true", help="JSON output")
     wps.set_defaults(func=_cmd_wps)
 
@@ -367,7 +375,7 @@ def _build_parser() -> _Parser:
     toric.add_argument("action", choices=("validate", "degree", "singularities"))
     toric.add_argument(
         "--expect",
-        type=int,
+        type=_integer,
         metavar="N",
         help="verify the computed degree equals N (exit 2 on mismatch)",
     )

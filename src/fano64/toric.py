@@ -1,9 +1,10 @@
 """Fans in Z^3 and their anticanonical polytopes, in exact arithmetic.
 
 A fan is a list of primitive ray vectors plus maximal cones given as
-index sets.  The toolkit computes lattice indices of simplicial cones,
-Gorenstein support vectors, the classification of index-2 canonical
-cone singularities, and the polar polytope
+index sets.  cone_singularity tells, for one cone, whether its rays
+span, the lattice index of a simplicial cone, the type of an index-1 or
+index-2 cone, and its integral Gorenstein support vector.  The toolkit
+also computes the polar polytope
 
     Delta = { m : <m, v> >= -1 for every ray v },
 
@@ -26,14 +27,16 @@ support plane per cone: the rational m with <m, v> = -1 on the cone's
 first independent triple, scaled by the lcm L of its denominators to
 the integer plane <s, x> = -L.  The cone has rank 3 exactly when such a
 triple exists, and a Gorenstein support exactly when L = 1 and every
-ray lies on the plane.  A cone whose rays all lie on the plane is the
-cone over a convex polygon in it, so it is pointed, and its walls are
-the consecutive pairs of the polygon's ring.  Only a cone off its plane
-goes through the pair scan: a pair of rays spans a wall when every ray
-lies on one side of its plane, and the sum of the walls' inward normals
-is positive on every ray exactly when the cone contains no line.  The
-support solve is the only rational step of the cone checks, and
-Fraction is otherwise built only once per facet volume.
+ray lies on the plane; _support_plane answers whether they do, and
+validate_fan and cone_singularity both read that one answer.  A cone
+whose rays all lie on the plane is the cone over a convex polygon in
+it, so it is pointed, and its walls are the consecutive pairs of the
+polygon's ring.  Only a cone off its plane goes through the pair
+scan: a pair of rays spans a wall when every ray lies on one side of
+its plane, and the sum of the walls' inward normals is positive on
+every ray exactly when the cone contains no line.  The support solve is
+the only rational step of the cone checks, and Fraction is otherwise
+built only once per facet volume.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .lattice import IVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
@@ -120,34 +123,32 @@ class ConeSingularityKind(Enum):
 
 @dataclass(frozen=True)
 class ConeSingularity:
-    """Classification of a lattice-index <= 2 simplicial cone.
+    """What one maximal cone is, as far as `toric singularities` tells.
 
-    For index 2 the witness is the lattice point which is a half-integer
-    combination of the three rays; it sits on a proper face exactly in
-    the transverse-A1 case.
+    A degenerate cone (rays of rank at most 2) has nothing else.  A
+    simplicial cone has its lattice index; at index 1 and 2 it has a
+    kind, and at index 2 the witness, the lattice point which is a
+    half-integer combination of the three rays.  support is the integral
+    Gorenstein support vector, when the cone has one.
     """
 
-    kind: ConeSingularityKind
+    degenerate: bool
+    index: int | None = None
+    kind: ConeSingularityKind | None = None
     witness: IVec | None = None
+    support: IVec | None = None
 
 
-def cone_lattice_index(rays: tuple[IVec, IVec, IVec]) -> int:
-    """Index of the sublattice spanned by a simplicial cone's rays."""
-    d = det3(*rays)
-    if d == 0:
-        raise ValueError(f"degenerate cone: rays {rays} are linearly dependent")
-    return abs(d)
-
-
-def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int] | None:
+def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int, bool] | None:
     """The integer plane <s, x> = -L through a cone's rational support, if any.
 
     The rational m with <m, v> = -1 on the first independent triple of
     rays is the one rational solve of the toric checks.  Scaled by the
-    lcm L of its denominators it is the integer s = L m.  The cone is
-    Q-Cartier exactly when every ray has <s, v> = -L, and Gorenstein when
-    moreover L = 1.  Returns (s, L), or None when the rays have rank at
-    most 2.
+    lcm L of its denominators it is the integer s = L m.  Returns
+    (s, L, whether every ray has <s, v> = -L), or None when the rays
+    have rank at most 2.  The cone is Q-Cartier exactly when every ray
+    lies on the plane, and Gorenstein when moreover L = 1; three
+    independent rays always lie on it.
     """
     for triple in combinations(rays, 3):
         m = solve3(triple, (-1, -1, -1))
@@ -160,58 +161,46 @@ def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int] | None:
             y.numerator * (level // y.denominator),
             z.numerator * (level // z.denominator),
         )
-        return s, level
+        return s, level, len(rays) == 3 or all(_dot(s, v) == -level for v in rays)
     return None
 
 
-def gorenstein_support(rays: Sequence[IVec]) -> IVec | None:
-    """The integral m with <m, v> = -1 for all rays of the cone, if any.
+def cone_singularity(rays: Sequence[IVec]) -> ConeSingularity:
+    """Degeneracy, lattice index, index-2 type and Gorenstein support of one cone.
 
-    For a full-dimensional cone such an m is unique if it exists; its
-    existence for every cone of a complete fan is the Gorenstein
-    condition on the toric variety.  Returns None when the solution is
-    non-integral, inconsistent, or not unique (degenerate cone).  The
-    support plane <s, x> = -L of the cone decides: m = s when L = 1 and
-    every ray lies on the plane.
+    The support plane decides degeneracy and the support: m = s when
+    L = 1 and every ray lies on the plane, which for a full-dimensional
+    cone is the unique integral m with <m, v> = -1 on every ray.  The
+    index of a simplicial cone is |det|.  Index 1 is smooth.  At index 2
+    exactly one nonzero combination (e1 v1 + e2 v2 + e3 v3)/2 with e_i in
+    {0, 1} is a lattice point: on a proper face (some e_i = 0) it is a
+    transverse A1 curve germ, in the interior (all e_i = 1) an isolated
+    half-point.  A larger index is left unclassified.
     """
     plane = _support_plane(rays)
-    if plane is None or plane[1] != 1:
-        return None
-    s = plane[0]
-    return s if all(_dot(s, v) == -1 for v in rays) else None
-
-
-def classify_index2_cone(rays: tuple[IVec, IVec, IVec]) -> ConeSingularity:
-    """Sort an index-1 or index-2 simplicial cone by singularity type.
-
-    Index 1 is smooth.  For index 2 exactly one nonzero combination
-    (e1 v1 + e2 v2 + e3 v3)/2 with e_i in {0, 1} is a lattice point:
-    on a proper face (some e_i = 0) it is a transverse A1 curve germ,
-    in the interior (all e_i = 1) an isolated half-point.
-    """
-    index = cone_lattice_index(rays)
+    if plane is None:
+        return ConeSingularity(degenerate=True)
+    s, level, on_plane = plane
+    index = abs(det3(*rays)) if len(rays) == 3 else None
+    kind = witness = None
     if index == 1:
-        return ConeSingularity(ConeSingularityKind.SMOOTH)
-    if index > 2:
-        raise ValueError(f"cone has lattice index {index}; only 1 and 2 are classified")
-    face_witness = None
-    interior_witness = None
-    for eps in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)):
-        x = y = z = 0
-        for e, v in zip(eps, rays):
-            if e:
-                x, y, z = x + v[0], y + v[1], z + v[2]
-        if x % 2 == 0 and y % 2 == 0 and z % 2 == 0 and (x, y, z) != (0, 0, 0):
-            point = (x // 2, y // 2, z // 2)
-            if 0 in eps:
-                face_witness = face_witness or point
-            else:
-                interior_witness = point
-    if face_witness is not None:
-        return ConeSingularity(ConeSingularityKind.TRANSVERSE_A1, face_witness)
-    if interior_witness is not None:
-        return ConeSingularity(ConeSingularityKind.ISOLATED_HALF_POINT, interior_witness)
-    raise ValueError(f"index-2 cone {rays} has no half-integer lattice point")
+        kind = ConeSingularityKind.SMOOTH
+    elif index == 2:
+        a, b, c = rays
+        for e, f, g in product((0, 1), repeat=3):
+            x = e * a[0] + f * b[0] + g * c[0]
+            y = e * a[1] + f * b[1] + g * c[1]
+            z = e * a[2] + f * b[2] + g * c[2]
+            if (e or f or g) and x % 2 == 0 and y % 2 == 0 and z % 2 == 0:
+                break
+        else:
+            raise ArithmeticError(f"index-2 cone {rays} has no half-integer lattice point")
+        kind = ConeSingularityKind.TRANSVERSE_A1
+        if e and f and g:
+            kind = ConeSingularityKind.ISOLATED_HALF_POINT
+        witness = (x // 2, y // 2, z // 2)
+    support = s if level == 1 and on_plane else None
+    return ConeSingularity(False, index, kind, witness, support)
 
 
 def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
@@ -509,15 +498,13 @@ def validate_fan(f: Fan) -> FanReport:
         if plane is None:
             degenerate.append(ci)
             continue
-        s, level = plane
-        # three independent rays always lie on their plane
-        if len(cone) == 3 or all(_dot(s, f.rays[i]) == -level for i in cone):
+        s, level, on_plane = plane
+        if level != 1 or not on_plane:
+            no_support.append(ci)
+        if on_plane:
             convex, walls = True, _ring_walls(f.rays, cone, s)
-            if level != 1:
-                no_support.append(ci)
         else:
             convex, walls = _cone_walls(f.rays, cone)
-            no_support.append(ci)
         if not convex:
             non_convex.append(ci)
         else:

@@ -47,10 +47,8 @@ from fano64.surfaces import (
 from fano64.toric import (
     ConeSingularityKind,
     anticanonical_polytope,
-    classify_index2_cone,
-    cone_lattice_index,
+    cone_singularity,
     fan_from_json,
-    gorenstein_support,
     polytope_degree,
     validate_fan,
 )
@@ -134,11 +132,11 @@ def test_toric_diagnostics_flag_the_defective_cone(capsys):
     e1 = (-1, 0, 0)
     e2 = (1, -1, 0)
     e3 = (-1, -1, 2)
-    assert cone_lattice_index((e1, e2, e3)) == 2
-    out = classify_index2_cone((e1, e2, e3))
+    out = cone_singularity((e1, e2, e3))
+    assert out.index == 2
     assert out.kind is ConeSingularityKind.TRANSVERSE_A1
     assert out.witness == (0, -1, 1)
-    assert gorenstein_support((e1, e3, (-1, -1, 3), (-1, 2, -1))) == (1, 0, 0)
+    assert cone_singularity((e1, e3, (-1, -1, 3), (-1, 2, -1))).support == (1, 0, 0)
 
     p3 = fan_from_json((FANS / "p3.fan").read_text())
     assert polytope_degree(anticanonical_polytope(p3)) == 64
@@ -185,7 +183,7 @@ def test_formula_cross_checks_over_the_full_grids():
             rows[j] = tuple(x + k * y for x, y in zip(rows[j], rows[i]))
         assert abs(det3(*rows)) == 1
         image = tuple((_dot(rows[0], v), _dot(rows[1], v), _dot(rows[2], v)) for v in cone)
-        assert cone_lattice_index(image) == 2
+        assert cone_singularity(image).index == 2
 
 
 def test_reproduce_exits_zero_with_the_seven_fold_classification(capsys):

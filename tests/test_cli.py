@@ -126,6 +126,30 @@ def test_bundle_argument_errors(capsys):
     assert code == 1  # needs --c2 or --solve-degree
 
 
+INTEGER_ARGUMENTS = {
+    "c1 on P2": ("bundle", "--base", "P2", "--c1", "{}", "--c2", "0"),
+    "c1 on F0": ("bundle", "--base", "F0", "--c1", "2,{}", "--c2", "0"),
+    "c2": ("bundle", "--base", "P2", "--c1", "3", "--c2", "{}"),
+    "solve-degree": ("bundle", "--base", "P2", "--c1", "3", "--solve-degree", "{}"),
+    "wps weight": ("wps", "{}", "1", "1", "1"),
+    "expect": ("toric", P3, "degree", "--expect", "{}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_read_only_decimal_digits(capsys, name):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    template = INTEGER_ARGUMENTS[name]
+    for bad in ("1_0", "٣", "0x1", "1e1", "1.0", "", "+", "1 0", "9" * 5000):
+        code, out, err = run(capsys, *(a.format(bad) for a in template))
+        assert (code, out) == (1, ""), (name, bad)
+        assert "error:" in err and (bad in err or "4300 digits" in err), (name, err)
+    one = run(capsys, *(a.format("1") for a in template))
+    assert one[2] == "", one
+    for same in (" 1 ", "+1", "01"):
+        assert run(capsys, *(a.format(same) for a in template)) == one, (name, same)
+
+
 def test_toric_degree_with_matching_expectation(capsys):
     code, out, _ = run(capsys, "toric", P3, "degree", "--expect", "64")
     assert code == 0
@@ -383,6 +407,37 @@ def test_toric_singularities_reports_every_cone(tmp_path, capsys):
     }
     assert [c["degenerate"] for c in cones[1:]] == [False] * 4
     assert [c["index"] for c in cones[1:]] == [1] * 4
+
+
+def test_toric_singularities_flags_a_degenerate_non_simplicial_cone(tmp_path, capsys):
+    # cone 0 holds four rays of the plane z = 0; validate calls it degenerate, and so must this
+    fan = tmp_path / "flat.fan"
+    rays = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    quarters = [[0, 1], [1, 2], [2, 3], [0, 3]]
+    smooth = [[*q, apex] for apex in (4, 5) for q in quarters]
+    fan.write_text(json.dumps({"rays": rays, "cones": [[0, 1, 2, 3], *smooth]}))
+    # each smooth cone's support is minus the sum of its three unit rays
+    supports = [(x, y, z) for z in (-1, 1) for x, y in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    text = "cone 0 [0, 1, 2, 3]: degenerate (rays do not span), index not computed\n"
+    text += "cone 0 [0, 1, 2, 3]: no integral Gorenstein support\n"
+    for ci, (cone, s) in enumerate(zip(smooth, supports), start=1):
+        text += f"cone {ci} {cone}: index 1, smooth\n"
+        text += f"cone {ci} {cone}: Gorenstein support ({s[0]},{s[1]},{s[2]})\n"
+    assert run(capsys, "toric", str(fan), "singularities") == (0, text, "")
+    entries = [
+        '{"cone": [0, 1, 2, 3], "degenerate": true, "gorenstein_support": null, "index": null}'
+    ] + [
+        f'{{"cone": {cone}, "degenerate": false, "gorenstein_support": {list(s)}, '
+        '"index": 1, "type": "smooth"}'
+        for cone, s in zip(smooth, supports)
+    ]
+    machine = '{"cones": [' + ", ".join(entries) + "]}\n"
+    assert run(capsys, "toric", str(fan), "singularities", "--machine") == (0, machine, "")
+    assert run(capsys, "toric", str(fan), "validate") == (
+        0,
+        "rays: 6\nmaximal cones: 9\nfinding: cone 0 is degenerate (rays do not span)\n",
+        "",
+    )
 
 
 def test_toric_rejects_deeply_nested_json(tmp_path, capsys):

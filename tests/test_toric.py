@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fano64.lattice import IVec, _cross, _dot, det3, vec_str
 from fano64.toric import (
+    ConeSingularity,
     ConeSingularityKind,
     Fan,
     RationalPolytope,
@@ -19,10 +20,8 @@ from fano64.toric import (
     _ring_walls,
     _support_plane,
     anticanonical_polytope,
-    classify_index2_cone,
-    cone_lattice_index,
+    cone_singularity,
     fan_from_json,
-    gorenstein_support,
     polytope_degree,
     validate_fan,
 )
@@ -52,23 +51,25 @@ def load(name: str) -> Fan:
 
 
 def test_cone_lattice_index():
-    assert cone_lattice_index(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
-    assert cone_lattice_index((E1, E2, E3)) == 2
-    assert cone_lattice_index((E1, E2, E5)) == 1
-    with pytest.raises(ValueError):
-        cone_lattice_index((E1, E2, vsum(E1, E2)))
+    assert cone_singularity(((1, 0, 0), (0, 1, 0), (0, 0, 1))).index == 1
+    assert cone_singularity((E1, E2, E3)).index == 2
+    assert cone_singularity((E1, E2, E5)).index == 1
+    # a non-simplicial cone has no index; dependent rays have nothing but degeneracy
+    assert cone_singularity((E1, E3, E4, E5)) == ConeSingularity(False, support=(1, 0, 0))
+    assert cone_singularity((E1, E2, vsum(E1, E2))) == ConeSingularity(degenerate=True)
+    assert cone_singularity((E1, E2, vsum(E1, E2), scaled(E1, 2))).degenerate
 
 
 def test_gorenstein_support():
-    assert gorenstein_support((E1, E2, E3)) == (1, 2, 1)
-    assert gorenstein_support((E1, E3, E4, E5)) == (1, 0, 0)
-    assert gorenstein_support((E1, E2, E5)) == (1, 2, 4)
-    assert gorenstein_support((E2, E3, E4, E5)) is None
+    assert cone_singularity((E1, E2, E3)).support == (1, 2, 1)
+    assert cone_singularity((E1, E3, E4, E5)).support == (1, 0, 0)
+    assert cone_singularity((E1, E2, E5)).support == (1, 2, 4)
+    assert cone_singularity((E2, E3, E4, E5)).support is None
 
 
 def test_support_pairs_to_minus_one_on_every_ray():
     rays = (E1, E2, E3)
-    m = gorenstein_support(rays)
+    m = cone_singularity(rays).support
     for v in rays:
         assert _dot(m, v) == -1
 
@@ -158,17 +159,19 @@ UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 @example(UNIT + ((1, 1, 1),))  # inconsistent
 @example(UNIT + ((3, -1, -1),))  # integral, four rays
 def test_gorenstein_support_matches_the_fraction_oracle(rays):
-    assert gorenstein_support(rays) == _support_oracle(rays)
+    out = cone_singularity(rays)
+    assert out.support == _support_oracle(rays)
+    assert out.degenerate is not any(det3(*triple) for triple in combinations(rays, 3))
 
 
 def test_classify_smooth_cone():
-    out = classify_index2_cone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    out = cone_singularity(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert out.kind is ConeSingularityKind.SMOOTH
     assert out.witness is None
 
 
 def test_classify_transverse_a1():
-    out = classify_index2_cone((E1, E2, E3))
+    out = cone_singularity((E1, E2, E3))
     assert out.kind is ConeSingularityKind.TRANSVERSE_A1
     assert out.witness == (0, -1, 1)
     # the witness is the half-sum of two generators, so it lies in the
@@ -178,14 +181,14 @@ def test_classify_transverse_a1():
 
 def test_classify_isolated_half_point():
     rays = ((1, 0, 0), (0, 1, 0), (1, 1, 2))
-    out = classify_index2_cone(rays)
+    out = cone_singularity(rays)
     assert out.kind is ConeSingularityKind.ISOLATED_HALF_POINT
     assert scaled(out.witness, 2) == vsum(*rays)
 
 
-def test_classify_rejects_higher_index():
-    with pytest.raises(ValueError):
-        classify_index2_cone(((1, 0, 0), (0, 1, 0), (1, 1, 3)))
+def test_classify_leaves_higher_index_unclassified():
+    out = cone_singularity(((1, 0, 0), (0, 1, 0), (1, 1, 3)))
+    assert (out.index, out.kind, out.witness) == (3, None, None)
 
 
 def test_p3_polytope():
@@ -489,8 +492,12 @@ def test_lattice_index_is_unimodular_invariant():
     for _ in range(100):
         m = random_unimodular(rng)
         for rays in cones:
-            image = tuple(apply(m, v) for v in rays)
-            assert cone_lattice_index(image) == cone_lattice_index(rays)
+            want = cone_singularity(rays)
+            got = cone_singularity(tuple(apply(m, v) for v in rays))
+            assert (got.index, got.kind) == (want.index, want.kind)
+            # the index-2 witness is the one lattice point of its kind, so it moves with m
+            if want.witness is not None:
+                assert got.witness == apply(m, want.witness)
 
 
 def test_polytope_degree_is_unimodular_invariant():
@@ -722,7 +729,7 @@ def test_ring_walls_match_the_pair_scan_on_q_cartier_cones():
         if plane is None:
             # the points are collinear
             continue
-        assert plane == (s, level), rays
+        assert plane == (s, level, True), rays
         assert all(_dot(s, v) == -level for v in rays)
         indices = tuple(range(len(rays)))
         convex, walls = _cone_walls(rays, indices)
@@ -750,6 +757,23 @@ def test_validate_flags_rank_deficient_cones():
         report = validate_fan(Fan(rays, (tuple(range(len(rays))),)))
         assert report.degenerate_cones == (0,), rays
         assert (report.non_convex_cones, report.unpaired_walls) == ((), ()), rays
+        # simplicial or not, the singularity report calls it degenerate too
+        assert cone_singularity(rays) == ConeSingularity(degenerate=True), rays
+
+
+def test_validate_and_cone_singularity_agree_on_every_cone():
+    """Both read one support plane: the same cones are degenerate, the same lack a support."""
+    rng = random.Random(20093)
+    for _ in range(500):
+        rays = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(3, 7)))
+        cones = (tuple(rng.sample(range(len(rays)), rng.randint(3, len(rays)))) for _ in range(3))
+        f = Fan(rays, tuple(dict.fromkeys(tuple(sorted(c)) for c in cones)))
+        report = validate_fan(f)
+        sings = [cone_singularity(f.cone_rays(i)) for i in range(len(f.max_cones))]
+        assert report.degenerate_cones == tuple(i for i, s in enumerate(sings) if s.degenerate)
+        assert report.cones_without_gorenstein_support == tuple(
+            i for i, s in enumerate(sings) if not s.degenerate and s.support is None
+        )
 
 
 def test_fan_rejects_a_repeated_cone():

@@ -2,7 +2,8 @@
 
 Submodules:
 
-* lattice: lattice vectors as int triples; det3, solve3 and vec_str
+* lattice: lattice vectors as int triples; det3, the integer Cramer
+  solve solve3, and vec_str
 * surfaces: divisor arithmetic on the plane and Hirzebruch surfaces
 * bundles: Chern-class calculus on projectivized bundles, and the
   anticanonical degree of rank-3 scrolls

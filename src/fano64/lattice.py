@@ -3,21 +3,20 @@
 A lattice vector in Z^3 is a plain ``tuple[int, int, int]`` (``IVec``);
 the helper set is ``_cross``, ``_dot`` and ``_is_primitive``
 (package-internal), ``det3``, ``solve3`` and the formatter ``vec_str``.
-Everything downstream reduces to integer determinants, Cramer solves of
-integer systems over the rationals, and gcd bookkeeping.  No floating
-point appears anywhere in this package: ``fractions.Fraction`` carries
-every non-integer value and keeps it in lowest terms with a positive
-denominator, and Python integers are arbitrary precision, so
-enumeration loops cannot overflow.
+Everything here is integer arithmetic: determinants, Cramer numerators
+and gcd bookkeeping.  A rational solution is handed back as integer
+numerators over a common determinant, and the caller decides whether
+to reduce it.  No floating point appears anywhere in this package:
+elsewhere ``fractions.Fraction`` carries every non-integer value, and
+Python integers are arbitrary precision, so enumeration loops cannot
+overflow.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 IVec = tuple[int, int, int]
-QVec = tuple[Fraction, Fraction, Fraction]
 
 
 def _cross(a: tuple[int, ...], b: tuple[int, ...]) -> IVec:
@@ -47,14 +46,13 @@ def det3(a: IVec, b: IVec, c: IVec) -> int:
     return _dot(a, _cross(b, c))
 
 
-def solve3(rows: tuple[IVec, IVec, IVec], rhs: IVec) -> QVec | None:
-    """Solve the 3x3 system rows * m = rhs exactly, by Cramer's rule.
+def solve3(rows: tuple[IVec, IVec, IVec], rhs: IVec) -> tuple[IVec, int] | None:
+    """Solve the 3x3 system rows * m = rhs by Cramer's rule, in integers.
 
-    The work runs in integers.  For rows a, b, c and right-hand side
-    (p, q, r) the solution is (p b x c + q c x a + r a x b) / d with
-    d = det(a, b, c), and one Fraction is built per coordinate.  Returns
-    the unique rational solution, or None when the rows are linearly
-    dependent (a normal outcome, not an error).
+    For rows a, b, c and right-hand side (p, q, r) the solution is n / d
+    with n = p b x c + q c x a + r a x b and d = det(a, b, c), so that
+    rows * n = d rhs.  Returns (n, d) unreduced, or None when the rows
+    are linearly dependent (a normal outcome, not an error).
     """
     a, b, c = rows
     bc = _cross(b, c)
@@ -64,7 +62,10 @@ def solve3(rows: tuple[IVec, IVec, IVec], rhs: IVec) -> QVec | None:
     ca, ab = _cross(c, a), _cross(a, b)
     p, q, r = rhs
     return (
-        Fraction(p * bc[0] + q * ca[0] + r * ab[0], d),
-        Fraction(p * bc[1] + q * ca[1] + r * ab[1], d),
-        Fraction(p * bc[2] + q * ca[2] + r * ab[2], d),
+        (
+            p * bc[0] + q * ca[0] + r * ab[0],
+            p * bc[1] + q * ca[1] + r * ab[1],
+            p * bc[2] + q * ca[2] + r * ab[2],
+        ),
+        d,
     )

@@ -22,21 +22,23 @@ validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
 rejected.  A ray that lies in no maximal cone is one finding: it still
 bounds Delta, so it changes the degree.  The cone checks (rank, strong
-convexity, walls, Gorenstein supports) run on integer tuples from one
-support plane per cone: the rational m with <m, v> = -1 on the cone's
-first independent triple, scaled by the lcm L of its denominators to
-the integer plane <s, x> = -L.  The cone has rank 3 exactly when such a
-triple exists, and a Gorenstein support exactly when L = 1 and every
-ray lies on the plane; _support_plane answers whether they do, and
-validate_fan and cone_singularity both read that one answer.  A cone
-whose rays all lie on the plane is the cone over a convex polygon in
-it, so it is pointed, and its walls are the consecutive pairs of the
-polygon's ring.  Only a cone off its plane goes through the pair
-scan: a pair of rays spans a wall when every ray lies on one side of
-its plane, and the sum of the walls' inward normals is positive on
-every ray exactly when the cone contains no line.  The support solve is
-the only rational step of the cone checks, and Fraction is otherwise
-built only once per facet volume.
+convexity, walls, Gorenstein supports) run in integers only, from one
+support plane per cone: the m with <m, v> = -1 on the cone's first
+independent triple is solve3's Cramer pair n / d, and one gcd reduces
+it to the integer plane <s, x> = -L, L > 0 the lcm of m's denominators.
+The cone has rank 3 exactly when such a triple exists, and a Gorenstein
+support exactly when L = 1 and every ray lies on the plane;
+_support_plane answers whether they do, and validate_fan and
+cone_singularity both read that one answer.  A cone whose rays all lie
+on the plane is the cone over a convex polygon in it, so it is
+pointed, and its walls are the consecutive pairs of the polygon's ring.
+Only a cone off its plane goes through the pair scan: a pair of rays
+spans a wall when every ray lies on one side of its plane, and the sum
+of the walls' inward normals is positive on every ray exactly when the
+cone contains no line.  A wall is keyed by the indices of the rays on
+it alone: it holds two rays that are not parallel, so they fix its
+plane.  The cone checks build no Fraction; polytope_degree builds one
+per facet volume.
 """
 
 from __future__ import annotations
@@ -75,17 +77,23 @@ class Fan:
                 raise ValueError(f"ray {reprlib.repr(v)} is not a tuple of three ints")
         if not self.max_cones:
             raise ValueError("fan needs at least one maximal cone")
+        n = len(self.rays)
         cones: dict[tuple[int, ...], None] = {}
         for cone in self.max_cones:
-            if any(type(i) is not int for i in cone):
-                raise ValueError(
-                    f"cone {reprlib.repr(cone)} has an index that is not an int"
-                )
+            # one pass over the indices; a missing ray is worded only
+            # after the type and repeat checks, as they take precedence
+            missing = None
+            for i in cone:
+                if type(i) is not int:
+                    raise ValueError(
+                        f"cone {reprlib.repr(cone)} has an index that is not an int"
+                    )
+                if missing is None and not 0 <= i < n:
+                    missing = i
             if len(set(cone)) != len(cone):
                 raise ValueError(f"cone {cone} repeats a ray index")
-            for i in cone:
-                if not 0 <= i < len(self.rays):
-                    raise ValueError(f"cone {cone} references missing ray {i}")
+            if missing is not None:
+                raise ValueError(f"cone {cone} references missing ray {missing}")
             if len(cone) < 3:
                 raise ValueError(f"maximal cone {cone} has fewer than 3 rays")
             key = tuple(sorted(cone))
@@ -142,25 +150,24 @@ class ConeSingularity:
 def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int, bool] | None:
     """The integer plane <s, x> = -L through a cone's rational support, if any.
 
-    The rational m with <m, v> = -1 on the first independent triple of
-    rays is the one rational solve of the toric checks.  Scaled by the
-    lcm L of its denominators it is the integer s = L m.  Returns
-    (s, L, whether every ray has <s, v> = -L), or None when the rays
-    have rank at most 2.  The cone is Q-Cartier exactly when every ray
-    lies on the plane, and Gorenstein when moreover L = 1; three
-    independent rays always lie on it.
+    The m with <m, v> = -1 on the first independent triple of rays is
+    the Cramer pair (n, d) of solve3, m = n / d.  One gcd g of n and d,
+    signed like d, reduces it to s = n / g and L = d / g > 0, so L is the
+    lcm of m's denominators and s = L m.  Returns (s, L, whether every
+    ray has <s, v> = -L), or None when the rays have rank at most 2.
+    The cone is Q-Cartier exactly when every ray lies on the plane, and
+    Gorenstein when moreover L = 1; three independent rays always lie on
+    it.
     """
     for triple in combinations(rays, 3):
-        m = solve3(triple, (-1, -1, -1))
-        if m is None:
+        solved = solve3(triple, (-1, -1, -1))
+        if solved is None:
             continue
-        x, y, z = m
-        level = lcm(x.denominator, y.denominator, z.denominator)
-        s = (
-            x.numerator * (level // x.denominator),
-            y.numerator * (level // y.denominator),
-            z.numerator * (level // z.denominator),
-        )
+        (x, y, z), d = solved
+        g = gcd(x, y, z, d)
+        if d < 0:
+            g = -g
+        s, level = (x // g, y // g, z // g), d // g
         return s, level, len(rays) == 3 or all(_dot(s, v) == -level for v in rays)
     return None
 
@@ -406,77 +413,72 @@ class FanReport:
         return tuple(out)
 
 
-def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> dict:
+def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> list[tuple[int, ...]]:
     """Walls (2-faces) of a cone whose rays all lie on one plane <s, x> = -L, L > 0.
 
     The plane misses the origin, so the cone is pointed: it is the cone
     over the convex polygon its rays span in that plane, and its walls are
-    the cones over the polygon's edges.  Projected along the coordinate k
-    with |s_k| largest, the plane maps one to one onto two coordinates,
-    and _hull_order lists the polygon's vertices in order, so each wall is
-    spanned by two consecutive vertices.  A wall holds the rays on its
-    plane, and its inward normal is the sign of the wall's normal that is
-    positive on the next vertex of the ring.  Three rays are their own
-    ring, and each of their walls holds just its own two.  Keys are those
-    of _cone_walls.
+    the cones over the polygon's edges.  Three rays are their own ring,
+    and each wall holds just its own two.  Otherwise, projected along the
+    coordinate k with |s_k| largest, the plane maps one to one onto two
+    coordinates, and _hull_order lists the polygon's vertices in order,
+    so each wall is spanned by two consecutive vertices p, q; the cross
+    product p x q only picks out the rays on the wall's plane.  Returns
+    one key per wall, as _cone_walls keys them.
     """
-    three = len(indices) == 3
-    if three:
+    if len(indices) == 3:
         a, b, c = indices
-        edges = ((a, b, c), (a, c, b), (b, c, a))
-    else:
-        k = max(range(3), key=lambda i: abs(s[i]))
-        i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
-        flat = {(rays[t][i], rays[t][j]): t for t in indices}
-        ring = [flat[q] for q in _hull_order(list(flat))]
-        edges = zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2])
-    walls = {}
-    for p, q, r in edges:
-        n = _cross(rays[p], rays[q])
-        g = gcd(*n)
-        n = (n[0] // g, n[1] // g, n[2] // g)
-        on_plane = (p, q) if three else tuple([t for t in indices if _dot(n, rays[t]) == 0])
-        flipped = (-n[0], -n[1], -n[2])
-        walls[on_plane, max(n, flipped)] = n if _dot(n, rays[r]) > 0 else flipped
+        return [(a, b), (a, c), (b, c)]
+    k = max(range(3), key=lambda i: abs(s[i]))
+    i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
+    flat = {(rays[t][i], rays[t][j]): t for t in indices}
+    ring = [flat[q] for q in _hull_order(list(flat))]
+    walls = []
+    for p, q in zip(ring, ring[1:] + ring[:1]):
+        nx, ny, nz = _cross(rays[p], rays[q])
+        walls.append(
+            tuple([t for t in indices if nx * rays[t][0] + ny * rays[t][1] + nz * rays[t][2] == 0])
+        )
     return walls
 
 
-def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]):
+def _cone_walls(
+    rays: Sequence[IVec], indices: tuple[int, ...]
+) -> tuple[bool, list[tuple[int, ...]]]:
     """Strong convexity and walls (2-faces) of a rank-3 cone off its support plane.
 
     This is the pair scan, for the cones _ring_walls cannot take: those
     that are not Q-Cartier, and those with a zero ray.  A pair of rays
     spans a wall when all the cone's off-plane rays lie on one side of
     its plane; rank 3 means some ray is off every such plane, and rays
-    lying on the plane are absorbed into the wall.  Keys are (ray index
-    set, unsigned primitive normal) so the same wall hashes equally from
-    both adjacent cones.  The inward normal of a wall is the sign of n
-    with <n, v> > 0 on the off-plane rays; the distinct walls' inward
-    normals sum to m.  A strongly convex cone's walls are its facets, so
-    m lies inside the dual cone and <m, v> > 0 for every ray.  A cone
-    that contains a line has a zero non-negative ray combination, so no
-    m is positive on every ray.  Returns (strongly convex, walls keyed as
-    above).
+    lying on the plane are absorbed into the wall.  A wall is keyed by
+    the indices of the rays on it, in the order of indices: it holds two
+    rays that are not parallel, so the key fixes its plane, and the same
+    wall keys equally from both adjacent cones when both list their rays
+    in ascending order, as Fan does.  The inward normal of a wall is the
+    sign of n with <n, v> > 0 on the off-plane rays; one inward normal
+    per distinct wall, each a positive multiple of the primitive one,
+    sums to m.  A strongly convex cone's walls are its facets, so m lies
+    inside the dual cone and <m, v> > 0 for every ray.  A cone that
+    contains a line has a zero non-negative ray combination, so no m is
+    positive on every ray.  Returns (strongly convex, the wall keys).
     """
     walls = {}
     for i, j in combinations(indices, 2):
         n = _cross(rays[i], rays[j])
         if n == (0, 0, 0):
             continue
-        g = gcd(*n)
-        n = (n[0] // g, n[1] // g, n[2] // g)
         sides = [_dot(n, rays[k]) for k in indices]
         low, high = min(sides), max(sides)
         if low >= 0 or high <= 0:
             on_plane = tuple([k for k, s in zip(indices, sides) if s == 0])
-            flipped = (-n[0], -n[1], -n[2])
-            walls[on_plane, max(n, flipped)] = n if low >= 0 else flipped
+            walls[on_plane] = n if low >= 0 else (-n[0], -n[1], -n[2])
     m = [0, 0, 0]
     for x, y, z in walls.values():
         m[0] += x
         m[1] += y
         m[2] += z
-    return all(_dot(m, rays[k]) > 0 for k in indices), walls
+    return all(_dot(m, rays[k]) > 0 for k in indices), list(walls)
 
 
 def validate_fan(f: Fan) -> FanReport:
@@ -510,9 +512,7 @@ def validate_fan(f: Fan) -> FanReport:
         else:
             for wall in walls:
                 wall_count[wall] = wall_count.get(wall, 0) + 1
-    unpaired = tuple(
-        f"rays{list(key[0])}" for key, n in sorted(wall_count.items()) if n != 2
-    )
+    unpaired = tuple(f"rays{list(key)}" for key, n in sorted(wall_count.items()) if n != 2)
     return FanReport(
         non_primitive_rays=non_primitive,
         unused_rays=unused,
@@ -521,6 +521,24 @@ def validate_fan(f: Fan) -> FanReport:
         unpaired_walls=unpaired,
         cones_without_gorenstein_support=tuple(no_support),
     )
+
+
+def _reject_float(s: str):
+    raise ValueError(f"fan files must contain only integers, got {s}")
+
+
+def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f'fan file repeats the key "{key}"')
+        obj[key] = value
+    return obj
+
+
+_FAN_DECODER = json.JSONDecoder(
+    parse_float=_reject_float, object_pairs_hook=_reject_repeated_keys
+)
 
 
 def fan_from_json(text: str) -> Fan:
@@ -532,22 +550,11 @@ def fan_from_json(text: str) -> Fan:
     Input nested too deeply for the parser is rejected with ValueError
     like any other malformed file.
     """
-
-    def reject_float(s: str):
-        raise ValueError(f"fan files must contain only integers, got {s}")
-
-    def reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
-        obj: dict = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ValueError(f'fan file repeats the key "{key}"')
-            obj[key] = value
-        return obj
-
+    if text.startswith("\ufeff"):
+        # json.loads words this itself; the bare decoder would not
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        data = json.loads(
-            text, parse_float=reject_float, object_pairs_hook=reject_repeated_keys
-        )
+        data = _FAN_DECODER.decode(text)
     except RecursionError:
         raise ValueError("fan file is nested too deeply") from None
     if not isinstance(data, dict) or set(data.keys()) != {"rays", "cones"}:
@@ -558,15 +565,22 @@ def fan_from_json(text: str) -> Fan:
     rays = []
     for entry in rays_raw:
         if (
-            not isinstance(entry, list)
+            type(entry) is not list
             or len(entry) != 3
-            or any(type(x) is not int for x in entry)
+            or type(entry[0]) is not int
+            or type(entry[1]) is not int
+            or type(entry[2]) is not int
         ):
             raise ValueError(f"ray {reprlib.repr(entry)} is not a triple of integers")
         rays.append(tuple(entry))
     cones = []
     for entry in cones_raw:
-        if not isinstance(entry, list) or any(type(x) is not int for x in entry):
-            raise ValueError(f"cone {reprlib.repr(entry)} is not an array of integer indices")
-        cones.append(tuple(entry))
+        if type(entry) is list:
+            for x in entry:
+                if type(x) is not int:
+                    break
+            else:
+                cones.append(tuple(entry))
+                continue
+        raise ValueError(f"cone {reprlib.repr(entry)} is not an array of integer indices")
     return Fan(tuple(rays), tuple(cones))

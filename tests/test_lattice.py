@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fano64
@@ -65,25 +65,64 @@ def test_cross_is_orthogonal(a, b):
     assert _dot(n, b) == 0
 
 
+def _fraction_solve(rows, rhs) -> tuple[Fraction, ...] | None:
+    """The rational solution of rows * m = rhs by Gaussian elimination, None when singular."""
+    aug = [[Fraction(t) for t in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    for col in range(3):
+        pivot = next((i for i in range(col, 3) if aug[i][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for i in range(3):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col] / aug[col][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return tuple(aug[i][3] / aug[i][i] for i in range(3))
+
+
 @given(vectors, vectors, vectors, vectors, vectors)
+@example((1, 2, 3), (2, 4, 6), (0, 0, 1), (1, 1, 1), (1, -1, 2))  # parallel rows
+@example((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 1), (0, 0, 1))  # a row in the others' plane
+@example((0, 1, 0), (2, 0, 0), (0, 0, 3), (1, 1, 1), (1, 1, 1))  # det < 0, fractional
 def test_solve3_round_trip(a, b, c, x, ints):
-    """Integral solutions, and integer right-hand sides with fractional solutions."""
+    """Integral solutions, and integer right-hand sides with fractional solutions.
+
+    solve3 returns Cramer numerators n over the determinant d, unreduced:
+    rows * n = d rhs, n / d is the rational solution, and the answer is
+    None exactly when the rows are singular.
+    """
     rows = (a, b, c)
-    if det3(a, b, c) == 0:
+    oracle = _fraction_solve(rows, ints)
+    assert (solve3(rows, ints) is None) is (oracle is None) is (det3(a, b, c) == 0)
+    if oracle is None:
         assert solve3(rows, (0, 0, 0)) is None
-        assert solve3(rows, ints) is None
         return
+    d = det3(a, b, c)
     rhs = tuple(_dot(r, x) for r in rows)
-    assert solve3(rows, rhs) == x
-    m = solve3(rows, ints)
-    assert all(type(t) is Fraction for t in m)
-    assert tuple(_dot(r, m) for r in rows) == ints
+    assert solve3(rows, rhs) == ((d * x[0], d * x[1], d * x[2]), d)
+    n, d = solve3(rows, ints)
+    assert all(type(t) is int for t in (*n, d))
+    assert tuple(_dot(r, n) for r in rows) == (d * ints[0], d * ints[1], d * ints[2])
+    assert tuple(Fraction(t, d) for t in n) == oracle
 
 
 def test_solve3_fractional_solution():
     rows = ((2, 0, 0), (0, 3, 0), (0, 0, 1))
-    assert solve3(rows, (1, 1, 5)) == (Fraction(1, 2), Fraction(1, 3), Fraction(5))
-    assert solve3(rows, (1, -1, 0)) == (Fraction(1, 2), Fraction(-1, 3), Fraction(0))
+    # (1/2, 1/3, 5) and (1/2, -1/3, 0), each over the determinant 6
+    assert solve3(rows, (1, 1, 5)) == ((3, 2, 30), 6)
+    assert solve3(rows, (1, -1, 0)) == ((3, -2, 0), 6)
+    # swapping two rows flips the sign of d and n, not the solution
+    assert solve3((rows[1], rows[0], rows[2]), (1, 1, 5)) == ((-3, -2, -30), -6)
+
+
+def test_lattice_builds_no_fractions():
+    """The lattice kernel is integers only: it does not import fractions at all."""
+    tree = ast.parse(Path(fano64.lattice.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert "fractions" not in [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fano64.toric
 from fano64.lattice import IVec, _cross, _dot, det3, vec_str
 from fano64.toric import (
     ConeSingularity,
@@ -74,32 +75,6 @@ def test_support_pairs_to_minus_one_on_every_ray():
         assert _dot(m, v) == -1
 
 
-def _support_oracle(rays: tuple[IVec, ...]) -> IVec | None:
-    """Gorenstein support by Fraction Cramer on the first independent triple, then pairings."""
-
-    def det(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    for triple in combinations(rays, 3):
-        d = det3(*triple)
-        if d != 0:
-            base = [[Fraction(t) for t in v] for v in triple]
-            m = [
-                det([[Fraction(-1) if k == j else row[k] for k in range(3)] for row in base]) / d
-                for j in range(3)
-            ]
-            if any(c.denominator != 1 for c in m):
-                return None
-            if all(m[0] * v[0] + m[1] * v[1] + m[2] * v[2] == -1 for v in rays):
-                return (int(m[0]), int(m[1]), int(m[2]))
-            return None
-    return None
-
-
 def _positive_dependence_oracle(vectors: tuple[IVec, ...]) -> bool:
     """Whether 0 is a nontrivial non-negative combination of the vectors.
 
@@ -145,6 +120,52 @@ small_rays = st.tuples(small, small, small)
 UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _support_plane_oracle(rays: tuple[IVec, ...]) -> tuple[IVec, int, bool] | None:
+    """(s, L, every ray on the plane) from the Fraction m of the first independent triple.
+
+    m solves <m, v> = -1 on the triple by Cramer's rule over Fractions,
+    L is the lcm of m's denominators and s = L m.
+    """
+    for triple in combinations(rays, 3):
+        d = det3(*triple)
+        if d == 0:
+            continue
+        m = [
+            Fraction(det3(*[tuple(-1 if k == j else v[k] for k in range(3)) for v in triple]), d)
+            for j in range(3)
+        ]
+        level = 1
+        for x in m:
+            level = level * x.denominator // gcd(level, x.denominator)
+        s = tuple(int(x * level) for x in m)
+        return s, level, all(_dot(m, v) == -1 for v in rays)
+    return None
+
+
+# small coordinates, and coordinates near +-10^12
+plane_coords = st.one_of(small, small.map(lambda t: t + 10**12), small.map(lambda t: t - 10**12))
+
+
+@given(st.lists(st.tuples(plane_coords, plane_coords, plane_coords), min_size=3, max_size=6))
+@example([(0, 1, 0), (1, 0, 0), (0, 0, 1)])  # det -1
+@example([(0, 2, 0), (1, 0, 0), (0, 0, 3), (-1, 0, 0)])  # det -6, fractional, off the plane
+@example([(2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)])  # det 6, fractional, off the plane
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, -1, -1)])  # dependent first triple
+@example([(10**12, 1, 0), (0, 10**12 - 1, 1), (1, 0, -(10**12))])
+def test_support_plane_matches_the_fraction_oracle(rays):
+    rays = tuple(rays)
+    assert _support_plane(rays) == _support_plane_oracle(rays)
+
+
+def _support_oracle(rays: tuple[IVec, ...]) -> IVec | None:
+    """The Gorenstein support: the oracle's s when L = 1 and every ray lies on the plane."""
+    plane = _support_plane_oracle(rays)
+    if plane is None:
+        return None
+    s, level, on_plane = plane
+    return s if level == 1 and on_plane else None
+
+
 @given(
     st.one_of(
         st.lists(small_rays, min_size=3, max_size=6),
@@ -162,6 +183,24 @@ def test_gorenstein_support_matches_the_fraction_oracle(rays):
     out = cone_singularity(rays)
     assert out.support == _support_oracle(rays)
     assert out.degenerate is not any(det3(*triple) for triple in combinations(rays, 3))
+
+
+def test_cone_checks_build_no_fraction(monkeypatch):
+    """validate_fan and cone_singularity run in integers: a Fraction anywhere in them raises."""
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built in the cone checks")
+
+    monkeypatch.setattr(fano64.toric, "Fraction", no_fraction)
+    fans = [load(name) for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    # a cone with a fractional support: L = 3
+    fans.append(Fan(((1, 0, 0), (0, 1, 0), (1, 1, 3), (-1, -1, -1)), ((0, 1, 2),)))
+    for f in fans:
+        validate_fan(f)
+        for i in range(len(f.max_cones)):
+            cone_singularity(f.cone_rays(i))
+    with pytest.raises(AssertionError, match="built in the cone checks"):
+        polytope_degree(anticanonical_polytope(fans[0]))
 
 
 def test_classify_smooth_cone():
@@ -734,10 +773,48 @@ def test_ring_walls_match_the_pair_scan_on_q_cartier_cones():
         indices = tuple(range(len(rays)))
         convex, walls = _cone_walls(rays, indices)
         assert convex, rays
-        assert _ring_walls(rays, indices, s) == walls, rays
+        ring = _ring_walls(rays, indices, s)
+        assert len(ring) == len(set(ring)) and set(ring) == set(walls), rays
         checked += 1
         beyond_triangles += len(walls) > 3
     assert beyond_triangles > 200, beyond_triangles
+
+
+def test_walls_on_one_plane_are_told_apart_by_their_rays():
+    """In P1 x P1 x P1 the plane z = 0 holds four walls, each shared by two cones."""
+    f = load("p1p1p1.fan")
+    assert validate_fan(f).findings() == ()
+    on_z0 = [
+        wall
+        for cone in f.max_cones
+        for wall in _ring_walls(f.rays, cone, (1, 1, 1))
+        if all(f.rays[t][2] == 0 for t in wall)
+    ]
+    assert sorted(set(on_z0)) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert len(on_z0) == 8
+
+
+def test_a_wall_with_an_extra_ray_on_one_side_stays_unpaired():
+    """The second cone holds (0, 1, 0) on the wall it shares with the first, which does not.
+
+    Both cones are Gorenstein, so the ring finds the walls of both.
+    """
+    rays = ((1, 0, 0), (-1, 2, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
+    f = Fan(rays, ((0, 1, 3), (0, 1, 2, 4)))
+    assert _support_plane(f.cone_rays(1)) == ((-1, -1, 1), 1, True)
+    report = validate_fan(f)
+    assert report.unpaired_walls == (
+        "rays[0, 1]",
+        "rays[0, 1, 2]",
+        "rays[0, 3]",
+        "rays[0, 4]",
+        "rays[1, 3]",
+        "rays[1, 4]",
+    )
+    assert report.findings()[:2] == (
+        "wall rays[0, 1] is not shared by exactly two maximal cones",
+        "wall rays[0, 1, 2] is not shared by exactly two maximal cones",
+    )
 
 
 def test_validate_flags_rank_deficient_cones():
@@ -878,3 +955,28 @@ def test_fan_json_rejects_booleans():
     doc = {"rays": [[True, 0, 0], [0, 1, 0], [0, 0, 1]], "cones": [[0, 1, 2]]}
     with pytest.raises(ValueError):
         fan_from_json(json.dumps(doc))
+
+
+def test_fan_json_keeps_the_json_wording_for_a_byte_order_mark():
+    text = "\ufeff" + (FANS / "p3.fan").read_text()
+    with pytest.raises(json.JSONDecodeError) as err:
+        fan_from_json(text)
+    with pytest.raises(json.JSONDecodeError) as plain:
+        json.loads(text)
+    assert str(err.value) == str(plain.value)
+
+
+@pytest.mark.parametrize(
+    "cone, message",
+    [
+        # a non-int index is worded first, then a repeat, then a missing ray
+        ((99, "0", 1), "cone (99, '0', 1) has an index that is not an int"),
+        ((0, 0, 99), "cone (0, 0, 99) repeats a ray index"),
+        ((5, 0, 99), "cone (5, 0, 99) references missing ray 5"),
+        ((0, 1), "maximal cone (0, 1) has fewer than 3 rays"),
+    ],
+)
+def test_fan_words_the_first_cone_defect(cone, message):
+    with pytest.raises(ValueError) as err:
+        Fan((*UNIT, (-1, -1, -1)), (cone,))
+    assert str(err.value) == message

@@ -17,7 +17,9 @@ Rank-3 scrolls over the line are handled by the same mechanism one
 rank up: for P(O(d1) (+) O(d2) (+) O(d3)) with tautological class M and
 fiber F, the normalization d3 = 0 gives M^3 = d1 + d2 + d3 and
 M^2.F = 1, with all higher powers of F vanishing.  Only their
-anticanonical degree is needed, and it is 54 for every such scroll.
+anticanonical degree is needed, and it is 54 for every splitting type,
+so `scroll_degree` takes the splitting triple as plain integers and
+checks nothing about it.
 """
 
 from __future__ import annotations
@@ -193,44 +195,17 @@ def c1_nef_dominated(base: BaseSurface, c1: SurfaceClass) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Scroll:
-    """P(O(d1) (+) O(d2) (+) O(d3)) over the line, a rank-3 scroll.
+def scroll_degree(degrees: tuple[int, int, int]) -> int:
+    """Anticanonical degree of the scroll P(O(d1) (+) O(d2) (+) O(d3)) over the line.
 
-    Twisting normalizes the last degree to 0; degrees are kept sorted
-    non-increasing.  With d = sum(degrees), the tautological class M and
-    fiber F satisfy M^3 = d and M^2.F = 1.
-    """
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = self.degrees
-        if len(d) != 3:
-            raise ValueError(f"rank must be 3, got {len(d)}")
-        if any(type(x) is not int or x < 0 for x in d):
-            raise ValueError(f"degrees must be non-negative integers, got {d}")
-        if list(d) != sorted(d, reverse=True):
-            raise ValueError(f"degrees must be sorted non-increasing, got {d}")
-        if d[-1] != 0:
-            raise ValueError(f"normalized scroll needs last degree 0, got {d}")
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
-
-
-def scroll_degree(s: Scroll) -> int:
-    """Anticanonical degree of a rank-3 scroll over the line.
-
-    -K = 3M + (2 - d)F, and since M^3 = d, M^2.F = 1:
+    With d = d1 + d2 + d3, -K = 3M + (2 - d)F, and since M^3 = d, M^2.F = 1:
 
         (-K)^3 = 27 d + 27 (2 - d) = 54
 
     for every rank-3 scroll.  The constant answer is the point: every
     such scroll has anticanonical degree 54.
     """
-    d = s.total_degree
+    d = sum(degrees)
     return 27 * d + 27 * (2 - d)
 
 

@@ -183,11 +183,11 @@ def _cmd_wps(args) -> int:
         "gorenstein": gorenstein,
     }
     if degree.denominator == 1 and int(degree) % 2 == 0 and degree > 0:
-        rec = genus_of_degree(int(degree))
-        lines.append(f"genus: {rec.genus}")
-        lines.append(f"ambient dimension: {rec.ambient_dim}")
-        doc["genus"] = rec.genus
-        doc["ambient_dim"] = rec.ambient_dim
+        genus = genus_of_degree(degree)
+        lines.append(f"genus: {genus}")
+        lines.append(f"ambient dimension: {genus + 1}")
+        doc["genus"] = genus
+        doc["ambient_dim"] = genus + 1
     vertices = []
     for i in range(4):
         t = wps_vertex_singularity(w, i)

@@ -35,7 +35,6 @@ from typing import Iterable, Union
 
 from .bundles import (
     RankTwoBundle,
-    Scroll,
     c1_nef_dominated,
     chi_rank2,
     degree_p1_bundle,
@@ -562,15 +561,15 @@ def classification_summary() -> list[CaseRecord]:
     formula and tangent-space projections, the cones through the bundle
     degree formula, and the two projected families through the scroll
     and blow-up bookkeeping.  A record's degree is that computed degree,
-    and its genus degree/2 + 1 and ambient dimension genus + 1 follow
-    from it exactly, so a wrong degree shows in all three.
+    and its genus (`genus_of_degree`) and ambient dimension genus + 1
+    follow from it exactly, so a wrong degree shows in all three.
     """
     records = []
 
     def add(label: str, inputs: dict[str, object], computed: dict[str, Value]) -> None:
         # the degree is the construction's own: exactly one of these keys
         (degree,) = (computed[k] for k in _CONSTRUCTION_DEGREES if k in computed)
-        genus = _exact(Fraction(degree, 2) + 1)
+        genus = genus_of_degree(degree)
         computed = dict(computed)
         computed.update({"degree": degree, "genus": genus, "ambient_dim": genus + 1})
         records.append(
@@ -596,41 +595,38 @@ def classification_summary() -> list[CaseRecord]:
 
     for weights in (Weights(3, 1, 1, 1), Weights(6, 4, 1, 1)):
         source = int(wps_degree(weights))
-        projected = project_from_center(genus_of_degree(source), 3)
         add(
             f"{weights} projected from a tangent space",
             {"weights": weights, "center_dim": 3},
-            {"source_degree": source, "projected_degree": projected.degree},
+            {"source_degree": source, "projected_degree": project_from_center(source, 3)},
         )
 
     # X70: the degree-72 family projected from a cDV point, then from a
     # plane; equivalently the blow-up of a conic drops 70 to 64.
-    seventy = project_from_center(genus_of_degree(72), 0)
-    from_plane = project_from_center(seventy, 2)
+    seventy = project_from_center(72, 0)
     add(
         "X70 projected from a plane",
         {"source_degree": 72, "steps": "point projection, then plane projection"},
         {
-            "intermediate_degree": seventy.degree,
-            "projected_degree": from_plane.degree,
-            "conic_blowup_degree": blowup_curve_degree(seventy.degree, 2, 0),
+            "intermediate_degree": seventy,
+            "projected_degree": project_from_center(seventy, 2),
+            "conic_blowup_degree": blowup_curve_degree(seventy, 2, 0),
         },
     )
 
     # X66: built by the scroll ledger 54 -> 62 -> 66 -> 66, then
     # projected from a cDV point.
-    chain = [scroll_degree(Scroll((5, 2, 0)))]
+    chain = [scroll_degree((5, 2, 0))]
     for minus_k_dot_c in (-5, -3, -1):
         chain.append(blowup_curve_degree(chain[-1], minus_k_dot_c, 0))
     sixty_six = chain[-1]
-    projected = project_from_center(genus_of_degree(sixty_six), 0)
     add(
         "X66 projected from a cDV point",
         {"source": "rank-3 scroll (5,2,0)", "center_dim": 0},
         {
             "scroll_chain": "->".join(map(str, chain)),
             "source_degree": sixty_six,
-            "projected_degree": projected.degree,
+            "projected_degree": project_from_center(sixty_six, 0),
         },
     )
 

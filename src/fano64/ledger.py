@@ -2,60 +2,41 @@
 
 For a Fano threefold with canonical Gorenstein singularities the
 anticanonical degree and genus are tied by (-K)^3 = 2g - 2, and the
-anticanonical model sits in P^(g+1).  The operations here track how
-degree, genus and ambient dimension move under blow-ups and linear
-projections; they are pure arithmetic, with the geometric hypotheses
-(birationality of the projection, position of the center) recorded by
-the caller, not verified here.
+anticanonical model sits in P^(g+1).  The operations here take and
+return plain numbers: `genus_of_degree` is the one genus formula, the
+ambient dimension is that genus plus one, and the other two track how
+the degree moves under linear projections and curve blow-ups.  They
+are pure arithmetic, with the geometric hypotheses (birationality of
+the projection, position of the center) recorded by the caller, not
+verified here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class FanoRecord:
-    """degree = 2*genus - 2 and ambient_dim = genus + 1, always."""
-
-    degree: int
-    genus: int
-    ambient_dim: int
-
-    def __post_init__(self) -> None:
-        if self.degree <= 0 or self.degree % 2 != 0:
-            raise ValueError(f"degree must be even and positive, got {self.degree}")
-        if self.degree != 2 * self.genus - 2:
-            raise ValueError(f"degree {self.degree} does not match genus {self.genus}")
-        if self.ambient_dim != self.genus + 1:
-            raise ValueError(
-                f"ambient dimension {self.ambient_dim} does not match genus {self.genus}"
-            )
+def genus_of_degree(degree: int | Fraction) -> int | Fraction:
+    """degree/2 + 1 exactly: an int when integral, else the Fraction."""
+    g = Fraction(degree, 2) + 1
+    return int(g) if g.denominator == 1 else g
 
 
-def genus_of_degree(degree: int) -> FanoRecord:
-    """Record with genus degree/2 + 1 and ambient dimension genus + 1."""
-    if degree <= 0 or degree % 2 != 0:
-        raise ValueError(f"degree must be even and positive, got {degree}")
-    g = degree // 2 + 1
-    return FanoRecord(degree, g, g + 1)
-
-
-def project_from_center(rec: FanoRecord, center_dim: int) -> FanoRecord:
-    """Linear projection from a k-dimensional center inside the variety.
+def project_from_center(degree: int, center_dim: int) -> int:
+    """Degree after linear projection from a k-dimensional center inside the variety.
 
     The ambient dimension drops by k+1, hence so does the genus, and the
     degree drops by 2(k+1).
     """
     if center_dim < 0:
         raise ValueError(f"center dimension must be non-negative, got {center_dim}")
-    new_degree = rec.degree - 2 * (center_dim + 1)
+    new_degree = degree - 2 * (center_dim + 1)
     if new_degree <= 0:
         raise ValueError(
             f"projection from a {center_dim}-dimensional center would drop the "
             f"degree to {new_degree}"
         )
-    return genus_of_degree(new_degree)
+    return new_degree
 
 
 def blowup_curve_degree(degree: int, minus_k_dot_c: int, genus_c: int) -> int:

@@ -216,28 +216,28 @@ def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
     Such an m is an unbounded direction of the polar polytope.  When the
     rays have full rank the set of such m is a pointed cone, so if it is
     nonzero it has an extremal direction lying on two of the hyperplanes
-    <., v> = 0, hence proportional to a cross product of two rays.
+    <., v> = 0, hence proportional to a cross product of two rays.  Of
+    rank 2 the first nonzero cross product is orthogonal to every ray
+    and passes; of rank <= 1 no pair has one, and any m orthogonal to
+    the line of the rays serves.
     """
     zero = (0, 0, 0)
-    if not any(_dot(a, _cross(b, c)) for a, b, c in combinations(rays, 3)):
-        # rank <= 2: some nonzero m is orthogonal to every ray
-        for a, b in combinations(rays, 2):
-            m = _cross(a, b)
-            if m != zero:
-                return m
-        for v in rays:
-            if v != zero:
-                m = _cross(v, (1, 0, 0))
-                return m if m != zero else _cross(v, (0, 1, 0))
-        return (1, 0, 0)
+    spans_a_plane = False
     for a, b in combinations(rays, 2):
         m = _cross(a, b)
         if m == zero:
             continue
+        spans_a_plane = True
         for cand in (m, (-m[0], -m[1], -m[2])):
             if all(_dot(v, cand) >= 0 for v in rays):
                 return cand
-    return None
+    if spans_a_plane:
+        return None
+    for v in rays:
+        if v != zero:
+            m = _cross(v, (1, 0, 0))
+            return m if m != zero else _cross(v, (0, 1, 0))
+    return (1, 0, 0)
 
 
 def _wrap(pts: Sequence[IVec], a: IVec, b: IVec) -> tuple[IVec, int]:
@@ -536,8 +536,11 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# NaN, Infinity and -Infinity reach parse_constant, not parse_float
 _FAN_DECODER = json.JSONDecoder(
-    parse_float=_reject_float, object_pairs_hook=_reject_repeated_keys
+    parse_float=_reject_float,
+    parse_constant=_reject_float,
+    object_pairs_hook=_reject_repeated_keys,
 )
 
 

@@ -13,7 +13,6 @@ import pytest
 from fano64.bundles import (
     BundleClass,
     RankTwoBundle,
-    Scroll,
     c1_nef_dominated,
     chi_rank2,
     degree_p1_bundle,
@@ -209,25 +208,12 @@ def test_c1_nef_domination():
 
 
 def test_scrolls():
-    s = Scroll((5, 2, 0))
-    assert s.total_degree == 7
     # rank-3 scroll degree is independent of the splitting type; cube
     # -K = 3M + (2 - d)F term by term with M^3 = d, M^2.F = 1, F^2 = 0
     for degrees in [(0, 0, 0), (1, 0, 0), (3, 1, 0), (5, 2, 0), (9, 4, 0)]:
         d = sum(degrees)
         a, b = 3, 2 - d
-        assert scroll_degree(Scroll(degrees)) == a**3 * d + 3 * a**2 * b == 54
-
-
-def test_scroll_validation():
-    with pytest.raises(ValueError):
-        Scroll((2, 1))  # rank too small
-    with pytest.raises(ValueError, match="rank must be 3, got 4"):
-        Scroll((3, 2, 1, 0))  # rank 4
-    with pytest.raises(ValueError):
-        Scroll((2, 1, 1))  # smallest degree must be 0
-    with pytest.raises(ValueError):
-        Scroll((1, 2, 0))  # not sorted
+        assert scroll_degree(degrees) == a**3 * d + 3 * a**2 * b == 54
 
 
 def test_anticanonical_rr_dimension():

@@ -3,12 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 import fano64
 from fano64.cli import main
+from fano64.elimination import classification_summary
+from fano64.ledger import genus_of_degree
+from fano64.wps import Weights
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 P3 = str(FANS / "p3.fan")
@@ -64,6 +69,30 @@ def test_wps_fractional_degree_has_no_genus_row(capsys):
     assert code == 0
     assert "degree: 125/2" in out
     assert "genus" not in out
+
+
+def test_one_genus_formula_across_the_ledger_and_the_wps_command(capsys):
+    for r in classification_summary():
+        genus = r.value("genus")
+        assert genus == genus_of_degree(r.value("degree")), r.context
+        assert r.value("ambient_dim") == genus + 1, r.context
+    with_genus = 0
+    for weights in combinations_with_replacement(range(7, 0, -1), 4):
+        try:
+            Weights(*weights)
+        except ValueError:
+            continue  # ill-formed
+        code, out, _ = run(capsys, "wps", *map(str, weights), "--machine")
+        assert code == 0, weights
+        doc = json.loads(out)
+        degree = Fraction(doc["degree"])
+        if degree.denominator == 1 and degree % 2 == 0:
+            with_genus += 1
+            assert doc["genus"] == genus_of_degree(degree), weights
+            assert doc["ambient_dim"] == doc["genus"] + 1, weights
+        else:
+            assert "genus" not in doc and "ambient_dim" not in doc, weights
+    assert with_genus > 0
 
 
 def test_wps_rejects_bad_weights(capsys):
@@ -220,6 +249,8 @@ DEGENERATE_FANS = {
         "(0,0,1)",
     ),
     "rank-2": ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [[0, 1, 2]], "(1,1,1)"),
+    # no pair of rays spans a plane
+    "rank-1": ([[0, 0, 1], [0, 0, -1], [0, 0, 2]], [[0, 1, 2]], "(0,1,0)"),
     # a repeated ray counts once
     "p3-repeated-ray": ([*E, [-1, -1, -1], [1, 0, 0]], P3_CONES, None),
 }
@@ -536,6 +567,25 @@ HOSTILE_FANS = {
         [[0, 1]],
         ALL_ACTIONS,
         "maximal cone (0, 1) has fewer than 3 rays",
+    ),
+    # json reads these constants as floats unless its parse_constant hook says otherwise
+    "ray-infinity": (
+        [*E, [-1, -1, float("inf")]],
+        P3_CONES,
+        ALL_ACTIONS,
+        "fan files must contain only integers, got Infinity",
+    ),
+    "ray-minus-infinity": (
+        [*E, [-1, -1, float("-inf")]],
+        P3_CONES,
+        ALL_ACTIONS,
+        "fan files must contain only integers, got -Infinity",
+    ),
+    "cone-nan": (
+        P3_RAYS,
+        [[0, 1, float("nan")]],
+        ALL_ACTIONS,
+        "fan files must contain only integers, got NaN",
     ),
     # parses and validates, but Delta is unbounded
     "zero-rays": (

@@ -1,50 +1,33 @@
+from fractions import Fraction
+
 import pytest
 
 from fano64.ledger import (
-    FanoRecord,
     blowup_curve_degree,
     genus_of_degree,
     project_from_center,
 )
 
 
-def test_record_invariants():
-    rec = FanoRecord(degree=64, genus=33, ambient_dim=34)
-    assert rec.degree == 2 * rec.genus - 2
-    assert rec.ambient_dim == rec.genus + 1
-    with pytest.raises(ValueError):
-        FanoRecord(degree=64, genus=32, ambient_dim=34)
-    with pytest.raises(ValueError):
-        FanoRecord(degree=64, genus=33, ambient_dim=35)
-    with pytest.raises(ValueError):
-        FanoRecord(degree=63, genus=33, ambient_dim=34)
-    with pytest.raises(ValueError):
-        FanoRecord(degree=-2, genus=0, ambient_dim=1)
-
-
 def test_genus_of_degree():
-    assert genus_of_degree(64) == FanoRecord(64, 33, 34)
-    assert genus_of_degree(72) == FanoRecord(72, 37, 38)
-    assert genus_of_degree(2).genus == 2
-    with pytest.raises(ValueError):
-        genus_of_degree(65)
+    # (-K)^3 = 2g - 2
+    assert genus_of_degree(64) == 33
+    assert genus_of_degree(72) == 37
+    assert genus_of_degree(2) == 2
+    assert type(genus_of_degree(Fraction(64))) is int
+    assert genus_of_degree(65) == Fraction(67, 2)
+    assert genus_of_degree(Fraction(1, 3)) == Fraction(7, 6)
 
 
 def test_projection_drops_degree_by_twice_center_dim_plus_two():
-    x72 = FanoRecord(degree=72, genus=37, ambient_dim=38)
-    x64 = project_from_center(x72, 3)
-    assert x64 == FanoRecord(degree=64, genus=33, ambient_dim=34)
+    assert project_from_center(72, 3) == 64
+    assert project_from_center(70, 2) == 64
+    assert project_from_center(66, 0) == 64
 
-    x70 = FanoRecord(degree=70, genus=36, ambient_dim=37)
-    assert project_from_center(x70, 2).degree == 64
-
-    x66 = FanoRecord(degree=66, genus=34, ambient_dim=35)
-    assert project_from_center(x66, 0).degree == 64
-
-    with pytest.raises(ValueError):
-        project_from_center(x66, -1)
-    with pytest.raises(ValueError):
-        project_from_center(FanoRecord(2, 2, 3), 1)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        project_from_center(66, -1)
+    with pytest.raises(ValueError, match="drop the degree to -2"):
+        project_from_center(2, 1)
 
 
 def test_curve_blowup_chain():

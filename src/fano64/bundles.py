@@ -2,7 +2,10 @@
 
 The central objects are projectivizations Y = P(E) of a rank-2 bundle E
 over a base surface, carrying the tautological class D and the pullback
-of divisors from the base.  The relative Euler sequence gives
+of divisors from the base.  Only the Chern classes of E enter any
+computation here, so a bundle is passed as its Chern data (c1, c2): a
+SurfaceClass c1, whose surface is the base, and an integer c2.  The
+relative Euler sequence gives
 
     -K_Y = 2D + pi*(-K_S - c1(E)),
 
@@ -11,7 +14,10 @@ product to intersection numbers on the base:
 
     D^3 = c1^2 - c2,   D^2.pi*B = c1.B,   D.(pi*B)^2 = B^2.
 
-All arithmetic is exact: integers in, integers (or Fractions) out.
+All arithmetic is exact: integers in, integers (or Fractions) out.  The
+Euler characteristic is an integer too: c1.(c1 - K) is even for every
+divisor on a smooth surface, since Riemann-Roch for the line bundle
+O(c1) makes it 2 (chi(O(c1)) - chi(O)).
 
 Rank-3 scrolls over the line are handled by the same mechanism one
 rank up: for P(O(d1) (+) O(d2) (+) O(d3)) with tautological class M and
@@ -24,11 +30,9 @@ checks nothing about it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .surfaces import (
-    BaseSurface,
     SurfaceClass,
     anticanonical_class,
     canonical_class,
@@ -38,85 +42,43 @@ from .surfaces import (
 )
 
 
-@dataclass(frozen=True)
-class RankTwoBundle:
-    """Chern data (c1, c2) of a rank-2 bundle on a base surface.
-
-    Only the Chern classes enter any computation here, so this is the
-    whole bundle as far as intersection theory is concerned.
-    """
-
-    base: BaseSurface
-    c1: SurfaceClass
-    c2: int
-
-    def __post_init__(self) -> None:
-        if not (self.c1.surface is self.base or self.c1.surface == self.base):
-            raise ValueError(f"c1 lives on {self.c1.surface}, not on the base {self.base}")
-
-    def __str__(self) -> str:
-        return f"E({self.base}; c1={self.c1}, c2={self.c2})"
-
-
-@dataclass(frozen=True)
-class BundleClass:
-    """A divisor class a*D + pi*B on a projectivized rank-2 bundle.
-
-    D is the tautological class, B a class on the base.
-    """
-
-    d_coeff: int
-    pullback: SurfaceClass
-
-    def __str__(self) -> str:
-        a = self.d_coeff
-        head = "" if a == 0 else f"{'' if a == 1 else '-' if a == -1 else a}D"
-        b = self.pullback
-        if b.is_zero():
-            return head or "0"
-        tail = f"pi*({b})"
-        return f"{head} + {tail}" if head else tail
-
-
-def p1_bundle_anticanonical(data: RankTwoBundle) -> BundleClass:
-    """Anticanonical class of P(E): 2D + pi*(-K - c1).
+def p1_bundle_anticanonical(c1: SurfaceClass) -> str:
+    """Anticanonical class of P(E): 2D + pi*(-K - c1), as text.
 
     Args:
-        data: Chern data of the rank-2 bundle.
+        c1: first Chern class of the rank-2 bundle, on its base.
 
     Returns:
-        The class -K_Y as a BundleClass.
+        "2D" when the pullback -K - c1 is zero, else "2D + pi*(B)" with
+        B = -K - c1 written out.
     """
-    return BundleClass(2, anticanonical_class(data.base) - data.c1)
+    b = anticanonical_class(c1.surface) - c1
+    return "2D" if b.is_zero() else f"2D + pi*({b})"
 
 
-def triple_intersection(data: RankTwoBundle, cls: BundleClass) -> int:
-    """Cube of a*D + pi*B on P(E).
+def triple_intersection(c1: SurfaceClass, c2: int, a: int, b: SurfaceClass) -> int:
+    """Cube of a*D + pi*B on P(E), for E with Chern data (c1, c2).
 
     Expanding with the Grothendieck relation:
 
         (aD + pi*B)^3 = a^3 (c1^2 - c2) + 3 a^2 (c1.B) + 3 a (B^2).
 
     Args:
-        data: Chern data of the bundle.
-        cls: the divisor class to cube.
+        c1, c2: Chern data of the bundle.
+        a: the coefficient of the tautological class D.
+        b: the class B on the base; it must live on c1's surface.
 
     Returns:
         The exact intersection number.
     """
-    if cls.pullback.surface != data.base:
-        raise ValueError("class and bundle live over different bases")
-    a = cls.d_coeff
-    b = cls.pullback
-    c1_sq = intersect(data.c1, data.c1)
     return (
-        a ** 3 * (c1_sq - data.c2)
-        + 3 * a ** 2 * intersect(data.c1, b)
+        a ** 3 * (intersect(c1, c1) - c2)
+        + 3 * a ** 2 * intersect(c1, b)
         + 3 * a * intersect(b, b)
     )
 
 
-def degree_p1_bundle(data: RankTwoBundle) -> int:
+def degree_p1_bundle(c1: SurfaceClass, c2: int) -> int:
     """Anticanonical degree (-K_Y)^3 of Y = P(E).
 
     Cubing 2D + pi*(-K - c1) and collecting terms gives the closed form
@@ -125,52 +87,49 @@ def degree_p1_bundle(data: RankTwoBundle) -> int:
 
     with K the canonical class of the base.
     """
-    return 6 * k_squared(data.base) + 2 * intersect(data.c1, data.c1) - 8 * data.c2
+    return 6 * k_squared(c1.surface) + 2 * intersect(c1, c1) - 8 * c2
 
 
-def solve_c2_for_degree(
-    base: BaseSurface, c1: SurfaceClass, target: int
-) -> tuple[Fraction, bool]:
+def solve_c2_for_degree(c1: SurfaceClass, target: int) -> Fraction:
     """The unique c2 giving a prescribed anticanonical degree.
 
     Inverts the degree formula: c2 = (6 K^2 + 2 c1^2 - target) / 8.
 
     Args:
-        base: the base surface.
         c1: first Chern class on the base.
         target: the desired (-K_Y)^3.
 
     Returns:
-        (c2, integral): the exact rational solution and whether it is an
-        integer.  A non-integral solution rules the case out, since c2
-        of an actual bundle is an integer.
+        The exact rational solution.  A non-integral one (denominator
+        above 1) rules the case out, since c2 of an actual bundle is an
+        integer.
     """
-    c2 = Fraction(6 * k_squared(base) + 2 * intersect(c1, c1) - target, 8)
-    return c2, c2.denominator == 1
+    return Fraction(6 * k_squared(c1.surface) + 2 * intersect(c1, c1) - target, 8)
 
 
-def chi_rank2(data: RankTwoBundle) -> Fraction:
+def chi_rank2(c1: SurfaceClass, c2: int) -> int:
     """Euler characteristic chi(S, E) by Riemann-Roch for rank 2.
 
     On a rational surface (chi(O) = 1):
 
-        chi(E) = (c1^2 - 2 c2 - K.c1) / 2 + 2.
+        chi(E) = c1.(c1 - K) / 2 - c2 + 2.
+
+    Raises ArithmeticError if c1.(c1 - K) is odd, which no divisor on a
+    smooth surface allows.
     """
-    c1 = data.c1
-    k = canonical_class(data.base)
-    return Fraction(intersect(c1, c1) - 2 * data.c2 - intersect(k, c1) + 4, 2)
+    twice = intersect(c1, c1 - canonical_class(c1.surface))
+    if twice % 2:
+        raise ArithmeticError(f"c1.(c1 - K) = {twice} is odd for c1 = {c1}")
+    return twice // 2 - c2 + 2
 
 
-def twist(data: RankTwoBundle, b: SurfaceClass) -> RankTwoBundle:
-    """Chern data of E (x) O(B).
+def twist(c1: SurfaceClass, c2: int, b: SurfaceClass) -> tuple[SurfaceClass, int]:
+    """Chern data (c1', c2') of E (x) O(B), for E with Chern data (c1, c2).
 
     c1' = c1 + 2B and c2' = c2 + c1.B + B^2.  The projectivization is
     unchanged, so the anticanonical degree is invariant under twisting.
     """
-    if not (b.surface is data.base or b.surface == data.base):
-        raise ValueError("twisting class lives on a different surface")
-    c2_new = data.c2 + intersect(data.c1, b) + intersect(b, b)
-    return RankTwoBundle(data.base, data.c1 + 2 * b, c2_new)
+    return c1 + 2 * b, c2 + intersect(c1, b) + intersect(b, b)
 
 
 def split_gap_bound_holds(d1: int, d2: int, z_self: int) -> bool:
@@ -183,12 +142,13 @@ def split_gap_bound_holds(d1: int, d2: int, z_self: int) -> bool:
     return abs(d1 - d2) <= 2 + z_self
 
 
-def c1_nef_dominated(base: BaseSurface, c1: SurfaceClass) -> bool:
-    """Whether c1.B <= -3K.B for every nef generator B of the base.
+def c1_nef_dominated(c1: SurfaceClass) -> bool:
+    """Whether c1.B <= -3K.B for every nef generator B of c1's surface.
 
     This is the numerical threshold below which a globally generated
     rank-2 bundle with that c1 must be decomposable.
     """
+    base = c1.surface
     mk = anticanonical_class(base)
     return all(
         intersect(c1, b) <= 3 * intersect(mk, b) for b in nef_cone_generators(base)

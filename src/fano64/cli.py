@@ -28,7 +28,6 @@ import sys
 from fractions import Fraction
 
 from .bundles import (
-    RankTwoBundle,
     chi_rank2,
     degree_p1_bundle,
     p1_bundle_anticanonical,
@@ -136,7 +135,8 @@ def _cmd_bundle(args) -> int:
     lines = [f"base: {base}", f"c1: {c1}"]
     doc: dict = {"base": str(base), "c1": str(c1)}
     if args.solve_degree is not None:
-        c2, integral = solve_c2_for_degree(base, c1, args.solve_degree)
+        c2 = solve_c2_for_degree(c1, args.solve_degree)
+        integral = c2.denominator == 1
         flag = "INTEGRAL" if integral else "NON-INTEGRAL"
         lines.append(f"c2 for degree {args.solve_degree}: {_fmt(c2)} ({flag})")
         doc.update(
@@ -147,16 +147,14 @@ def _cmd_bundle(args) -> int:
             }
         )
         if integral:
-            data = RankTwoBundle(base, c1, int(c2))
-            minus_k, chi = str(p1_bundle_anticanonical(data)), _fmt(chi_rank2(data))
+            minus_k, chi = p1_bundle_anticanonical(c1), str(chi_rank2(c1, int(c2)))
             lines.append(f"-K: {minus_k}")
             lines.append(f"chi: {chi}")
             doc["minus_k"] = minus_k
             doc["chi"] = chi
     else:
-        data = RankTwoBundle(base, c1, args.c2)
-        minus_k, chi = str(p1_bundle_anticanonical(data)), _fmt(chi_rank2(data))
-        degree = degree_p1_bundle(data)
+        minus_k, chi = p1_bundle_anticanonical(c1), str(chi_rank2(c1, args.c2))
+        degree = degree_p1_bundle(c1, args.c2)
         lines.append(f"-K: {minus_k}")
         lines.append(f"degree: {degree}")
         lines.append(f"chi: {chi}")
@@ -222,7 +220,7 @@ def _cmd_toric(args) -> int:
         doc = {
             "rays": len(fan.rays),
             "max_cones": len(fan.max_cones),
-            "clean": report.is_clean,
+            "clean": not findings,
             "findings": list(findings),
         }
         _emit(doc, args.machine, lines)

@@ -34,7 +34,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Union
 
 from .bundles import (
-    RankTwoBundle,
     c1_nef_dominated,
     chi_rank2,
     degree_p1_bundle,
@@ -253,17 +252,16 @@ def eliminate_p1_bundles() -> list[CaseRecord]:
             records.append(_record(context, inputs, {}, argument))
             continue
 
-        c2 = _exact(solve_c2_for_degree(base, c1, DEGREE)[0])
+        c2 = _exact(solve_c2_for_degree(c1, DEGREE))
         computed: dict[str, Value] = {
-            "degree_at_c2_0": degree_p1_bundle(RankTwoBundle(base, c1, 0)),
+            "degree_at_c2_0": degree_p1_bundle(c1, 0),
             "c2": c2,
         }
         if treatment == "solve":
             verdict: Verdict = ArithmeticContradiction("c2", "is-integer")
             records.append(_record(context, inputs, computed, verdict))
             continue
-        data = RankTwoBundle(base, c1, c2)
-        computed["minus_k"] = str(p1_bundle_anticanonical(data))
+        computed["minus_k"] = p1_bundle_anticanonical(c1)
         if treatment == "anticanonical-section":
             # c1 = -K makes -K_Y = 2D; the section D carries K_D^2 = D^3,
             # which the degree pins to 64/8, yet D is a plane.
@@ -273,7 +271,7 @@ def eliminate_p1_bundles() -> list[CaseRecord]:
         elif treatment == "cone":
             verdict = Survives(_CONE_LABELS[base])
         else:  # section-patching
-            computed["chi"] = _exact(chi_rank2(data))
+            computed["chi"] = chi_rank2(c1, c2)
             fiber = SurfaceClass(base, 0, 1)
             allowed = _forced_vertical_splitting(
                 intersect(c1, fiber), intersect(fiber, fiber)
@@ -392,12 +390,6 @@ def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
     return _sweep_hirzebruch(base)
 
 
-def _integral(q: Fraction) -> int:
-    """An Euler characteristic at c2 = 0: integral, as D.(D - K) is even."""
-    assert q.denominator == 1
-    return int(q)
-
-
 def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
     records = []
     corner_c2_primes: dict[tuple[int, int], list[int]] = {}
@@ -408,19 +400,18 @@ def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
         c1 = SurfaceClass(base, a, b)
         a_p, b_p = _negative_parity_part(a), _negative_parity_part(b)
         p, q = (a - a_p) // 2, (b - b_p) // 2
-        data = RankTwoBundle(base, c1, 0)
-        twisted = twist(data, SurfaceClass(base, -p, -q))
-        assert twisted.c1 == SurfaceClass(base, a_p, b_p)
-        preserved = degree_p1_bundle(twisted) == degree_p1_bundle(data)
+        c1_p, shift = twist(c1, 0, SurfaceClass(base, -p, -q))
+        assert c1_p == SurfaceClass(base, a_p, b_p)
+        preserved = degree_p1_bundle(c1_p, shift) == degree_p1_bundle(c1, 0)
         cases.append(
             (
                 f"twisted-sweep/{base_text}/a={a}/b={b}/chi=",
                 (("base", base_text), ("c1", str(c1))),
-                _integral(chi_rank2(data)),
+                chi_rank2(c1, 0),
                 a_p,
                 b_p,
-                twisted.c2,  # c1.B + B^2, the shift from c2 to c2'
-                _integral(chi_rank2(twisted)),
+                shift,  # c1.B + B^2, the shift from c2 to c2'
+                chi_rank2(c1_p, shift),
                 preserved,
                 corner_c2_primes.setdefault((a_p, b_p), []),
             )
@@ -451,8 +442,7 @@ def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
     # with threshold <= -1 is compatible with c2' < 0 and needs its own
     # certificate: the subfamily's largest c2' stays strictly below it.
     for (a_p, b_p), values in sorted(corner_c2_primes.items()):
-        probe = RankTwoBundle(base, SurfaceClass(base, a_p, b_p), 0)
-        threshold = _integral(chi_rank2(probe))
+        threshold = chi_rank2(SurfaceClass(base, a_p, b_p), 0)
         if threshold > -1:
             continue
         records.append(
@@ -482,8 +472,7 @@ def _sweep_plane() -> list[CaseRecord]:
     chi_values = {}
     for a in range(0, 2):
         for b in range(0, 4 - 2 * a):
-            data = RankTwoBundle(P2, plane_class(2 * a + b), a * (a + b))
-            chi_values[(a, b)] = chi_rank2(data)
+            chi_values[(a, b)] = chi_rank2(plane_class(2 * a + b), a * (a + b))
     chi_max = max(chi_values.values())
     records.append(
         _record(
@@ -491,7 +480,7 @@ def _sweep_plane() -> list[CaseRecord]:
             {"base": P2, "family": "O(a)+O(a+b), a>=0, b>=0, 2a+b<=3"},
             {
                 "cases": len(chi_values),
-                "chi_max": _exact(chi_max),
+                "chi_max": chi_max,
             },
             ArithmeticContradiction("chi_max", ">=", min(CHI_TARGETS)),
         )
@@ -502,7 +491,7 @@ def _sweep_plane() -> list[CaseRecord]:
         _record(
             "twisted-sweep/P2/c1-boundary",
             {"base": P2, "c1": plane_class(9)},
-            {"nef_dominated": c1_nef_dominated(P2, plane_class(9))},
+            {"nef_dominated": c1_nef_dominated(plane_class(9))},
             GeometricArgument(
                 "c1 = 9 attains the nef-domination bound and such a bundle "
                 "splits (external), reducing to the decomposable case; "
@@ -522,9 +511,8 @@ def _sweep_plane() -> list[CaseRecord]:
     ):
         for m in m_range:
             c1 = plane_class(c1_of_m(m))
-            data = RankTwoBundle(P2, c1, 0)
-            twisted = twist(data, plane_class(-m))
-            chi_at_zero = _integral(chi_rank2(data))
+            c1_twisted, shift = twist(c1, 0, plane_class(-m))
+            chi_at_zero = chi_rank2(c1, 0)
             head = f"twisted-sweep/P2/{parity}/m={m}/chi="
             inputs = (("base", str(P2)), ("c1", str(c1)), ("m", str(m)))
             for chi in CHI_TARGETS:
@@ -536,8 +524,8 @@ def _sweep_plane() -> list[CaseRecord]:
                         inputs + (("chi", chi_text),),
                         (
                             ("c2", c2),
-                            ("c1_twisted", twisted.c1.a),
-                            ("c2_prime", c2 + twisted.c2),
+                            ("c1_twisted", c1_twisted.a),
+                            ("c2_prime", c2 + shift),
                         ),
                         argument,
                     )
@@ -579,18 +567,18 @@ def classification_summary() -> list[CaseRecord]:
     p3 = Weights(1, 1, 1, 1)
     add("P3", {"weights": p3}, {"wps_degree": int(wps_degree(p3))})
 
-    cone_f0 = RankTwoBundle(F0, SurfaceClass(F0, 2, 2), 0)
+    c1_f0 = SurfaceClass(F0, 2, 2)
     add(
         "cone over P1 x P1",
-        {"base": F0, "c1": cone_f0.c1, "c2": 0},
-        {"bundle_degree": degree_p1_bundle(cone_f0)},
+        {"base": F0, "c1": c1_f0, "c2": 0},
+        {"bundle_degree": degree_p1_bundle(c1_f0, 0)},
     )
 
-    cone_f1 = RankTwoBundle(F1, SurfaceClass(F1, 2, 3), 0)
+    c1_f1 = SurfaceClass(F1, 2, 3)
     add(
         "cone over F1",
-        {"base": F1, "c1": cone_f1.c1, "c2": 0},
-        {"bundle_degree": degree_p1_bundle(cone_f1)},
+        {"base": F1, "c1": c1_f1, "c2": 0},
+        {"bundle_degree": degree_p1_bundle(c1_f1, 0)},
     )
 
     for weights in (Weights(3, 1, 1, 1), Weights(6, 4, 1, 1)):

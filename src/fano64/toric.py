@@ -115,12 +115,7 @@ class RationalPolytope:
     """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1)."""
 
     vertices: tuple[QPoint, ...]
-    facets: tuple[tuple[IVec, tuple[QPoint, ...]], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.vertices:
-            raise ValueError("polytope needs vertices")
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
+    facets: tuple[tuple[IVec, tuple[QPoint, ...]], ...]
 
 
 class ConeSingularityKind(Enum):
@@ -361,8 +356,8 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     2 L^2 times the projected area.  Since vol(pyramid) = area(F)/(3|v|)
     and the projection scales area by |v_k|/|v|, the pyramid adds
     6 vol = |S| / (L^2 |v_k|), the one Fraction built per facet.  A
-    polytope built from vertices alone carries no facets and has no
-    volume.
+    polytope whose facets add no volume is not full-dimensional and
+    raises.
     """
     total = Fraction(0)
     for normal, on_facet in p.facets:
@@ -391,10 +386,6 @@ class FanReport:
     non_convex_cones: tuple[int, ...]
     unpaired_walls: tuple[str, ...]
     cones_without_gorenstein_support: tuple[int, ...]
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.findings()
 
     def findings(self) -> tuple[str, ...]:
         out = []

@@ -11,8 +11,6 @@ from fractions import Fraction
 import pytest
 
 from fano64.bundles import (
-    BundleClass,
-    RankTwoBundle,
     c1_nef_dominated,
     chi_rank2,
     degree_p1_bundle,
@@ -33,8 +31,8 @@ from fano64.surfaces import (
     P2,
     SurfaceClass,
     anticanonical_class,
+    canonical_class,
     intersect,
-    k_squared,
     plane_class,
     ruled_class,
 )
@@ -43,139 +41,145 @@ HIRZEBRUCHS = [BaseSurface(n) for n in range(5)]
 
 
 def grid_bundles():
+    """Chern data (c1, c2) over small coefficients on every base."""
     for base in [P2] + HIRZEBRUCHS:
         for a in range(-5, 6):
             b_values = [0] if base.is_plane else range(-5, 6)
             for b in b_values:
                 c1 = SurfaceClass(base, a, b)
                 for c2 in range(-5, 6):
-                    yield RankTwoBundle(base, c1, c2)
-
-
-def test_c1_must_live_on_the_base():
-    with pytest.raises(ValueError):
-        RankTwoBundle(P2, ruled_class(0, 1, 1), 0)
+                    yield c1, c2
 
 
 def test_c1_and_twists_must_live_on_the_same_hirzebruch_surface():
     with pytest.raises(ValueError):
-        RankTwoBundle(F2, ruled_class(1, 1, 1), 0)
-    data = RankTwoBundle(F2, ruled_class(2, 1, 1), 0)
+        twist(ruled_class(2, 1, 1), 0, ruled_class(1, 1, 0))
     with pytest.raises(ValueError):
-        twist(data, ruled_class(1, 1, 0))
+        twist(plane_class(1), 0, ruled_class(0, 1, 0))
 
 
 def test_a_surface_built_afresh_carries_the_same_bundles():
     fresh = BaseSurface(2)
-    data = RankTwoBundle(fresh, ruled_class(2, -2, -2), -2)
-    assert data == RankTwoBundle(F2, ruled_class(2, -2, -2), -2)
-    assert chi_rank2(data) == 2
-    twisted = twist(data, SurfaceClass(F2, 1, 1))
-    assert twisted.c1 == SurfaceClass(fresh, 0, 0)
-    assert degree_p1_bundle(twisted) == degree_p1_bundle(data) == 64
+    c1 = SurfaceClass(fresh, -2, -2)
+    assert c1 == ruled_class(2, -2, -2)
+    assert chi_rank2(c1, -2) == 2
+    c1_t, c2_t = twist(c1, -2, SurfaceClass(F2, 1, 1))
+    assert c1_t == SurfaceClass(fresh, 0, 0)
+    assert degree_p1_bundle(c1_t, c2_t) == degree_p1_bundle(c1, -2) == 64
 
 
 def test_anticanonical_class_of_bundle():
-    data = RankTwoBundle(F2, ruled_class(2, -2, -2), -2)
-    mk = p1_bundle_anticanonical(data)
-    assert mk.d_coeff == 2
-    assert mk.pullback == ruled_class(2, 4, 6)
-    assert str(mk) == "2D + pi*(4h+6l)"
-    assert str(BundleClass(2, SurfaceClass(F0, 0, 0))) == "2D"
+    assert p1_bundle_anticanonical(ruled_class(2, -2, -2)) == "2D + pi*(4h+6l)"
+    assert p1_bundle_anticanonical(anticanonical_class(F0)) == "2D"
+    assert p1_bundle_anticanonical(plane_class(0)) == "2D + pi*(3L)"
+
+
+def test_anticanonical_text_is_2d_plus_the_pullback_of_minus_k_minus_c1():
+    # -K_Y = 2D + pi*(-K_S - c1), written from this test's own class
+    for c1, c2 in grid_bundles():
+        if c2:
+            continue
+        b = anticanonical_class(c1.surface) - c1
+        expected = "2D" if b.is_zero() else f"2D + pi*({b})"
+        assert p1_bundle_anticanonical(c1) == expected
 
 
 def test_cone_degrees():
-    assert degree_p1_bundle(RankTwoBundle(F0, anticanonical_class(F0), 0)) == 64
-    assert degree_p1_bundle(RankTwoBundle(F1, anticanonical_class(F1), 0)) == 64
-    assert degree_p1_bundle(RankTwoBundle(P2, plane_class(3), 0)) == 72
+    assert degree_p1_bundle(anticanonical_class(F0), 0) == 64
+    assert degree_p1_bundle(anticanonical_class(F1), 0) == 64
+    assert degree_p1_bundle(plane_class(3), 0) == 72
 
 
 def test_degree_agrees_with_tautological_expansion():
-    # degree = 6K^2 + 2c1^2 - 8c2 on one side, (-K_Y)^3 expanded through
-    # D^3 = c1^2 - c2 on the other
-    for data in grid_bundles():
-        cube = triple_intersection(data, p1_bundle_anticanonical(data))
-        assert cube == degree_p1_bundle(data)
+    # degree = 6K^2 + 2c1^2 - 8c2 on one side, (-K_Y)^3 = (2D + pi*B)^3
+    # with B = -K_S - c1 expanded through D^3 = c1^2 - c2 on the other
+    for c1, c2 in grid_bundles():
+        b = -canonical_class(c1.surface) - c1
+        assert triple_intersection(c1, c2, 2, b) == degree_p1_bundle(c1, c2)
 
 
 def test_degree_is_twist_invariant():
-    for data in grid_bundles():
-        if data.base.is_plane:
+    for c1, c2 in grid_bundles():
+        base = c1.surface
+        if base.is_plane:
             twists = [plane_class(t) for t in range(-2, 3)]
         else:
             twists = [
-                ruled_class(data.base.n, p, q)
+                ruled_class(base.n, p, q)
                 for p in range(-2, 3)
                 for q in range(-2, 3)
             ]
         for b in twists:
-            assert degree_p1_bundle(twist(data, b)) == degree_p1_bundle(data)
+            assert degree_p1_bundle(*twist(c1, c2, b)) == degree_p1_bundle(c1, c2)
+
+
+def test_chi_is_an_int_equal_to_the_rational_riemann_roch():
+    # chi(E) = (c1^2 - 2 c2 - K.c1) / 2 + 2, computed here as a Fraction
+    for c1, c2 in grid_bundles():
+        k = canonical_class(c1.surface)
+        chi = chi_rank2(c1, c2)
+        assert type(chi) is int
+        assert chi == Fraction(intersect(c1, c1) - 2 * c2 - intersect(k, c1) + 4, 2)
 
 
 def test_chi_agrees_with_hirzebruch_closed_form():
     for n in range(5):
-        base = BaseSurface(n)
         for a in range(-5, 6):
             for b in range(-5, 6):
                 for c in range(-5, 6):
-                    data = RankTwoBundle(base, ruled_class(n, a, b), c)
                     closed = (
                         -Fraction(n * a * (a + 1), 2) + a * b + a + b - c + 2
                     )
-                    assert chi_rank2(data) == closed
+                    assert chi_rank2(ruled_class(n, a, b), c) == closed
 
 
 def test_chi_agrees_with_twisted_closed_form():
     # after twisting down to -2 <= a', b' <= -1 the Euler characteristic
     # collapses to (b' - n*a'/2)(a' + 1) + a' - c2' + 2
     for n in range(5):
-        base = BaseSurface(n)
         for a_p in (-2, -1):
             for b_p in (-2, -1):
                 for c2_p in range(-6, 7):
-                    data = RankTwoBundle(base, ruled_class(n, a_p, b_p), c2_p)
                     closed = (
                         (b_p - Fraction(n * a_p, 2)) * (a_p + 1)
                         + a_p
                         - c2_p
                         + 2
                     )
-                    assert chi_rank2(data) == closed
+                    assert chi_rank2(ruled_class(n, a_p, b_p), c2_p) == closed
 
 
 def test_chi_of_split_bundles():
     # O + O(B) with B nef: chi = chi(O) + chi(O(B)), and chi(O(B)) counts
     # lattice points of the corresponding polygon on a toric surface
     for n in range(5):
-        base = BaseSurface(n)
         for a in range(0, 4):
             for b in range(n * a, n * a + 5):
-                cls = ruled_class(n, a, b)
-                split = RankTwoBundle(base, cls, 0)
                 sections = sum(b - n * i + 1 for i in range(a + 1))
-                assert chi_rank2(split) == 1 + sections
+                assert chi_rank2(ruled_class(n, a, b), 0) == 1 + sections
 
 
 def test_twist_chern_classes():
-    data = RankTwoBundle(F2, ruled_class(2, 2, 4), 3)
+    c1 = ruled_class(2, 2, 4)
     b = ruled_class(2, -1, -2)
-    out = twist(data, b)
-    assert out.c1 == ruled_class(2, 0, 0)
-    assert out.c2 == 3 + intersect(data.c1, b) + intersect(b, b)
+    c1_t, c2_t = twist(c1, 3, b)
+    assert c1_t == ruled_class(2, 0, 0)
+    assert c2_t == 3 + intersect(c1, b) + intersect(b, b)
 
 
 def test_solve_c2_for_degree():
     cases = [
-        (P2, plane_class(0), Fraction(-5, 4), False),
-        (F1, ruled_class(1, 1, 0), Fraction(-9, 4), False),
-        (F1, ruled_class(1, 1, 1), Fraction(-7, 4), False),
-        (F1, ruled_class(1, -2, -2), Fraction(-1), True),
-        (F2, ruled_class(2, -2, -2), Fraction(-2), True),
+        (plane_class(0), Fraction(-5, 4), False),
+        (ruled_class(1, 1, 0), Fraction(-9, 4), False),
+        (ruled_class(1, 1, 1), Fraction(-7, 4), False),
+        (ruled_class(1, -2, -2), Fraction(-1), True),
+        (ruled_class(2, -2, -2), Fraction(-2), True),
     ]
-    for base, c1, expected, integral in cases:
-        value, ok = solve_c2_for_degree(base, c1, 64)
+    for c1, expected, integral in cases:
+        value = solve_c2_for_degree(c1, 64)
+        assert type(value) is Fraction
         assert value == expected
-        assert ok is integral
+        assert (value.denominator == 1) is integral
 
 
 def test_solve_then_evaluate_round_trip():
@@ -183,14 +187,13 @@ def test_solve_then_evaluate_round_trip():
         for a in range(-3, 4):
             for b in [0] if base.is_plane else range(-3, 4):
                 c1 = SurfaceClass(base, a, b)
-                value, ok = solve_c2_for_degree(base, c1, 64)
-                if ok:
-                    data = RankTwoBundle(base, c1, int(value))
-                    assert degree_p1_bundle(data) == 64
+                value = solve_c2_for_degree(c1, 64)
+                if value.denominator == 1:
+                    assert degree_p1_bundle(c1, int(value)) == 64
 
 
 def test_chi_of_f2_case_is_two():
-    assert chi_rank2(RankTwoBundle(F2, ruled_class(2, -2, -2), -2)) == 2
+    assert chi_rank2(ruled_class(2, -2, -2), -2) == 2
 
 
 def test_split_gap_bound():
@@ -201,10 +204,10 @@ def test_split_gap_bound():
 
 
 def test_c1_nef_domination():
-    assert c1_nef_dominated(P2, plane_class(9))
-    assert not c1_nef_dominated(P2, plane_class(10))
-    assert c1_nef_dominated(F0, ruled_class(0, 6, 6))
-    assert not c1_nef_dominated(F0, ruled_class(0, 7, 6))
+    assert c1_nef_dominated(plane_class(9))
+    assert not c1_nef_dominated(plane_class(10))
+    assert c1_nef_dominated(ruled_class(0, 6, 6))
+    assert not c1_nef_dominated(ruled_class(0, 7, 6))
 
 
 def test_scrolls():

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fano64 import elimination
-from fano64.bundles import RankTwoBundle, chi_rank2, degree_p1_bundle, twist
+from fano64.bundles import chi_rank2, degree_p1_bundle, twist
 from fano64.elimination import (
     CHI_TARGETS,
     SWEEP_BASES,
@@ -200,17 +200,16 @@ def _per_case_sweep(base, chis):
             for m in m_range:
                 c1 = plane_class(c1_of_m(m))
                 for chi in chis:
-                    c2 = chi_rank2(RankTwoBundle(P2, c1, 0)) - chi
-                    assert c2.denominator == 1
-                    twisted = twist(RankTwoBundle(P2, c1, int(c2)), plane_class(-m))
+                    c2 = chi_rank2(c1, 0) - chi
+                    c1_t, c2_t = twist(c1, c2, plane_class(-m))
                     records.append(
                         CaseRecord(
                             f"twisted-sweep/P2/{parity}/m={m}/chi={chi}",
                             (("base", "P2"), ("c1", str(c1)), ("m", str(m)), ("chi", str(chi))),
                             (
-                                ("c2", int(c2)),
-                                ("c1_twisted", twisted.c1.a),
-                                ("c2_prime", twisted.c2),
+                                ("c2", c2),
+                                ("c1_twisted", c1_t.a),
+                                ("c2_prime", c2_t),
                             ),
                             GeometricArgument(
                                 "c2' < 0 makes chi of the twisted bundle positive via "
@@ -225,25 +224,21 @@ def _per_case_sweep(base, chis):
         for a in range(0, 3):
             for b in range(a * n, n + 3):
                 c1 = SurfaceClass(base, a, b)
-                c2 = chi_rank2(RankTwoBundle(base, c1, 0)) - chi
-                assert c2.denominator == 1
-                data = RankTwoBundle(base, c1, int(c2))
+                c2 = chi_rank2(c1, 0) - chi
                 a_p, b_p = (-2 if a % 2 == 0 else -1), (-2 if b % 2 == 0 else -1)
-                twisted = twist(data, SurfaceClass(base, -(a - a_p) // 2, -(b - b_p) // 2))
-                assert twisted.c1 == SurfaceClass(base, a_p, b_p)
-                chi_prime = chi_rank2(twisted)
-                assert chi_prime.denominator == 1
-                preserved = degree_p1_bundle(twisted) == degree_p1_bundle(data)
+                c1_t, c2_t = twist(c1, c2, SurfaceClass(base, -(a - a_p) // 2, -(b - b_p) // 2))
+                assert c1_t == SurfaceClass(base, a_p, b_p)
+                preserved = degree_p1_bundle(c1_t, c2_t) == degree_p1_bundle(c1, c2)
                 records.append(
                     CaseRecord(
                         f"twisted-sweep/{base}/a={a}/b={b}/chi={chi}",
                         (("base", str(base)), ("c1", str(c1)), ("chi", str(chi))),
                         (
-                            ("c2", int(c2)),
+                            ("c2", c2),
                             ("a_prime", a_p),
                             ("b_prime", b_p),
-                            ("c2_prime", twisted.c2),
-                            ("chi_prime", int(chi_prime)),
+                            ("c2_prime", c2_t),
+                            ("chi_prime", chi_rank2(c1_t, c2_t)),
                             ("degree_preserved", preserved),
                         ),
                         GeometricArgument(

@@ -28,10 +28,9 @@ ledger holds; the command line only prints its failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .bundles import (
     c1_nef_dominated,
@@ -65,8 +64,7 @@ from .wps import Weights, wps_degree
 Value = Union[int, Fraction, bool, str]
 
 
-@dataclass(frozen=True)
-class ArithmeticContradiction:
+class ArithmeticContradiction(NamedTuple):
     """The case requires `quantity op target` and the computed value fails it.
 
     op is one of "is-integer", "==", "!=", "<", "<=", ">", ">="; target
@@ -83,15 +81,13 @@ class ArithmeticContradiction:
         return f"requires {self.quantity} {self.op} {self.target}"
 
 
-@dataclass(frozen=True)
-class Survives:
+class Survives(NamedTuple):
     """The case is realized by the named construction."""
 
     construction: str
 
 
-@dataclass(frozen=True)
-class GeometricArgument:
+class GeometricArgument(NamedTuple):
     """Excluded by a geometric argument that is described, not recomputed."""
 
     argument: str
@@ -100,8 +96,7 @@ class GeometricArgument:
 Verdict = Union[ArithmeticContradiction, Survives, GeometricArgument]
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     context: str
     inputs: tuple[tuple[str, str], ...]
     computed: tuple[tuple[str, Value], ...]

@@ -13,20 +13,24 @@ respectively by l and h + nl.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class BaseSurface:
-    """The projective plane (hirzebruch_n is None) or F_n (n >= 0)."""
-
+class _BaseSurfaceFields(NamedTuple):
     hirzebruch_n: int | None = None
 
-    def __post_init__(self) -> None:
-        n = self.hirzebruch_n
+
+class BaseSurface(_BaseSurfaceFields):
+    """The projective plane (hirzebruch_n is None) or F_n (n >= 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, hirzebruch_n: int | None = None) -> BaseSurface:
+        n = hirzebruch_n
         if n is not None and (type(n) is not int or n < 0):
             raise ValueError(f"Hirzebruch index must be a non-negative int, got {n!r}")
+        return tuple.__new__(cls, (n,))
 
     @property
     def is_plane(self) -> bool:
@@ -53,20 +57,24 @@ F4 = BaseSurface(4)
 BASES = {str(s): s for s in (P2, F0, F1, F2, F3, F4)}
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class _SurfaceClassFields(NamedTuple):
+    surface: BaseSurface
+    a: int
+    b: int = 0
+
+
+class SurfaceClass(_SurfaceClassFields):
     """A divisor class: a*L on the plane, a*h + b*l on F_n.
 
     Classes combine (add, intersect) only with classes on the same surface.
     """
 
-    surface: BaseSurface
-    a: int
-    b: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.surface.hirzebruch_n is None and self.b != 0:
+    def __new__(cls, surface: BaseSurface, a: int, b: int = 0) -> SurfaceClass:
+        if surface.hirzebruch_n is None and b != 0:
             raise ValueError("classes on the plane have a single coefficient")
+        return tuple.__new__(cls, (surface, a, b))
 
     def _check_same_surface(self, other: "SurfaceClass") -> None:
         if not (self.surface is other.surface or self.surface == other.surface):
@@ -84,6 +92,10 @@ class SurfaceClass:
 
     def __neg__(self) -> "SurfaceClass":
         return SurfaceClass(self.surface, -self.a, -self.b)
+
+    def __mul__(self, k: int):
+        # only k * c scales; c * k would otherwise repeat the tuple
+        return NotImplemented
 
     def __rmul__(self, k: int) -> "SurfaceClass":
         return SurfaceClass(self.surface, k * self.a, k * self.b)
@@ -126,8 +138,8 @@ def intersect(d1: SurfaceClass, d2: SurfaceClass) -> int:
 def canonical_class(s: BaseSurface) -> SurfaceClass:
     """K: -3L on the plane, -(2h + (n+2)l) on F_n.
 
-    Cached per surface: surfaces are frozen and hashable, and the class
-    is immutable.
+    Cached per surface: surfaces are immutable and hashable, and the
+    class returned is immutable, so every caller may share it.
     """
     if s.is_plane:
         return SurfaceClass(s, -3)

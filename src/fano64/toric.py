@@ -46,26 +46,31 @@ from __future__ import annotations
 import json
 import reprlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .lattice import IVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
 
 
-@dataclass(frozen=True)
-class Fan:
-    """Rays (int triples) plus maximal cones (tuples of 0-based ray indices)."""
-
+class _FanFields(NamedTuple):
     rays: tuple[IVec, ...]
     max_cones: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.rays:
+
+class Fan(_FanFields):
+    """Rays (int triples) plus maximal cones (tuples of 0-based ray indices)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, rays: tuple[IVec, ...], max_cones: tuple[tuple[int, ...], ...]
+    ) -> Fan:
+        if not rays:
             raise ValueError("fan needs at least one ray")
-        for v in self.rays:
+        for v in rays:
             # bool is an int subclass; reject it along with everything else
             if (
                 type(v) is not tuple
@@ -75,11 +80,11 @@ class Fan:
                 or type(v[2]) is not int
             ):
                 raise ValueError(f"ray {reprlib.repr(v)} is not a tuple of three ints")
-        if not self.max_cones:
+        if not max_cones:
             raise ValueError("fan needs at least one maximal cone")
-        n = len(self.rays)
+        n = len(rays)
         cones: dict[tuple[int, ...], None] = {}
-        for cone in self.max_cones:
+        for cone in max_cones:
             # one pass over the indices; a missing ray is worded only
             # after the type and repeat checks, as they take precedence
             missing = None
@@ -100,7 +105,7 @@ class Fan:
             if key in cones:
                 raise ValueError(f"cone {cone} is listed twice")
             cones[key] = None
-        object.__setattr__(self, "max_cones", tuple(cones))
+        return tuple.__new__(cls, (rays, tuple(cones)))
 
     def cone_rays(self, cone_index: int) -> tuple[IVec, ...]:
         return tuple(self.rays[i] for i in self.max_cones[cone_index])
@@ -110,8 +115,7 @@ class Fan:
 QPoint = tuple[IVec, int]
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(NamedTuple):
     """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1)."""
 
     vertices: tuple[QPoint, ...]
@@ -124,8 +128,7 @@ class ConeSingularityKind(Enum):
     TRANSVERSE_A1 = "transverse-A1"
 
 
-@dataclass(frozen=True)
-class ConeSingularity:
+class ConeSingularity(NamedTuple):
     """What one maximal cone is, as far as `toric singularities` tells.
 
     A degenerate cone (rays of rank at most 2) has nothing else.  A
@@ -376,8 +379,7 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     """Findings from validate_fan; empty tuples everywhere means clean."""
 
     non_primitive_rays: tuple[int, ...]

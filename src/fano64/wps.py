@@ -8,13 +8,19 @@ no coordinate geometry is performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Weights:
+class _WeightsFields(NamedTuple):
+    a0: int
+    a1: int
+    a2: int
+    a3: int
+
+
+class Weights(_WeightsFields):
     """Weights of a weighted projective 3-space, stored sorted a0 >= a1 >= a2 >= a3.
 
     Well-formedness: every triple of weights is coprime (gcd 1).  Input
@@ -23,12 +29,9 @@ class Weights:
     the reported singularities.
     """
 
-    a0: int
-    a1: int
-    a2: int
-    a3: int
+    __slots__ = ()
 
-    def __init__(self, a0: int, a1: int, a2: int, a3: int) -> None:
+    def __new__(cls, a0: int, a1: int, a2: int, a3: int) -> Weights:
         w = (a0, a1, a2, a3)
         if any(type(a) is not int or a <= 0 for a in w):
             raise ValueError(f"weights must be positive integers, got {w}")
@@ -40,8 +43,7 @@ class Weights:
                     f"ill-formed weights {tuple(s)}: the weights other than "
                     f"index {i} share a common factor"
                 )
-        for name, val in zip(("a0", "a1", "a2", "a3"), s):
-            object.__setattr__(self, name, val)
+        return tuple.__new__(cls, s)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a0, self.a1, self.a2, self.a3)
@@ -50,17 +52,20 @@ class Weights:
         return "P({},{},{},{})".format(*self.as_tuple())
 
 
-@dataclass(frozen=True)
-class QuotientType:
-    """A cyclic quotient singularity type 1/r(w1,...,wk), residues mod r."""
-
+class _QuotientTypeFields(NamedTuple):
     order: int
     residues: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        object.__setattr__(self, "residues", tuple(w % self.order for w in self.residues))
+
+class QuotientType(_QuotientTypeFields):
+    """A cyclic quotient singularity type 1/r(w1,...,wk), residues mod r."""
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, residues: tuple[int, ...]) -> QuotientType:
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        return tuple.__new__(cls, (order, tuple(w % order for w in residues)))
 
     @property
     def is_smooth(self) -> bool:

@@ -7,7 +7,6 @@ target degree.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -343,7 +342,7 @@ def _full_ledger() -> dict:
 
 def _with_value(record: CaseRecord, key: str, value) -> CaseRecord:
     computed = tuple((k, value if k == key else v) for k, v in record.computed)
-    return replace(record, computed=computed)
+    return record._replace(computed=computed)
 
 
 def test_check_ledger_passes_the_full_ledger():
@@ -379,16 +378,19 @@ def _sweep_degree_not_preserved(sections):
     return f"{records[0].context}: degree not preserved by the twist"
 
 
+def _is_f1_cone(r: CaseRecord) -> bool:
+    # isinstance too: tuples of equal fields are equal across verdict kinds
+    return isinstance(r.verdict, Survives) and r.verdict.construction == "cone over F1"
+
+
 def _lose_a_survivor(sections):
-    sections["p1-bundles"] = [
-        r for r in sections["p1-bundles"] if r.verdict != Survives("cone over F1")
-    ]
+    sections["p1-bundles"] = [r for r in sections["p1-bundles"] if not _is_f1_cone(r)]
     return "p1-bundles: survivors ['cone over P1 x P1'] != ['cone over F1', 'cone over P1 x P1']"
 
 
 def _cone_survivor_c2_one(sections):
     records = sections["p1-bundles"]
-    i = next(i for i, r in enumerate(records) if r.verdict == Survives("cone over F1"))
+    i = next(i for i, r in enumerate(records) if _is_f1_cone(r))
     records[i] = _with_value(records[i], "c2", 1)
     return "p1-bundle/F1/even-odd: surviving cone has c2 1 != 0"
 
@@ -406,7 +408,7 @@ def _classification_degree_62(sections):
 
 def _classification_not_surviving(sections):
     records = sections["classification"]
-    records[0] = replace(records[0], verdict=GeometricArgument("made up"))
+    records[0] = records[0]._replace(verdict=GeometricArgument("made up"))
     return "classification/P3: unexpected verdict"
 
 
@@ -535,7 +537,9 @@ def record_to_payload(r: CaseRecord) -> dict:
 
 @given(records)
 def test_serialization_round_trip(r):
-    assert record_from_payload(json.loads(record_to_json(r))) == r
+    back = record_from_payload(json.loads(record_to_json(r)))
+    # records are tuples, equal across verdict kinds with equal fields
+    assert back == r and type(back.verdict) is type(r.verdict)
 
 
 @given(records)

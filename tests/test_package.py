@@ -3,10 +3,14 @@
 The library carries no public function or class that only tests reach,
 unless it is an independent cross-check oracle named below, and each
 public name has one home, its submodule: the package namespace binds
-nothing but `__version__`.
+nothing but `__version__`.  Every command starts a fresh interpreter,
+so the package keeps `dataclasses`, and the `inspect` it loads, out of
+its import.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fano64"
@@ -58,3 +62,37 @@ def test_package_namespace_binds_only_the_version():
     # one binding, `__version__ = "<str>"`: no import, no re-export, no helper
     rest = [ast.unparse(stmt) for stmt in tree.body[1:]]
     assert len(rest) == 1 and rest[0].startswith("__version__ = '"), rest
+
+
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, importers
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter that reads src/ only and writes no bytecode
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fano64.cli; "
+        "print(fano64.cli.__file__); "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", child, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    where, loaded = done.stdout.splitlines()
+    assert Path(where).parent == PACKAGE
+    assert not loaded, f"importing fano64.cli loaded {loaded}"

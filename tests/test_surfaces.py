@@ -55,11 +55,19 @@ def test_class_arithmetic():
     d = ruled_class(1, 1, 2)
     assert d + d == ruled_class(1, 2, 4)
     assert d - d == ruled_class(1, 0, 0)
-    assert (d - d).is_zero
+    assert (d - d).is_zero()
     assert -d == ruled_class(1, -1, -2)
     assert 3 * d == ruled_class(1, 3, 6)
     with pytest.raises(ValueError):
         d + plane_class(1)
+
+
+def test_only_an_integer_on_the_left_scales_a_class():
+    # a class is a tuple underneath, and c * k must not repeat it
+    c = SurfaceClass(F0, 1, 2)
+    assert 2 * c == SurfaceClass(F0, 2, 4) and type(2 * c) is SurfaceClass
+    with pytest.raises(TypeError):
+        c * 2
 
 
 def test_classes_on_different_hirzebruch_surfaces_do_not_combine():

@@ -9,15 +9,19 @@ also computes the polar polytope
     Delta = { m : <m, v> >= -1 for every ray v },
 
 whose normalized volume 6 vol(Delta) is the anticanonical degree of the
-toric variety.  Delta is the polar of conv(rays), so its vertices come
-from an integer walk over the facets of conv(rays), a facet <n, x> = c
-giving the vertex -n / c; the search for a direction in which Delta is
-unbounded runs only to word that error.  Each facet of Delta lies on
-the plane <m, v> = -1 of one ray v, so the volume is a sum of pyramids
-from the origin over the facets, each an integer shoelace sum on the
-facet projected along the coordinate k with |v_k| largest.  A vertex is
-kept as the integer pair (p, d) = (-n, c), the point p / d in lowest
-terms, so Delta is a lattice polytope exactly when every d is 1.
+toric variety when the fan is complete and -K is Q-Cartier and nef.
+Delta is the polar of conv(rays), so its vertices come from an integer
+walk over the facets of conv(rays), a facet <n, x> = c giving the
+vertex -n / c; the search for a direction in which Delta is unbounded
+runs only to word that error.  The walk gives each facet of conv(rays)
+as the ring of its vertices, and each facet of Delta lies on the plane
+<m, v> = -1 of one vertex v of conv(rays): its vertices are the facets
+around v, listed in boundary order from the rings' shared edges, not by
+a second sort.  The volume is a sum of pyramids from the origin over
+the facets, each an integer shoelace sum, in that order, on the facet
+projected along the coordinate k with |v_k| largest.  A vertex is kept
+as the integer pair (p, d) = (-n, c), the point p / d in lowest terms,
+so Delta is a lattice polytope exactly when every d is 1.
 validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
 rejected.  A ray that lies in no maximal cone is one finding: it still
@@ -116,7 +120,11 @@ QPoint = tuple[IVec, int]
 
 
 class RationalPolytope(NamedTuple):
-    """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1)."""
+    """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1).
+
+    Each facet lists its vertices in boundary order, as polytope_degree
+    needs; anticanonical_polytope takes that order from its hull walk.
+    """
 
     vertices: tuple[QPoint, ...]
     facets: tuple[tuple[IVec, tuple[QPoint, ...]], ...]
@@ -246,26 +254,35 @@ def _wrap(pts: Sequence[IVec], a: IVec, b: IVec) -> tuple[IVec, int]:
     so one pass suffices.  Returns the primitive outward normal and
     offset: 0 and -1 when every point is on the line.
     """
-    e = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    ax, ay, az = a
+    ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
     # n = 0 with c = -1 takes the first point off the line
-    (nx, ny, nz), c = (0, 0, 0), -1
-    for p in pts:
-        if nx * p[0] + ny * p[1] + nz * p[2] > c:
-            n = _cross(e, (p[0] - a[0], p[1] - a[1], p[2] - a[2]))
-            if n != (0, 0, 0):
-                (nx, ny, nz), c = n, _dot(n, a)
+    nx, ny, nz, c = 0, 0, 0, -1
+    for px, py, pz in pts:
+        if nx * px + ny * py + nz * pz > c:
+            px, py, pz = px - ax, py - ay, pz - az
+            mx, my, mz = ey * pz - ez * py, ez * px - ex * pz, ex * py - ey * px
+            if mx or my or mz:
+                nx, ny, nz = mx, my, mz
+                c = mx * ax + my * ay + mz * az
     g = gcd(nx, ny, nz) or 1
     return (nx // g, ny // g, nz // g), c // g
 
 
 def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | None:
-    """The facets <n, x> = c of conv(pts) with their points, by gift wrapping.
+    """The facets <n, x> = c of conv(pts) with their rings of vertices, by gift wrapping.
 
     The walk starts on a supporting plane through the vertical line at
     the largest point, and crosses to a facet where a plane meets the
-    hull in an edge only.  A facet's ring turns about -n, so wrapping
-    about its edge p -> q reaches the facet that runs it as q -> p.
-    None when the origin is not inside the hull (some c <= 0).
+    hull in an edge only.  A facet's ring lists the corners of its
+    polygon, the points on it that are vertices of the hull, turning
+    about -n, so wrapping about its edge p -> q reaches the facet whose
+    ring runs it as q -> p: the rings carry the hull's edge adjacency,
+    from which anticanonical_polytope orders the facets of the polar.
+    Three points on a plane that are not collinear are their own ring,
+    oriented by the sign of one turn; more go round by a monotone chain,
+    and so do three on a line, where the plane meets the hull in an edge
+    only.  None when the origin is not inside the hull (some c <= 0).
     """
     a = max(pts)
     todo = [_wrap(pts, a, (a[0], a[1], a[2] + 1))]
@@ -279,20 +296,27 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | Non
             continue
         n, c = plane
         nx, ny, nz = n
-        pairings = [nx * p[0] + ny * p[1] + nz * p[2] for p in pts]
-        if max(pairings) > c:
-            raise ArithmeticError(f"hull walk reached a plane {plane} that is not a facet")
-        tight = [t for t, s in enumerate(pairings) if s == c]
-        k = max(range(3), key=lambda i: abs(n[i]))
+        tight = []
+        for t, (px, py, pz) in enumerate(pts):
+            s = nx * px + ny * py + nz * pz
+            if s >= c:
+                if s > c:
+                    raise ArithmeticError(f"hull walk reached a plane {plane} that is not a facet")
+                tight.append(t)
+        k = 0 if nx else 1 if ny else 2
         flat = {(pts[t][(k + 1) % 3], pts[t][(k + 2) % 3]): t for t in tight}
-        ring = [flat[q] for q in _hull_order(list(flat))]
-        if len(ring) == 2:
-            todo.append(_wrap(pts, pts[ring[0]], pts[ring[1]]))
-            continue
-        facets[plane] = tight
+        turn = _turn(*flat) if len(flat) == 3 else 0
+        if turn:
+            ring = tight if turn > 0 else tight[::-1]
+        else:
+            ring = [flat[q] for q in _hull_order(list(flat))]
+            if len(ring) == 2:
+                todo.append(_wrap(pts, pts[ring[0]], pts[ring[1]]))
+                continue
         # counter-clockwise in coordinates k + 1, k + 2 turns about +e_k
         if n[k] > 0:
             ring.reverse()
+        facets[plane] = ring
         for p, q in zip(ring[-1:] + ring, ring):
             if (q, p) not in wrapped:
                 wrapped.add((p, q))
@@ -301,15 +325,17 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | Non
 
 
 def anticanonical_polytope(f: Fan) -> RationalPolytope:
-    """Polar polytope Delta of the fan's rays, with its facets.
+    """Polar polytope Delta of the fan's rays, with its facets in ring order.
 
     Each facet <n, x> = c of conv(rays), n primitive and outward, is the
-    vertex (-n, c) of Delta: c > 0, so -n / c is in lowest terms.  The
-    rays on the facet are tight at that vertex.  A ray tight at three or
-    more vertices bounds a facet; a repeated ray counts once.  Raises
-    when Delta is unbounded, i.e. the rays fail to positively span the
-    space; only then does a search run for the direction the message
-    names.
+    vertex (-n, c) of Delta: c > 0, so -n / c is in lowest terms.  Each
+    vertex v of conv(rays) is the facet of Delta on <m, v> = -1, whose
+    vertices are those of the facets around v, listed in boundary order
+    from the walk's adjacency: if F's ring runs a -> v -> b, the next
+    facet round v is the one whose ring runs b -> v.  No facet is sorted
+    again.  A repeated ray counts once.  Raises when Delta is unbounded,
+    i.e. the rays fail to positively span the space; only then does a
+    search run for the direction the message names.
     """
     rays = tuple(dict.fromkeys(f.rays))
     hull = _hull_facets(rays)
@@ -319,12 +345,22 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
             f"polytope is unbounded: rays do not positively span (direction {vec_str(direction)})"
         )
     vertices = [((-x, -y, -z), c) for (x, y, z), c in hull]
-    on_ray: dict[int, list[QPoint]] = {}
-    for m, tight in zip(vertices, hull.values()):
-        for r in tight:
-            on_ray.setdefault(r, []).append(m)
-    facets = tuple([(rays[r], tuple(ms)) for r, ms in on_ray.items() if len(ms) >= 3])
-    return RationalPolytope(tuple(vertices), facets)
+    # around[v][a] = (F's vertex of Delta, b) when F's ring runs a -> v -> b
+    around: dict[int, dict[int, tuple[QPoint, int]]] = {}
+    for m, ring in zip(vertices, hull.values()):
+        a, v = ring[-2], ring[-1]
+        for b in ring:
+            around.setdefault(v, {})[a] = (m, b)
+            a, v = v, b
+    facets = []
+    for v, step in around.items():
+        ms = []
+        a = next(iter(step))
+        for _ in step:
+            m, a = step[a]
+            ms.append(m)
+        facets.append((rays[v], tuple(ms)))
+    return RationalPolytope(tuple(vertices), tuple(facets))
 
 
 def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -355,25 +391,28 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     pyramids from the origin over its facets.  The facet F on the plane
     <m, v> = -1 is projected along the coordinate k with |v_k| largest
     and scaled by the lcm L of its vertices' d, which gives integer
-    points p L / d; ordered by a monotone chain, their shoelace sum S is
-    2 L^2 times the projected area.  Since vol(pyramid) = area(F)/(3|v|)
-    and the projection scales area by |v_k|/|v|, the pyramid adds
+    points p L / d; taken in the facet's ring order, which
+    anticanonical_polytope gives, their shoelace sum S is 2 L^2 times
+    the projected area.  Since vol(pyramid) = area(F)/(3|v|) and the
+    projection scales area by |v_k|/|v|, the pyramid adds
     6 vol = |S| / (L^2 |v_k|), the one Fraction built per facet.  A
     polytope whose facets add no volume is not full-dimensional and
     raises.
     """
     total = Fraction(0)
-    for normal, on_facet in p.facets:
-        k = max(range(3), key=lambda i: abs(normal[i]))
-        i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
-        scale = lcm(*[d for _, d in on_facet])
-        ring = _hull_order([(m[i] * (scale // d), m[j] * (scale // d)) for m, d in on_facet])
+    for (vx, vy, vz), ring in p.facets:
+        # on a tie the first such k, as (1, 2) > (0, 2) > (0, 1)
+        w, i, j = max((abs(vx), 1, 2), (abs(vy), 0, 2), (abs(vz), 0, 1))
+        scale = lcm(*[d for _, d in ring])
         s = 0
-        x0, y0 = ring[-1]
-        for x1, y1 in ring:
+        m, d = ring[-1]
+        x0, y0 = m[i] * (scale // d), m[j] * (scale // d)
+        for m, d in ring:
+            q = scale // d
+            x1, y1 = m[i] * q, m[j] * q
             s += x0 * y1 - x1 * y0
             x0, y0 = x1, y1
-        total += Fraction(abs(s), scale * scale * abs(normal[k]))
+        total += Fraction(abs(s), scale * scale * w)
     if total == 0:
         raise ValueError("polytope is not full-dimensional")
     return total

@@ -626,7 +626,8 @@ def _huge_unimodular(rng: random.Random) -> tuple[IVec, IVec, IVec]:
     return tuple(rows)
 
 
-def test_hull_walk_matches_the_triple_oracle():
+def _hull_oracle_fans() -> list[Fan]:
+    """The shipped and wps fans, hand-made corner cases, huge unimodular images and 3000 random fans."""
     fans = [load(name) for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
     fans += [f for _, f in _wps_fans()]
     p3 = load("p3.fan")
@@ -669,6 +670,11 @@ def test_hull_walk_matches_the_triple_oracle():
                 rays.append((0, 0, 0))
             rng.shuffle(rays)
         fans.append(Fan(tuple(rays), ((0, 1, 2),)))
+    return fans
+
+
+def test_hull_walk_matches_the_triple_oracle():
+    fans = _hull_oracle_fans()
     unbounded = 0
     for f in fans:
         outcome = _polytope_outcome(f)
@@ -676,6 +682,48 @@ def test_hull_walk_matches_the_triple_oracle():
         unbounded += isinstance(outcome, str)
     assert len(fans) == 3136
     assert 1000 < unbounded < 2000, unbounded
+
+
+def _is_boundary_order(ring: list, oracle: list) -> bool:
+    """Whether ring is the cyclic sequence oracle, read in either direction from any start."""
+    if len(ring) != len(oracle) or ring[0] not in oracle:
+        return False
+    start = oracle.index(ring[0])
+    forward = oracle[start:] + oracle[:start]
+    return ring == forward or ring == forward[:1] + forward[:0:-1]
+
+
+def test_facets_list_their_vertices_in_boundary_order():
+    # polytope_degree takes the shoelace sum in the order the facets come in
+    checked = 0
+    for f in _hull_oracle_fans():
+        try:
+            p = anticanonical_polytope(f)
+        except ValueError:
+            continue
+        for ray, ring in _fraction_facets(p):
+            assert _is_boundary_order(list(ring), _oracle_hull_order(ring, ray)), (f.rays, ray)
+            checked += 1
+    assert checked > 10000, checked
+
+
+def test_hull_walk_matches_the_triple_oracle_on_huge_random_rays():
+    # unlike the huge unimodular images above, these Delta are not
+    # lattice polytopes: their vertices have denominators d of 120 digits
+    rng = random.Random(40)
+    bounded = 0
+    for _ in range(8):
+        rays = tuple(
+            tuple(rng.randint(-(10**40), 10**40) for _ in range(3))
+            for _ in range(rng.randint(6, 12))
+        )
+        f = Fan(rays, ((0, 1, 2),))
+        outcome = _polytope_outcome(f)
+        assert outcome == _oracle_outcome(f), rays
+        if not isinstance(outcome, str):
+            assert max(d for _, d in anticanonical_polytope(f).vertices) > 10**100
+            bounded += 1
+    assert bounded >= 6, bounded
 
 
 def test_validate_clean_fans():

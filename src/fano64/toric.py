@@ -19,7 +19,7 @@ as the ring of its vertices, and each facet of Delta lies on the plane
 around v, listed in boundary order from the rings' shared edges, not by
 a second sort.  The volume is a sum of pyramids from the origin over
 the facets, each an integer shoelace sum, in that order, on the facet
-projected along the coordinate k with |v_k| largest.  A vertex is kept
+projected along a coordinate k with v_k != 0.  A vertex is kept
 as the integer pair (p, d) = (-n, c), the point p / d in lowest terms,
 so Delta is a lattice polytope exactly when every d is 1.
 validate_fan performs structural sanity checks and returns findings
@@ -123,7 +123,8 @@ class RationalPolytope(NamedTuple):
     """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1).
 
     Each facet lists its vertices in boundary order, as polytope_degree
-    needs; anticanonical_polytope takes that order from its hull walk.
+    needs and does not check; anticanonical_polytope takes that order
+    from its hull walk.
     """
 
     vertices: tuple[QPoint, ...]
@@ -246,6 +247,16 @@ def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
     return (1, 0, 0)
 
 
+def _axes(n: IVec) -> tuple[int, int, int]:
+    """A coordinate k with n_k != 0, then k + 1 and k + 2 mod 3.
+
+    A plane <n, x> = c projects one to one onto those two coordinates,
+    and a counter-clockwise turn there is a turn about +e_k.
+    """
+    k = 0 if n[0] else 1 if n[1] else 2
+    return k, (k + 1) % 3, (k + 2) % 3
+
+
 def _wrap(pts: Sequence[IVec], a: IVec, b: IVec) -> tuple[IVec, int]:
     """Rotate a plane about the line ab until no point lies beyond it.
 
@@ -274,15 +285,12 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | Non
 
     The walk starts on a supporting plane through the vertical line at
     the largest point, and crosses to a facet where a plane meets the
-    hull in an edge only.  A facet's ring lists the corners of its
-    polygon, the points on it that are vertices of the hull, turning
+    hull in an edge only, as its monotone chain leaves two corners.  A
+    facet's ring lists its corners, the hull vertices on it, turning
     about -n, so wrapping about its edge p -> q reaches the facet whose
-    ring runs it as q -> p: the rings carry the hull's edge adjacency,
-    from which anticanonical_polytope orders the facets of the polar.
-    Three points on a plane that are not collinear are their own ring,
-    oriented by the sign of one turn; more go round by a monotone chain,
-    and so do three on a line, where the plane meets the hull in an edge
-    only.  None when the origin is not inside the hull (some c <= 0).
+    ring runs it as q -> p: anticanonical_polytope orders the facets of
+    the polar from this adjacency.  None when the origin is not inside
+    the hull (some c <= 0).
     """
     a = max(pts)
     todo = [_wrap(pts, a, (a[0], a[1], a[2] + 1))]
@@ -296,23 +304,18 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | Non
             continue
         n, c = plane
         nx, ny, nz = n
-        tight = []
-        for t, (px, py, pz) in enumerate(pts):
-            s = nx * px + ny * py + nz * pz
+        k, i, j = _axes(n)
+        flat = {}
+        for t, p in enumerate(pts):
+            s = nx * p[0] + ny * p[1] + nz * p[2]
             if s >= c:
                 if s > c:
                     raise ArithmeticError(f"hull walk reached a plane {plane} that is not a facet")
-                tight.append(t)
-        k = 0 if nx else 1 if ny else 2
-        flat = {(pts[t][(k + 1) % 3], pts[t][(k + 2) % 3]): t for t in tight}
-        turn = _turn(*flat) if len(flat) == 3 else 0
-        if turn:
-            ring = tight if turn > 0 else tight[::-1]
-        else:
-            ring = [flat[q] for q in _hull_order(list(flat))]
-            if len(ring) == 2:
-                todo.append(_wrap(pts, pts[ring[0]], pts[ring[1]]))
-                continue
+                flat[p[i], p[j]] = t
+        ring = [flat[q] for q in _hull_order(list(flat))]
+        if len(ring) == 2:
+            todo.append(_wrap(pts, pts[ring[0]], pts[ring[1]]))
+            continue
         # counter-clockwise in coordinates k + 1, k + 2 turns about +e_k
         if n[k] > 0:
             ring.reverse()
@@ -389,20 +392,21 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
 
     The origin is interior to Delta, so Delta is the union of the
     pyramids from the origin over its facets.  The facet F on the plane
-    <m, v> = -1 is projected along the coordinate k with |v_k| largest
-    and scaled by the lcm L of its vertices' d, which gives integer
+    <m, v> = -1 is projected along a coordinate k with v_k != 0 and
+    scaled by the lcm L of its vertices' d, which gives integer
     points p L / d; taken in the facet's ring order, which
     anticanonical_polytope gives, their shoelace sum S is 2 L^2 times
     the projected area.  Since vol(pyramid) = area(F)/(3|v|) and the
     projection scales area by |v_k|/|v|, the pyramid adds
     6 vol = |S| / (L^2 |v_k|), the one Fraction built per facet.  A
     polytope whose facets add no volume is not full-dimensional and
-    raises.
+    raises.  Nothing checks the ring order: a facet listed out of order,
+    as a hand-built RationalPolytope may be, gives a wrong degree, not
+    an error.
     """
     total = Fraction(0)
-    for (vx, vy, vz), ring in p.facets:
-        # on a tie the first such k, as (1, 2) > (0, 2) > (0, 1)
-        w, i, j = max((abs(vx), 1, 2), (abs(vy), 0, 2), (abs(vz), 0, 1))
+    for v, ring in p.facets:
+        k, i, j = _axes(v)
         scale = lcm(*[d for _, d in ring])
         s = 0
         m, d = ring[-1]
@@ -412,7 +416,7 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
             x1, y1 = m[i] * q, m[j] * q
             s += x0 * y1 - x1 * y0
             x0, y0 = x1, y1
-        total += Fraction(abs(s), scale * scale * w)
+        total += Fraction(abs(s), scale * scale * abs(v[k]))
     if total == 0:
         raise ValueError("polytope is not full-dimensional")
     return total
@@ -451,8 +455,8 @@ def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> list
     The plane misses the origin, so the cone is pointed: it is the cone
     over the convex polygon its rays span in that plane, and its walls are
     the cones over the polygon's edges.  Three rays are their own ring,
-    and each wall holds just its own two.  Otherwise, projected along the
-    coordinate k with |s_k| largest, the plane maps one to one onto two
+    and each wall holds just its own two.  Otherwise, projected along a
+    coordinate k with s_k != 0, the plane maps one to one onto two
     coordinates, and _hull_order lists the polygon's vertices in order,
     so each wall is spanned by two consecutive vertices p, q; the cross
     product p x q only picks out the rays on the wall's plane.  Returns
@@ -461,8 +465,7 @@ def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> list
     if len(indices) == 3:
         a, b, c = indices
         return [(a, b), (a, c), (b, c)]
-    k = max(range(3), key=lambda i: abs(s[i]))
-    i, j = (1, 2) if k == 0 else (0, 2) if k == 1 else (0, 1)
+    _, i, j = _axes(s)
     flat = {(rays[t][i], rays[t][j]): t for t in indices}
     ring = [flat[q] for q in _hull_order(list(flat))]
     walls = []

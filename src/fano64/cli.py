@@ -342,8 +342,15 @@ def _cmd_reproduce(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """Built on the first main() call; parse_args leaves it unchanged, so it is reused."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name.
+
+    main() parses a command's arguments with that command's parser alone;
+    the top-level parser sees only help, a missing or unknown command and
+    the arguments a command's parser leaves over.  The map is the
+    `choices` of the subparsers action.  Built on the first main() call;
+    parsing leaves the parsers unchanged, so they are reused.
+    """
     parser = _Parser(prog="fano64", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -391,13 +398,30 @@ def _build_parser() -> _Parser:
     reproduce.add_argument("--machine", action="store_true", help="JSON output")
     reproduce.set_defaults(func=_cmd_reproduce)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command; `argv` defaults to `sys.argv[1:]`.
+
+    A command name in `argv[0]` goes straight to that command's parser,
+    so its arguments are parsed once.  The top-level parser handles only
+    help, a missing or unknown command, anything before the command
+    name, and arguments the command's parser leaves over, with the
+    messages and exit code a top-level parse gives.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0

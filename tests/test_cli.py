@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fano64
-from fano64.cli import main
+from fano64.cli import _build_parser, main
 from fano64.elimination import classification_summary
 from fano64.ledger import genus_of_degree
 from fano64.wps import Weights
@@ -776,9 +776,102 @@ def test_back_to_back_calls_match_fresh_processes(capsys, monkeypatch):
         ("bundle", "--base", "F0", "--c1", "2,2", "--solve-degree", "64"),
         ("toric", P3, "degree", "--expect", "64"),
         ("toric", P3, "validate"),
+        ("toric", P3, "degree", "extra"),
+        ("toric", "-h"),
+        ("bogus",),
     ]
     in_process = [run(capsys, *argv) for argv in calls]
     assert in_process[0][0] == 1
     for argv, result in zip(calls, in_process):
         fresh = run_fresh(*argv)
         assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# main() hands argv[0]'s command its own arguments; the reference parses
+# everything through the top-level parser, as argparse's subparsers do
+DISPATCH_CORPUS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    ("-h", "toric"),
+    ("bogus",),
+    ("tor",),
+    ("toric",),
+    ("toric", "-h"),
+    ("toric", P3, "degree", "-h"),
+    ("toric", P3, "degree", "extra"),
+    ("toric", P3, "degree", "extra", "--machine"),
+    ("toric", P3, "degree", "extra", "more"),
+    ("toric", P3, "degree", "--mach"),
+    ("toric", P3, "degree", "--expect=64"),
+    ("toric", P3, "degree", "--expect", "63"),
+    ("toric", P3, "degree", "--expect", "-5"),
+    ("toric", P3, "degree", "--machine=1"),
+    ("toric", P3, "bogus"),
+    ("toric", P3, "validate", "--expect", "64"),
+    ("toric", str(FANS / "missing.fan"), "degree"),
+    ("toric", "--", P3, "degree"),
+    ("toric", P3, "degree", "--"),
+    ("toric", P3, "degree", "--", "--machine"),
+    ("--", "toric", P3, "degree"),
+    ("-x", "toric", P3, "degree"),
+    ("toric", P3, "degree", "-x"),
+    ("reproduce", "--part=classification"),
+    ("reproduce", "--part", "bogus"),
+    ("wps", "6", "4", "1", "1", "--machine"),
+    ("wps", "1", "1", "1"),
+    ("wps", "6", "4", "1", "1", "1"),
+    ("bundle",),
+    ("bundle", "--base", "F0", "--c1", "2,2", "--c2", "-5"),
+    ("bundle", "--base", "F0", "--c1", "2,2", "--c2", "0", "--solve-degree", "64"),
+]
+
+
+def _reference_main(argv: list[str]) -> int:
+    """main() as a single top-level parse_args, with main()'s error handling."""
+    parser, _ = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 0
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+@pytest.fixture
+def parsed_namespaces():
+    """The namespace each command function receives, as a dict, in call order."""
+    _, commands = _build_parser()
+    originals = {name: command.get_default("func") for name, command in commands.items()}
+    seen = []
+
+    def recording(func):
+        def record(args):
+            seen.append(dict(vars(args)))
+            return func(args)
+
+        return record
+
+    for name, command in commands.items():
+        command.set_defaults(func=recording(originals[name]))
+    try:
+        yield seen
+    finally:
+        for name, command in commands.items():
+            command.set_defaults(func=originals[name])
+
+
+def test_dispatch_matches_a_top_level_parse(capsys, monkeypatch, parsed_namespaces):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    for argv in DISPATCH_CORPUS:
+        expected = (_reference_main(list(argv)), *capsys.readouterr(), parsed_namespaces[:])
+        parsed_namespaces.clear()
+        assert (*run(capsys, *argv), parsed_namespaces[:]) == expected, argv
+        parsed_namespaces.clear()
+        monkeypatch.setattr(sys, "argv", ["fano64", *argv])
+        assert (main(), *capsys.readouterr(), parsed_namespaces[:]) == expected, argv
+        parsed_namespaces.clear()

@@ -13,6 +13,14 @@ This module only parses arguments and formats results.  What a
 `toric.cone_singularity`.  Integer arguments are plain decimals: an
 optional sign and ASCII digits, with surrounding spaces allowed.
 
+Arguments are parsed by argparse, with one exception: a plain `toric`
+command line, the shape every batch call uses (a fan file, an action,
+at most one `--machine` and one `--expect N`, each token exact), is
+read token by token into the namespace argparse would build, because
+argparse is a large share of the time of a toric call.  Every other
+command line still goes through argparse, so it alone prints usage,
+help and error text.
+
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a value
 requested for verification does not match the computed one or a ledger
 check fails.
@@ -341,6 +349,52 @@ def _cmd_reproduce(args) -> int:
     return 2 if failures else 0
 
 
+_TORIC_ACTIONS = ("validate", "degree", "singularities")
+
+
+def _plain_toric_args(tokens: list[str], command: _Parser) -> argparse.Namespace | None:
+    """The namespace `command`, the toric parser, builds from a plain argv, or None.
+
+    Plain means exactly two positionals, neither starting with "-", the
+    second one of the actions; at most one exact "--machine"; and at
+    most one exact "--expect N", where N does not start with "-" and
+    _integer reads it.  On such tokens argparse takes each positional,
+    flag and value as it stands, in any order, so the namespace is the
+    one it would build.  Anything else returns None and goes to argparse:
+    help, "--", "=" forms, abbreviations, a repeated option, a signed or
+    unreadable N, a missing or extra positional, an unknown action.
+    """
+    positionals = []
+    expect = None
+    machine = False
+    later = iter(tokens)
+    for token in later:
+        if token == "--machine" and not machine:
+            machine = True
+        elif token == "--expect" and expect is None:
+            value = next(later, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                expect = _integer(value)
+            except argparse.ArgumentTypeError:
+                return None
+        elif token.startswith("-"):
+            return None
+        else:
+            positionals.append(token)
+    if len(positionals) != 2 or positionals[1] not in _TORIC_ACTIONS:
+        return None
+    fan_file, action = positionals
+    return argparse.Namespace(
+        fan_file=fan_file,
+        action=action,
+        expect=expect,
+        machine=machine,
+        func=command.get_default("func"),
+    )
+
+
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and its subcommand parsers by name.
@@ -377,7 +431,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     toric = sub.add_parser("toric", help="fan validation and invariants")
     toric.add_argument("fan_file", help="fan file (JSON rays/cones)")
-    toric.add_argument("action", choices=("validate", "degree", "singularities"))
+    toric.add_argument("action", choices=_TORIC_ACTIONS)
     toric.add_argument(
         "--expect",
         type=_integer,
@@ -408,7 +462,10 @@ def main(argv: list[str] | None = None) -> int:
     so its arguments are parsed once.  The top-level parser handles only
     help, a missing or unknown command, anything before the command
     name, and arguments the command's parser leaves over, with the
-    messages and exit code a top-level parse gives.
+    messages and exit code a top-level parse gives.  A plain `toric`
+    argv skips argparse: `_plain_toric_args` builds the namespace the
+    toric parser would, and hands every other argv back to that parser,
+    so argparse alone words usage, help and errors.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -418,9 +475,11 @@ def main(argv: list[str] | None = None) -> int:
         if command is None:
             args = parser.parse_args(argv)
         else:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args = _plain_toric_args(argv[1:], command) if argv[0] == "toric" else None
+            if args is None:
+                args, extras = command.parse_known_args(argv[1:])
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
             args.command = argv[0]
     except SystemExit as exc:
         code = exc.code

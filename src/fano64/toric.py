@@ -164,19 +164,35 @@ def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int, bool] | None:
     ray has <s, v> = -L), or None when the rays have rank at most 2.
     The cone is Q-Cartier exactly when every ray lies on the plane, and
     Gorenstein when moreover L = 1; three independent rays always lie on
-    it.
+    it.  The first independent triple in combinations() order is found
+    greedily, in one pass: a is the first nonzero ray, b the first later
+    ray with a x b != 0, c the first later ray off their span.  Every
+    ray before b lies on the line of a, and every ray before c in
+    span(a, b), so no earlier triple is independent.
     """
-    for triple in combinations(rays, 3):
-        solved = solve3(triple, (-1, -1, -1))
-        if solved is None:
-            continue
-        (x, y, z), d = solved
-        g = gcd(x, y, z, d)
-        if d < 0:
-            g = -g
-        s, level = (x // g, y // g, z // g), d // g
-        return s, level, len(rays) == 3 or all(_dot(s, v) == -level for v in rays)
-    return None
+    later = iter(rays)
+    for a in later:
+        if a != (0, 0, 0):
+            break
+    else:
+        return None
+    for b in later:
+        ab = _cross(a, b)
+        if ab != (0, 0, 0):
+            break
+    else:
+        return None
+    for c in later:
+        if _dot(ab, c):
+            break
+    else:
+        return None
+    (x, y, z), d = solve3((a, b, c), (-1, -1, -1))
+    g = gcd(x, y, z, d)
+    if d < 0:
+        g = -g
+    s, level = (x // g, y // g, z // g), d // g
+    return s, level, len(rays) == 3 or all(_dot(s, v) == -level for v in rays)
 
 
 def cone_singularity(rays: Sequence[IVec]) -> ConeSingularity:

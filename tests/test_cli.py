@@ -8,9 +8,11 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import fano64
-from fano64.cli import _build_parser, main
+from fano64.cli import _build_parser, _plain_toric_args, main
 from fano64.elimination import classification_summary
 from fano64.ledger import genus_of_degree
 from fano64.wps import Weights
@@ -817,6 +819,12 @@ DISPATCH_CORPUS = [
     ("--", "toric", P3, "degree"),
     ("-x", "toric", P3, "degree"),
     ("toric", P3, "degree", "-x"),
+    # the plain reader takes the first four; _integer rejects the fifth, so argparse words it
+    ("toric", "--machine", P3, "degree"),
+    ("toric", P3, "degree", "--expect", "64", "--machine"),
+    ("toric", P3, "degree", "--expect", " 64 "),
+    ("toric", P3, "degree", "--expect", "+64"),
+    ("toric", P3, "degree", "--expect", "9" * 5000),
     ("reproduce", "--part=classification"),
     ("reproduce", "--part", "bogus"),
     ("wps", "6", "4", "1", "1", "--machine"),
@@ -875,3 +883,100 @@ def test_dispatch_matches_a_top_level_parse(capsys, monkeypatch, parsed_namespac
         monkeypatch.setattr(sys, "argv", ["fano64", *argv])
         assert (main(), *capsys.readouterr(), parsed_namespaces[:]) == expected, argv
         parsed_namespaces.clear()
+
+
+TORIC_TOKENS = [
+    P3,
+    X66,
+    str(FANS / "p1p1p1.fan"),
+    str(FANS / "missing.fan"),
+    "",
+    "-",
+    "validate",
+    "degree",
+    "singularities",
+    "bogus",
+    "--machine",
+    "--mach",
+    "--machine=1",
+    "--expect",
+    "--expect=64",
+    "64",
+    "63",
+    "-5",
+    "+64",
+    " 64 ",
+    "1_0",
+    "\u0663",
+    "9" * 5000,
+    "--",
+    "-h",
+    "-x",
+]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(TORIC_TOKENS), max_size=6))
+@example([P3, "degree", "--expect", "64", "--machine"])
+@example(["--machine", X66, "singularities"])
+def test_toric_argvs_match_a_top_level_parse(capsys, monkeypatch, parsed_namespaces, tokens):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    argv = ["toric", *tokens]
+    capsys.readouterr()
+    parsed_namespaces.clear()
+    expected = (_reference_main(list(argv)), *capsys.readouterr(), parsed_namespaces[:])
+    parsed_namespaces.clear()
+    assert (*run(capsys, *argv), parsed_namespaces[:]) == expected, argv
+
+
+PLAIN_TORIC = [
+    (P3, "degree"),
+    (P3, "validate", "--machine"),
+    ("--machine", P3, "singularities"),
+    (P3, "--expect", "64", "degree"),
+    (P3, "degree", "--expect", "64", "--machine"),
+    ("--expect", " 64 ", "--machine", P3, "degree"),
+    (P3, "degree", "--expect", "+64"),
+    (P3, "validate", "--expect", "64"),  # parses; _cmd_toric rejects it
+    ("", "degree"),
+    (str(FANS / "missing.fan"), "degree"),
+]
+FALLBACK_TORIC = [
+    (),
+    (P3,),
+    (P3, "degree", "extra"),
+    (P3, "bogus"),
+    ("-h",),
+    (P3, "degree", "-h"),
+    (P3, "degree", "--help"),
+    ("--", P3, "degree"),
+    (P3, "degree", "--"),
+    (P3, "degree", "--machine=1"),
+    (P3, "degree", "--expect=64"),
+    (P3, "degree", "--mach"),
+    (P3, "degree", "--exp", "64"),
+    (P3, "degree", "--machine", "--machine"),
+    (P3, "degree", "--expect", "64", "--expect", "64"),
+    (P3, "degree", "--expect"),
+    (P3, "degree", "--expect", "-5"),
+    (P3, "degree", "--expect", "--machine"),
+    (P3, "degree", "--expect", "1_0"),
+    (P3, "degree", "--expect", "\u0663"),
+    (P3, "degree", "--expect", ""),
+    (P3, "degree", "--expect", "9" * 5000),
+    ("-", "degree"),
+    ("-5", "degree"),
+    ("-x", "degree"),
+    (P3, "-x"),
+]
+
+
+def test_plain_toric_args_builds_the_parsers_namespace_or_declines():
+    _, commands = _build_parser()
+    toric = commands["toric"]
+    for tokens in PLAIN_TORIC:
+        args = _plain_toric_args(list(tokens), toric)
+        assert args is not None, tokens
+        assert vars(args) == vars(toric.parse_known_args(list(tokens))[0]), tokens
+    for tokens in FALLBACK_TORIC:
+        assert _plain_toric_args(list(tokens), toric) is None, tokens

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fano64.toric
-from fano64.lattice import IVec, _cross, _dot, det3, vec_str
+from fano64.lattice import IVec, _cross, _dot, det3, solve3, vec_str
 from fano64.toric import (
     ConeSingularity,
     ConeSingularityKind,
@@ -142,19 +142,63 @@ def _support_plane_oracle(rays: tuple[IVec, ...]) -> tuple[IVec, int, bool] | No
     return None
 
 
+@st.composite
+def dependent_rays(draw):
+    """Rays each zero, a multiple of an earlier ray, in the span of two, or drawn freely."""
+    rays: list[IVec] = []
+    for _ in range(draw(st.integers(min_value=3, max_value=8))):
+        kind = draw(st.sampled_from(("zero", "parallel", "coplanar", "free")))
+        if kind == "zero":
+            rays.append((0, 0, 0))
+        elif kind == "parallel" and rays:
+            v, k = draw(st.sampled_from(rays)), draw(small)
+            rays.append((k * v[0], k * v[1], k * v[2]))
+        elif kind == "coplanar" and len(rays) > 1:
+            u, v = draw(st.sampled_from(rays)), draw(st.sampled_from(rays))
+            p, q = draw(small), draw(small)
+            rays.append(tuple(p * a + q * b for a, b in zip(u, v)))
+        else:
+            rays.append(draw(small_rays))
+    return tuple(rays)
+
+
 # small coordinates, and coordinates near +-10^12
 plane_coords = st.one_of(small, small.map(lambda t: t + 10**12), small.map(lambda t: t - 10**12))
 
 
-@given(st.lists(st.tuples(plane_coords, plane_coords, plane_coords), min_size=3, max_size=6))
+@given(
+    st.one_of(
+        st.lists(st.tuples(plane_coords, plane_coords, plane_coords), min_size=3, max_size=6),
+        dependent_rays(),
+    )
+)
 @example([(0, 1, 0), (1, 0, 0), (0, 0, 1)])  # det -1
 @example([(0, 2, 0), (1, 0, 0), (0, 0, 3), (-1, 0, 0)])  # det -6, fractional, off the plane
 @example([(2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)])  # det 6, fractional, off the plane
 @example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, -1, -1)])  # dependent first triple
 @example([(10**12, 1, 0), (0, 10**12 - 1, 1), (1, 0, -(10**12))])
+@example([(0, 0, 0), (1, 2, 3), (2, 4, 6), (0, 0, 0), (1, 0, 0), (3, 2, 3), (0, 0, 1)])
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)])  # rank 2
 def test_support_plane_matches_the_fraction_oracle(rays):
     rays = tuple(rays)
     assert _support_plane(rays) == _support_plane_oracle(rays)
+
+
+def test_support_plane_of_a_rank_2_cone_solves_nothing(monkeypatch):
+    """3000 rays on one plane: no triple is independent, and none is solved."""
+    calls = []
+
+    def counting_solve3(rows, rhs):
+        calls.append(rows)
+        return solve3(rows, rhs)
+
+    monkeypatch.setattr(fano64.toric, "solve3", counting_solve3)
+    rays = tuple((1, i, 0) for i in range(3000))
+    assert _support_plane(rays) is None
+    assert cone_singularity(rays).degenerate
+    assert calls == []
+    assert _support_plane(((1, 0, 0), (0, 1, 0), (0, 0, 1), *rays)) == ((-1, -1, -1), 1, False)
+    assert len(calls) == 1
 
 
 def _support_oracle(rays: tuple[IVec, ...]) -> IVec | None:

@@ -12,16 +12,18 @@ whose normalized volume 6 vol(Delta) is the anticanonical degree of the
 toric variety when the fan is complete and -K is Q-Cartier and nef.
 Delta is the polar of conv(rays), so its vertices come from an integer
 walk over the facets of conv(rays), a facet <n, x> = c giving the
-vertex -n / c; the search for a direction in which Delta is unbounded
-runs only to word that error.  The walk gives each facet of conv(rays)
-as the ring of its vertices, and each facet of Delta lies on the plane
-<m, v> = -1 of one vertex v of conv(rays): its vertices are the facets
-around v, listed in boundary order from the rings' shared edges, not by
-a second sort.  The volume is a sum of pyramids from the origin over
-the facets, each an integer shoelace sum, in that order, on the facet
-projected along a coordinate k with v_k != 0.  A vertex is kept
-as the integer pair (p, d) = (-n, c), the point p / d in lowest terms,
-so Delta is a lattice polytope exactly when every d is 1.
+vertex -n / c.  Delta is unbounded exactly when the walk meets a
+supporting plane with c <= 0: no ray lies beyond it, so the error names
+-n, a direction m with <m, v> >= 0 on every ray.  The walk gives each
+facet of conv(rays) as the ring of its vertices, and each facet of
+Delta lies on the plane <m, v> = -1 of one vertex v of conv(rays): its
+vertices are the facets around v, listed in boundary order from the
+rings' shared edges, not by a second sort.  The volume is a sum of
+pyramids from the origin over the facets, each an integer shoelace sum,
+in that order, on the facet projected along a coordinate k with
+v_k != 0.  A vertex is kept as the integer pair (p, d) = (-n, c), the
+point p / d in lowest terms, so Delta is a lattice polytope exactly
+when every d is 1.
 validate_fan performs structural sanity checks and returns findings
 instead of raising, so defective input data can be examined rather than
 rejected.  A ray that lies in no maximal cone is one finding: it still
@@ -36,13 +38,12 @@ _support_plane answers whether they do, and validate_fan and
 cone_singularity both read that one answer.  A cone whose rays all lie
 on the plane is the cone over a convex polygon in it, so it is
 pointed, and its walls are the consecutive pairs of the polygon's ring.
-Only a cone off its plane goes through the pair scan: a pair of rays
-spans a wall when every ray lies on one side of its plane, and the sum
-of the walls' inward normals is positive on every ray exactly when the
-cone contains no line.  A wall is keyed by the indices of the rays on
-it alone: it holds two rays that are not parallel, so they fix its
-plane.  The cone checks build no Fraction; polytope_degree builds one
-per facet volume.
+A cone off its plane goes through the hull walk instead: it contains no
+line exactly when it has no zero ray and the origin is a vertex of
+conv(rays and 0), and its walls are then that hull's facets through the
+origin.  A wall is keyed by the indices of the rays on it alone: it
+holds two rays that are not parallel, so they fix its plane.  The cone
+checks build no Fraction; polytope_degree builds one per facet volume.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import reprlib
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -164,11 +165,11 @@ def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int, bool] | None:
     ray has <s, v> = -L), or None when the rays have rank at most 2.
     The cone is Q-Cartier exactly when every ray lies on the plane, and
     Gorenstein when moreover L = 1; three independent rays always lie on
-    it.  The first independent triple in combinations() order is found
-    greedily, in one pass: a is the first nonzero ray, b the first later
-    ray with a x b != 0, c the first later ray off their span.  Every
-    ray before b lies on the line of a, and every ray before c in
-    span(a, b), so no earlier triple is independent.
+    it.  The first independent triple in lexicographic order of indices
+    is found greedily, in one pass: a is the first nonzero ray, b the
+    first later ray with a x b != 0, c the first later ray off their
+    span.  Every ray before b lies on the line of a, and every ray before
+    c in span(a, b), so no earlier triple is independent.
     """
     later = iter(rays)
     for a in later:
@@ -233,36 +234,6 @@ def cone_singularity(rays: Sequence[IVec]) -> ConeSingularity:
     return ConeSingularity(False, index, kind, witness, support)
 
 
-def _positive_span_fails(rays: Sequence[IVec]) -> IVec | None:
-    """A nonzero direction m with <m, v> >= 0 for all rays, if one exists.
-
-    Such an m is an unbounded direction of the polar polytope.  When the
-    rays have full rank the set of such m is a pointed cone, so if it is
-    nonzero it has an extremal direction lying on two of the hyperplanes
-    <., v> = 0, hence proportional to a cross product of two rays.  Of
-    rank 2 the first nonzero cross product is orthogonal to every ray
-    and passes; of rank <= 1 no pair has one, and any m orthogonal to
-    the line of the rays serves.
-    """
-    zero = (0, 0, 0)
-    spans_a_plane = False
-    for a, b in combinations(rays, 2):
-        m = _cross(a, b)
-        if m == zero:
-            continue
-        spans_a_plane = True
-        for cand in (m, (-m[0], -m[1], -m[2])):
-            if all(_dot(v, cand) >= 0 for v in rays):
-                return cand
-    if spans_a_plane:
-        return None
-    for v in rays:
-        if v != zero:
-            m = _cross(v, (1, 0, 0))
-            return m if m != zero else _cross(v, (0, 1, 0))
-    return (1, 0, 0)
-
-
 def _axes(n: IVec) -> tuple[int, int, int]:
     """A coordinate k with n_k != 0, then k + 1 and k + 2 mod 3.
 
@@ -296,17 +267,23 @@ def _wrap(pts: Sequence[IVec], a: IVec, b: IVec) -> tuple[IVec, int]:
     return (nx // g, ny // g, nz // g), c // g
 
 
-def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | None:
+def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
     """The facets <n, x> = c of conv(pts) with their rings of vertices, by gift wrapping.
 
     The walk starts on a supporting plane through the vertical line at
-    the largest point, and crosses to a facet where a plane meets the
+    the largest point a, and crosses to a facet where a plane meets the
     hull in an edge only, as its monotone chain leaves two corners.  A
     facet's ring lists its corners, the hull vertices on it, turning
     about -n, so wrapping about its edge p -> q reaches the facet whose
     ring runs it as q -> p: anticanonical_polytope orders the facets of
-    the polar from this adjacency.  None when the origin is not inside
-    the hull (some c <= 0).
+    the polar from this adjacency.  When the origin is not inside the
+    hull the walk meets a supporting plane with c <= 0 and raises
+    ValueError: no point lies beyond it, so m = -n has <m, p> >= 0 on
+    every point, and the message names m.  A wrap gives n = 0 only when
+    every point lies on one line through a.  Then m = a x e3, or e1 when
+    that is zero: <m, p> = 0 when the line is vertical, and otherwise
+    <m, p> is a non-negative multiple of the c > 0 of the first plane,
+    the one through the line and a's vertical line.
     """
     a = max(pts)
     todo = [_wrap(pts, a, (a[0], a[1], a[2] + 1))]
@@ -314,11 +291,16 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]] | Non
     wrapped = set()
     while todo:
         plane = todo.pop()
-        if plane[1] <= 0:
-            return None
+        n, c = plane
+        if c <= 0:
+            m = (-n[0], -n[1], -n[2])
+            if m == (0, 0, 0):
+                m = _cross(a, (0, 0, 1)) if a[0] or a[1] else (1, 0, 0)
+            raise ValueError(
+                f"polytope is unbounded: rays do not positively span (direction {vec_str(m)})"
+            )
         if plane in facets:
             continue
-        n, c = plane
         nx, ny, nz = n
         k, i, j = _axes(n)
         flat = {}
@@ -353,16 +335,11 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     from the walk's adjacency: if F's ring runs a -> v -> b, the next
     facet round v is the one whose ring runs b -> v.  No facet is sorted
     again.  A repeated ray counts once.  Raises when Delta is unbounded,
-    i.e. the rays fail to positively span the space; only then does a
-    search run for the direction the message names.
+    i.e. the rays fail to positively span the space; the walk names the
+    direction from the supporting plane that shows it.
     """
     rays = tuple(dict.fromkeys(f.rays))
     hull = _hull_facets(rays)
-    if hull is None:
-        direction = _positive_span_fails(rays)
-        raise ValueError(
-            f"polytope is unbounded: rays do not positively span (direction {vec_str(direction)})"
-        )
     vertices = [((-x, -y, -z), c) for (x, y, z), c in hull]
     # around[v][a] = (F's vertex of Delta, b) when F's ring runs a -> v -> b
     around: dict[int, dict[int, tuple[QPoint, int]]] = {}
@@ -498,38 +475,33 @@ def _cone_walls(
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """Strong convexity and walls (2-faces) of a rank-3 cone off its support plane.
 
-    This is the pair scan, for the cones _ring_walls cannot take: those
-    that are not Q-Cartier, and those with a zero ray.  A pair of rays
-    spans a wall when all the cone's off-plane rays lie on one side of
-    its plane; rank 3 means some ray is off every such plane, and rays
-    lying on the plane are absorbed into the wall.  A wall is keyed by
-    the indices of the rays on it, in the order of indices: it holds two
-    rays that are not parallel, so the key fixes its plane, and the same
-    wall keys equally from both adjacent cones when both list their rays
-    in ascending order, as Fan does.  The inward normal of a wall is the
-    sign of n with <n, v> > 0 on the off-plane rays; one inward normal
-    per distinct wall, each a positive multiple of the primitive one,
-    sums to m.  A strongly convex cone's walls are its facets, so m lies
-    inside the dual cone and <m, v> > 0 for every ray.  A cone that
-    contains a line has a zero non-negative ray combination, so no m is
-    positive on every ray.  Returns (strongly convex, the wall keys).
+    This takes the cones _ring_walls cannot: those that are not
+    Q-Cartier, and those with a zero ray.  A cone with a zero ray is not
+    strongly convex.  Otherwise the cone contains no line exactly when
+    the origin is a vertex of P = conv(rays and 0), and its walls are then
+    P's facets through the origin.  _hull_facets walks P's k distinct
+    points p as k p - (their sum): that puts their centroid, inside P as
+    the rays have rank 3, at the origin, so the walk never raises, and
+    keeps each facet's normal n.  A facet whose ring holds the origin's
+    point lies on <n, x> = 0, and is keyed by the indices of the rays on
+    it, in the order of indices: it holds two rays that are not parallel,
+    so the key fixes its plane, and the same wall keys equally from both
+    adjacent cones when both list their rays in ascending order, as Fan
+    does.  Returns (strongly convex, the wall keys).
     """
-    walls = {}
-    for i, j in combinations(indices, 2):
-        n = _cross(rays[i], rays[j])
-        if n == (0, 0, 0):
-            continue
-        sides = [_dot(n, rays[k]) for k in indices]
-        low, high = min(sides), max(sides)
-        if low >= 0 or high <= 0:
-            on_plane = tuple([k for k, s in zip(indices, sides) if s == 0])
-            walls[on_plane] = n if low >= 0 else (-n[0], -n[1], -n[2])
-    m = [0, 0, 0]
-    for x, y, z in walls.values():
-        m[0] += x
-        m[1] += y
-        m[2] += z
-    return all(_dot(m, rays[k]) > 0 for k in indices), list(walls)
+    cone = [rays[t] for t in indices]
+    if (0, 0, 0) in cone:
+        return False, []
+    pts = [*dict.fromkeys(cone), (0, 0, 0)]
+    k = len(pts)
+    sx, sy, sz = (sum(p[i] for p in pts) for i in range(3))
+    hull = _hull_facets([(k * x - sx, k * y - sy, k * z - sz) for x, y, z in pts])
+    walls = [
+        tuple([t for t, v in zip(indices, cone) if _dot(n, v) == 0])
+        for (n, _), ring in hull.items()
+        if k - 1 in ring
+    ]
+    return bool(walls), walls
 
 
 def validate_fan(f: Fan) -> FanReport:
@@ -537,7 +509,8 @@ def validate_fan(f: Fan) -> FanReport:
 
     One support plane per cone decides its rank and its Gorenstein
     support, and chooses how its walls are found: from the ring of its
-    rays when they all lie on the plane, else by the pair scan.
+    rays when they all lie on the plane, else from the hull walk over
+    its rays and the origin.
     """
     non_primitive = tuple([i for i, v in enumerate(f.rays) if not _is_primitive(v)])
     used = {i for cone in f.max_cones for i in cone}

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fano64
+import fano64.toric
 from fano64.cli import _build_parser, _plain_toric_args, main
 from fano64.elimination import classification_summary
 from fano64.ledger import genus_of_degree
@@ -241,9 +242,11 @@ def test_toric_degree_output_is_pinned(tmp_path, capsys, fan):
 
 E = ([1, 0, 0], [0, 1, 0], [0, 0, 1])
 P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+# the direction is -n for the first supporting plane <n, x> = c with
+# c <= 0 that the hull walk meets
 DEGENERATE_FANS = {
     # conv(rays) is a triangle off the origin
-    "flat-hull": ([*E], [[0, 1, 2]], "(0,0,1)"),
+    "flat-hull": ([*E], [[0, 1, 2]], "(0,1,0)"),
     # the origin lies on the facet z = 0 of conv(rays)
     "origin-on-facet": (
         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
@@ -251,8 +254,8 @@ DEGENERATE_FANS = {
         "(0,0,1)",
     ),
     "rank-2": ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [[0, 1, 2]], "(1,1,1)"),
-    # no pair of rays spans a plane
-    "rank-1": ([[0, 0, 1], [0, 0, -1], [0, 0, 2]], [[0, 1, 2]], "(0,1,0)"),
+    # every ray lies on the vertical line through the largest, the z-axis
+    "rank-1": ([[0, 0, 1], [0, 0, -1], [0, 0, 2]], [[0, 1, 2]], "(1,0,0)"),
     # a repeated ray counts once
     "p3-repeated-ray": ([*E, [-1, -1, -1], [1, 0, 0]], P3_CONES, None),
 }
@@ -609,6 +612,66 @@ def test_toric_rejects_a_hostile_fan_file(tmp_path, capsys, fan):
             argv = ("toric", str(path), action, *machine)
             # one line on stderr and nothing else: no traceback, no partial output
             assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
+def _count_hull_work(monkeypatch) -> list[int]:
+    """Count the calls to toric's _wrap and _cross: one per wrap, and one per pair in a pair scan."""
+    calls = [0]
+
+    def counted(f):
+        def wrapper(*args):
+            calls[0] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(fano64.toric, "_wrap", counted(fano64.toric._wrap))
+    monkeypatch.setattr(fano64.toric, "_cross", counted(fano64.toric._cross))
+    return calls
+
+
+def test_validate_walks_a_thousand_ray_cone_off_its_plane(tmp_path, capsys, monkeypatch):
+    """P3 plus the cone over (i, i^2, 1 + i mod 2), i = 1..k: not Q-Cartier, so not a ring.
+
+    The rays with even i lie on the parabola (x, x^2, 1) and those with
+    odd i on (x, 2 x^2, 1) scaled by 2, inside the even rays' polygon but
+    for i = 1.  The cone's walls join i = 1 to 2 and to k, and each even
+    i to the next; none is shared.  A pair scan made k^2 / 2 cross
+    products.
+    """
+    k = 1000
+    rays = [*P3_RAYS, *([i, i * i, 1 + i % 2] for i in range(1, k + 1))]
+    path = tmp_path / "cone.fan"
+    path.write_text(json.dumps({"rays": rays, "cones": [*P3_CONES, list(range(4, 4 + k))]}))
+    first, last = 4, 3 + k
+    walls = [(first, first + 1), (first, last), *((j, j + 2) for j in range(first + 1, last, 2))]
+    expected = [f"rays: {4 + k}", "maximal cones: 5"]
+    expected += [
+        f"finding: wall rays[{a}, {b}] is not shared by exactly two maximal cones" for a, b in walls
+    ]
+    expected.append("finding: cone 4 has no integral Gorenstein support vector")
+    calls = _count_hull_work(monkeypatch)
+    assert run(capsys, "toric", str(path), "validate") == (0, "\n".join(expected) + "\n", "")
+    assert len(walls) == k // 2 + 1
+    assert calls[0] <= 4 * k, calls
+
+
+def test_degree_of_two_thousand_collinear_rays_names_the_unbounded_direction(
+    tmp_path, capsys, monkeypatch
+):
+    """Rays (1, i, 0), i = 0..k - 2 and k, and (0, 0, +-1): the origin lies on an edge of the hull.
+
+    A pair scan for the direction crossed every coplanar pair and dotted
+    it with all k rays before the last two ruled it out.
+    """
+    k = 2000
+    rays = [[1, i, 0] for i in range(1, k - 1)] + [[1, 0, 0], [1, k, 0], [0, 0, 1], [0, 0, -1]]
+    path = tmp_path / "line.fan"
+    path.write_text(json.dumps({"rays": rays, "cones": [[0, 1, 2]]}))
+    calls = _count_hull_work(monkeypatch)
+    err = f"error: polytope is unbounded: rays do not positively span (direction ({k},-1,0))\n"
+    assert run(capsys, "toric", str(path), "degree") == (1, "", err)
+    assert calls[0] <= 4 * k, calls
 
 
 def test_reproduce_table(capsys):

@@ -10,14 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fano64.toric
-from fano64.lattice import IVec, _cross, _dot, det3, solve3, vec_str
+from fano64.lattice import IVec, _cross, _dot, det3, solve3
 from fano64.toric import (
     ConeSingularity,
     ConeSingularityKind,
     Fan,
     RationalPolytope,
     _cone_walls,
-    _positive_span_fails,
     _ring_walls,
     _support_plane,
     anticanonical_polytope,
@@ -440,12 +439,31 @@ def _oracle_degree(p: RationalPolytope) -> Fraction:
     return _fraction_volume(_fraction_facets(p))
 
 
+UNBOUNDED = "polytope is unbounded: rays do not positively span (direction "
+
+
+def _checked_unbounded(e: ValueError, rays) -> str:
+    """The error's message, or "unbounded" once the direction m it names is checked.
+
+    m must be nonzero with <m, v> >= 0 on every ray, the certificate that
+    Delta is unbounded along m; which such m the walk names is its own
+    choice, so only that property is compared.
+    """
+    message = str(e)
+    if not message.startswith(UNBOUNDED):
+        return f"ValueError: {message}"
+    m = tuple(int(x) for x in message[len(UNBOUNDED) : -1].strip("()").split(","))
+    assert len(m) == 3 and m != (0, 0, 0), message
+    assert all(_dot(m, v) >= 0 for v in rays), (message, rays)
+    return "unbounded"
+
+
 def _degree_outcome(degree, f: Fan):
-    """The degree of the fan's polytope, or the ValueError message on the way to it."""
+    """The degree of the fan's polytope, or the checked error on the way to it."""
     try:
         return degree(anticanonical_polytope(f))
     except ValueError as e:
-        return f"ValueError: {e}"
+        return _checked_unbounded(e, f.rays)
 
 
 def _is_integral(p: RationalPolytope) -> bool:
@@ -462,8 +480,9 @@ def test_polytope_degree_matches_the_fraction_oracle_on_random_fans():
         f = Fan(rays, ((0, 1, 2),))
         outcome = _degree_outcome(polytope_degree, f)
         assert outcome == _degree_outcome(_oracle_degree, f), rays
+        assert (outcome == "unbounded") is (_positive_span_fails(rays) is not None), rays
         if isinstance(outcome, str):
-            assert outcome.startswith("ValueError: polytope is unbounded")
+            assert outcome == "unbounded"
             unbounded += 1
         elif not _is_integral(anticanonical_polytope(f)):
             fractional += 1
@@ -588,7 +607,7 @@ def test_polytope_degree_is_unimodular_invariant():
     for name, degree in (("p3.fan", 64), ("p1p1p1.fan", 48), ("x66.fan", 66)):
         base = load(name)
         findings = validate_fan(base).findings()
-        # x66 has a cone off its support plane, which takes the pair scan
+        # x66 has a cone off its support plane, which takes the hull walk
         assert (len(findings) == 6) is (name == "x66.fan"), findings
         for _ in range(100):
             m = random_unimodular(rng)
@@ -601,19 +620,47 @@ def test_polytope_degree_is_unimodular_invariant():
             assert validate_fan(f).findings() == findings
 
 
+def _positive_span_fails(rays: tuple[IVec, ...]) -> IVec | None:
+    """A nonzero direction m with <m, v> >= 0 for all rays, if one exists: O(n^3) by pairs.
+
+    Such an m is an unbounded direction of the polar polytope.  When the
+    rays have full rank the set of such m is a pointed cone, so if it is
+    nonzero it has an extremal direction lying on two of the hyperplanes
+    <., v> = 0, hence proportional to a cross product of two rays.  Of
+    rank 2 the first nonzero cross product is orthogonal to every ray
+    and passes; of rank <= 1 no pair has one, and any m orthogonal to
+    the line of the rays serves.
+    """
+    zero = (0, 0, 0)
+    spans_a_plane = False
+    for a, b in combinations(rays, 2):
+        m = _cross(a, b)
+        if m == zero:
+            continue
+        spans_a_plane = True
+        for cand in (m, scaled(m, -1)):
+            if all(_dot(v, cand) >= 0 for v in rays):
+                return cand
+    if spans_a_plane:
+        return None
+    for v in rays:
+        if v != zero:
+            m = _cross(v, (1, 0, 0))
+            return m if m != zero else _cross(v, (0, 1, 0))
+    return (1, 0, 0)
+
+
 def _oracle_polytope(f: Fan):
     """Delta's Fraction vertices and facets from every ray triple: O(n^4) whatever the output size.
 
     The planes <m, a> = <m, b> = <m, c> = -1 meet in m = N / d with
     N = -(b x c + c x a + a x b) and d = det(a, b, c); kept in lowest
     terms with d > 0, m is a vertex when <N, v> >= -d for every ray v.
+    Returns None when Delta is unbounded.
     """
     rays = tuple(dict.fromkeys(f.rays))
-    direction = _positive_span_fails(rays)
-    if direction is not None:
-        raise ValueError(
-            f"polytope is unbounded: rays do not positively span (direction {vec_str(direction)})"
-        )
+    if _positive_span_fails(rays) is not None:
+        return None
     seen = set()
     vertices = []
     on_ray: dict[int, list] = {}
@@ -649,11 +696,11 @@ def _is_boundary_order(ring: list, oracle: list) -> bool:
 
 
 def _polytope_outcome(f: Fan):
-    """Sorted Fraction vertices, facet incidences as sets and degree, or the ValueError message."""
+    """Sorted Fraction vertices, facet incidences as sets and degree, or the checked error."""
     try:
         p = anticanonical_polytope(f)
     except ValueError as e:
-        return f"ValueError: {e}"
+        return _checked_unbounded(e, f.rays)
     # each vertex p / d is in lowest terms with d > 0
     assert all(d > 0 and gcd(*m, d) == 1 for m, d in p.vertices), p.vertices
     facets = _fraction_facets(p)
@@ -666,10 +713,10 @@ def _polytope_outcome(f: Fan):
 
 def _oracle_outcome(f: Fan):
     """The same as _polytope_outcome, from the triple oracle and the Fraction volume."""
-    try:
-        vertices, facets = _oracle_polytope(f)
-    except ValueError as e:
-        return f"ValueError: {e}"
+    oracle = _oracle_polytope(f)
+    if oracle is None:
+        return "unbounded"
+    vertices, facets = oracle
     incidences = {(v, frozenset(ms)) for v, ms in facets}
     return sorted(vertices), incidences, _fraction_volume(facets)
 
@@ -821,6 +868,34 @@ def test_strong_convexity_matches_the_positive_dependence_oracle():
     assert 300 < non_convex < 1200, non_convex
 
 
+def _pair_scan_walls(
+    rays: tuple[IVec, ...], indices: tuple[int, ...]
+) -> tuple[bool, list[tuple[int, ...]]]:
+    """Strong convexity and walls of a rank-3 cone from every pair of its rays: O(k^3).
+
+    A pair of rays spans a wall when all the cone's rays off its plane
+    lie on one side of it, and the rays on the plane are absorbed into
+    the wall, keyed by their indices in the order of indices.  The inward
+    normal of a wall is the sign of n with <n, v> > 0 on the off-plane
+    rays; one per distinct wall, they sum to m.  A strongly convex cone's
+    walls are its facets, so m lies inside the dual cone and <m, v> > 0
+    for every ray; a cone that contains a line has a zero non-negative
+    ray combination, so no m is positive on every ray.
+    """
+    walls = {}
+    for i, j in combinations(indices, 2):
+        n = _cross(rays[i], rays[j])
+        if n == (0, 0, 0):
+            continue
+        sides = [_dot(n, rays[k]) for k in indices]
+        low, high = min(sides), max(sides)
+        if low >= 0 or high <= 0:
+            on_plane = tuple([k for k, s in zip(indices, sides) if s == 0])
+            walls[on_plane] = n if low >= 0 else scaled(n, -1)
+    m = vsum(*walls.values())
+    return all(_dot(m, rays[k]) > 0 for k in indices), list(walls)
+
+
 def test_ring_walls_match_the_pair_scan_on_q_cartier_cones():
     """Rays on a plane <s, x> = -L: the ring of their polygon and the pair scan find the same walls.
 
@@ -852,13 +927,56 @@ def test_ring_walls_match_the_pair_scan_on_q_cartier_cones():
         assert plane == (s, level, True), rays
         assert all(_dot(s, v) == -level for v in rays)
         indices = tuple(range(len(rays)))
-        convex, walls = _cone_walls(rays, indices)
+        convex, walls = _pair_scan_walls(rays, indices)
         assert convex, rays
         ring = _ring_walls(rays, indices, s)
         assert len(ring) == len(set(ring)) and set(ring) == set(walls), rays
         checked += 1
         beyond_triangles += len(walls) > 3
     assert beyond_triangles > 200, beyond_triangles
+
+
+def test_hull_walls_match_the_pair_scan_on_cones_off_their_plane():
+    """Rank-3 cones with rays off their support plane: the hull walk and the pair scan agree.
+
+    Half the cones are drawn inside the half-space <u, x> >= 0 of a random
+    u, so that many are pointed; opposite, zero and repeated rays are
+    mixed in at random.
+    """
+    rng = random.Random(20093)
+    checked = convex_cones = zero_rays = 0
+    while checked < 1500:
+        bound = rng.randint(1, 4)
+        rays = [
+            tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(rng.randint(4, 9))
+        ]
+        if rng.random() < 0.5:
+            u = tuple(rng.randint(-2, 2) for _ in range(3))
+            rays = [v if _dot(u, v) >= 0 else scaled(v, -1) for v in rays]
+        if rng.random() < 0.15:
+            rays[rng.randrange(len(rays))] = scaled(rng.choice(rays), -1)
+        if rng.random() < 0.1:
+            rays[rng.randrange(len(rays))] = (0, 0, 0)
+        if rng.random() < 0.3:
+            rays[rng.randrange(len(rays))] = rng.choice(rays)
+        rays = tuple(rays)
+        plane = _support_plane(rays)
+        if plane is None or plane[2]:
+            continue
+        indices = tuple(range(len(rays)))
+        convex, walls = _cone_walls(rays, indices)
+        want_convex, want_walls = _pair_scan_walls(rays, indices)
+        assert convex is want_convex, rays
+        # a cone with a zero ray is never strongly convex
+        assert not (convex and (0, 0, 0) in rays), rays
+        if convex:
+            assert len(walls) == len(set(walls)) and set(walls) == set(want_walls), rays
+        checked += 1
+        convex_cones += convex
+        zero_rays += (0, 0, 0) in rays
+    # both verdicts are well represented, and zero rays among them
+    assert 300 < convex_cones < 1200, convex_cones
+    assert zero_rays > 50, zero_rays
 
 
 def test_walls_on_one_plane_are_told_apart_by_their_rays():

@@ -13,13 +13,12 @@ This module only parses arguments and formats results.  What a
 `toric.cone_singularity`.  Integer arguments are plain decimals: an
 optional sign and ASCII digits, with surrounding spaces allowed.
 
-Arguments are parsed by argparse, with one exception: a plain `toric`
-command line, the shape every batch call uses (a fan file, an action,
-at most one `--machine` and one `--expect N`, each token exact), is
-read token by token into the namespace argparse would build, because
-argparse is a large share of the time of a toric call.  Every other
-command line still goes through argparse, so it alone prints usage,
-help and error text.
+A command line is parsed one of two ways.  A plain `toric` one, the
+shape every batch call uses (a fan file, an action, at most one
+`--machine` and one `--expect N`, each token exact), is read token by
+token into the namespace argparse would build, and builds no parser.
+Every other one goes through argparse, which alone prints usage, help
+and error text.
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a value
 requested for verification does not match the computed one or a ledger
@@ -352,17 +351,17 @@ def _cmd_reproduce(args) -> int:
 _TORIC_ACTIONS = ("validate", "degree", "singularities")
 
 
-def _plain_toric_args(tokens: list[str], command: _Parser) -> argparse.Namespace | None:
-    """The namespace `command`, the toric parser, builds from a plain argv, or None.
+def _plain_toric_args(tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds from `toric` and a plain argv, or None.
 
     Plain means exactly two positionals, neither starting with "-", the
     second one of the actions; at most one exact "--machine"; and at
     most one exact "--expect N", where N does not start with "-" and
     _integer reads it.  On such tokens argparse takes each positional,
-    flag and value as it stands, in any order, so the namespace is the
-    one it would build.  Anything else returns None and goes to argparse:
-    help, "--", "=" forms, abbreviations, a repeated option, a signed or
-    unreadable N, a missing or extra positional, an unknown action.
+    flag and value as it stands, in any order.  Anything else returns
+    None and goes to argparse: help, "--", "=" forms, abbreviations, a
+    repeated option, a signed or unreadable N, a missing or extra
+    positional, an unknown action.
     """
     positionals = []
     expect = None
@@ -387,24 +386,18 @@ def _plain_toric_args(tokens: list[str], command: _Parser) -> argparse.Namespace
         return None
     fan_file, action = positionals
     return argparse.Namespace(
+        command="toric",
         fan_file=fan_file,
         action=action,
         expect=expect,
         machine=machine,
-        func=command.get_default("func"),
+        func=_cmd_toric,
     )
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and its subcommand parsers by name.
-
-    main() parses a command's arguments with that command's parser alone;
-    the top-level parser sees only help, a missing or unknown command and
-    the arguments a command's parser leaves over.  The map is the
-    `choices` of the subparsers action.  Built on the first main() call;
-    parsing leaves the parsers unchanged, so they are reused.
-    """
+def _build_parser() -> _Parser:
+    """The top-level parser, built on the first argv that needs it and reused."""
     parser = _Parser(prog="fano64", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -452,38 +445,24 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     reproduce.add_argument("--machine", action="store_true", help="JSON output")
     reproduce.set_defaults(func=_cmd_reproduce)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; `argv` defaults to `sys.argv[1:]`.
 
-    A command name in `argv[0]` goes straight to that command's parser,
-    so its arguments are parsed once.  The top-level parser handles only
-    help, a missing or unknown command, anything before the command
-    name, and arguments the command's parser leaves over, with the
-    messages and exit code a top-level parse gives.  A plain `toric`
-    argv skips argparse: `_plain_toric_args` builds the namespace the
-    toric parser would, and hands every other argv back to that parser,
-    so argparse alone words usage, help and errors.
+    A plain `toric` argv is read by `_plain_toric_args`; every other argv
+    goes through the top-level parser.
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _build_parser()
-    try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args = _plain_toric_args(argv[1:], command) if argv[0] == "toric" else None
-            if args is None:
-                args, extras = command.parse_known_args(argv[1:])
-                if extras:
-                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            args.command = argv[0]
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0
+    args = _plain_toric_args(argv[1:]) if argv[:1] == ["toric"] else None
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -310,7 +310,7 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
                 if s > c:
                     raise ArithmeticError(f"hull walk reached a plane {plane} that is not a facet")
                 flat[p[i], p[j]] = t
-        ring = [flat[q] for q in _hull_order(list(flat))]
+        ring = _hull_order(flat)
         if len(ring) == 2:
             todo.append(_wrap(pts, pts[ring[0]], pts[ring[1]]))
             continue
@@ -364,9 +364,13 @@ def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Counter-clockwise boundary order of integer points via a monotone chain."""
-    flat = sorted(points)
+def _hull_order(index: dict[tuple[int, int], int]) -> list[int]:
+    """The indices of the hull vertices of `index`'s points, counter-clockwise.
+
+    `index` maps each integer point to its index; a monotone chain gives
+    the boundary order.
+    """
+    flat = sorted(index)
     lower: list[tuple[int, int]] = []
     for pt in flat:
         while len(lower) >= 2 and _turn(lower[-2], lower[-1], pt) <= 0:
@@ -377,7 +381,7 @@ def _hull_order(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
         while len(upper) >= 2 and _turn(upper[-2], upper[-1], pt) <= 0:
             upper.pop()
         upper.append(pt)
-    return lower[:-1] + upper[:-1]
+    return [index[pt] for pt in lower[:-1] + upper[:-1]]
 
 
 def polytope_degree(p: RationalPolytope) -> Fraction:
@@ -460,7 +464,7 @@ def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> list
         return [(a, b), (a, c), (b, c)]
     _, i, j = _axes(s)
     flat = {(rays[t][i], rays[t][j]): t for t in indices}
-    ring = [flat[q] for q in _hull_order(list(flat))]
+    ring = _hull_order(flat)
     walls = []
     for p, q in zip(ring, ring[1:] + ring[:1]):
         nx, ny, nz = _cross(rays[p], rays[q])

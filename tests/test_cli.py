@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fano64
 import fano64.toric
+from fano64 import cli
 from fano64.cli import _build_parser, _plain_toric_args, main
 from fano64.elimination import classification_summary
 from fano64.ledger import genus_of_degree
@@ -747,8 +748,6 @@ def test_reproduce_single_part(capsys):
 
 
 def test_reproduce_reports_a_failed_ledger_check(capsys, monkeypatch):
-    from fano64 import cli
-
     seven = cli.classification_summary()
     monkeypatch.setattr(cli, "classification_summary", lambda: seven[:-1])
     code, out, _ = run(capsys, "reproduce")
@@ -758,8 +757,6 @@ def test_reproduce_reports_a_failed_ledger_check(capsys, monkeypatch):
 
 
 def test_reproduce_machine_reports_a_failed_ledger_check(capsys, monkeypatch):
-    from fano64 import cli
-
     seven = cli.classification_summary()
     monkeypatch.setattr(cli, "classification_summary", lambda: seven[:-1])
     code, out, _ = run(capsys, "reproduce", "--part", "classification", "--machine")
@@ -852,8 +849,8 @@ def test_back_to_back_calls_match_fresh_processes(capsys, monkeypatch):
         assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
-# main() hands argv[0]'s command its own arguments; the reference parses
-# everything through the top-level parser, as argparse's subparsers do
+# main() reads a plain toric argv itself and hands every other argv to the
+# top-level parser; the reference parses everything through that parser
 DISPATCH_CORPUS = [
     (),
     ("-h",),
@@ -901,9 +898,8 @@ DISPATCH_CORPUS = [
 
 def _reference_main(argv: list[str]) -> int:
     """main() as a single top-level parse_args, with main()'s error handling."""
-    parser, _ = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
@@ -913,11 +909,12 @@ def _reference_main(argv: list[str]) -> int:
         return 1
 
 
+COMMAND_FUNCS = ("_cmd_bundle", "_cmd_wps", "_cmd_toric", "_cmd_reproduce")
+
+
 @pytest.fixture
-def parsed_namespaces():
+def parsed_namespaces(monkeypatch):
     """The namespace each command function receives, as a dict, in call order."""
-    _, commands = _build_parser()
-    originals = {name: command.get_default("func") for name, command in commands.items()}
     seen = []
 
     def recording(func):
@@ -927,13 +924,13 @@ def parsed_namespaces():
 
         return record
 
-    for name, command in commands.items():
-        command.set_defaults(func=recording(originals[name]))
-    try:
-        yield seen
-    finally:
-        for name, command in commands.items():
-            command.set_defaults(func=originals[name])
+    # the parser binds each command's function when it is built, so it is
+    # rebuilt with the recorders, and again once monkeypatch restores them
+    for name in COMMAND_FUNCS:
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    _build_parser.cache_clear()
+    yield seen
+    _build_parser.cache_clear()
 
 
 def test_dispatch_matches_a_top_level_parse(capsys, monkeypatch, parsed_namespaces):
@@ -1035,11 +1032,24 @@ FALLBACK_TORIC = [
 
 
 def test_plain_toric_args_builds_the_parsers_namespace_or_declines():
-    _, commands = _build_parser()
-    toric = commands["toric"]
+    parser = _build_parser()
     for tokens in PLAIN_TORIC:
-        args = _plain_toric_args(list(tokens), toric)
+        args = _plain_toric_args(list(tokens))
         assert args is not None, tokens
-        assert vars(args) == vars(toric.parse_known_args(list(tokens))[0]), tokens
+        assert vars(args) == vars(parser.parse_args(["toric", *tokens])), tokens
     for tokens in FALLBACK_TORIC:
-        assert _plain_toric_args(list(tokens), toric) is None, tokens
+        assert _plain_toric_args(list(tokens)) is None, tokens
+
+
+def test_plain_toric_argv_builds_no_parser(capsys):
+    _build_parser.cache_clear()
+    code, out, err = run(capsys, "toric", P3, "degree", "--machine")
+    assert (code, json.loads(out), err) == (0, {"degree": "64", "vertices": 4}, "")
+    assert _build_parser.cache_info().currsize == 0
+    # an `=` form is not plain: it builds the parser, once, with the same output
+    equals = run(capsys, "toric", P3, "degree", "--expect=64")
+    assert _build_parser.cache_info().currsize == 1
+    run(capsys, "toric", P3, "degree", "--expect=64")
+    assert _build_parser.cache_info().misses == 1
+    assert equals == run(capsys, "toric", P3, "degree", "--expect", "64")
+    assert equals == (0, "degree: 64\nexpected: 64 (match)\n", "")

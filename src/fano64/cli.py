@@ -327,11 +327,27 @@ def _cmd_reproduce(args) -> int:
     else:
         lines = []
         counts: dict[str, int] = {}
+        # most records share one of a few geometric arguments: format each once
+        arguments: dict[str, str] = {}
         for name, records in sections.items():
             for record in records:
                 lines.append(f"[{name}] {record.context}")
-                lines.extend(f"    {key} = {_fmt(value)}" for key, value in record.computed)
-                lines.append(f"    {_describe_verdict(record)}")
+                lines.extend(
+                    [
+                        f"    {key} = {value}"
+                        if type(value) is int
+                        else f"    {key} = {_fmt(value)}"
+                        for key, value in record.computed
+                    ]
+                )
+                v = record.verdict
+                if isinstance(v, GeometricArgument):
+                    line = arguments.get(v.argument)
+                    if line is None:
+                        line = arguments[v.argument] = f"    {_describe_verdict(record)}"
+                    lines.append(line)
+                else:
+                    lines.append(f"    {_describe_verdict(record)}")
             part = name.partition("/")[0]
             counts[part] = counts.get(part, 0) + len(records)
         summary = ", ".join(f"{name}: {n}" for name, n in counts.items())

@@ -29,6 +29,7 @@ ledger holds; the command line only prints its failures.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, NamedTuple, Union
 
@@ -692,9 +693,27 @@ def _value_to_json(v: Value) -> str:
     raise TypeError(f"unsupported record value {v!r}")
 
 
+# Most records share one of a few geometric arguments, so each distinct
+# argument's verdict text is rendered once.  The cache is keyed by the
+# string, never by the verdict: verdicts are tuples, and
+# Survives("x") == GeometricArgument("x").  It is bounded, since a caller
+# may serialize arbitrary records.
+@lru_cache(maxsize=1024)
+def _argument_json(argument: str) -> str:
+    return f'{{"argument": {_quote(argument)}, "kind": "geometric-argument"}}'
+
+
 def record_to_json(r: CaseRecord) -> str:
     """The record as one JSON object, the text `reproduce --machine` prints for it."""
-    computed = ", ".join([f"[{_quote(k)}, {_value_to_json(v)}]" for k, v in r.computed])
+    # most values are exact ints: write those inline
+    computed = ", ".join(
+        [
+            f'[{_quote(k)}, {{"t": "int", "v": {v}}}]'
+            if type(v) is int
+            else f"[{_quote(k)}, {_value_to_json(v)}]"
+            for k, v in r.computed
+        ]
+    )
     inputs = ", ".join([f"[{_quote(k)}, {_quote(v)}]" for k, v in r.inputs])
     v = r.verdict
     if isinstance(v, ArithmeticContradiction):
@@ -706,7 +725,7 @@ def record_to_json(r: CaseRecord) -> str:
     elif isinstance(v, Survives):
         verdict = f'{{"construction": {_quote(v.construction)}, "kind": "survives"}}'
     else:
-        verdict = f'{{"argument": {_quote(v.argument)}, "kind": "geometric-argument"}}'
+        verdict = _argument_json(v.argument)
     head = f'{{"computed": [{computed}], "context": {_quote(r.context)}, "inputs": [{inputs}]'
     return f'{head}, "verdict": {verdict}}}'
 

@@ -15,7 +15,12 @@ import fano64
 import fano64.toric
 from fano64 import cli
 from fano64.cli import _build_parser, _plain_toric_args, main
-from fano64.elimination import classification_summary
+from fano64.elimination import (
+    CaseRecord,
+    GeometricArgument,
+    Survives,
+    classification_summary,
+)
 from fano64.ledger import genus_of_degree
 from fano64.wps import Weights
 
@@ -764,6 +769,29 @@ def test_reproduce_machine_reports_a_failed_ledger_check(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["failures"] == ["classification: 6 records, expected 7"]
     assert len(doc["parts"]["classification"]) == 6
+
+
+def test_reproduce_text_words_each_verdict_by_its_kind(capsys, monkeypatch):
+    # Survives("x") == GeometricArgument("x") as tuples; each keeps its own line
+    records = [
+        CaseRecord(context, (), (), verdict)
+        for context, verdict in (
+            ("a", Survives("x")),
+            ("b", GeometricArgument("x")),
+            ("c", Survives("x")),
+        )
+    ]
+    monkeypatch.setattr(cli, "_reproduce", lambda part: {"twisted-sweep/F0": records})
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 0
+    assert out.splitlines()[:6] == [
+        "[twisted-sweep/F0] a",
+        "    survives: x",
+        "[twisted-sweep/F0] b",
+        "    geometric argument: x",
+        "[twisted-sweep/F0] c",
+        "    survives: x",
+    ]
 
 
 def test_machine_records_round_trip_through_the_serializer(capsys):

@@ -547,6 +547,25 @@ def test_record_json_is_json_dumps_of_the_payload(r):
     assert record_to_json(r) == json.dumps(record_to_payload(r), sort_keys=True)
 
 
+def test_equal_verdicts_of_different_kinds_serialize_apart():
+    # verdicts are tuples, so these pairs compare equal; a writer that
+    # cached text by verdict would give the second the first one's kind
+    verdicts = [
+        Survives("x"),
+        GeometricArgument("x"),
+        Survives("x"),
+        ArithmeticContradiction("q", "==", True),
+        ArithmeticContradiction("q", "==", 1),
+        ArithmeticContradiction("q", "==", True),
+    ]
+    for v in verdicts:
+        r = CaseRecord("c", (), (("q", 2),), v)
+        back = record_from_payload(json.loads(record_to_json(r))).verdict
+        assert back == v and type(back) is type(v)
+        if type(v) is ArithmeticContradiction:
+            assert type(back.target) is type(v.target)
+
+
 def test_record_json_rejects_a_value_of_another_type():
     for value in (1.5, None, (1, 2)):
         r = CaseRecord("c", (), (("x", value),), GeometricArgument("x"))

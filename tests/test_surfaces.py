@@ -6,6 +6,8 @@ from fano64.surfaces import (
     F0,
     F1,
     F2,
+    F3,
+    F4,
     BaseSurface,
     P2,
     SurfaceClass,
@@ -72,12 +74,19 @@ def test_only_an_integer_on_the_left_scales_a_class():
 
 def test_classes_on_different_hirzebruch_surfaces_do_not_combine():
     on_f1, on_f2 = SurfaceClass(F1, 1, 1), SurfaceClass(F2, 1, 1)
-    with pytest.raises(ValueError):
-        intersect(on_f1, on_f2)
-    with pytest.raises(ValueError):
-        on_f1 + on_f2
-    with pytest.raises(ValueError):
-        on_f2 - on_f1
+    for combine in (intersect, lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="^classes live on different surfaces: F1 vs F2$"):
+            combine(on_f1, on_f2)
+        with pytest.raises(ValueError, match="^classes live on different surfaces: F2 vs F1$"):
+            combine(on_f2, on_f1)
+
+
+def test_a_class_combines_only_with_a_class():
+    c = SurfaceClass(F1, 1, 1)
+    for combine in (intersect, lambda x, y: x + y, lambda x, y: x - y):
+        for other in (1, (F1, 1, 1), None):
+            with pytest.raises(AttributeError):
+                combine(c, other)
 
 
 def test_a_surface_built_afresh_is_the_same_surface():
@@ -88,6 +97,32 @@ def test_a_surface_built_afresh_is_the_same_surface():
     assert intersect(d, e) == 1
     assert canonical_class(fresh) == canonical_class(F2)
     assert k_squared(fresh) == k_squared(F2) == 8
+
+
+# Sums, differences, negatives and integer multiples skip SurfaceClass's
+# check; they must build what the checked constructor builds.
+@given(
+    st.sampled_from([P2, F0, F1, F2, F3, F4]).flatmap(
+        lambda s: st.tuples(classes(s), classes(s))
+    ),
+    small,
+)
+def test_derived_classes_equal_the_checked_ones(pair, k):
+    c, d = pair
+    s = c.surface
+    for got, a, b in (
+        (c + d, c.a + d.a, c.b + d.b),
+        (c - d, c.a - d.a, c.b - d.b),
+        (-c, -c.a, -c.b),
+        (k * c, k * c.a, k * c.b),
+    ):
+        assert got == SurfaceClass(s, a, b) and type(got) is SurfaceClass
+        assert got.surface is s
+        if s.is_plane:
+            assert got.b == 0
+    fresh = SurfaceClass(BaseSurface(s.hirzebruch_n), d.a, d.b)
+    assert fresh.surface is not s
+    assert (c + fresh, c - fresh, intersect(c, fresh)) == (c + d, c - d, intersect(c, d))
 
 
 def test_intersection_form():

@@ -84,7 +84,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v) -> str:
-    # exact types: an isinstance test against Fraction runs the slow ABC check
+    # exact types: an isinstance test against Fraction runs the slow ABC check.
+    # `reproduce`'s text report writes exact ints itself: change both together
     if type(v) is bool:
         return "true" if v else "false"
     if type(v) is Fraction:
@@ -327,11 +328,10 @@ def _cmd_reproduce(args) -> int:
     else:
         lines = []
         counts: dict[str, int] = {}
-        # most records share one of a few geometric arguments: format each once
-        arguments: dict[str, str] = {}
         for name, records in sections.items():
             for record in records:
                 lines.append(f"[{name}] {record.context}")
+                # most values are exact ints, which _fmt would only str()
                 lines.extend(
                     [
                         f"    {key} = {value}"
@@ -340,14 +340,13 @@ def _cmd_reproduce(args) -> int:
                         for key, value in record.computed
                     ]
                 )
+                # most verdicts are geometric arguments: word those inline
                 v = record.verdict
-                if isinstance(v, GeometricArgument):
-                    line = arguments.get(v.argument)
-                    if line is None:
-                        line = arguments[v.argument] = f"    {_describe_verdict(record)}"
-                    lines.append(line)
-                else:
-                    lines.append(f"    {_describe_verdict(record)}")
+                lines.append(
+                    f"    geometric argument: {v.argument}"
+                    if isinstance(v, GeometricArgument)
+                    else f"    {_describe_verdict(record)}"
+                )
             part = name.partition("/")[0]
             counts[part] = counts.get(part, 0) + len(records)
         summary = ", ".join(f"{name}: {n}" for name, n in counts.items())

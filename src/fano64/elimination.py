@@ -681,6 +681,7 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
 
 
 def _value_to_json(v: Value) -> str:
+    # record_to_json writes the int form itself: change both together
     t = type(v)
     if t is int:
         return f'{{"t": "int", "v": {v}}}'

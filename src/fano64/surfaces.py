@@ -11,13 +11,11 @@ on the plane and -(2h + (n+2)l) on F_n; the nef cone is spanned by L,
 respectively by l and h + nl.
 
 Only `SurfaceClass.__new__` checks that a class on the plane has b = 0.
-A sum, difference, negative or integer multiple of classes that passed
-it keeps b = 0 on the plane, so the operators build their result with
+A sum, difference, negative or multiple of classes that passed it keeps
+b = 0 on the plane, so the operators build their result with
 `tuple.__new__` and skip the check; the ledger builds most of its
-classes this way.  The operators and `intersect` test for a common
-surface inline.  An operand that is not exactly a SurfaceClass, or a
-multiplier that is not exactly an int, takes the checked path and
-raises what it always did.
+classes this way.  Sums and differences still check for a common
+surface first.
 """
 
 from __future__ import annotations
@@ -92,36 +90,22 @@ class SurfaceClass(_SurfaceClassFields):
             )
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
-        if type(other) is SurfaceClass:
-            s, a, b = self
-            t, c, d = other
-            if s is t or s == t:
-                return tuple.__new__(SurfaceClass, (s, a + c, b + d))
         self._check_same_surface(other)
-        return SurfaceClass(self.surface, self.a + other.a, self.b + other.b)
+        return tuple.__new__(SurfaceClass, (self.surface, self.a + other.a, self.b + other.b))
 
     def __sub__(self, other: "SurfaceClass") -> "SurfaceClass":
-        if type(other) is SurfaceClass:
-            s, a, b = self
-            t, c, d = other
-            if s is t or s == t:
-                return tuple.__new__(SurfaceClass, (s, a - c, b - d))
         self._check_same_surface(other)
-        return SurfaceClass(self.surface, self.a - other.a, self.b - other.b)
+        return tuple.__new__(SurfaceClass, (self.surface, self.a - other.a, self.b - other.b))
 
     def __neg__(self) -> "SurfaceClass":
-        s, a, b = self
-        return tuple.__new__(SurfaceClass, (s, -a, -b))
+        return tuple.__new__(SurfaceClass, (self.surface, -self.a, -self.b))
 
     def __mul__(self, k: int):
         # only k * c scales; c * k would otherwise repeat the tuple
         return NotImplemented
 
     def __rmul__(self, k: int) -> "SurfaceClass":
-        s, a, b = self
-        if type(k) is int:
-            return tuple.__new__(SurfaceClass, (s, k * a, k * b))
-        return SurfaceClass(s, k * a, k * b)
+        return tuple.__new__(SurfaceClass, (self.surface, k * self.a, k * self.b))
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -150,17 +134,11 @@ def ruled_class(n: int, a: int, b: int) -> SurfaceClass:
 
 def intersect(d1: SurfaceClass, d2: SurfaceClass) -> int:
     """The intersection form: L^2 = 1 on the plane; h^2 = -n, h.l = 1, l^2 = 0."""
-    if not (
-        type(d1) is type(d2) is SurfaceClass
-        and (d1.surface is d2.surface or d1.surface == d2.surface)
-    ):
-        d1._check_same_surface(d2)
-    s, a1, b1 = d1
-    _, a2, b2 = d2
-    n = s.hirzebruch_n
+    d1._check_same_surface(d2)
+    n = d1.surface.hirzebruch_n
     if n is None:
-        return a1 * a2
-    return -n * a1 * a2 + a1 * b2 + b1 * a2
+        return d1.a * d2.a
+    return -n * d1.a * d2.a + d1.a * d2.b + d1.b * d2.a
 
 
 @cache

@@ -93,7 +93,8 @@ def degree_p1_bundle(c1: SurfaceClass, c2: int) -> int:
 def solve_c2_for_degree(c1: SurfaceClass, target: int) -> Fraction:
     """The unique c2 giving a prescribed anticanonical degree.
 
-    Inverts the degree formula: c2 = (6 K^2 + 2 c1^2 - target) / 8.
+    Inverts the degree formula, which is linear in c2 with slope -8:
+    c2 = (degree_p1_bundle(c1, 0) - target) / 8.
 
     Args:
         c1: first Chern class on the base.
@@ -104,7 +105,7 @@ def solve_c2_for_degree(c1: SurfaceClass, target: int) -> Fraction:
         above 1) rules the case out, since c2 of an actual bundle is an
         integer.
     """
-    return Fraction(6 * k_squared(c1.surface) + 2 * intersect(c1, c1) - target, 8)
+    return Fraction(degree_p1_bundle(c1, 0) - target, 8)
 
 
 def chi_rank2(c1: SurfaceClass, c2: int) -> int:

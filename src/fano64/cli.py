@@ -14,11 +14,11 @@ This module only parses arguments and formats results.  What a
 optional sign and ASCII digits, with surrounding spaces allowed.
 
 A command line is parsed one of two ways.  A plain `toric` one, the
-shape every batch call uses (a fan file, an action, at most one
-`--machine` and one `--expect N`, each token exact), is read token by
+shape of every `toric` call the benchmark's fan workloads make (a fan
+file, an action and at most one exact `--machine`), is read token by
 token into the namespace argparse would build, and builds no parser.
-Every other one goes through argparse, which alone prints usage, help
-and error text.
+Every other one goes through argparse, `--expect N` included, which
+alone reads option values and prints usage, help and error text.
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a value
 requested for verification does not match the computed one or a ledger
@@ -292,16 +292,6 @@ def _reproduce(part: str | None) -> dict[str, list[CaseRecord]]:
     return sections
 
 
-def _describe_verdict(record: CaseRecord) -> str:
-    v = record.verdict
-    if isinstance(v, ArithmeticContradiction):
-        return f"contradiction: {v.describe()}, got {_fmt(record.value(v.quantity))}"
-    if isinstance(v, Survives):
-        return f"survives: {v.construction}"
-    assert isinstance(v, GeometricArgument)
-    return f"geometric argument: {v.argument}"
-
-
 def _json_object(members: dict) -> str:
     """A JSON object with sorted keys, from values that are JSON text or such dicts."""
     quote = json.encoder.encode_basestring_ascii
@@ -340,13 +330,15 @@ def _cmd_reproduce(args) -> int:
                         for key, value in record.computed
                     ]
                 )
-                # most verdicts are geometric arguments: word those inline
+                # most verdicts are geometric arguments: test for those first
                 v = record.verdict
-                lines.append(
-                    f"    geometric argument: {v.argument}"
-                    if isinstance(v, GeometricArgument)
-                    else f"    {_describe_verdict(record)}"
-                )
+                if isinstance(v, GeometricArgument):
+                    lines.append(f"    geometric argument: {v.argument}")
+                elif isinstance(v, ArithmeticContradiction):
+                    got = _fmt(record.value(v.quantity))
+                    lines.append(f"    contradiction: {v.describe()}, got {got}")
+                else:
+                    lines.append(f"    survives: {v.construction}")
             part = name.partition("/")[0]
             counts[part] = counts.get(part, 0) + len(records)
         summary = ", ".join(f"{name}: {n}" for name, n in counts.items())
@@ -370,29 +362,19 @@ def _plain_toric_args(tokens: list[str]) -> argparse.Namespace | None:
     """The namespace argparse builds from `toric` and a plain argv, or None.
 
     Plain means exactly two positionals, neither starting with "-", the
-    second one of the actions; at most one exact "--machine"; and at
-    most one exact "--expect N", where N does not start with "-" and
-    _integer reads it.  On such tokens argparse takes each positional,
-    flag and value as it stands, in any order.  Anything else returns
-    None and goes to argparse: help, "--", "=" forms, abbreviations, a
-    repeated option, a signed or unreadable N, a missing or extra
-    positional, an unknown action.
+    second one of the actions, and at most one exact "--machine": the
+    `toric <fan> <action> --machine` argvs of the benchmark's fan
+    workloads, which this reader is sized to.  On such tokens argparse
+    takes each positional and the flag as it stands, in any order.
+    Anything else returns None and goes to argparse: "--expect" in any
+    form, help, "--", "=" forms, abbreviations, a repeated flag, a
+    missing or extra positional, an unknown action.
     """
     positionals = []
-    expect = None
     machine = False
-    later = iter(tokens)
-    for token in later:
+    for token in tokens:
         if token == "--machine" and not machine:
             machine = True
-        elif token == "--expect" and expect is None:
-            value = next(later, None)
-            if value is None or value.startswith("-"):
-                return None
-            try:
-                expect = _integer(value)
-            except argparse.ArgumentTypeError:
-                return None
         elif token.startswith("-"):
             return None
         else:
@@ -404,7 +386,7 @@ def _plain_toric_args(tokens: list[str]) -> argparse.Namespace | None:
         command="toric",
         fan_file=fan_file,
         action=action,
-        expect=expect,
+        expect=None,
         machine=machine,
         func=_cmd_toric,
     )

@@ -638,19 +638,29 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
     of degree 64.
     """
     failures = []
+    absent = object()
     for where, records in sections.items():
         for r in records:
             if not verify_record(r):
                 failures.append(
                     f"{where}: contradiction witness failed to verify in {r.context}"
                 )
-            keys = dict(r.computed)
-            if "c2_prime" in keys:
-                if keys["c2_prime"] >= 0:
+            # one scan of the pairs; a repeated key keeps its last value, as in a dict
+            c2_prime = chi_prime = absent
+            preserved = True
+            for key, value in r.computed:
+                if key == "c2_prime":
+                    c2_prime = value
+                elif key == "chi_prime":
+                    chi_prime = value
+                elif key == "degree_preserved":
+                    preserved = value
+            if c2_prime is not absent:
+                if c2_prime >= 0:
                     failures.append(f"{r.context}: c2' not negative")
-                if "chi_prime" in keys and keys["chi_prime"] <= 0:
+                if chi_prime is not absent and chi_prime <= 0:
                     failures.append(f"{r.context}: chi' not positive")
-                if keys.get("degree_preserved", True) is not True:
+                if preserved is not True:
                     failures.append(f"{r.context}: degree not preserved by the twist")
     if "p1-bundles" in sections:
         for r in sections["p1-bundles"]:

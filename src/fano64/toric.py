@@ -1,10 +1,12 @@
 """Fans in Z^3 and their anticanonical polytopes, in exact arithmetic.
 
 A fan is a list of primitive ray vectors plus maximal cones given as
-index sets.  cone_singularity tells, for one cone, whether its rays
-span, the lattice index of a simplicial cone, the type of an index-1 or
-index-2 cone, and its integral Gorenstein support vector.  The toolkit
-also computes the polar polytope
+index sets.  Fan alone checks that they are well formed, so a fan file
+that fan_from_json reads and a fan built in code get the same message
+for the same defect.  cone_singularity tells, for one cone, whether
+its rays span, the lattice index of a simplicial cone, the type of an
+index-1 or index-2 cone, and its integral Gorenstein support vector.
+The toolkit also computes the polar polytope
 
     Delta = { m : <m, v> >= -1 for every ray v },
 
@@ -66,51 +68,59 @@ class _FanFields(NamedTuple):
 
 
 class Fan(_FanFields):
-    """Rays (int triples) plus maximal cones (tuples of 0-based ray indices)."""
+    """Rays plus maximal cones, checked here and stored as tuples.
+
+    A ray is a list or tuple of exactly three ints, and a cone a list or
+    tuple of 0-based ray indices; bool is not an int here.  This is the
+    only fan validator: fan_from_json passes the arrays it reads, so a
+    file and a caller get the same message for the same defect.
+    """
 
     __slots__ = ()
 
     def __new__(
-        cls, rays: tuple[IVec, ...], max_cones: tuple[tuple[int, ...], ...]
+        cls, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]]
     ) -> Fan:
-        if not rays:
-            raise ValueError("fan needs at least one ray")
+        checked_rays = []
         for v in rays:
-            # bool is an int subclass; reject it along with everything else
             if (
-                type(v) is not tuple
+                (type(v) is not tuple and type(v) is not list)
                 or len(v) != 3
                 or type(v[0]) is not int
                 or type(v[1]) is not int
                 or type(v[2]) is not int
             ):
-                raise ValueError(f"ray {reprlib.repr(v)} is not a tuple of three ints")
-        if not max_cones:
-            raise ValueError("fan needs at least one maximal cone")
-        n = len(rays)
-        cones: dict[tuple[int, ...], None] = {}
+                raise ValueError(f"ray {reprlib.repr(v)} is not a triple of integers")
+            checked_rays.append(tuple(v))
+        checked_cones = []
         for cone in max_cones:
-            # one pass over the indices; a missing ray is worded only
-            # after the type and repeat checks, as they take precedence
-            missing = None
-            for i in cone:
-                if type(i) is not int:
-                    raise ValueError(
-                        f"cone {reprlib.repr(cone)} has an index that is not an int"
-                    )
-                if missing is None and not 0 <= i < n:
-                    missing = i
+            if type(cone) is tuple or type(cone) is list:
+                for i in cone:
+                    if type(i) is not int:
+                        break
+                else:
+                    checked_cones.append(tuple(cone))
+                    continue
+            raise ValueError(f"cone {reprlib.repr(cone)} is not an array of integer indices")
+        if not checked_rays:
+            raise ValueError("fan needs at least one ray")
+        if not checked_cones:
+            raise ValueError("fan needs at least one maximal cone")
+        n = len(checked_rays)
+        cones: dict[tuple[int, ...], None] = {}
+        for cone in checked_cones:
             if len(set(cone)) != len(cone):
                 raise ValueError(f"cone {cone} repeats a ray index")
-            if missing is not None:
-                raise ValueError(f"cone {cone} references missing ray {missing}")
+            for i in cone:
+                if not 0 <= i < n:
+                    raise ValueError(f"cone {cone} references missing ray {i}")
             if len(cone) < 3:
                 raise ValueError(f"maximal cone {cone} has fewer than 3 rays")
             key = tuple(sorted(cone))
             if key in cones:
                 raise ValueError(f"cone {cone} is listed twice")
             cones[key] = None
-        return tuple.__new__(cls, (rays, tuple(cones)))
+        return tuple.__new__(cls, (tuple(checked_rays), tuple(cones)))
 
     def cone_rays(self, cone_index: int) -> tuple[IVec, ...]:
         return tuple(self.rays[i] for i in self.max_cones[cone_index])
@@ -579,7 +589,9 @@ def fan_from_json(text: str) -> Fan:
     an object that repeats a key, which json would otherwise resolve by
     keeping the last value.  Cone entries are 0-based ray indices.
     Input nested too deeply for the parser is rejected with ValueError
-    like any other malformed file.
+    like any other malformed file.  This reader checks only the JSON
+    shape; Fan checks every ray and cone, in the same words as for a
+    caller that builds one.
     """
     if text.startswith("\ufeff"):
         # json.loads words this itself; the bare decoder would not
@@ -590,28 +602,7 @@ def fan_from_json(text: str) -> Fan:
         raise ValueError("fan file is nested too deeply") from None
     if not isinstance(data, dict) or set(data.keys()) != {"rays", "cones"}:
         raise ValueError('fan file must be an object with exactly "rays" and "cones"')
-    rays_raw, cones_raw = data["rays"], data["cones"]
-    if not isinstance(rays_raw, list) or not isinstance(cones_raw, list):
+    rays, cones = data["rays"], data["cones"]
+    if not isinstance(rays, list) or not isinstance(cones, list):
         raise ValueError('"rays" and "cones" must be arrays')
-    rays = []
-    for entry in rays_raw:
-        if (
-            type(entry) is not list
-            or len(entry) != 3
-            or type(entry[0]) is not int
-            or type(entry[1]) is not int
-            or type(entry[2]) is not int
-        ):
-            raise ValueError(f"ray {reprlib.repr(entry)} is not a triple of integers")
-        rays.append(tuple(entry))
-    cones = []
-    for entry in cones_raw:
-        if type(entry) is list:
-            for x in entry:
-                if type(x) is not int:
-                    break
-            else:
-                cones.append(tuple(entry))
-                continue
-        raise ValueError(f"cone {reprlib.repr(entry)} is not an array of integer indices")
-    return Fan(tuple(rays), tuple(cones))
+    return Fan(rays, cones)

@@ -22,6 +22,7 @@ from fano64.elimination import (
     classification_summary,
 )
 from fano64.ledger import genus_of_degree
+from fano64.toric import Fan
 from fano64.wps import Weights
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -620,6 +621,33 @@ def test_toric_rejects_a_hostile_fan_file(tmp_path, capsys, fan):
             assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
+# the entries that reach Fan as parsed: not the float constants, which the
+# JSON reader rejects, nor the zero rays, which parse and fail in `degree`
+FAN_LEVEL_HOSTILE = sorted(
+    name
+    for name, (rays, cones, actions, message) in HOSTILE_FANS.items()
+    if type(rays) is list
+    and type(cones) is list
+    and actions == ALL_ACTIONS
+    and not message.startswith("fan files")
+)
+
+
+@pytest.mark.parametrize("fan", FAN_LEVEL_HOSTILE)
+def test_fan_words_a_hostile_fan_as_the_cli_does(fan):
+    rays, cones, _, message = HOSTILE_FANS[fan]
+    with pytest.raises(ValueError) as err:
+        Fan(rays, cones)
+    assert str(err.value) == message
+
+
+def test_fan_stores_lists_as_tuples():
+    from_lists = Fan(P3_RAYS, P3_CONES)
+    from_tuples = Fan(tuple(map(tuple, P3_RAYS)), tuple(map(tuple, P3_CONES)))
+    assert from_lists == from_tuples
+    assert all(type(v) is tuple for v in from_lists.rays)
+
+
 def _count_hull_work(monkeypatch) -> list[int]:
     """Count the calls to toric's _wrap and _cross: one per wrap, and one per pair in a pair scan."""
     calls = [0]
@@ -1021,15 +1049,15 @@ PLAIN_TORIC = [
     (P3, "degree"),
     (P3, "validate", "--machine"),
     ("--machine", P3, "singularities"),
-    (P3, "--expect", "64", "degree"),
-    (P3, "degree", "--expect", "64", "--machine"),
-    ("--expect", " 64 ", "--machine", P3, "degree"),
-    (P3, "degree", "--expect", "+64"),
-    (P3, "validate", "--expect", "64"),  # parses; _cmd_toric rejects it
     ("", "degree"),
     (str(FANS / "missing.fan"), "degree"),
 ]
 FALLBACK_TORIC = [
+    (P3, "--expect", "64", "degree"),
+    (P3, "degree", "--expect", "64", "--machine"),
+    ("--expect", " 64 ", "--machine", P3, "degree"),
+    (P3, "degree", "--expect", "+64"),
+    (P3, "validate", "--expect", "64"),  # argparse reads it; _cmd_toric rejects it
     (),
     (P3,),
     (P3, "degree", "extra"),

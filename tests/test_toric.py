@@ -1084,18 +1084,21 @@ def test_validate_flags_unused_rays():
 
 
 def test_integer_coordinates_required():
-    """A ray is a tuple of exactly three ints and a cone index an int; bool is neither."""
+    """A ray is a list or tuple of exactly three ints and a cone index an int; bool is neither."""
     others = ((0, 1, 0), (0, 0, 1))
-    bad_rays = ((1, 2, 3.0), (Fraction(1, 2), 0, 0), (True, 0, 0), [1, 0, 0], (1, 0), (1, 0, 0, 0))
+    bad_rays = ((1, 2, 3.0), (Fraction(1, 2), 0, 0), (True, 0, 0), (1, 0), (1, 0, 0, 0))
     for ray in bad_rays:
-        with pytest.raises(ValueError, match="is not a tuple of three ints"):
+        with pytest.raises(ValueError) as err:
             Fan((ray, *others), ((0, 1, 2),))
+        assert str(err.value) == f"ray {ray} is not a triple of integers"
+    # a list ray is accepted and stored as a tuple
+    assert Fan(([1, 0, 0], *others), ((0, 1, 2),)).rays[0] == (1, 0, 0)
     # (0, True, 2) would otherwise be read as the cone (0, 1, 2)
     p3_rays = (*UNIT, (-1, -1, -1))
     for cone in ((0, 1, 2.0), (0, True, 2)):
         with pytest.raises(ValueError) as err:
             Fan(p3_rays, (cone, (0, 1, 3), (0, 2, 3), (1, 2, 3)))
-        assert str(err.value) == f"cone {cone} has an index that is not an int"
+        assert str(err.value) == f"cone {cone} is not an array of integer indices"
 
 
 def test_degenerate_polytope_has_no_volume():
@@ -1170,7 +1173,7 @@ def test_fan_json_keeps_the_json_wording_for_a_byte_order_mark():
     "cone, message",
     [
         # a non-int index is worded first, then a repeat, then a missing ray
-        ((99, "0", 1), "cone (99, '0', 1) has an index that is not an int"),
+        ((99, "0", 1), "cone (99, '0', 1) is not an array of integer indices"),
         ((0, 0, 99), "cone (0, 0, 99) repeats a ray index"),
         ((5, 0, 99), "cone (5, 0, 99) references missing ray 5"),
         ((0, 1), "maximal cone (0, 1) has fewer than 3 rays"),
@@ -1179,4 +1182,20 @@ def test_fan_json_keeps_the_json_wording_for_a_byte_order_mark():
 def test_fan_words_the_first_cone_defect(cone, message):
     with pytest.raises(ValueError) as err:
         Fan((*UNIT, (-1, -1, -1)), (cone,))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "rays, cones, message",
+    [
+        # every ray's type, then every cone's, then emptiness, then each cone in turn
+        (([1, 2],), ([0, "1"],), "ray [1, 2] is not a triple of integers"),
+        ((), ([0, "1", 2],), "cone [0, '1', 2] is not an array of integer indices"),
+        ((), (), "fan needs at least one ray"),
+        (UNIT, ((0, 0, 1), [0, 1, 2.0]), "cone [0, 1, 2.0] is not an array of integer indices"),
+    ],
+)
+def test_fan_checks_every_entry_type_first(rays, cones, message):
+    with pytest.raises(ValueError) as err:
+        Fan(rays, cones)
     assert str(err.value) == message

@@ -321,15 +321,13 @@ def _cmd_reproduce(args) -> int:
         for name, records in sections.items():
             for record in records:
                 lines.append(f"[{name}] {record.context}")
-                # most values are exact ints, which _fmt would only str()
-                lines.extend(
-                    [
-                        f"    {key} = {value}"
-                        if type(value) is int
-                        else f"    {key} = {_fmt(value)}"
-                        for key, value in record.computed
-                    ]
-                )
+                # most values are exact ints, which _fmt would only str();
+                # a plain loop, since a comprehension per record costs a frame
+                for key, value in record.computed:
+                    if type(value) is int:
+                        lines.append(f"    {key} = {value}")
+                    else:
+                        lines.append(f"    {key} = {_fmt(value)}")
                 # most verdicts are geometric arguments: test for those first
                 v = record.verdict
                 if isinstance(v, GeometricArgument):

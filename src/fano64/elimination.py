@@ -157,12 +157,9 @@ def _record(
     computed: dict[str, Value],
     verdict: Verdict,
 ) -> CaseRecord:
-    return CaseRecord(
-        context=context,
-        inputs=tuple((k, str(v)) for k, v in inputs.items()),
-        computed=tuple(computed.items()),
-        verdict=verdict,
-    )
+    # the fields as they stand: NamedTuple's own __new__ costs twice tuple.__new__
+    inputs_text = tuple([(k, str(v)) for k, v in inputs.items()])
+    return tuple.__new__(CaseRecord, (context, inputs_text, tuple(computed.items()), verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +371,14 @@ def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
     exclusion in each surviving case is the recorded section argument.
 
     The bundle calculus runs once per c1, on the bundle with c2 = 0 and
-    its twist; each chi in CHI_TARGETS then steps in integers, by three
-    affine facts: chi has slope -1 in c2 (so c2 = chi(c2 = 0) - chi), the
-    twist by B gives c2' = c2 + c1.B + B^2, and the degree gap between
-    the twisted and the untwisted bundle does not depend on c2.
+    its twist, and once per twisted parity corner (a', b') in
+    {-2, -1}^2, on the corner class with c2 = 0.  Each case and each chi
+    in CHI_TARGETS then steps in integers, by three affine facts: chi
+    has slope -1 in c2 (so c2 = chi(c2 = 0) - chi, and chi' =
+    chi(c1', 0) - c2'), the twist by B gives c2' = c2 + c1.B + B^2, and
+    the degree has slope -8 in c2 (so deg(c1', c2') = deg(c1', 0) -
+    8 c2', and the gap between the twisted and the untwisted bundle does
+    not depend on c2).
     """
     if base not in SWEEP_BASES:
         raise ValueError(f"unsupported base {base}; expected P2, F0, F2, F3 or F4")
@@ -388,7 +389,9 @@ def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
 
 def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
     records = []
-    corner_c2_primes: dict[tuple[int, int], list[int]] = {}
+    # per parity corner (a', b'): its class, chi and degree at c2 = 0,
+    # and the c2' of every case twisting to it
+    corners: dict[tuple[int, int], tuple[SurfaceClass, int, int, list[int]]] = {}
     base_text = str(base)
     argument = GeometricArgument(_SECTION_EXCLUSION)
     cases = []
@@ -397,48 +400,72 @@ def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
         a_p, b_p = _negative_parity_part(a), _negative_parity_part(b)
         p, q = (a - a_p) // 2, (b - b_p) // 2
         c1_p, shift = twist(c1, 0, SurfaceClass(base, -p, -q))
-        assert c1_p == SurfaceClass(base, a_p, b_p)
-        preserved = degree_p1_bundle(c1_p, shift) == degree_p1_bundle(c1, 0)
+        corner = corners.get((a_p, b_p))
+        if corner is None:
+            c1_corner = SurfaceClass(base, a_p, b_p)
+            corner = corners[a_p, b_p] = (
+                c1_corner, chi_rank2(c1_corner, 0), degree_p1_bundle(c1_corner, 0), []
+            )
+        c1_corner, chi_corner, degree_corner, c2_primes = corner
+        if c1_p != c1_corner:
+            raise ArithmeticError(f"twisting {c1} gives {c1_p}, off its corner {c1_corner}")
+        # shift = c1.B + B^2 is c2' at c2 = 0, the shift from c2 to c2'
+        preserved = degree_corner - 8 * shift == degree_p1_bundle(c1, 0)
         cases.append(
             (
                 f"twisted-sweep/{base_text}/a={a}/b={b}/chi=",
                 (("base", base_text), ("c1", str(c1))),
                 chi_rank2(c1, 0),
-                a_p,
-                b_p,
-                shift,  # c1.B + B^2, the shift from c2 to c2'
-                chi_rank2(c1_p, shift),
-                preserved,
-                corner_c2_primes.setdefault((a_p, b_p), []),
+                shift,
+                chi_corner - shift,  # chi' at c2 = 0
+                # the pairs that do not depend on chi, shared by the case's records
+                ("a_prime", a_p),
+                ("b_prime", b_p),
+                ("degree_preserved", preserved),
+                c2_primes,
             )
         )
     for chi in CHI_TARGETS:
         chi_text = str(chi)
-        for head, inputs, chi_at_zero, a_p, b_p, shift, chi_p_at_zero, preserved, corner in cases:
+        chi_input = (("chi", chi_text),)
+        for (
+            head,
+            inputs,
+            chi_at_zero,
+            shift,
+            chi_p_at_zero,
+            a_pair,
+            b_pair,
+            preserved_pair,
+            c2_primes,
+        ) in cases:
             c2 = chi_at_zero - chi
             c2_prime = c2 + shift
-            corner.append(c2_prime)
+            c2_primes.append(c2_prime)
+            # built as `_record` builds, from the final fields
             records.append(
-                CaseRecord(
-                    head + chi_text,
-                    inputs + (("chi", chi_text),),
+                tuple.__new__(
+                    CaseRecord,
                     (
-                        ("c2", c2),
-                        ("a_prime", a_p),
-                        ("b_prime", b_p),
-                        ("c2_prime", c2_prime),
-                        ("chi_prime", chi_p_at_zero - c2),
-                        ("degree_preserved", preserved),
+                        head + chi_text,
+                        inputs + chi_input,
+                        (
+                            ("c2", c2),
+                            a_pair,
+                            b_pair,
+                            ("c2_prime", c2_prime),
+                            ("chi_prime", chi_p_at_zero - c2),
+                            preserved_pair,
+                        ),
+                        argument,
                     ),
-                    argument,
                 )
             )
     # chi' is an affine function chi' = threshold - c2' on each twisted
     # parity corner, so chi' <= 0 would need c2' >= threshold.  A corner
     # with threshold <= -1 is compatible with c2' < 0 and needs its own
     # certificate: the subfamily's largest c2' stays strictly below it.
-    for (a_p, b_p), values in sorted(corner_c2_primes.items()):
-        threshold = chi_rank2(SurfaceClass(base, a_p, b_p), 0)
+    for (a_p, b_p), (_, threshold, _, values) in sorted(corners.items()):
         if threshold > -1:
             continue
         records.append(
@@ -515,15 +542,18 @@ def _sweep_plane() -> list[CaseRecord]:
                 chi_text = str(chi)
                 c2 = chi_at_zero - chi
                 records.append(
-                    CaseRecord(
-                        head + chi_text,
-                        inputs + (("chi", chi_text),),
+                    tuple.__new__(
+                        CaseRecord,
                         (
-                            ("c2", c2),
-                            ("c1_twisted", c1_twisted.a),
-                            ("c2_prime", c2 + shift),
+                            head + chi_text,
+                            inputs + (("chi", chi_text),),
+                            (
+                                ("c2", c2),
+                                ("c1_twisted", c1_twisted.a),
+                                ("c2_prime", c2 + shift),
+                            ),
+                            argument,
                         ),
-                        argument,
                     )
                 )
     return records
@@ -632,40 +662,62 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
     Sections are named by part, the sweep by `twisted-sweep/<base>`.
     Every record's verdict must verify, and a record carrying c2' (only
     sweep records do) must have c2' < 0 and chi' > 0, and its twist
-    must preserve the degree where it records that.  A p1-bundles
-    section must leave exactly the two cone constructions, each with
-    c2 = 0; a classification section must hold seven surviving records
-    of degree 64.
+    must preserve the degree where it records that; none of those three
+    values may repeat.  A p1-bundles section must leave exactly the two
+    cone constructions, each with c2 = 0; a classification section must
+    hold seven surviving records of degree 64.  A value a check reads
+    and the record lacks is a failure too, so a missing key never
+    raises.
     """
     failures = []
     absent = object()
     for where, records in sections.items():
         for r in records:
-            if not verify_record(r):
-                failures.append(
-                    f"{where}: contradiction witness failed to verify in {r.context}"
-                )
-            # one scan of the pairs; a repeated key keeps its last value, as in a dict
-            c2_prime = chi_prime = absent
-            preserved = True
+            # the other verdicts verify trivially; a missing witness fails
+            if isinstance(r.verdict, ArithmeticContradiction):
+                try:
+                    verified = verify_record(r)
+                except KeyError:
+                    verified = False
+                if not verified:
+                    failures.append(
+                        f"{where}: contradiction witness failed to verify in {r.context}"
+                    )
+            # one scan of the pairs
+            c2_prime = chi_prime = preserved = absent
+            repeated = None
             for key, value in r.computed:
                 if key == "c2_prime":
+                    if c2_prime is not absent:
+                        repeated = key
                     c2_prime = value
                 elif key == "chi_prime":
+                    if chi_prime is not absent:
+                        repeated = key
                     chi_prime = value
                 elif key == "degree_preserved":
+                    if preserved is not absent:
+                        repeated = key
                     preserved = value
+            if repeated is not None:
+                failures.append(f"{r.context}: computed value {repeated!r} repeats")
             if c2_prime is not absent:
                 if c2_prime >= 0:
                     failures.append(f"{r.context}: c2' not negative")
                 if chi_prime is not absent and chi_prime <= 0:
                     failures.append(f"{r.context}: chi' not positive")
-                if preserved is not True:
+                if preserved is not absent and preserved is not True:
                     failures.append(f"{r.context}: degree not preserved by the twist")
     if "p1-bundles" in sections:
         for r in sections["p1-bundles"]:
-            if isinstance(r.verdict, Survives) and r.value("c2") != 0:
+            if not isinstance(r.verdict, Survives):
+                continue
+            try:
                 c2 = r.value("c2")
+            except KeyError:
+                failures.append(f"{r.context}: surviving cone has no computed c2")
+                continue
+            if c2 != 0:
                 failures.append(f"{r.context}: surviving cone has c2 {c2} != 0")
         survivors = surviving_constructions(sections["p1-bundles"])
         if survivors != EXPECTED_SURVIVORS:
@@ -677,8 +729,13 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
         if len(records) != 7:
             failures.append(f"classification: {len(records)} records, expected 7")
         for r in records:
-            if r.value("degree") != DEGREE:
-                failures.append(f"{r.context}: degree {r.value('degree')} != {DEGREE}")
+            try:
+                degree = r.value("degree")
+            except KeyError:
+                failures.append(f"{r.context}: no computed degree")
+            else:
+                if degree != DEGREE:
+                    failures.append(f"{r.context}: degree {degree} != {DEGREE}")
             if not isinstance(r.verdict, Survives):
                 failures.append(f"{r.context}: unexpected verdict")
     return failures
@@ -716,15 +773,15 @@ def _argument_json(argument: str) -> str:
 
 def record_to_json(r: CaseRecord) -> str:
     """The record as one JSON object, the text `reproduce --machine` prints for it."""
-    # most values are exact ints: write those inline
-    computed = ", ".join(
-        [
-            f'[{_quote(k)}, {{"t": "int", "v": {v}}}]'
-            if type(v) is int
-            else f"[{_quote(k)}, {_value_to_json(v)}]"
-            for k, v in r.computed
-        ]
-    )
+    # most values are exact ints: write those inline, in a plain loop,
+    # which costs no comprehension frame
+    pairs = []
+    for k, v in r.computed:
+        if type(v) is int:
+            pairs.append(f'[{_quote(k)}, {{"t": "int", "v": {v}}}]')
+        else:
+            pairs.append(f"[{_quote(k)}, {_value_to_json(v)}]")
+    computed = ", ".join(pairs)
     inputs = ", ".join([f"[{_quote(k)}, {_quote(v)}]" for k, v in r.inputs])
     v = r.verdict
     if isinstance(v, ArithmeticContradiction):
@@ -772,9 +829,18 @@ def _verdict_from_payload(d: dict) -> Verdict:
 
 
 def record_from_payload(d: dict) -> CaseRecord:
-    return CaseRecord(
-        context=d["context"],
-        inputs=tuple((k, v) for k, v in d["inputs"]),
-        computed=tuple((k, _value_from_payload(v)) for k, v in d["computed"]),
-        verdict=_verdict_from_payload(d["verdict"]),
-    )
+    """The record a parsed `record_to_json` text describes.
+
+    Raises ValueError when its inputs or computed values repeat a key,
+    since the record's readers would disagree on which value counts.
+    """
+    context = d["context"]
+    inputs = tuple((k, v) for k, v in d["inputs"])
+    computed = tuple((k, _value_from_payload(v)) for k, v in d["computed"])
+    for field, pairs in (("inputs", inputs), ("computed", computed)):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise ValueError(f"record {context} repeats the {field} key {k!r}")
+            seen.add(k)
+    return CaseRecord(context, inputs, computed, _verdict_from_payload(d["verdict"]))

@@ -14,8 +14,8 @@ Only `SurfaceClass.__new__` checks that a class on the plane has b = 0.
 A sum, difference, negative or multiple of classes that passed it keeps
 b = 0 on the plane, so the operators build their result with
 `tuple.__new__` and skip the check; the ledger builds most of its
-classes this way.  Sums and differences still check for a common
-surface first.
+classes this way.  Sums, differences and `intersect` still check for a
+common surface first, inline: the ledger runs them on every case.
 """
 
 from __future__ import annotations
@@ -83,19 +83,17 @@ class SurfaceClass(_SurfaceClassFields):
             raise ValueError("classes on the plane have a single coefficient")
         return tuple.__new__(cls, (surface, a, b))
 
-    def _check_same_surface(self, other: "SurfaceClass") -> None:
-        if not (self.surface is other.surface or self.surface == other.surface):
-            raise ValueError(
-                f"classes live on different surfaces: {self.surface} vs {other.surface}"
-            )
-
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
-        self._check_same_surface(other)
-        return tuple.__new__(SurfaceClass, (self.surface, self.a + other.a, self.b + other.b))
+        s, t = self.surface, other.surface
+        if s is not t and s != t:
+            raise _different_surfaces(s, t)
+        return tuple.__new__(SurfaceClass, (s, self.a + other.a, self.b + other.b))
 
     def __sub__(self, other: "SurfaceClass") -> "SurfaceClass":
-        self._check_same_surface(other)
-        return tuple.__new__(SurfaceClass, (self.surface, self.a - other.a, self.b - other.b))
+        s, t = self.surface, other.surface
+        if s is not t and s != t:
+            raise _different_surfaces(s, t)
+        return tuple.__new__(SurfaceClass, (s, self.a - other.a, self.b - other.b))
 
     def __neg__(self) -> "SurfaceClass":
         return tuple.__new__(SurfaceClass, (self.surface, -self.a, -self.b))
@@ -124,6 +122,11 @@ class SurfaceClass(_SurfaceClassFields):
         return "".join(terms) or "0"
 
 
+def _different_surfaces(s: BaseSurface, t: BaseSurface) -> ValueError:
+    """The error for combining classes on two surfaces; built only on a mismatch."""
+    return ValueError(f"classes live on different surfaces: {s} vs {t}")
+
+
 def plane_class(a: int) -> SurfaceClass:
     return SurfaceClass(P2, a)
 
@@ -134,8 +137,10 @@ def ruled_class(n: int, a: int, b: int) -> SurfaceClass:
 
 def intersect(d1: SurfaceClass, d2: SurfaceClass) -> int:
     """The intersection form: L^2 = 1 on the plane; h^2 = -n, h.l = 1, l^2 = 0."""
-    d1._check_same_surface(d2)
-    n = d1.surface.hirzebruch_n
+    s, t = d1.surface, d2.surface
+    if s is not t and s != t:
+        raise _different_surfaces(s, t)
+    n = s.hirzebruch_n
     if n is None:
         return d1.a * d2.a
     return -n * d1.a * d2.a + d1.a * d2.b + d1.b * d2.a

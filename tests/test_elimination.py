@@ -280,6 +280,33 @@ def test_sweep_matches_the_per_case_oracle(base, chis):
         assert r.value("c2_prime_max") == max(values)
 
 
+@pytest.mark.parametrize("base", [F0, F2, F3, F4], ids=str)
+def test_sweep_records_match_direct_calculus_calls(base):
+    # the sweep runs the calculus once per c1 and once per parity corner;
+    # each record's chi' and degree check must be what direct calls give
+    grid = [r for r in sweep_twisted_bundles(base) if "/chi=" in r.context]
+    assert grid
+    for r in grid:
+        fields = dict(part.split("=") for part in r.context.split("/")[2:4])
+        c1 = SurfaceClass(base, int(fields["a"]), int(fields["b"]))
+        c1_p = SurfaceClass(base, r.value("a_prime"), r.value("b_prime"))
+        c2, c2_p = r.value("c2"), r.value("c2_prime")
+        assert r.value("chi_prime") == chi_rank2(c1_p, c2_p)
+        assert r.value("degree_preserved") is (
+            degree_p1_bundle(c1_p, c2_p) == degree_p1_bundle(c1, c2)
+        )
+
+
+def test_sweep_raises_when_a_twist_lands_off_its_corner(monkeypatch):
+    def off_by_a_fiber(c1, c2, b):
+        c1_t, c2_t = twist(c1, c2, b)
+        return c1_t + SurfaceClass(c1.surface, 0, 2), c2_t
+
+    monkeypatch.setattr(elimination, "twist", off_by_a_fiber)
+    with pytest.raises(ArithmeticError, match="^twisting 0 gives -2h, off its corner -2h-2l$"):
+        sweep_twisted_bundles(F2)
+
+
 def test_sweep_rejects_surfaces_outside_its_scope():
     from fano64.surfaces import BaseSurface
 
@@ -412,10 +439,62 @@ def _classification_not_surviving(sections):
     return "classification/P3: unexpected verdict"
 
 
+def _without(record: CaseRecord, key: str) -> CaseRecord:
+    return record._replace(computed=tuple(p for p in record.computed if p[0] != key))
+
+
+def _contradiction_witness_missing(sections):
+    records = sections["quadric-filter"]
+    i = next(i for i, r in enumerate(records) if isinstance(r.verdict, ArithmeticContradiction))
+    records[i] = _without(records[i], records[i].verdict.quantity)
+    return f"quadric-filter: contradiction witness failed to verify in {records[i].context}"
+
+
+def _sweep_c2_prime_repeated(sections):
+    # the first value reads c2' < 0 and the last 1 >= 0: the repeat itself must fail
+    records = sections["twisted-sweep/F4"]
+    r = records[0]
+    records[0] = r._replace(computed=r.computed + (("c2_prime", 1),))
+    return [f"{r.context}: computed value 'c2_prime' repeats", f"{r.context}: c2' not negative"]
+
+
+def _sweep_chi_prime_repeated(sections):
+    records = sections["twisted-sweep/F0"]
+    r = records[1]
+    records[1] = r._replace(computed=r.computed + (("chi_prime", r.value("chi_prime")),))
+    return f"{r.context}: computed value 'chi_prime' repeats"
+
+
+def _sweep_degree_preserved_repeated(sections):
+    records = sections["twisted-sweep/F2"]
+    r = records[2]
+    records[2] = r._replace(computed=r.computed + (("degree_preserved", True),))
+    return f"{r.context}: computed value 'degree_preserved' repeats"
+
+
+def _cone_survivor_without_c2(sections):
+    records = sections["p1-bundles"]
+    i = next(i for i, r in enumerate(records) if _is_f1_cone(r))
+    records[i] = _without(records[i], "c2")
+    return "p1-bundle/F1/even-odd: surviving cone has no computed c2"
+
+
+def _classification_without_degree(sections):
+    records = sections["classification"]
+    records[0] = _without(records[0], "degree")
+    return "classification/P3: no computed degree"
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
         _fabricate_contradiction,
+        _contradiction_witness_missing,
+        _sweep_c2_prime_repeated,
+        _sweep_chi_prime_repeated,
+        _sweep_degree_preserved_repeated,
+        _cone_survivor_without_c2,
+        _classification_without_degree,
         _sweep_c2_prime_nonnegative,
         _sweep_chi_prime_nonpositive,
         _sweep_degree_not_preserved,
@@ -429,7 +508,7 @@ def _classification_not_surviving(sections):
 def test_check_ledger_reports_each_tampered_section(tamper):
     sections = {name: list(records) for name, records in _full_ledger().items()}
     expected = tamper(sections)
-    assert check_ledger(sections) == [expected]
+    assert check_ledger(sections) == (expected if isinstance(expected, list) else [expected])
 
 
 def test_classification_degree_is_the_computed_one(monkeypatch):
@@ -483,18 +562,30 @@ verdicts = st.one_of(
         st.none() | values,
     ),
 )
-records = st.builds(
-    CaseRecord,
-    st.text(min_size=1, max_size=20),
-    st.lists(
-        st.tuples(st.text(min_size=1, max_size=8), st.text(max_size=8)),
-        max_size=3,
-    ).map(tuple),
-    st.lists(
-        st.tuples(st.text(min_size=1, max_size=8), values), max_size=4
-    ).map(tuple),
-    verdicts,
-)
+
+
+def _records(unique_keys: bool):
+    by_key = (lambda pair: pair[0]) if unique_keys else None
+    return st.builds(
+        CaseRecord,
+        st.text(min_size=1, max_size=20),
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=8), st.text(max_size=8)),
+            max_size=3,
+            unique_by=by_key,
+        ).map(tuple),
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=8), values),
+            max_size=4,
+            unique_by=by_key,
+        ).map(tuple),
+        verdicts,
+    )
+
+
+# the writer takes any record; the reader refuses a repeated key
+records = _records(unique_keys=False)
+readable_records = _records(unique_keys=True)
 
 
 # The dict builder `reproduce --machine` once serialized with
@@ -535,7 +626,7 @@ def record_to_payload(r: CaseRecord) -> dict:
     }
 
 
-@given(records)
+@given(readable_records)
 def test_serialization_round_trip(r):
     back = record_from_payload(json.loads(record_to_json(r)))
     # records are tuples, equal across verdict kinds with equal fields
@@ -583,3 +674,25 @@ def test_serialized_fractions_stay_exact():
     payload = json.loads(record_to_json(r))
     assert payload["computed"][0][1] == {"t": "frac", "v": "-5/4"}
     assert record_from_payload(payload).value("q") == Fraction(-5, 4)
+
+
+@pytest.mark.parametrize(
+    "inputs, computed, repeated",
+    [
+        ((("k", "1"), ("k", "2")), (), "inputs key 'k'"),
+        ((), (("c2_prime", 1), ("c2_prime", -1), ("chi_prime", 3)), "computed key 'c2_prime'"),
+    ],
+)
+def test_record_from_payload_rejects_a_repeated_key(inputs, computed, repeated):
+    r = CaseRecord("made-up", inputs, computed, GeometricArgument("x"))
+    payload = json.loads(record_to_json(r))
+    with pytest.raises(ValueError, match=f"^record made-up repeats the {repeated}$"):
+        record_from_payload(payload)
+
+
+def test_no_reproduce_record_repeats_a_key():
+    for records in _full_ledger().values():
+        for r in records:
+            for pairs in (r.inputs, r.computed):
+                keys = [k for k, _ in pairs]
+                assert len(keys) == len(set(keys)), (r.context, keys)

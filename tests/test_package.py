@@ -5,7 +5,8 @@ unless it is an independent cross-check oracle named below, and each
 public name has one home, its submodule: the package namespace binds
 nothing but `__version__`.  Every command starts a fresh interpreter,
 so the package keeps `dataclasses`, and the `inspect` it loads, out of
-its import.
+its import.  No check rests on an `assert` statement, which `python -O`
+drops, and the memoized functions are a fixed, named set.
 """
 
 import ast
@@ -96,3 +97,59 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     where, loaded = done.stdout.splitlines()
     assert Path(where).parent == PACKAGE
     assert not loaded, f"importing fano64.cli loaded {loaded}"
+
+
+def test_no_module_uses_an_assert_statement():
+    # `python -O` drops asserts; a check must raise explicitly
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, asserts
+
+
+# The only functools-memoized functions.  perfbench/tracer.py does not wrap
+# a functools-cached function, so its calls vanish from the per-layer
+# counts; and the ledger workload repeats one fixed input, so a cache that
+# lives across calls on a builder or a calculus function would stop that
+# workload measuring the layer at all.
+MEMOIZED = {
+    "cli._build_parser",
+    "surfaces.canonical_class",
+    "surfaces.k_squared",
+    "elimination._argument_json",
+}
+
+
+_MEMOIZERS = {"cache", "lru_cache", "cached_property"}
+
+
+def _memoizer_names(node: ast.AST) -> list[ast.AST]:
+    return [
+        n
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and n.id in _MEMOIZERS)
+        or (isinstance(n, ast.Attribute) and n.attr in _MEMOIZERS)
+    ]
+
+
+def test_memoized_functions_are_the_named_ones():
+    memoized = set()
+    elsewhere = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        as_decorator = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = [n for d in node.decorator_list for n in _memoizer_names(d)]
+                if found:
+                    memoized.add(f"{path.stem}.{node.name}")
+                    as_decorator.update(map(id, found))
+        # a memoizer applied any other way, say `f = cache(f)`, is a cache too
+        elsewhere += [
+            f"{path.name}:{n.lineno}" for n in _memoizer_names(tree) if id(n) not in as_decorator
+        ]
+    assert memoized == MEMOIZED, sorted(memoized ^ MEMOIZED)
+    assert not elsewhere, elsewhere

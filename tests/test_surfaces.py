@@ -125,6 +125,33 @@ def test_derived_classes_equal_the_checked_ones(pair, k):
     assert (c + fresh, c - fresh, intersect(c, fresh)) == (c + d, c - d, intersect(c, d))
 
 
+def _oracle_form(s, x, y):
+    # L^2 = 1 on the plane; h^2 = -n, h.l = 1, l^2 = 0 on F_n
+    if s.is_plane:
+        return x[0] * y[0]
+    gram = ((-s.n, 1), (1, 0))
+    return sum(gram[i][j] * x[i] * y[j] for i in range(2) for j in range(2))
+
+
+@given(
+    st.sampled_from([P2, F0, F1, F2, F3, F4]).flatmap(
+        lambda s: st.tuples(classes(s), classes(s))
+    )
+)
+def test_operators_match_the_bilinear_form_oracle(pair):
+    c, d = pair
+    s = c.surface
+    x, y = (c.a, c.b), (d.a, d.b)
+    got = intersect(c, d)
+    assert got == _oracle_form(s, x, y) and type(got) is int
+    for total, sign in ((c + d, 1), (c - d, -1)):
+        assert type(total) is SurfaceClass and total.surface is s
+        z = (x[0] + sign * y[0], x[1] + sign * y[1])
+        assert (total.a, total.b) == z
+        # the result is a class again: it pairs by the same form
+        assert intersect(total, d) == _oracle_form(s, z, y)
+
+
 def test_intersection_form():
     # h^2 = -n, h.l = 1, l^2 = 0 on F_n; L^2 = 1 on the plane
     h, l = ruled_class(2, 1, 0), ruled_class(2, 0, 1)

@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .surfaces import (
     SurfaceClass,
-    anticanonical_class,
     canonical_class,
     intersect,
     k_squared,
@@ -52,7 +51,7 @@ def p1_bundle_anticanonical(c1: SurfaceClass) -> str:
         "2D" when the pullback -K - c1 is zero, else "2D + pi*(B)" with
         B = -K - c1 written out.
     """
-    b = anticanonical_class(c1.surface) - c1
+    b = -canonical_class(c1.surface) - c1
     return "2D" if b.is_zero() else f"2D + pi*({b})"
 
 
@@ -150,7 +149,7 @@ def c1_nef_dominated(c1: SurfaceClass) -> bool:
     rank-2 bundle with that c1 must be decomposable.
     """
     base = c1.surface
-    mk = anticanonical_class(base)
+    mk = -canonical_class(base)
     return all(
         intersect(c1, b) <= 3 * intersect(mk, b) for b in nef_cone_generators(base)
     )

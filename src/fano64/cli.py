@@ -251,7 +251,7 @@ def _cmd_toric(args) -> int:
     lines = []
     cones_doc = []
     for ci, cone in enumerate(fan.max_cones):
-        sing = cone_singularity(fan.cone_rays(ci))
+        sing = cone_singularity([fan.rays[i] for i in cone])
         entry: dict = {"cone": list(cone), "degenerate": sing.degenerate, "index": sing.index}
         prefix = f"cone {ci} {list(cone)}:"
         if sing.degenerate:

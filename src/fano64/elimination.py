@@ -57,8 +57,6 @@ from .surfaces import (
     SurfaceClass,
     intersect,
     k_squared,
-    plane_class,
-    ruled_class,
 )
 from .wps import Weights, wps_degree
 
@@ -169,6 +167,14 @@ def _record(
 # The anticanonical degree the ledger classifies.
 DEGREE = 64
 
+# The cones that survive, by base: the construction's name and the c1
+# of its rank-2 bundle, whose c2 is 0.  The "cone" rows below, their
+# verdicts and the cone records of the classification read this table.
+_SURVIVING_CONES: dict[BaseSurface, tuple[str, SurfaceClass]] = {
+    F0: ("cone over P1 x P1", SurfaceClass(F0, 2, 2)),
+    F1: ("cone over F1", SurfaceClass(F1, 2, 3)),
+}
+
 # Parity representatives of c1 on each admissible base.  Each row:
 # (base, parity label, representative c1 or None, treatment).  The
 # treatment fixes the verdict: "solve" is a non-integral c2,
@@ -176,19 +182,17 @@ DEGREE = 64
 # surviving cone, and "section-patching" and the external rows are
 # geometric arguments.
 _PARITY_TABLE: tuple[tuple[BaseSurface, str, SurfaceClass | None, str], ...] = (
-    (P2, "even", plane_class(0), "solve"),
-    (P2, "odd", plane_class(3), "anticanonical-section"),
-    (F0, "even-even", ruled_class(0, 2, 2), "cone"),
+    (P2, "even", SurfaceClass(P2, 0), "solve"),
+    (P2, "odd", SurfaceClass(P2, 3), "anticanonical-section"),
+    (F0, "even-even", _SURVIVING_CONES[F0][1], "cone"),
     (F0, "odd", None, "external-parity"),
-    (F2, "even-even", ruled_class(2, -2, -2), "section-patching"),
+    (F2, "even-even", SurfaceClass(F2, -2, -2), "section-patching"),
     (F2, "odd", None, "external-then-patching"),
-    (F1, "odd-even", ruled_class(1, 1, 0), "solve"),
-    (F1, "odd-odd", ruled_class(1, 1, 1), "solve"),
-    (F1, "even-odd", ruled_class(1, 2, 3), "cone"),
-    (F1, "even-even", ruled_class(1, -2, -2), "section-patching"),
+    (F1, "odd-even", SurfaceClass(F1, 1, 0), "solve"),
+    (F1, "odd-odd", SurfaceClass(F1, 1, 1), "solve"),
+    (F1, "even-odd", _SURVIVING_CONES[F1][1], "cone"),
+    (F1, "even-even", SurfaceClass(F1, -2, -2), "section-patching"),
 )
-
-_CONE_LABELS = {F0: "cone over P1 x P1", F1: "cone over F1"}
 
 _EXTERNAL_ARGUMENTS = {
     "external-parity": (
@@ -262,7 +266,7 @@ def eliminate_p1_bundles() -> list[CaseRecord]:
             computed["k_squared_of_base"] = k_squared(base)
             verdict = ArithmeticContradiction("k_d_squared", "==", k_squared(base))
         elif treatment == "cone":
-            verdict = Survives(_CONE_LABELS[base])
+            verdict = Survives(_SURVIVING_CONES[base][0])
         else:  # section-patching
             computed["chi"] = chi_rank2(c1, c2)
             fiber = SurfaceClass(base, 0, 1)
@@ -381,7 +385,8 @@ def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
     not depend on c2).
     """
     if base not in SWEEP_BASES:
-        raise ValueError(f"unsupported base {base}; expected P2, F0, F2, F3 or F4")
+        *others, last = map(str, SWEEP_BASES)
+        raise ValueError(f"unsupported base {base}; expected {', '.join(others)} or {last}")
     if base.is_plane:
         return _sweep_plane()
     return _sweep_hirzebruch(base)
@@ -495,7 +500,7 @@ def _sweep_plane() -> list[CaseRecord]:
     chi_values = {}
     for a in range(0, 2):
         for b in range(0, 4 - 2 * a):
-            chi_values[(a, b)] = chi_rank2(plane_class(2 * a + b), a * (a + b))
+            chi_values[(a, b)] = chi_rank2(SurfaceClass(P2, 2 * a + b), a * (a + b))
     chi_max = max(chi_values.values())
     records.append(
         _record(
@@ -513,8 +518,8 @@ def _sweep_plane() -> list[CaseRecord]:
     records.append(
         _record(
             "twisted-sweep/P2/c1-boundary",
-            {"base": P2, "c1": plane_class(9)},
-            {"nef_dominated": c1_nef_dominated(plane_class(9))},
+            {"base": P2, "c1": SurfaceClass(P2, 9)},
+            {"nef_dominated": c1_nef_dominated(SurfaceClass(P2, 9))},
             GeometricArgument(
                 "c1 = 9 attains the nef-domination bound and such a bundle "
                 "splits (external), reducing to the decomposable case; "
@@ -533,8 +538,8 @@ def _sweep_plane() -> list[CaseRecord]:
         ("even", lambda m: 2 * m - 2, range(1, 6)),
     ):
         for m in m_range:
-            c1 = plane_class(c1_of_m(m))
-            c1_twisted, shift = twist(c1, 0, plane_class(-m))
+            c1 = SurfaceClass(P2, c1_of_m(m))
+            c1_twisted, shift = twist(c1, 0, SurfaceClass(P2, -m))
             chi_at_zero = chi_rank2(c1, 0)
             head = f"twisted-sweep/P2/{parity}/m={m}/chi="
             inputs = (("base", str(P2)), ("c1", str(c1)), ("m", str(m)))
@@ -593,19 +598,8 @@ def classification_summary() -> list[CaseRecord]:
     p3 = Weights(1, 1, 1, 1)
     add("P3", {"weights": p3}, {"wps_degree": int(wps_degree(p3))})
 
-    c1_f0 = SurfaceClass(F0, 2, 2)
-    add(
-        "cone over P1 x P1",
-        {"base": F0, "c1": c1_f0, "c2": 0},
-        {"bundle_degree": degree_p1_bundle(c1_f0, 0)},
-    )
-
-    c1_f1 = SurfaceClass(F1, 2, 3)
-    add(
-        "cone over F1",
-        {"base": F1, "c1": c1_f1, "c2": 0},
-        {"bundle_degree": degree_p1_bundle(c1_f1, 0)},
-    )
+    for base, (label, c1) in _SURVIVING_CONES.items():
+        add(label, {"base": base, "c1": c1, "c2": 0}, {"bundle_degree": degree_p1_bundle(c1, 0)})
 
     for weights in (Weights(3, 1, 1, 1), Weights(6, 4, 1, 1)):
         source = int(wps_degree(weights))
@@ -665,19 +659,28 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
     must preserve the degree where it records that; none of those three
     values may repeat.  A p1-bundles section must leave exactly the two
     cone constructions, each with c2 = 0; a classification section must
-    hold seven surviving records of degree 64.  A value a check reads
-    and the record lacks is a failure too, so a missing key never
-    raises.
+    hold seven surviving records of degree 64.  A repeated c2 or degree
+    fails as well, and its last value is the one checked, as in the
+    sweep.  A value a check reads and the record lacks, or cannot
+    compare, is a failure too, so a malformed record never raises.
     """
     failures = []
     absent = object()
+
+    def last_value(r: CaseRecord, key: str) -> object:
+        # the sweep's rule: a repeated key fails, and its last value counts
+        values = [v for k, v in r.computed if k == key]
+        if len(values) > 1:
+            failures.append(f"{r.context}: computed value {key!r} repeats")
+        return values[-1] if values else absent
+
     for where, records in sections.items():
         for r in records:
-            # the other verdicts verify trivially; a missing witness fails
+            # the other verdicts verify trivially; a missing or malformed witness fails
             if isinstance(r.verdict, ArithmeticContradiction):
                 try:
                     verified = verify_record(r)
-                except KeyError:
+                except (KeyError, TypeError, ValueError):
                     verified = False
                 if not verified:
                     failures.append(
@@ -702,22 +705,29 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
             if repeated is not None:
                 failures.append(f"{r.context}: computed value {repeated!r} repeats")
             if c2_prime is not absent:
-                if c2_prime >= 0:
-                    failures.append(f"{r.context}: c2' not negative")
-                if chi_prime is not absent and chi_prime <= 0:
-                    failures.append(f"{r.context}: chi' not positive")
+                try:
+                    if c2_prime >= 0:
+                        failures.append(f"{r.context}: c2' not negative")
+                except TypeError:
+                    failures.append(f"{r.context}: computed value 'c2_prime' is not comparable")
+                if chi_prime is not absent:
+                    try:
+                        if chi_prime <= 0:
+                            failures.append(f"{r.context}: chi' not positive")
+                    except TypeError:
+                        failures.append(
+                            f"{r.context}: computed value 'chi_prime' is not comparable"
+                        )
                 if preserved is not absent and preserved is not True:
                     failures.append(f"{r.context}: degree not preserved by the twist")
     if "p1-bundles" in sections:
         for r in sections["p1-bundles"]:
             if not isinstance(r.verdict, Survives):
                 continue
-            try:
-                c2 = r.value("c2")
-            except KeyError:
+            c2 = last_value(r, "c2")
+            if c2 is absent:
                 failures.append(f"{r.context}: surviving cone has no computed c2")
-                continue
-            if c2 != 0:
+            elif c2 != 0:
                 failures.append(f"{r.context}: surviving cone has c2 {c2} != 0")
         survivors = surviving_constructions(sections["p1-bundles"])
         if survivors != EXPECTED_SURVIVORS:
@@ -729,13 +739,11 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
         if len(records) != 7:
             failures.append(f"classification: {len(records)} records, expected 7")
         for r in records:
-            try:
-                degree = r.value("degree")
-            except KeyError:
+            degree = last_value(r, "degree")
+            if degree is absent:
                 failures.append(f"{r.context}: no computed degree")
-            else:
-                if degree != DEGREE:
-                    failures.append(f"{r.context}: degree {degree} != {DEGREE}")
+            elif degree != DEGREE:
+                failures.append(f"{r.context}: degree {degree} != {DEGREE}")
             if not isinstance(r.verdict, Survives):
                 failures.append(f"{r.context}: unexpected verdict")
     return failures

@@ -127,14 +127,6 @@ def _different_surfaces(s: BaseSurface, t: BaseSurface) -> ValueError:
     return ValueError(f"classes live on different surfaces: {s} vs {t}")
 
 
-def plane_class(a: int) -> SurfaceClass:
-    return SurfaceClass(P2, a)
-
-
-def ruled_class(n: int, a: int, b: int) -> SurfaceClass:
-    return SurfaceClass(BaseSurface(n), a, b)
-
-
 def intersect(d1: SurfaceClass, d2: SurfaceClass) -> int:
     """The intersection form: L^2 = 1 on the plane; h^2 = -n, h.l = 1, l^2 = 0."""
     s, t = d1.surface, d2.surface
@@ -156,10 +148,6 @@ def canonical_class(s: BaseSurface) -> SurfaceClass:
     if s.is_plane:
         return SurfaceClass(s, -3)
     return SurfaceClass(s, -2, -(s.n + 2))
-
-
-def anticanonical_class(s: BaseSurface) -> SurfaceClass:
-    return -canonical_class(s)
 
 
 @cache

@@ -122,9 +122,6 @@ class Fan(_FanFields):
             cones[key] = None
         return tuple.__new__(cls, (tuple(checked_rays), tuple(cones)))
 
-    def cone_rays(self, cone_index: int) -> tuple[IVec, ...]:
-        return tuple(self.rays[i] for i in self.max_cones[cone_index])
-
 
 # the rational point p / d, with d > 0 and gcd(p, d) = 1
 QPoint = tuple[IVec, int]

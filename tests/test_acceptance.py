@@ -31,11 +31,11 @@ from fano64.ledger import blowup_curve_degree, project_from_center
 from fano64.surfaces import (
     F0,
     F1,
+    F2,
     BaseSurface,
     P2,
-    anticanonical_class,
-    plane_class,
-    ruled_class,
+    SurfaceClass,
+    canonical_class,
 )
 from fano64.toric import (
     ConeSingularityKind,
@@ -57,22 +57,22 @@ def test_weighted_projective_degrees_are_72_72_and_64():
 
 
 def test_cone_constructions_have_degree_64_and_the_plane_bundle_72():
-    assert degree_p1_bundle(anticanonical_class(F0), 0) == 64
-    assert degree_p1_bundle(anticanonical_class(F1), 0) == 64
-    assert degree_p1_bundle(plane_class(3), 0) == 72
+    assert degree_p1_bundle(-canonical_class(F0), 0) == 64
+    assert degree_p1_bundle(-canonical_class(F1), 0) == 64
+    assert degree_p1_bundle(SurfaceClass(P2, 3), 0) == 72
 
 
 def test_second_chern_class_solutions_reproduce_the_contradictions():
     cases = [
-        (plane_class(0), Fraction(-5, 4)),
-        (ruled_class(1, 1, 0), Fraction(-9, 4)),
-        (ruled_class(1, 1, 1), Fraction(-7, 4)),
-        (ruled_class(1, -2, -2), Fraction(-1)),
-        (ruled_class(2, -2, -2), Fraction(-2)),
+        (SurfaceClass(P2, 0), Fraction(-5, 4)),
+        (SurfaceClass(F1, 1, 0), Fraction(-9, 4)),
+        (SurfaceClass(F1, 1, 1), Fraction(-7, 4)),
+        (SurfaceClass(F1, -2, -2), Fraction(-1)),
+        (SurfaceClass(F2, -2, -2), Fraction(-2)),
     ]
     for c1, expected in cases:
         assert solve_c2_for_degree(c1, 64) == expected
-    assert chi_rank2(ruled_class(2, -2, -2), -2) == 2
+    assert chi_rank2(SurfaceClass(F2, -2, -2), -2) == 2
 
 
 def test_genus_integrality_filter_keeps_exactly_64_and_72():
@@ -153,13 +153,13 @@ def test_formula_cross_checks_over_the_full_grids():
         for a in range(-5, 6):
             for b in range(-5, 6):
                 for c2 in range(-5, 6):
-                    c1 = ruled_class(n, a, b)
+                    c1 = SurfaceClass(base, a, b)
                     degree = degree_p1_bundle(c1, c2)
-                    minus_k_pullback = anticanonical_class(base) - c1
+                    minus_k_pullback = -canonical_class(base) - c1
                     assert triple_intersection(c1, c2, 2, minus_k_pullback) == degree
                     closed = -Fraction(n * a * (a + 1), 2) + a * b + a + b - c2 + 2
                     assert chi_rank2(c1, c2) == closed
-                    assert degree_p1_bundle(*twist(c1, c2, ruled_class(n, -1, 1))) == degree
+                    assert degree_p1_bundle(*twist(c1, c2, SurfaceClass(base, -1, 1))) == degree
 
     rng = random.Random(64)
     cone = ((1, 0, 0), (0, 1, 0), (1, 1, 2))

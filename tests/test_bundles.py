@@ -30,11 +30,8 @@ from fano64.surfaces import (
     BaseSurface,
     P2,
     SurfaceClass,
-    anticanonical_class,
     canonical_class,
     intersect,
-    plane_class,
-    ruled_class,
 )
 
 HIRZEBRUCHS = [BaseSurface(n) for n in range(5)]
@@ -53,15 +50,15 @@ def grid_bundles():
 
 def test_c1_and_twists_must_live_on_the_same_hirzebruch_surface():
     with pytest.raises(ValueError):
-        twist(ruled_class(2, 1, 1), 0, ruled_class(1, 1, 0))
+        twist(SurfaceClass(F2, 1, 1), 0, SurfaceClass(F1, 1, 0))
     with pytest.raises(ValueError):
-        twist(plane_class(1), 0, ruled_class(0, 1, 0))
+        twist(SurfaceClass(P2, 1), 0, SurfaceClass(F0, 1, 0))
 
 
 def test_a_surface_built_afresh_carries_the_same_bundles():
     fresh = BaseSurface(2)
     c1 = SurfaceClass(fresh, -2, -2)
-    assert c1 == ruled_class(2, -2, -2)
+    assert c1 == SurfaceClass(F2, -2, -2)
     assert chi_rank2(c1, -2) == 2
     c1_t, c2_t = twist(c1, -2, SurfaceClass(F2, 1, 1))
     assert c1_t == SurfaceClass(fresh, 0, 0)
@@ -69,9 +66,9 @@ def test_a_surface_built_afresh_carries_the_same_bundles():
 
 
 def test_anticanonical_class_of_bundle():
-    assert p1_bundle_anticanonical(ruled_class(2, -2, -2)) == "2D + pi*(4h+6l)"
-    assert p1_bundle_anticanonical(anticanonical_class(F0)) == "2D"
-    assert p1_bundle_anticanonical(plane_class(0)) == "2D + pi*(3L)"
+    assert p1_bundle_anticanonical(SurfaceClass(F2, -2, -2)) == "2D + pi*(4h+6l)"
+    assert p1_bundle_anticanonical(-canonical_class(F0)) == "2D"
+    assert p1_bundle_anticanonical(SurfaceClass(P2, 0)) == "2D + pi*(3L)"
 
 
 def test_anticanonical_text_is_2d_plus_the_pullback_of_minus_k_minus_c1():
@@ -79,15 +76,15 @@ def test_anticanonical_text_is_2d_plus_the_pullback_of_minus_k_minus_c1():
     for c1, c2 in grid_bundles():
         if c2:
             continue
-        b = anticanonical_class(c1.surface) - c1
+        b = -canonical_class(c1.surface) - c1
         expected = "2D" if b.is_zero() else f"2D + pi*({b})"
         assert p1_bundle_anticanonical(c1) == expected
 
 
 def test_cone_degrees():
-    assert degree_p1_bundle(anticanonical_class(F0), 0) == 64
-    assert degree_p1_bundle(anticanonical_class(F1), 0) == 64
-    assert degree_p1_bundle(plane_class(3), 0) == 72
+    assert degree_p1_bundle(-canonical_class(F0), 0) == 64
+    assert degree_p1_bundle(-canonical_class(F1), 0) == 64
+    assert degree_p1_bundle(SurfaceClass(P2, 3), 0) == 72
 
 
 def test_degree_agrees_with_tautological_expansion():
@@ -102,10 +99,10 @@ def test_degree_is_twist_invariant():
     for c1, c2 in grid_bundles():
         base = c1.surface
         if base.is_plane:
-            twists = [plane_class(t) for t in range(-2, 3)]
+            twists = [SurfaceClass(P2, t) for t in range(-2, 3)]
         else:
             twists = [
-                ruled_class(base.n, p, q)
+                SurfaceClass(base, p, q)
                 for p in range(-2, 3)
                 for q in range(-2, 3)
             ]
@@ -130,7 +127,7 @@ def test_chi_agrees_with_hirzebruch_closed_form():
                     closed = (
                         -Fraction(n * a * (a + 1), 2) + a * b + a + b - c + 2
                     )
-                    assert chi_rank2(ruled_class(n, a, b), c) == closed
+                    assert chi_rank2(SurfaceClass(BaseSurface(n), a, b), c) == closed
 
 
 def test_chi_agrees_with_twisted_closed_form():
@@ -146,7 +143,7 @@ def test_chi_agrees_with_twisted_closed_form():
                         - c2_p
                         + 2
                     )
-                    assert chi_rank2(ruled_class(n, a_p, b_p), c2_p) == closed
+                    assert chi_rank2(SurfaceClass(BaseSurface(n), a_p, b_p), c2_p) == closed
 
 
 def test_chi_of_split_bundles():
@@ -156,24 +153,24 @@ def test_chi_of_split_bundles():
         for a in range(0, 4):
             for b in range(n * a, n * a + 5):
                 sections = sum(b - n * i + 1 for i in range(a + 1))
-                assert chi_rank2(ruled_class(n, a, b), 0) == 1 + sections
+                assert chi_rank2(SurfaceClass(BaseSurface(n), a, b), 0) == 1 + sections
 
 
 def test_twist_chern_classes():
-    c1 = ruled_class(2, 2, 4)
-    b = ruled_class(2, -1, -2)
+    c1 = SurfaceClass(F2, 2, 4)
+    b = SurfaceClass(F2, -1, -2)
     c1_t, c2_t = twist(c1, 3, b)
-    assert c1_t == ruled_class(2, 0, 0)
+    assert c1_t == SurfaceClass(F2, 0, 0)
     assert c2_t == 3 + intersect(c1, b) + intersect(b, b)
 
 
 def test_solve_c2_for_degree():
     cases = [
-        (plane_class(0), Fraction(-5, 4), False),
-        (ruled_class(1, 1, 0), Fraction(-9, 4), False),
-        (ruled_class(1, 1, 1), Fraction(-7, 4), False),
-        (ruled_class(1, -2, -2), Fraction(-1), True),
-        (ruled_class(2, -2, -2), Fraction(-2), True),
+        (SurfaceClass(P2, 0), Fraction(-5, 4), False),
+        (SurfaceClass(F1, 1, 0), Fraction(-9, 4), False),
+        (SurfaceClass(F1, 1, 1), Fraction(-7, 4), False),
+        (SurfaceClass(F1, -2, -2), Fraction(-1), True),
+        (SurfaceClass(F2, -2, -2), Fraction(-2), True),
     ]
     for c1, expected, integral in cases:
         value = solve_c2_for_degree(c1, 64)
@@ -193,7 +190,7 @@ def test_solve_then_evaluate_round_trip():
 
 
 def test_chi_of_f2_case_is_two():
-    assert chi_rank2(ruled_class(2, -2, -2), -2) == 2
+    assert chi_rank2(SurfaceClass(F2, -2, -2), -2) == 2
 
 
 def test_split_gap_bound():
@@ -204,10 +201,10 @@ def test_split_gap_bound():
 
 
 def test_c1_nef_domination():
-    assert c1_nef_dominated(plane_class(9))
-    assert not c1_nef_dominated(plane_class(10))
-    assert c1_nef_dominated(ruled_class(0, 6, 6))
-    assert not c1_nef_dominated(ruled_class(0, 7, 6))
+    assert c1_nef_dominated(SurfaceClass(P2, 9))
+    assert not c1_nef_dominated(SurfaceClass(P2, 10))
+    assert c1_nef_dominated(SurfaceClass(F0, 6, 6))
+    assert not c1_nef_dominated(SurfaceClass(F0, 7, 6))
 
 
 def test_scrolls():

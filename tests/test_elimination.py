@@ -33,7 +33,7 @@ from fano64.elimination import (
     sweep_twisted_bundles,
     verify_record,
 )
-from fano64.surfaces import F0, F2, F3, F4, P2, SurfaceClass, plane_class
+from fano64.surfaces import F0, F2, F3, F4, P2, SurfaceClass
 from fano64.wps import Weights
 
 
@@ -197,10 +197,10 @@ def _per_case_sweep(base, chis):
             ("even", lambda m: 2 * m - 2, range(1, 6)),
         ):
             for m in m_range:
-                c1 = plane_class(c1_of_m(m))
+                c1 = SurfaceClass(P2, c1_of_m(m))
                 for chi in chis:
                     c2 = chi_rank2(c1, 0) - chi
-                    c1_t, c2_t = twist(c1, c2, plane_class(-m))
+                    c1_t, c2_t = twist(c1, c2, SurfaceClass(P2, -m))
                     records.append(
                         CaseRecord(
                             f"twisted-sweep/P2/{parity}/m={m}/chi={chi}",
@@ -310,8 +310,12 @@ def test_sweep_raises_when_a_twist_lands_off_its_corner(monkeypatch):
 def test_sweep_rejects_surfaces_outside_its_scope():
     from fano64.surfaces import BaseSurface
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as error:
         sweep_twisted_bundles(BaseSurface(1))
+    assert str(error.value) == "unsupported base F1; expected P2, F0, F2, F3 or F4"
+    # the message is built from the tuple, so it names every base the sweep takes
+    for base in SWEEP_BASES:
+        assert str(base) in str(error.value).partition("expected")[2]
 
 
 def test_classification_summary():
@@ -337,6 +341,24 @@ def test_classification_summary():
     assert x66.value("scroll_chain") == "54->62->66->66"
     x70 = verdict_of(records, "classification/X70 projected from a plane")
     assert x70.value("conic_blowup_degree") == 64
+
+
+def test_each_cone_survivor_is_a_classification_record_of_its_bundle():
+    # each surviving p1-bundle names the classification record of its own
+    # bundle: same base and c1, c2 = 0, and bundle degree 64
+    classified = {r.verdict.construction: r for r in classification_summary()}
+    survivors = [r for r in eliminate_p1_bundles() if isinstance(r.verdict, Survives)]
+    assert len(survivors) == 2
+    for survivor in survivors:
+        record = classified[survivor.verdict.construction]
+        inputs, cone_inputs = dict(record.inputs), dict(survivor.inputs)
+        assert (inputs["base"], inputs["c1"], inputs["c2"]) == (
+            cone_inputs["base"],
+            cone_inputs["c1"],
+            "0",
+        )
+        assert survivor.value("c2") == 0
+        assert record.value("bundle_degree") == 64
 
 
 def test_verify_record_rejects_fabricated_contradictions():
@@ -485,11 +507,65 @@ def _classification_without_degree(sections):
     return "classification/P3: no computed degree"
 
 
+def _sweep_c2_prime_not_comparable(sections):
+    records = sections["twisted-sweep/F2"]
+    records[3] = _with_value(records[3], "c2_prime", "neg")
+    return f"{records[3].context}: computed value 'c2_prime' is not comparable"
+
+
+def _sweep_chi_prime_not_comparable(sections):
+    records = sections["twisted-sweep/F3"]
+    records[1] = _with_value(records[1], "chi_prime", "pos")
+    return f"{records[1].context}: computed value 'chi_prime' is not comparable"
+
+
+def _contradiction_not_comparable(sections):
+    # requirement_holds raises TypeError on an int against a str
+    sections["quadric-filter"].append(
+        CaseRecord("made-up", (), (("c2", 1),), ArithmeticContradiction("c2", "<", "a"))
+    )
+    return "quadric-filter: contradiction witness failed to verify in made-up"
+
+
+def _contradiction_unknown_op(sections):
+    # requirement_holds raises ValueError on an op it does not know
+    sections["quadric-filter"].append(
+        CaseRecord("made-up", (), (("c2", 1),), ArithmeticContradiction("c2", "~", 0))
+    )
+    return "quadric-filter: contradiction witness failed to verify in made-up"
+
+
+def _cone_survivor_c2_repeated(sections):
+    # the first c2 reads 0: the repeat fails, and the last value is the one checked
+    records = sections["p1-bundles"]
+    i = next(i for i, r in enumerate(records) if _is_f1_cone(r))
+    records[i] = records[i]._replace(computed=records[i].computed + (("c2", 1),))
+    return [
+        "p1-bundle/F1/even-odd: computed value 'c2' repeats",
+        "p1-bundle/F1/even-odd: surviving cone has c2 1 != 0",
+    ]
+
+
+def _classification_degree_repeated(sections):
+    records = sections["classification"]
+    records[0] = records[0]._replace(computed=records[0].computed + (("degree", 62),))
+    return [
+        "classification/P3: computed value 'degree' repeats",
+        "classification/P3: degree 62 != 64",
+    ]
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
         _fabricate_contradiction,
         _contradiction_witness_missing,
+        _contradiction_not_comparable,
+        _contradiction_unknown_op,
+        _sweep_c2_prime_not_comparable,
+        _sweep_chi_prime_not_comparable,
+        _cone_survivor_c2_repeated,
+        _classification_degree_repeated,
         _sweep_c2_prime_repeated,
         _sweep_chi_prime_repeated,
         _sweep_degree_preserved_repeated,

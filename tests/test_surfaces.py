@@ -11,13 +11,10 @@ from fano64.surfaces import (
     BaseSurface,
     P2,
     SurfaceClass,
-    anticanonical_class,
     canonical_class,
     intersect,
     k_squared,
     nef_cone_generators,
-    plane_class,
-    ruled_class,
 )
 
 surfaces = st.sampled_from([P2, F0, F1, F2, BaseSurface(3)])
@@ -43,25 +40,25 @@ def test_surface_construction():
 
 
 def test_class_strings():
-    assert str(ruled_class(2, 2, 4)) == "2h+4l"
-    assert str(ruled_class(1, -2, -2)) == "-2h-2l"
-    assert str(ruled_class(0, 1, 0)) == "h"
-    assert str(ruled_class(0, 0, 0)) == "0"
-    assert str(plane_class(3)) == "3L"
-    assert str(plane_class(-1)) == "-L"
-    assert str(plane_class(1)) == "L"
-    assert str(plane_class(0)) == "0"
+    assert str(SurfaceClass(F2, 2, 4)) == "2h+4l"
+    assert str(SurfaceClass(F1, -2, -2)) == "-2h-2l"
+    assert str(SurfaceClass(F0, 1, 0)) == "h"
+    assert str(SurfaceClass(F0, 0, 0)) == "0"
+    assert str(SurfaceClass(P2, 3)) == "3L"
+    assert str(SurfaceClass(P2, -1)) == "-L"
+    assert str(SurfaceClass(P2, 1)) == "L"
+    assert str(SurfaceClass(P2, 0)) == "0"
 
 
 def test_class_arithmetic():
-    d = ruled_class(1, 1, 2)
-    assert d + d == ruled_class(1, 2, 4)
-    assert d - d == ruled_class(1, 0, 0)
+    d = SurfaceClass(F1, 1, 2)
+    assert d + d == SurfaceClass(F1, 2, 4)
+    assert d - d == SurfaceClass(F1, 0, 0)
     assert (d - d).is_zero()
-    assert -d == ruled_class(1, -1, -2)
-    assert 3 * d == ruled_class(1, 3, 6)
+    assert -d == SurfaceClass(F1, -1, -2)
+    assert 3 * d == SurfaceClass(F1, 3, 6)
     with pytest.raises(ValueError):
-        d + plane_class(1)
+        d + SurfaceClass(P2, 1)
 
 
 def test_only_an_integer_on_the_left_scales_a_class():
@@ -154,11 +151,11 @@ def test_operators_match_the_bilinear_form_oracle(pair):
 
 def test_intersection_form():
     # h^2 = -n, h.l = 1, l^2 = 0 on F_n; L^2 = 1 on the plane
-    h, l = ruled_class(2, 1, 0), ruled_class(2, 0, 1)
+    h, l = SurfaceClass(F2, 1, 0), SurfaceClass(F2, 0, 1)
     assert intersect(h, h) == -2
     assert intersect(h, l) == 1
     assert intersect(l, l) == 0
-    assert intersect(plane_class(2), plane_class(3)) == 6
+    assert intersect(SurfaceClass(P2, 2), SurfaceClass(P2, 3)) == 6
 
 
 @given(classes(), classes(), classes())
@@ -170,10 +167,10 @@ def test_intersection_is_symmetric_and_bilinear(d1, d2, d3):
 
 
 def test_canonical_classes():
-    assert anticanonical_class(P2) == plane_class(3)
-    assert anticanonical_class(F0) == ruled_class(0, 2, 2)
-    assert str(anticanonical_class(F2)) == "2h+4l"
-    assert canonical_class(F1) == ruled_class(1, -2, -3)
+    assert -canonical_class(P2) == SurfaceClass(P2, 3)
+    assert -canonical_class(F0) == SurfaceClass(F0, 2, 2)
+    assert str(-canonical_class(F2)) == "2h+4l"
+    assert canonical_class(F1) == SurfaceClass(F1, -2, -3)
     assert k_squared(P2) == 9
     assert k_squared(F0) == 8
     assert k_squared(F2) == 8
@@ -186,11 +183,11 @@ def test_k_squared_is_eight_or_nine(s):
 
 def test_nef_cone():
     gens = nef_cone_generators(F2)
-    assert gens == (ruled_class(2, 0, 1), ruled_class(2, 1, 2))
-    assert nef_cone_generators(P2) == (plane_class(1),)
+    assert gens == (SurfaceClass(F2, 0, 1), SurfaceClass(F2, 1, 2))
+    assert nef_cone_generators(P2) == (SurfaceClass(P2, 1),)
 
 
 def test_plane_classes_have_no_fiber_part():
-    assert plane_class(2).b == 0
+    assert SurfaceClass(P2, 2).b == 0
     with pytest.raises(ValueError):
         SurfaceClass(P2, 1, 1)

@@ -240,8 +240,8 @@ def test_cone_checks_build_no_fraction(monkeypatch):
     fans.append(Fan(((1, 0, 0), (0, 1, 0), (1, 1, 3), (-1, -1, -1)), ((0, 1, 2),)))
     for f in fans:
         validate_fan(f)
-        for i in range(len(f.max_cones)):
-            cone_singularity(f.cone_rays(i))
+        for cone in f.max_cones:
+            cone_singularity([f.rays[i] for i in cone])
     with pytest.raises(AssertionError, match="built in the cone checks"):
         polytope_degree(anticanonical_polytope(fans[0]))
 
@@ -835,7 +835,8 @@ def test_strong_convexity_matches_the_positive_dependence_oracle():
     half_space = ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1))
     with_zero_ray = (*UNIT, (0, 0, 0))
     pointed_four = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
-    x66_cone_2 = load("x66.fan").cone_rays(2)
+    x66 = load("x66.fan")
+    x66_cone_2 = tuple(x66.rays[i] for i in x66.max_cones[2])
     for rays, convex in (
         (half_space, False),
         (with_zero_ray, False),
@@ -1000,7 +1001,7 @@ def test_a_wall_with_an_extra_ray_on_one_side_stays_unpaired():
     """
     rays = ((1, 0, 0), (-1, 2, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
     f = Fan(rays, ((0, 1, 3), (0, 1, 2, 4)))
-    assert _support_plane(f.cone_rays(1)) == ((-1, -1, 1), 1, True)
+    assert _support_plane([rays[i] for i in f.max_cones[1]]) == ((-1, -1, 1), 1, True)
     report = validate_fan(f)
     assert report.unpaired_walls == (
         "rays[0, 1]",
@@ -1045,7 +1046,7 @@ def test_validate_and_cone_singularity_agree_on_every_cone():
         cones = (tuple(rng.sample(range(len(rays)), rng.randint(3, len(rays)))) for _ in range(3))
         f = Fan(rays, tuple(dict.fromkeys(tuple(sorted(c)) for c in cones)))
         report = validate_fan(f)
-        sings = [cone_singularity(f.cone_rays(i)) for i in range(len(f.max_cones))]
+        sings = [cone_singularity([rays[i] for i in cone]) for cone in f.max_cones]
         assert report.degenerate_cones == tuple(i for i, s in enumerate(sings) if s.degenerate)
         assert report.cones_without_gorenstein_support == tuple(
             i for i, s in enumerate(sings) if not s.degenerate and s.support is None

@@ -16,9 +16,12 @@ optional sign and ASCII digits, with surrounding spaces allowed.
 A command line is parsed one of two ways.  A plain `toric` one, the
 shape of every `toric` call the benchmark's fan workloads make (a fan
 file, an action and at most one exact `--machine`), is read token by
-token into the namespace argparse would build, and builds no parser.
-Every other one goes through argparse, `--expect N` included, which
-alone reads option values and prints usage, help and error text.
+token into a namespace with the attributes argparse would set, and
+neither imports argparse nor builds a parser.  Every other one goes
+through argparse, `--expect N` included, which alone reads option
+values and prints usage, help and error text.  argparse is imported
+only where it is used, so a plain `toric` process never loads it (nor
+the gettext it loads).
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a value
 requested for verification does not match the computed one or a ledger
@@ -27,12 +30,12 @@ check fails.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .bundles import (
     chi_rank2,
@@ -74,15 +77,6 @@ from .wps import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad usage; this front end uses 1."""
-
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _fmt(v) -> str:
     # exact types: an isinstance test against Fraction runs the slow ABC check.
     # `reproduce`'s text report writes exact ints itself: change both together
@@ -101,6 +95,8 @@ def _integer(text: str) -> int:
     int() alone would also read Python literal syntax: "1_0" as 10, and
     non-ASCII digits such as "\u0663" as 3.
     """
+    import argparse
+
     digits = text.strip()
     if not re.fullmatch("[+-]?[0-9]+", digits):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
@@ -111,6 +107,8 @@ def _integer(text: str) -> int:
 
 
 def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
+    import argparse
+
     try:
         coeffs = [_integer(p) for p in text.split(",")]
     except argparse.ArgumentTypeError:
@@ -356,8 +354,8 @@ def _cmd_reproduce(args) -> int:
 _TORIC_ACTIONS = ("validate", "degree", "singularities")
 
 
-def _plain_toric_args(tokens: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse builds from `toric` and a plain argv, or None.
+def _plain_toric_args(tokens: list[str]) -> SimpleNamespace | None:
+    """argparse's attributes for `toric` and a plain argv, in a SimpleNamespace, or None.
 
     Plain means exactly two positionals, neither starting with "-", the
     second one of the actions, and at most one exact "--machine": the
@@ -380,7 +378,7 @@ def _plain_toric_args(tokens: list[str]) -> argparse.Namespace | None:
     if len(positionals) != 2 or positionals[1] not in _TORIC_ACTIONS:
         return None
     fan_file, action = positionals
-    return argparse.Namespace(
+    return SimpleNamespace(
         command="toric",
         fan_file=fan_file,
         action=action,
@@ -391,8 +389,18 @@ def _plain_toric_args(tokens: list[str]) -> argparse.Namespace | None:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser, built on the first argv that needs it and reused."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with code 2 on bad usage; this front end uses 1."""
+
+        def error(self, message: str):  # noqa: D102 - argparse hook
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(prog="fano64", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

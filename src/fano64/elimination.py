@@ -28,10 +28,11 @@ ledger holds; the command line only prints its failures.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, NamedTuple, Union
 
 from .bundles import (
     c1_nef_dominated,
@@ -60,10 +61,12 @@ from .surfaces import (
 )
 from .wps import Weights, wps_degree
 
-Value = Union[int, Fraction, bool, str]
+Value = int | Fraction | bool | str
 
 
-class ArithmeticContradiction(NamedTuple):
+class ArithmeticContradiction(
+    namedtuple("ArithmeticContradiction", ["quantity", "op", "target"], defaults=[None])
+):
     """The case requires `quantity op target` and the computed value fails it.
 
     op is one of "is-integer", "==", "!=", "<", "<=", ">", ">="; target
@@ -72,7 +75,8 @@ class ArithmeticContradiction(NamedTuple):
 
     quantity: str
     op: str
-    target: Value | None = None
+    target: Value | None
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.op == "is-integer":
@@ -80,26 +84,31 @@ class ArithmeticContradiction(NamedTuple):
         return f"requires {self.quantity} {self.op} {self.target}"
 
 
-class Survives(NamedTuple):
+class Survives(namedtuple("Survives", ["construction"])):
     """The case is realized by the named construction."""
 
     construction: str
+    __slots__ = ()
 
 
-class GeometricArgument(NamedTuple):
+class GeometricArgument(namedtuple("GeometricArgument", ["argument"])):
     """Excluded by a geometric argument that is described, not recomputed."""
 
     argument: str
+    __slots__ = ()
 
 
-Verdict = Union[ArithmeticContradiction, Survives, GeometricArgument]
+Verdict = ArithmeticContradiction | Survives | GeometricArgument
 
 
-class CaseRecord(NamedTuple):
+class CaseRecord(namedtuple("CaseRecord", ["context", "inputs", "computed", "verdict"])):
+    """One case: its context label, its inputs as text, its computed values, its verdict."""
+
     context: str
     inputs: tuple[tuple[str, str], ...]
     computed: tuple[tuple[str, Value], ...]
     verdict: Verdict
+    __slots__ = ()
 
     def value(self, key: str) -> Value:
         for k, v in self.computed:
@@ -155,7 +164,7 @@ def _record(
     computed: dict[str, Value],
     verdict: Verdict,
 ) -> CaseRecord:
-    # the fields as they stand: NamedTuple's own __new__ costs twice tuple.__new__
+    # the fields as they stand: the __new__ namedtuple generates costs twice tuple.__new__
     inputs_text = tuple([(k, str(v)) for k, v in inputs.items()])
     return tuple.__new__(CaseRecord, (context, inputs_text, tuple(computed.items()), verdict))
 
@@ -654,15 +663,16 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
     """Every check on a ledger run; returns the failure messages.
 
     Sections are named by part, the sweep by `twisted-sweep/<base>`.
-    Every record's verdict must verify, and a record carrying c2' (only
-    sweep records do) must have c2' < 0 and chi' > 0, and its twist
-    must preserve the degree where it records that; none of those three
-    values may repeat.  A p1-bundles section must leave exactly the two
-    cone constructions, each with c2 = 0; a classification section must
-    hold seven surviving records of degree 64.  A repeated c2 or degree
-    fails as well, and its last value is the one checked, as in the
-    sweep.  A value a check reads and the record lacks, or cannot
-    compare, is a failure too, so a malformed record never raises.
+    Every record's verdict must verify, and a contradiction's witness
+    quantity may not repeat.  A record carrying c2' (only sweep records
+    do) must have c2' < 0 and chi' > 0, and its twist must preserve the
+    degree where it records that; none of those three values may
+    repeat.  A p1-bundles section must leave exactly the two cone
+    constructions, each with c2 = 0; a classification section must hold
+    seven surviving records of degree 64.  A repeated c2 or degree fails
+    as well, and its last value is the one checked, as in the sweep.  A
+    value a check reads and the record lacks, or cannot compare, is a
+    failure too, so a malformed record never raises.
     """
     failures = []
     absent = object()
@@ -676,8 +686,9 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
 
     for where, records in sections.items():
         for r in records:
-            # the other verdicts verify trivially; a missing or malformed witness fails
+            # the other verdicts verify trivially; a missing, repeated or malformed witness fails
             if isinstance(r.verdict, ArithmeticContradiction):
+                last_value(r, r.verdict.quantity)
                 try:
                     verified = verify_record(r)
                 except (KeyError, TypeError, ValueError):

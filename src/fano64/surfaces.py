@@ -20,17 +20,16 @@ common surface first, inline: the ledger runs them on every case.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
-
-class _BaseSurfaceFields(NamedTuple):
-    hirzebruch_n: int | None = None
+_BaseSurfaceFields = namedtuple("_BaseSurfaceFields", ["hirzebruch_n"], defaults=[None])
 
 
 class BaseSurface(_BaseSurfaceFields):
     """The projective plane (hirzebruch_n is None) or F_n (n >= 0)."""
 
+    hirzebruch_n: int | None
     __slots__ = ()
 
     def __new__(cls, hirzebruch_n: int | None = None) -> BaseSurface:
@@ -64,10 +63,7 @@ F4 = BaseSurface(4)
 BASES = {str(s): s for s in (P2, F0, F1, F2, F3, F4)}
 
 
-class _SurfaceClassFields(NamedTuple):
-    surface: BaseSurface
-    a: int
-    b: int = 0
+_SurfaceClassFields = namedtuple("_SurfaceClassFields", ["surface", "a", "b"], defaults=[0])
 
 
 class SurfaceClass(_SurfaceClassFields):
@@ -76,6 +72,9 @@ class SurfaceClass(_SurfaceClassFields):
     Classes combine (add, intersect) only with classes on the same surface.
     """
 
+    surface: BaseSurface
+    a: int
+    b: int
     __slots__ = ()
 
     def __new__(cls, surface: BaseSurface, a: int, b: int = 0) -> SurfaceClass:

@@ -52,19 +52,17 @@ from __future__ import annotations
 
 import json
 import reprlib
+from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .lattice import IVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
 
 
-class _FanFields(NamedTuple):
-    rays: tuple[IVec, ...]
-    max_cones: tuple[tuple[int, ...], ...]
+_FanFields = namedtuple("_FanFields", ["rays", "max_cones"])
 
 
 class Fan(_FanFields):
@@ -76,6 +74,8 @@ class Fan(_FanFields):
     file and a caller get the same message for the same defect.
     """
 
+    rays: tuple[IVec, ...]
+    max_cones: tuple[tuple[int, ...], ...]
     __slots__ = ()
 
     def __new__(
@@ -127,7 +127,7 @@ class Fan(_FanFields):
 QPoint = tuple[IVec, int]
 
 
-class RationalPolytope(NamedTuple):
+class RationalPolytope(namedtuple("RationalPolytope", ["vertices", "facets"])):
     """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1).
 
     Each facet lists its vertices in boundary order, as polytope_degree
@@ -137,6 +137,7 @@ class RationalPolytope(NamedTuple):
 
     vertices: tuple[QPoint, ...]
     facets: tuple[tuple[IVec, tuple[QPoint, ...]], ...]
+    __slots__ = ()
 
 
 class ConeSingularityKind(Enum):
@@ -145,7 +146,13 @@ class ConeSingularityKind(Enum):
     TRANSVERSE_A1 = "transverse-A1"
 
 
-class ConeSingularity(NamedTuple):
+class ConeSingularity(
+    namedtuple(
+        "ConeSingularity",
+        ["degenerate", "index", "kind", "witness", "support"],
+        defaults=[None, None, None, None],
+    )
+):
     """What one maximal cone is, as far as `toric singularities` tells.
 
     A degenerate cone (rays of rank at most 2) has nothing else.  A
@@ -156,10 +163,11 @@ class ConeSingularity(NamedTuple):
     """
 
     degenerate: bool
-    index: int | None = None
-    kind: ConeSingularityKind | None = None
-    witness: IVec | None = None
-    support: IVec | None = None
+    index: int | None
+    kind: ConeSingularityKind | None
+    witness: IVec | None
+    support: IVec | None
+    __slots__ = ()
 
 
 def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int, bool] | None:
@@ -426,7 +434,19 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     return total
 
 
-class FanReport(NamedTuple):
+class FanReport(
+    namedtuple(
+        "FanReport",
+        [
+            "non_primitive_rays",
+            "unused_rays",
+            "degenerate_cones",
+            "non_convex_cones",
+            "unpaired_walls",
+            "cones_without_gorenstein_support",
+        ],
+    )
+):
     """Findings from validate_fan; empty tuples everywhere means clean."""
 
     non_primitive_rays: tuple[int, ...]
@@ -435,6 +455,7 @@ class FanReport(NamedTuple):
     non_convex_cones: tuple[int, ...]
     unpaired_walls: tuple[str, ...]
     cones_without_gorenstein_support: tuple[int, ...]
+    __slots__ = ()
 
     def findings(self) -> tuple[str, ...]:
         out = []

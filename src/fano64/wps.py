@@ -8,16 +8,11 @@ no coordinate geometry is performed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
-from typing import NamedTuple
 
-
-class _WeightsFields(NamedTuple):
-    a0: int
-    a1: int
-    a2: int
-    a3: int
+_WeightsFields = namedtuple("_WeightsFields", ["a0", "a1", "a2", "a3"])
 
 
 class Weights(_WeightsFields):
@@ -29,6 +24,10 @@ class Weights(_WeightsFields):
     the reported singularities.
     """
 
+    a0: int
+    a1: int
+    a2: int
+    a3: int
     __slots__ = ()
 
     def __new__(cls, a0: int, a1: int, a2: int, a3: int) -> Weights:
@@ -52,14 +51,14 @@ class Weights(_WeightsFields):
         return "P({},{},{},{})".format(*self.as_tuple())
 
 
-class _QuotientTypeFields(NamedTuple):
-    order: int
-    residues: tuple[int, ...]
+_QuotientTypeFields = namedtuple("_QuotientTypeFields", ["order", "residues"])
 
 
 class QuotientType(_QuotientTypeFields):
     """A cyclic quotient singularity type 1/r(w1,...,wk), residues mod r."""
 
+    order: int
+    residues: tuple[int, ...]
     __slots__ = ()
 
     def __new__(cls, order: int, residues: tuple[int, ...]) -> QuotientType:

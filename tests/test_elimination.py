@@ -519,6 +519,14 @@ def _sweep_chi_prime_not_comparable(sections):
     return f"{records[1].context}: computed value 'chi_prime' is not comparable"
 
 
+def _contradiction_witness_repeated(sections):
+    # the first value, 33/4, verifies: the repeat itself must fail
+    records = sections["quadric-filter"]
+    i = next(i for i, r in enumerate(records) if r.context == "quadric-filter/degree-66")
+    records[i] = records[i]._replace(computed=records[i].computed + (("degree_eighth", 8),))
+    return "quadric-filter/degree-66: computed value 'degree_eighth' repeats"
+
+
 def _contradiction_not_comparable(sections):
     # requirement_holds raises TypeError on an int against a str
     sections["quadric-filter"].append(
@@ -560,6 +568,7 @@ def _classification_degree_repeated(sections):
     [
         _fabricate_contradiction,
         _contradiction_witness_missing,
+        _contradiction_witness_repeated,
         _contradiction_not_comparable,
         _contradiction_unknown_op,
         _sweep_c2_prime_not_comparable,

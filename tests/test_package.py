@@ -4,12 +4,16 @@ The library carries no public function or class that only tests reach,
 unless it is an independent cross-check oracle named below, and each
 public name has one home, its submodule: the package namespace binds
 nothing but `__version__`.  Every command starts a fresh interpreter,
-so the package keeps `dataclasses`, and the `inspect` it loads, out of
-its import.  No check rests on an `assert` statement, which `python -O`
+so the package keeps `dataclasses` and `typing`, and the `inspect` the
+first loads, out of its import: its records are `collections.namedtuple`
+classes, which document each field's type as a bare annotation.  A
+plain `toric` command does not load `argparse` either; every other
+argv does.  No check rests on an `assert` statement, which `python -O`
 drops, and the memoized functions are a fixed, named set.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -65,7 +69,7 @@ def test_package_namespace_binds_only_the_version():
     assert len(rest) == 1 and rest[0].startswith("__version__ = '"), rest
 
 
-def test_no_module_imports_dataclasses():
+def test_no_module_imports_dataclasses_or_typing():
     importers = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -75,28 +79,91 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+            if any(m.partition(".")[0] in {"dataclasses", "typing"} for m in modules):
                 importers.append(f"{path.name}:{node.lineno}")
     assert not importers, importers
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter that reads src/ only and writes no bytecode
+def _fresh_cli(code: str) -> list[str]:
+    """The lines `code` prints after `import fano64.cli` in a fresh interpreter.
+
+    The interpreter reads src/ only, writes no bytecode and skips `site`,
+    which may load `typing` itself.  The child first prints the cli's
+    path, which is checked and dropped.
+    """
     child = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fano64.cli; "
-        "print(fano64.cli.__file__); "
-        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(fano64.cli.__file__); " + code
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-B", "-c", child, str(PACKAGE.parent)],
+        [sys.executable, "-I", "-B", "-S", "-c", child, str(PACKAGE.parent)],
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    where, loaded = done.stdout.splitlines()
+    where, *lines = done.stdout.splitlines()
     assert Path(where).parent == PACKAGE
+    return lines
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_argparse():
+    [loaded] = _fresh_cli(
+        "print(*sorted({'dataclasses', 'inspect', 'typing', 'argparse'} & set(sys.modules)))"
+    )
     assert not loaded, f"importing fano64.cli loaded {loaded}"
+
+
+def test_only_an_argv_that_needs_argparse_loads_it():
+    fan = PACKAGE.parent.parent / "fans" / "p3.fan"
+    lines = _fresh_cli(
+        "main = fano64.cli.main; "
+        f"print(main(['toric', {str(fan)!r}, 'degree', '--machine']), 'argparse' in sys.modules); "
+        "print(main(['reproduce', '--part', 'quadric-filter']), 'argparse' in sys.modules)"
+    )
+    assert lines[0] == '{"degree": "64", "vertices": 4}'
+    assert lines[1] == "0 False", "a plain toric command loaded argparse"
+    assert lines[-2:] == ["all checks passed", "0 True"]
+
+
+# Each record class with its field defaults; every other field has none.
+RECORDS = {
+    "surfaces.BaseSurface": {"hirzebruch_n": None},
+    "surfaces.SurfaceClass": {"b": 0},
+    "wps.Weights": {},
+    "wps.QuotientType": {},
+    "toric.Fan": {},
+    "toric.RationalPolytope": {},
+    "toric.ConeSingularity": {"index": None, "kind": None, "witness": None, "support": None},
+    "toric.FanReport": {},
+    "elimination.ArithmeticContradiction": {"target": None},
+    "elimination.Survives": {},
+    "elimination.GeometricArgument": {},
+    "elimination.CaseRecord": {},
+}
+
+
+def test_each_record_documents_its_fields_and_defaults():
+    found = {}
+    # the submodules; the package namespace binds only the version
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"fano64.{path.stem}")
+        for name, cls in vars(module).items():
+            if (
+                isinstance(cls, type)
+                and issubclass(cls, tuple)
+                and hasattr(cls, "_fields")
+                and not name.startswith("_")
+                and cls.__module__ == module.__name__
+            ):
+                found[f"{path.stem}.{name}"] = cls
+    assert set(found) == set(RECORDS), sorted(set(found) ^ set(RECORDS))
+    for name, cls in found.items():
+        # the annotations are documentation only: they must name the fields, in order
+        assert tuple(cls.__annotations__) == cls._fields, name
+        assert cls.__doc__, name
+        assert cls._field_defaults == RECORDS[name], name
+        assert vars(cls).get("__slots__") == (), name
 
 
 def test_no_module_uses_an_assert_statement():

@@ -17,7 +17,9 @@ walk over the facets of conv(rays), a facet <n, x> = c giving the
 vertex -n / c.  Delta is unbounded exactly when the walk meets a
 supporting plane with c <= 0: no ray lies beyond it, so the error names
 -n, a direction m with <m, v> >= 0 on every ray.  The walk gives each
-facet of conv(rays) as the ring of its vertices, and each facet of
+facet of conv(rays) as the ring of its vertices, and wraps once per
+facet: about a ring edge only when no facet found so far runs it the
+other way, so every wrap reaches a new facet.  Each facet of
 Delta lies on the plane <m, v> = -1 of one vertex v of conv(rays): its
 vertices are the facets around v, listed in boundary order from the
 rings' shared edges, not by a second sort.  The volume is a sum of
@@ -45,7 +47,7 @@ line exactly when it has no zero ray and the origin is a vertex of
 conv(rays and 0), and its walls are then that hull's facets through the
 origin.  A wall is keyed by the indices of the rays on it alone: it
 holds two rays that are not parallel, so they fix its plane.  The cone
-checks build no Fraction; polytope_degree builds one per facet volume.
+checks build no Fraction; polytope_degree builds one per polytope.
 """
 
 from __future__ import annotations
@@ -291,21 +293,27 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
     facet's ring lists its corners, the hull vertices on it, turning
     about -n, so wrapping about its edge p -> q reaches the facet whose
     ring runs it as q -> p: anticanonical_polytope orders the facets of
-    the polar from this adjacency.  When the origin is not inside the
-    hull the walk meets a supporting plane with c <= 0 and raises
-    ValueError: no point lies beyond it, so m = -n has <m, p> >= 0 on
-    every point, and the message names m.  A wrap gives n = 0 only when
-    every point lies on one line through a.  Then m = a x e3, or e1 when
-    that is zero: <m, p> = 0 when the line is vertical, and otherwise
-    <m, p> is a non-negative multiple of the c > 0 of the first plane,
-    the one through the line and a's vertical line.
+    the polar from this adjacency.  Each ring edge goes on a stack, and
+    is wrapped about when popped only if no facet found so far runs it
+    as q -> p, so the walk makes one wrap per facet, plus one for the
+    first plane when it meets the hull in an edge only.  A wrap that
+    still reaches a facet found before raises ArithmeticError, as a
+    plane with a point beyond it does: either means the walk is broken.
+    When the origin is not inside the hull the walk meets a supporting
+    plane with c <= 0 and raises ValueError: no point lies beyond it,
+    so m = -n has <m, p> >= 0 on every point, and the message names m.
+    A wrap gives n = 0 only when every point lies on one line through
+    a.  Then m = a x e3, or e1 when that is zero: <m, p> = 0 when the
+    line is vertical, and otherwise <m, p> is a non-negative multiple of
+    the c > 0 of the first plane, the one through the line and a's
+    vertical line.
     """
     a = max(pts)
-    todo = [_wrap(pts, a, (a[0], a[1], a[2] + 1))]
+    plane = _wrap(pts, a, (a[0], a[1], a[2] + 1))
     facets: dict[tuple[IVec, int], list[int]] = {}
-    wrapped = set()
-    while todo:
-        plane = todo.pop()
+    edges = set()
+    todo = []
+    while True:
         n, c = plane
         if c <= 0:
             m = (-n[0], -n[1], -n[2])
@@ -315,7 +323,7 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
                 f"polytope is unbounded: rays do not positively span (direction {vec_str(m)})"
             )
         if plane in facets:
-            continue
+            raise ArithmeticError(f"hull walk reached the facet {plane} twice")
         nx, ny, nz = n
         k, i, j = _axes(n)
         flat = {}
@@ -327,17 +335,22 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
                 flat[p[i], p[j]] = t
         ring = _hull_order(flat)
         if len(ring) == 2:
-            todo.append(_wrap(pts, pts[ring[0]], pts[ring[1]]))
-            continue
-        # counter-clockwise in coordinates k + 1, k + 2 turns about +e_k
-        if n[k] > 0:
-            ring.reverse()
-        facets[plane] = ring
-        for p, q in zip(ring[-1:] + ring, ring):
-            if (q, p) not in wrapped:
-                wrapped.add((p, q))
-                todo.append(_wrap(pts, pts[p], pts[q]))
-    return facets
+            todo.append((ring[0], ring[1]))
+        else:
+            # counter-clockwise in coordinates k + 1, k + 2 turns about +e_k
+            if n[k] > 0:
+                ring.reverse()
+            facets[plane] = ring
+            ring_edges = list(zip(ring[-1:] + ring, ring))
+            edges.update(ring_edges)
+            todo += ring_edges
+        while todo:
+            p, q = todo.pop()
+            if (q, p) not in edges:
+                break
+        else:
+            return facets
+        plane = _wrap(pts, pts[p], pts[q])
 
 
 def anticanonical_polytope(f: Fan) -> RationalPolytope:
@@ -383,9 +396,15 @@ def _hull_order(index: dict[tuple[int, int], int]) -> list[int]:
     """The indices of the hull vertices of `index`'s points, counter-clockwise.
 
     `index` maps each integer point to its index; a monotone chain gives
-    the boundary order.
+    the boundary order.  Three points are their own ring, ordered by one
+    turn, or just the two endpoints when collinear: the ring the chain
+    gives, with the same start and direction.
     """
     flat = sorted(index)
+    if len(flat) == 3:
+        a, b, c = flat
+        t = _turn(a, b, c)
+        return [index[pt] for pt in ((a, b, c) if t > 0 else (a, c, b) if t < 0 else (a, c))]
     lower: list[tuple[int, int]] = []
     for pt in flat:
         while len(lower) >= 2 and _turn(lower[-2], lower[-1], pt) <= 0:
@@ -410,13 +429,14 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
     anticanonical_polytope gives, their shoelace sum S is 2 L^2 times
     the projected area.  Since vol(pyramid) = area(F)/(3|v|) and the
     projection scales area by |v_k|/|v|, the pyramid adds
-    6 vol = |S| / (L^2 |v_k|), the one Fraction built per facet.  A
-    polytope whose facets add no volume is not full-dimensional and
-    raises.  Nothing checks the ring order: a facet listed out of order,
+    6 vol = |S| / (L^2 |v_k|).  The sum is kept as an integer pair
+    num / den, den the running lcm of the L^2 |v_k|, and becomes the one
+    Fraction built per polytope at the end.  A polytope whose facets add
+    no volume is not full-dimensional and raises.  Nothing checks the ring order: a facet listed out of order,
     as a hand-built RationalPolytope may be, gives a wrong degree, not
     an error.
     """
-    total = Fraction(0)
+    num, den = 0, 1
     for v, ring in p.facets:
         k, i, j = _axes(v)
         scale = lcm(*[d for _, d in ring])
@@ -428,10 +448,13 @@ def polytope_degree(p: RationalPolytope) -> Fraction:
             x1, y1 = m[i] * q, m[j] * q
             s += x0 * y1 - x1 * y0
             x0, y0 = x1, y1
-        total += Fraction(abs(s), scale * scale * abs(v[k]))
-    if total == 0:
+        w = scale * scale * abs(v[k])
+        common = lcm(den, w)
+        num = num * (common // den) + abs(s) * (common // w)
+        den = common
+    if num == 0:
         raise ValueError("polytope is not full-dimensional")
-    return total
+    return Fraction(num, den)
 
 
 class FanReport(

@@ -807,6 +807,91 @@ def test_hull_walk_matches_the_triple_oracle_on_huge_random_rays():
     assert bounded >= 6, bounded
 
 
+def _box_fans(count: int) -> list[Fan]:
+    """Fans of 17 random primitive points of {-3..3}^3 whose polar is bounded."""
+    rng = random.Random(31)
+    box = [v for v in product(range(-3, 4), repeat=3) if any(v) and gcd(*v) == 1]
+    fans = []
+    while len(fans) < count:
+        f = Fan(rng.sample(box, 17), ((0, 1, 2),))
+        try:
+            anticanonical_polytope(f)
+        except ValueError:
+            continue
+        fans.append(f)
+    return fans
+
+
+def test_hull_walk_wraps_once_per_facet(monkeypatch):
+    """One wrap per facet of conv(rays), plus the first plane when it meets the hull in an edge.
+
+    A walk that wraps once per hull edge makes 14 wraps on the
+    octahedron of p1p1p1's rays, which has 8 facets and 12 edges.
+    """
+    calls = [0]
+    real = fano64.toric._wrap
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fano64.toric, "_wrap", counted)
+    for f in [load("p1p1p1.fan"), load("x66.fan"), *_box_fans(5)]:
+        calls[0] = 0
+        p = anticanonical_polytope(f)
+        assert calls[0] <= len(p.vertices) + 1, (f.rays, calls[0], len(p.vertices))
+
+
+def test_hull_walk_raises_when_it_reaches_a_facet_twice(monkeypatch):
+    """A wrap that returns a facet found before breaks the walk's invariant: it raises, not loops."""
+    cube = list(product((-1, 1), repeat=3))
+    real = fano64.toric._wrap
+    planes = []
+
+    def stuck(*args):
+        assert len(planes) < 10, "the walk kept wrapping"
+        planes.append(real(*args) if not planes else planes[0])
+        return planes[-1]
+
+    monkeypatch.setattr(fano64.toric, "_wrap", stuck)
+    with pytest.raises(ArithmeticError, match="reached the facet .* twice"):
+        fano64.toric._hull_facets(cube)
+    assert len(planes) == 2
+
+
+def _monotone_chain_order(index: dict[tuple[int, int], int]) -> list[int]:
+    """_hull_order's counter-clockwise hull indices, by the monotone chain alone."""
+    flat = sorted(index)
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list = []
+    for pt in flat:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], pt) <= 0:
+            lower.pop()
+        lower.append(pt)
+    upper: list = []
+    for pt in reversed(flat):
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], pt) <= 0:
+            upper.pop()
+        upper.append(pt)
+    return [index[pt] for pt in lower[:-1] + upper[:-1]]
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6, unique=True)
+)
+@example([(0, 0), (1, 1), (2, 2)])  # collinear
+@example([(0, 2), (0, 0), (0, 1)])  # collinear, vertical
+@example([(1, 1), (0, 0), (1, 0)])  # counter-clockwise in sorted order
+@example([(1, 0), (0, 1), (0, 0)])  # clockwise in sorted order
+def test_hull_order_matches_the_monotone_chain(points):
+    # the adjacency in anticanonical_polytope reads each ring's start and direction
+    index = {pt: t for t, pt in enumerate(points)}
+    assert fano64.toric._hull_order(index) == _monotone_chain_order(index)
+
+
 def test_validate_clean_fans():
     for name in ("p3.fan", "p1p1p1.fan"):
         report = validate_fan(load(name))

@@ -10,8 +10,9 @@ This module only parses arguments and formats results.  What a
 `reproduce` run must satisfy is decided in the library, by
 `elimination.check_ledger`; the report prints its failures.  What
 `toric singularities` says of each cone is decided by
-`toric.cone_singularity`.  Integer arguments are plain decimals: an
-optional sign and ASCII digits, with surrounding spaces allowed.
+`toric.cone_singularity`; the command formats each cone only in the
+form it prints.  Integer arguments are plain decimals: an optional
+sign and ASCII digits, with surrounding spaces allowed.
 
 A command line is parsed one of two ways.  A plain `toric` one, the
 shape of every `toric` call the benchmark's fan workloads make (a fan
@@ -122,15 +123,19 @@ def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
     return SurfaceClass(base, coeffs[0], coeffs[1])
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _emit(doc: dict, machine: bool, lines: list[str]) -> None:
     """Print the JSON document or the text lines.
 
-    JSON is one compact line with sorted keys: without `indent`, `json`
-    uses its C encoder.  `python -m json.tool` pretty-prints it.  The
-    text is written in one call, and nothing is written for no lines.
+    JSON is one compact line with sorted keys, from one shared C encoder
+    (`json.dumps` with a keyword builds one per call) that skips the
+    cycle check, as every document is a fresh tree.  The text is
+    written in one call, and nothing is written for no lines.
     """
     if machine:
-        print(json.dumps(doc, sort_keys=True))
+        print(_ENCODER.encode(doc))
     elif lines:
         sys.stdout.write("\n".join(lines) + "\n")
 
@@ -227,7 +232,7 @@ def _cmd_toric(args) -> int:
             "rays": len(fan.rays),
             "max_cones": len(fan.max_cones),
             "clean": not findings,
-            "findings": list(findings),
+            "findings": findings,
         }
         _emit(doc, args.machine, lines)
         return 0
@@ -245,12 +250,25 @@ def _cmd_toric(args) -> int:
             return 0 if matches else 2
         _emit(doc, args.machine, lines)
         return 0
-    # singularities
+    # singularities: each cone builds only the form that is printed
     lines = []
     cones_doc = []
     for ci, cone in enumerate(fan.max_cones):
         sing = cone_singularity([fan.rays[i] for i in cone])
-        entry: dict = {"cone": list(cone), "degenerate": sing.degenerate, "index": sing.index}
+        if args.machine:
+            # json writes the tuples as arrays
+            entry = {
+                "cone": cone,
+                "degenerate": sing.degenerate,
+                "index": sing.index,
+                "gorenstein_support": sing.support,
+            }
+            if sing.kind is not None:
+                entry["type"] = sing.kind.value
+                if sing.witness is not None:
+                    entry["witness"] = sing.witness
+            cones_doc.append(entry)
+            continue
         prefix = f"cone {ci} {list(cone)}:"
         if sing.degenerate:
             lines.append(f"{prefix} degenerate (rays do not span), index not computed")
@@ -259,18 +277,12 @@ def _cmd_toric(args) -> int:
         elif sing.kind is None:
             lines.append(f"{prefix} index {sing.index}, not classified")
         else:
-            entry["type"] = sing.kind.value
-            witness = ""
-            if sing.witness is not None:
-                entry["witness"] = list(sing.witness)
-                witness = f", witness {vec_str(sing.witness)}"
+            witness = "" if sing.witness is None else f", witness {vec_str(sing.witness)}"
             lines.append(f"{prefix} index {sing.index}, {sing.kind.value}{witness}")
-        entry["gorenstein_support"] = None if sing.support is None else list(sing.support)
         if sing.support is None:
             lines.append(f"{prefix} no integral Gorenstein support")
         else:
             lines.append(f"{prefix} Gorenstein support {vec_str(sing.support)}")
-        cones_doc.append(entry)
     _emit({"cones": cones_doc}, args.machine, lines)
     return 0
 

@@ -111,14 +111,15 @@ class Fan(_FanFields):
         n = len(checked_rays)
         cones: dict[tuple[int, ...], None] = {}
         for cone in checked_cones:
-            if len(set(cone)) != len(cone):
-                raise ValueError(f"cone {cone} repeats a ray index")
-            for i in cone:
-                if not 0 <= i < n:
-                    raise ValueError(f"cone {cone} references missing ray {i}")
-            if len(cone) < 3:
-                raise ValueError(f"maximal cone {cone} has fewer than 3 rays")
+            # the sorted key's ends bound every index; a bad cone is rescanned to word its defect
             key = tuple(sorted(cone))
+            if not (len(key) >= 3 and 0 <= key[0] and key[-1] < n and len(set(key)) == len(key)):
+                if len(set(cone)) != len(cone):
+                    raise ValueError(f"cone {cone} repeats a ray index")
+                for i in cone:
+                    if not 0 <= i < n:
+                        raise ValueError(f"cone {cone} references missing ray {i}")
+                raise ValueError(f"maximal cone {cone} has fewer than 3 rays")
             if key in cones:
                 raise ValueError(f"cone {cone} is listed twice")
             cones[key] = None
@@ -209,8 +210,13 @@ def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int, bool] | None:
     g = gcd(x, y, z, d)
     if d < 0:
         g = -g
-    s, level = (x // g, y // g, z // g), d // g
-    return s, level, len(rays) == 3 or all(_dot(s, v) == -level for v in rays)
+    sx, sy, sz = s = (x // g, y // g, z // g)
+    level = d // g
+    if len(rays) > 3:
+        for vx, vy, vz in rays:
+            if sx * vx + sy * vy + sz * vz != -level:
+                return s, level, False
+    return s, level, True
 
 
 def cone_singularity(rays: Sequence[IVec]) -> ConeSingularity:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -483,6 +484,91 @@ def test_toric_singularities_flags_a_degenerate_non_simplicial_cone(tmp_path, ca
     )
 
 
+def _vec(text: str) -> list[int]:
+    """A vector as vec_str prints it, "(1,-2,3)", read back as a list."""
+    return json.loads("[" + text[1:-1] + "]")
+
+
+def _read_singularity_text(out: str) -> list[dict]:
+    """The `--machine` entries that the text report of `toric singularities` states, cone by cone."""
+    lines = out.splitlines()
+    assert len(lines) % 2 == 0, out
+    entries = []
+    for ci, (first, second) in enumerate(zip(lines[::2], lines[1::2])):
+        prefix, cone, what = re.fullmatch(r"(cone \d+ (\[[^]]*\])): (.*)", first).groups()
+        assert prefix.startswith(f"cone {ci} ") and second.startswith(f"{prefix}: "), (first, second)
+        entry = {"cone": json.loads(cone), "degenerate": what.startswith("degenerate"), "index": None}
+        if what.startswith("index "):
+            index, _, kind = what.removeprefix("index ").partition(", ")
+            entry["index"] = int(index)
+            if kind != "not classified":
+                kind, _, witness = kind.partition(", witness ")
+                entry["type"] = kind
+                if witness:
+                    entry["witness"] = _vec(witness)
+        support = second.removeprefix(f"{prefix}: ")
+        if support == "no integral Gorenstein support":
+            entry["gorenstein_support"] = None
+        else:
+            entry["gorenstein_support"] = _vec(support.removeprefix("Gorenstein support "))
+        entries.append(entry)
+    return entries
+
+
+def _singularities_text_and_machine_agree(capsys, path: str) -> list[dict]:
+    code, text, err = run(capsys, "toric", path, "singularities")
+    assert (code, err) == (0, "")
+    code, machine, err = run(capsys, "toric", path, "singularities", "--machine")
+    assert (code, err) == (0, "")
+    entries = json.loads(machine)["cones"]
+    # index, kind, witness and Gorenstein support, cone by cone
+    assert _read_singularity_text(text) == entries
+    return entries
+
+
+@pytest.mark.parametrize("name", ["p3.fan", "p1p1p1.fan", "x66.fan"])
+def test_toric_singularities_text_and_machine_agree_on_the_shipped_fans(capsys, name):
+    entries = _singularities_text_and_machine_agree(capsys, str(FANS / name))
+    assert len(entries) == len(json.loads((FANS / name).read_text())["cones"])
+
+
+@st.composite
+def _small_fans(draw):
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=3, max_size=7))
+    cone = st.lists(st.integers(0, len(rays) - 1), min_size=3, max_size=len(rays), unique=True)
+    cones = draw(st.lists(cone, min_size=1, max_size=4, unique_by=lambda c: tuple(sorted(c))))
+    return {"rays": rays, "cones": cones}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_small_fans())
+def test_toric_singularities_text_and_machine_agree_on_small_fans(tmp_path, capsys, fan):
+    path = tmp_path / "small.fan"
+    path.write_text(json.dumps(fan))
+    entries = _singularities_text_and_machine_agree(capsys, str(path))
+    # Fan stores each cone sorted
+    assert [e["cone"] for e in entries] == [sorted(c) for c in fan["cones"]]
+
+
+def test_toric_singularities_names_an_isolated_half_point(tmp_path, capsys):
+    # (v1 + v2 + v3) / 2 = (1,1,1) is a lattice point inside the index-2 cone;
+    # <m, v> = -1 on the rays forces m = (-1,-1,1/2), so there is no integral support
+    fan = tmp_path / "half-point.fan"
+    fan.write_text(json.dumps({"rays": [[1, 0, 0], [0, 1, 0], [1, 1, 2]], "cones": [[0, 1, 2]]}))
+    assert run(capsys, "toric", str(fan), "singularities") == (
+        0,
+        "cone 0 [0, 1, 2]: index 2, isolated-half-point, witness (1,1,1)\n"
+        "cone 0 [0, 1, 2]: no integral Gorenstein support\n",
+        "",
+    )
+    assert run(capsys, "toric", str(fan), "singularities", "--machine") == (
+        0,
+        '{"cones": [{"cone": [0, 1, 2], "degenerate": false, "gorenstein_support": null, '
+        '"index": 2, "type": "isolated-half-point", "witness": [1, 1, 1]}]}\n',
+        "",
+    )
+
+
 def test_toric_rejects_deeply_nested_json(tmp_path, capsys):
     deep = tmp_path / "deep.fan"
     depth = 100_000
@@ -580,6 +666,33 @@ HOSTILE_FANS = {
         ALL_ACTIONS,
         "maximal cone (0, 1) has fewer than 3 rays",
     ),
+    # a cone with several defects names the first: a repeat, then the first
+    # missing index in cone order, then too few rays
+    "cone-indices-too-large-and-negative": (
+        P3_RAYS,
+        [[5, -1, 0]],
+        ALL_ACTIONS,
+        "cone (5, -1, 0) references missing ray 5",
+    ),
+    "cone-indices-negative-and-too-large": (
+        P3_RAYS,
+        [[-1, 5, 0]],
+        ALL_ACTIONS,
+        "cone (-1, 5, 0) references missing ray -1",
+    ),
+    "cone-repeats-and-misses-an-index": (
+        P3_RAYS,
+        [[9, 1, 1]],
+        ALL_ACTIONS,
+        "cone (9, 1, 1) repeats a ray index",
+    ),
+    "cone-of-two-rays-misses-an-index": (
+        P3_RAYS,
+        [[0, 7]],
+        ALL_ACTIONS,
+        "cone (0, 7) references missing ray 7",
+    ),
+    "cone-empty": (P3_RAYS, [[]], ALL_ACTIONS, "maximal cone () has fewer than 3 rays"),
     # json reads these constants as floats unless its parse_constant hook says otherwise
     "ray-infinity": (
         [*E, [-1, -1, float("inf")]],

@@ -48,3 +48,13 @@ def test_curve_blowup_uses_genus():
     assert blowup_curve_degree(64, 4, 1) == 56
     with pytest.raises(ValueError):
         blowup_curve_degree(10, 10, 0)
+
+
+def test_only_a_positive_degree_is_returned():
+    # a degree of 1 is still a degree; 0 is not, and both operations refuse it
+    assert project_from_center(3, 0) == 1
+    assert blowup_curve_degree(3, 0, 0) == 1
+    with pytest.raises(ValueError, match="drop the degree to 0"):
+        project_from_center(2, 0)
+    with pytest.raises(ValueError, match="drop the degree to 0"):
+        blowup_curve_degree(2, 0, 0)

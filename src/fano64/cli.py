@@ -239,8 +239,9 @@ def _cmd_toric(args) -> int:
     if args.action == "degree":
         polytope = anticanonical_polytope(fan)
         degree = polytope_degree(polytope)
-        lines = [f"degree: {_fmt(degree)}"]
-        doc = {"degree": _fmt(degree), "vertices": len(polytope.vertices)}
+        shown = _fmt(degree)
+        lines = [f"degree: {shown}"]
+        doc = {"degree": shown, "vertices": len(polytope.vertices)}
         if args.expect is not None:
             matches = degree == args.expect
             lines.append(f"expected: {args.expect} ({'match' if matches else 'MISMATCH'})")

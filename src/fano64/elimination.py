@@ -20,10 +20,15 @@ states, coefficient bounds, the Euler-characteristic targets
 CHI_TARGETS) are stored as data so each case is reproducible and
 individually addressable.
 
-`check_ledger` is the one place that decides whether a run of the
-ledger holds; the command line only prints its failures.
-`record_to_json` writes a record as `reproduce --machine` JSON text, and
-`record_from_payload` reads the parsed text back to an equal record.
+Records are well formed by construction: `CaseRecord(...)`, `_make`,
+`_replace` and `record_from_payload` refuse a repeated key, an input
+that is not a pair of strings, a value or verdict of another type, and
+a contradiction whose quantity is absent or cannot be evaluated.  The
+builders skip the check (`tuple.__new__`); a test holds their records
+to it.  `check_ledger` is the one place that decides whether a run of
+the ledger holds, on its claims alone; the command line only prints its
+failures.  `record_to_json` writes a record as `reproduce --machine`
+JSON text, and `record_from_payload` reads it back to an equal record.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from .surfaces import (
 from .wps import Weights, wps_degree
 
 Value = int | Fraction | bool | str
+_VALUE_TYPES = (int, Fraction, bool, str)  # exact types: a bool is not an int here
 
 
 class ArithmeticContradiction(
@@ -110,11 +116,46 @@ class CaseRecord(namedtuple("CaseRecord", ["context", "inputs", "computed", "ver
     verdict: Verdict
     __slots__ = ()
 
+    def __new__(cls, context, inputs, computed, verdict):
+        _checked_pairs(context, "inputs", inputs, (str,))
+        values = _checked_pairs(context, "computed", computed, _VALUE_TYPES)
+        if type(verdict) is ArithmeticContradiction:
+            quantity, op, target = verdict
+            if quantity not in values:
+                raise ValueError(f"record {context} has no computed value {quantity!r}")
+            try:
+                requirement_holds(values[quantity], op, target)
+            except (TypeError, ValueError) as error:
+                raise type(error)(f"record {context} cannot test {quantity!r}: {error}") from None
+        elif type(verdict) not in (Survives, GeometricArgument):
+            raise TypeError(f"record {context} has a verdict of no known kind: {verdict!r}")
+        return tuple.__new__(cls, (context, inputs, computed, verdict))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CaseRecord:
+        # namedtuple's own _make, and so _replace, would skip __new__
+        return cls(*iterable)
+
     def value(self, key: str) -> Value:
         for k, v in self.computed:
             if k == key:
                 return v
         raise KeyError(f"record {self.context} has no computed value {key!r}")
+
+
+def _checked_pairs(context: str, field: str, pairs, kinds: tuple[type, ...]) -> dict:
+    """The (key, value) pairs of a record field as a dict, refusing a malformed one."""
+    values = {}
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
+            raise TypeError(f"record {context} has {field} entry {pair!r}, not a key and value")
+        key, v = pair
+        if type(v) not in kinds:
+            raise TypeError(f"record {context} has {field} key {key!r} of type {type(v).__name__}")
+        if key in values:
+            raise ValueError(f"record {context} repeats the {field} key {key!r}")
+        values[key] = v
+    return values
 
 
 def requirement_holds(value: Value, op: str, target: Value | None) -> bool:
@@ -164,7 +205,7 @@ def _record(
     computed: dict[str, Value],
     verdict: Verdict,
 ) -> CaseRecord:
-    # the fields as they stand: the __new__ namedtuple generates costs twice tuple.__new__
+    # unchecked, for speed: the keys come from dicts, and a test holds every record to __new__
     inputs_text = tuple([(k, str(v)) for k, v in inputs.items()])
     return tuple.__new__(CaseRecord, (context, inputs_text, tuple(computed.items()), verdict))
 
@@ -660,86 +701,50 @@ EXPECTED_SURVIVORS = {"cone over P1 x P1", "cone over F1"}
 
 
 def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
-    """Every check on a ledger run; returns the failure messages.
+    """The ledger's claims on a run; returns the failure messages.
 
     Sections are named by part, the sweep by `twisted-sweep/<base>`.
-    Every record's verdict must verify, and a contradiction's witness
-    quantity may not repeat.  A record carrying c2' (only sweep records
-    do) must have c2' < 0 and chi' > 0, and its twist must preserve the
-    degree where it records that; none of those three values may
-    repeat.  A p1-bundles section must leave exactly the two cone
-    constructions, each with c2 = 0; a classification section must hold
-    seven surviving records of degree 64.  A repeated c2 or degree fails
-    as well, and its last value is the one checked, as in the sweep.  A
-    value a check reads and the record lacks, or cannot compare, is a
-    failure too, so a malformed record never raises.
+    Every contradiction verifies.  A record carrying c2' (only sweep
+    records do) has c2' < 0, chi' > 0 and, where recorded, a twist that
+    preserves the degree.  p1-bundles leaves exactly the two cones, each
+    with c2 = 0; classification holds seven surviving records of degree
+    64.  A value a claim reads fails when absent, or when it is text and
+    the claim compares numbers.  `CaseRecord` refuses malformed records.
     """
     failures = []
-    absent = object()
-
-    def last_value(r: CaseRecord, key: str) -> object:
-        # the sweep's rule: a repeated key fails, and its last value counts
-        values = [v for k, v in r.computed if k == key]
-        if len(values) > 1:
-            failures.append(f"{r.context}: computed value {key!r} repeats")
-        return values[-1] if values else absent
-
     for where, records in sections.items():
         for r in records:
-            # the other verdicts verify trivially; a missing, repeated or malformed witness fails
-            if isinstance(r.verdict, ArithmeticContradiction):
-                last_value(r, r.verdict.quantity)
-                try:
-                    verified = verify_record(r)
-                except (KeyError, TypeError, ValueError):
-                    verified = False
-                if not verified:
-                    failures.append(
-                        f"{where}: contradiction witness failed to verify in {r.context}"
-                    )
-            # one scan of the pairs
-            c2_prime = chi_prime = preserved = absent
-            repeated = None
+            # the other verdicts verify trivially
+            if isinstance(r.verdict, ArithmeticContradiction) and not verify_record(r):
+                failures.append(f"{where}: contradiction witness failed to verify in {r.context}")
+            c2_prime = chi_prime = preserved = None
             for key, value in r.computed:
                 if key == "c2_prime":
-                    if c2_prime is not absent:
-                        repeated = key
                     c2_prime = value
                 elif key == "chi_prime":
-                    if chi_prime is not absent:
-                        repeated = key
                     chi_prime = value
                 elif key == "degree_preserved":
-                    if preserved is not absent:
-                        repeated = key
                     preserved = value
-            if repeated is not None:
-                failures.append(f"{r.context}: computed value {repeated!r} repeats")
-            if c2_prime is not absent:
-                try:
-                    if c2_prime >= 0:
-                        failures.append(f"{r.context}: c2' not negative")
-                except TypeError:
-                    failures.append(f"{r.context}: computed value 'c2_prime' is not comparable")
-                if chi_prime is not absent:
-                    try:
-                        if chi_prime <= 0:
-                            failures.append(f"{r.context}: chi' not positive")
-                    except TypeError:
-                        failures.append(
-                            f"{r.context}: computed value 'chi_prime' is not comparable"
-                        )
-                if preserved is not absent and preserved is not True:
-                    failures.append(f"{r.context}: degree not preserved by the twist")
+            if c2_prime is None:
+                continue
+            if type(c2_prime) is str:
+                failures.append(f"{r.context}: computed value 'c2_prime' is not comparable")
+            elif c2_prime >= 0:
+                failures.append(f"{r.context}: c2' not negative")
+            if type(chi_prime) is str:
+                failures.append(f"{r.context}: computed value 'chi_prime' is not comparable")
+            elif chi_prime is not None and chi_prime <= 0:
+                failures.append(f"{r.context}: chi' not positive")
+            if preserved is not None and preserved is not True:
+                failures.append(f"{r.context}: degree not preserved by the twist")
     if "p1-bundles" in sections:
         for r in sections["p1-bundles"]:
-            if not isinstance(r.verdict, Survives):
-                continue
-            c2 = last_value(r, "c2")
-            if c2 is absent:
-                failures.append(f"{r.context}: surviving cone has no computed c2")
-            elif c2 != 0:
-                failures.append(f"{r.context}: surviving cone has c2 {c2} != 0")
+            if isinstance(r.verdict, Survives):
+                c2 = dict(r.computed).get("c2")
+                if c2 is None:
+                    failures.append(f"{r.context}: surviving cone has no computed c2")
+                elif c2 != 0:
+                    failures.append(f"{r.context}: surviving cone has c2 {c2} != 0")
         survivors = surviving_constructions(sections["p1-bundles"])
         if survivors != EXPECTED_SURVIVORS:
             failures.append(
@@ -750,8 +755,8 @@ def check_ledger(sections: dict[str, list[CaseRecord]]) -> list[str]:
         if len(records) != 7:
             failures.append(f"classification: {len(records)} records, expected 7")
         for r in records:
-            degree = last_value(r, "degree")
-            if degree is absent:
+            degree = dict(r.computed).get("degree")
+            if degree is None:
                 failures.append(f"{r.context}: no computed degree")
             elif degree != DEGREE:
                 failures.append(f"{r.context}: degree {degree} != {DEGREE}")
@@ -817,49 +822,41 @@ def record_to_json(r: CaseRecord) -> str:
     return f'{head}, "verdict": {verdict}}}'
 
 
-def _value_from_payload(d: dict) -> Value:
+def _value_from_payload(d: dict, context: str, key: str) -> Value:
     tag, v = d["t"], d["v"]
-    if tag == "bool":
-        return bool(v)
-    if tag == "int":
-        return int(v)
-    if tag == "frac":
-        num, den = v.split("/")
-        return Fraction(int(num), int(den))
-    if tag == "str":
-        return str(v)
-    raise ValueError(f"unknown value tag {tag!r}")
+    if (tag, type(v)) in (("int", int), ("bool", bool), ("str", str)):
+        return v
+    if tag == "frac" and type(v) is str:
+        num, _, den = v.partition("/")
+        if num.removeprefix("-").isdecimal() and den.isdecimal() and int(den) > 0:
+            q = Fraction(int(num), int(den))
+            if f"{q.numerator}/{q.denominator}" == v:  # lowest terms, as written
+                return q
+    raise ValueError(f"record {context} has an unreadable value for {key!r}: {d!r}")
 
 
-def _verdict_from_payload(d: dict) -> Verdict:
+def _verdict_from_payload(d: dict, context: str) -> Verdict:
     kind = d["kind"]
     if kind == "arithmetic-contradiction":
         target = d["target"]
-        return ArithmeticContradiction(
-            d["quantity"],
-            d["op"],
-            None if target is None else _value_from_payload(target),
-        )
+        if target is not None:
+            target = _value_from_payload(target, context, d["quantity"])
+        return ArithmeticContradiction(d["quantity"], d["op"], target)
     if kind == "survives":
         return Survives(d["construction"])
     if kind == "geometric-argument":
         return GeometricArgument(d["argument"])
-    raise ValueError(f"unknown verdict kind {kind!r}")
+    raise ValueError(f"record {context} has a verdict of no known kind: {kind!r}")
 
 
 def record_from_payload(d: dict) -> CaseRecord:
     """The record a parsed `record_to_json` text describes.
 
-    Raises ValueError when its inputs or computed values repeat a key,
-    since the record's readers would disagree on which value counts.
+    A value is read only as `record_to_json` writes it, each tag at its
+    own JSON type and a fraction as p/q in lowest terms with q > 0, or
+    ValueError names its key; `CaseRecord` refuses a malformed record.
     """
     context = d["context"]
-    inputs = tuple((k, v) for k, v in d["inputs"])
-    computed = tuple((k, _value_from_payload(v)) for k, v in d["computed"])
-    for field, pairs in (("inputs", inputs), ("computed", computed)):
-        seen = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise ValueError(f"record {context} repeats the {field} key {k!r}")
-            seen.add(k)
-    return CaseRecord(context, inputs, computed, _verdict_from_payload(d["verdict"]))
+    inputs = tuple([tuple(p) if type(p) is list else p for p in d["inputs"]])  # a JSON pair
+    computed = tuple([(k, _value_from_payload(v, context, k)) for k, v in d["computed"]])
+    return CaseRecord(context, inputs, computed, _verdict_from_payload(d["verdict"], context))

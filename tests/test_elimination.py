@@ -7,6 +7,7 @@ target degree.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -465,33 +466,44 @@ def _without(record: CaseRecord, key: str) -> CaseRecord:
     return record._replace(computed=tuple(p for p in record.computed if p[0] != key))
 
 
+def _refused(context: str, key: str):
+    # building the tampered record raises, naming the record and the key
+    return pytest.raises(
+        (TypeError, ValueError), match=f"^record {re.escape(context)} .*{re.escape(repr(key))}"
+    )
+
+
 def _contradiction_witness_missing(sections):
     records = sections["quadric-filter"]
     i = next(i for i, r in enumerate(records) if isinstance(r.verdict, ArithmeticContradiction))
-    records[i] = _without(records[i], records[i].verdict.quantity)
-    return f"quadric-filter: contradiction witness failed to verify in {records[i].context}"
+    with _refused(records[i].context, records[i].verdict.quantity):
+        records[i] = _without(records[i], records[i].verdict.quantity)
+    return []
 
 
 def _sweep_c2_prime_repeated(sections):
-    # the first value reads c2' < 0 and the last 1 >= 0: the repeat itself must fail
+    # the first value reads c2' < 0 and the last 1 >= 0: the repeat itself is refused
     records = sections["twisted-sweep/F4"]
     r = records[0]
-    records[0] = r._replace(computed=r.computed + (("c2_prime", 1),))
-    return [f"{r.context}: computed value 'c2_prime' repeats", f"{r.context}: c2' not negative"]
+    with _refused(r.context, "c2_prime"):
+        records[0] = r._replace(computed=r.computed + (("c2_prime", 1),))
+    return []
 
 
 def _sweep_chi_prime_repeated(sections):
     records = sections["twisted-sweep/F0"]
     r = records[1]
-    records[1] = r._replace(computed=r.computed + (("chi_prime", r.value("chi_prime")),))
-    return f"{r.context}: computed value 'chi_prime' repeats"
+    with _refused(r.context, "chi_prime"):
+        records[1] = r._replace(computed=r.computed + (("chi_prime", r.value("chi_prime")),))
+    return []
 
 
 def _sweep_degree_preserved_repeated(sections):
     records = sections["twisted-sweep/F2"]
     r = records[2]
-    records[2] = r._replace(computed=r.computed + (("degree_preserved", True),))
-    return f"{r.context}: computed value 'degree_preserved' repeats"
+    with _refused(r.context, "degree_preserved"):
+        records[2] = r._replace(computed=r.computed + (("degree_preserved", True),))
+    return []
 
 
 def _cone_survivor_without_c2(sections):
@@ -520,47 +532,42 @@ def _sweep_chi_prime_not_comparable(sections):
 
 
 def _contradiction_witness_repeated(sections):
-    # the first value, 33/4, verifies: the repeat itself must fail
+    # the first value, 33/4, verifies: the repeat itself is refused
     records = sections["quadric-filter"]
     i = next(i for i, r in enumerate(records) if r.context == "quadric-filter/degree-66")
-    records[i] = records[i]._replace(computed=records[i].computed + (("degree_eighth", 8),))
-    return "quadric-filter/degree-66: computed value 'degree_eighth' repeats"
+    with _refused(records[i].context, "degree_eighth"):
+        records[i] = records[i]._replace(computed=records[i].computed + (("degree_eighth", 8),))
+    return []
 
 
 def _contradiction_not_comparable(sections):
     # requirement_holds raises TypeError on an int against a str
-    sections["quadric-filter"].append(
+    with _refused("made-up", "c2"):
         CaseRecord("made-up", (), (("c2", 1),), ArithmeticContradiction("c2", "<", "a"))
-    )
-    return "quadric-filter: contradiction witness failed to verify in made-up"
+    return []
 
 
 def _contradiction_unknown_op(sections):
     # requirement_holds raises ValueError on an op it does not know
-    sections["quadric-filter"].append(
+    with _refused("made-up", "c2"):
         CaseRecord("made-up", (), (("c2", 1),), ArithmeticContradiction("c2", "~", 0))
-    )
-    return "quadric-filter: contradiction witness failed to verify in made-up"
+    return []
 
 
 def _cone_survivor_c2_repeated(sections):
-    # the first c2 reads 0: the repeat fails, and the last value is the one checked
+    # the first c2 reads 0 and the last 1: the repeat itself is refused
     records = sections["p1-bundles"]
     i = next(i for i, r in enumerate(records) if _is_f1_cone(r))
-    records[i] = records[i]._replace(computed=records[i].computed + (("c2", 1),))
-    return [
-        "p1-bundle/F1/even-odd: computed value 'c2' repeats",
-        "p1-bundle/F1/even-odd: surviving cone has c2 1 != 0",
-    ]
+    with _refused("p1-bundle/F1/even-odd", "c2"):
+        records[i] = records[i]._replace(computed=records[i].computed + (("c2", 1),))
+    return []
 
 
 def _classification_degree_repeated(sections):
     records = sections["classification"]
-    records[0] = records[0]._replace(computed=records[0].computed + (("degree", 62),))
-    return [
-        "classification/P3: computed value 'degree' repeats",
-        "classification/P3: degree 62 != 64",
-    ]
+    with _refused("classification/P3", "degree"):
+        records[0] = records[0]._replace(computed=records[0].computed + (("degree", 62),))
+    return []
 
 
 @pytest.mark.parametrize(
@@ -591,6 +598,8 @@ def _classification_degree_repeated(sections):
     ],
 )
 def test_check_ledger_reports_each_tampered_section(tamper):
+    # each tampered case fails loudly: check_ledger reports it, or building
+    # the malformed record raises (an empty list), leaving the ledger whole
     sections = {name: list(records) for name, records in _full_ledger().items()}
     expected = tamper(sections)
     assert check_ledger(sections) == (expected if isinstance(expected, list) else [expected])
@@ -631,46 +640,43 @@ def test_record_value_lookup():
         r.value("missing")
 
 
-values = st.one_of(
+numbers = st.one_of(
     st.booleans(),
     st.integers(min_value=-(10**9), max_value=10**9),
     st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
-    st.text(max_size=30),
 )
-verdicts = st.one_of(
-    st.builds(Survives, st.text(min_size=1, max_size=20)),
-    st.builds(GeometricArgument, st.text(min_size=1, max_size=40)),
-    st.builds(
-        ArithmeticContradiction,
-        st.sampled_from(["c2", "chi", "degree"]),
-        st.sampled_from(["is-integer", "==", "!=", "<", "<=", ">", ">="]),
-        st.none() | values,
-    ),
-)
+texts = st.text(max_size=30)
+COMPARISONS = ["==", "!=", "<", "<=", ">", ">="]
 
 
-def _records(unique_keys: bool):
-    by_key = (lambda pair: pair[0]) if unique_keys else None
-    return st.builds(
-        CaseRecord,
-        st.text(min_size=1, max_size=20),
-        st.lists(
-            st.tuples(st.text(min_size=1, max_size=8), st.text(max_size=8)),
-            max_size=3,
-            unique_by=by_key,
-        ).map(tuple),
-        st.lists(
-            st.tuples(st.text(min_size=1, max_size=8), values),
-            max_size=4,
-            unique_by=by_key,
-        ).map(tuple),
-        verdicts,
-    )
+@st.composite
+def _contradictions(draw, computed):
+    # a requirement on one of the record's own values, of a type it can be tested on
+    quantity, value = draw(st.sampled_from(computed))
+    if type(value) is str:
+        return ArithmeticContradiction(quantity, draw(st.sampled_from(COMPARISONS)), draw(texts))
+    op = draw(st.sampled_from(COMPARISONS + ([] if type(value) is bool else ["is-integer"])))
+    return ArithmeticContradiction(quantity, op, None if op == "is-integer" else draw(numbers))
 
 
-# the writer takes any record; the reader refuses a repeated key
-records = _records(unique_keys=False)
-readable_records = _records(unique_keys=True)
+def _key(pair):
+    return pair[0]
+
+
+@st.composite
+def records(draw):
+    """Well-formed records: unique keys, every value and verdict type."""
+    keys = st.text(min_size=1, max_size=8)
+    inputs = draw(st.lists(st.tuples(keys, st.text(max_size=8)), max_size=3, unique_by=_key))
+    computed = draw(st.lists(st.tuples(keys, numbers | texts), max_size=4, unique_by=_key))
+    verdicts = [
+        st.builds(Survives, st.text(min_size=1, max_size=20)),
+        st.builds(GeometricArgument, st.text(min_size=1, max_size=40)),
+    ]
+    if computed:
+        verdicts.append(_contradictions(computed))
+    context = draw(st.text(min_size=1, max_size=20))
+    return CaseRecord(context, tuple(inputs), tuple(computed), draw(st.one_of(verdicts)))
 
 
 # The dict builder `reproduce --machine` once serialized with
@@ -711,14 +717,14 @@ def record_to_payload(r: CaseRecord) -> dict:
     }
 
 
-@given(readable_records)
+@given(records())
 def test_serialization_round_trip(r):
     back = record_from_payload(json.loads(record_to_json(r)))
     # records are tuples, equal across verdict kinds with equal fields
     assert back == r and type(back.verdict) is type(r.verdict)
 
 
-@given(records)
+@given(records())
 def test_record_json_is_json_dumps_of_the_payload(r):
     assert record_to_json(r) == json.dumps(record_to_payload(r), sort_keys=True)
 
@@ -743,10 +749,13 @@ def test_equal_verdicts_of_different_kinds_serialize_apart():
 
 
 def test_record_json_rejects_a_value_of_another_type():
-    for value in (1.5, None, (1, 2)):
-        r = CaseRecord("c", (), (("x", value),), GeometricArgument("x"))
+    for value in (1.5, None, (1, 2), Weights(1, 1, 1, 1)):
+        fields = ("c", (), (("x", value),), GeometricArgument("x"))
+        with pytest.raises(TypeError, match="^record c has computed key 'x' of type "):
+            CaseRecord(*fields)
+        # the writer still refuses one that skipped the check
         with pytest.raises(TypeError):
-            record_to_json(r)
+            record_to_json(tuple.__new__(CaseRecord, fields))
 
 
 def test_serialized_fractions_stay_exact():
@@ -761,6 +770,20 @@ def test_serialized_fractions_stay_exact():
     assert record_from_payload(payload).value("q") == Fraction(-5, 4)
 
 
+def _payload(inputs=(), computed=(), verdict=None) -> dict:
+    """A `reproduce --machine` record entry for a record named made-up, written out."""
+    return {
+        "context": "made-up",
+        "inputs": list(inputs),
+        "computed": list(computed),
+        "verdict": verdict or {"kind": "geometric-argument", "argument": "x"},
+    }
+
+
+def _int(v) -> dict:
+    return {"t": "int", "v": v}
+
+
 @pytest.mark.parametrize(
     "inputs, computed, repeated",
     [
@@ -769,15 +792,182 @@ def test_serialized_fractions_stay_exact():
     ],
 )
 def test_record_from_payload_rejects_a_repeated_key(inputs, computed, repeated):
-    r = CaseRecord("made-up", inputs, computed, GeometricArgument("x"))
-    payload = json.loads(record_to_json(r))
-    with pytest.raises(ValueError, match=f"^record made-up repeats the {repeated}$"):
+    payload = _payload([[k, v] for k, v in inputs], [[k, _int(v)] for k, v in computed])
+    message = f"^record made-up repeats the {repeated}$"
+    with pytest.raises(ValueError, match=message):
         record_from_payload(payload)
+    with pytest.raises(ValueError, match=message):
+        CaseRecord("made-up", inputs, computed, GeometricArgument("x"))
+
+
+def _contradiction(quantity: str, op: str, target=None) -> dict:
+    return {"kind": "arithmetic-contradiction", "quantity": quantity, "op": op, "target": target}
+
+
+# each malformed kind: the fields, the same record as a payload, and what the message names
+_REFUSALS = [
+    pytest.param(
+        (("k", "1"), ("k", "2")),
+        (),
+        GeometricArgument("x"),
+        _payload(inputs=[["k", "1"], ["k", "2"]]),
+        "repeats the inputs key 'k'",
+        id="repeated-inputs-key",
+    ),
+    pytest.param(
+        (),
+        (("c2_prime", -1), ("c2_prime", 1)),
+        GeometricArgument("x"),
+        _payload(computed=[["c2_prime", _int(-1)], ["c2_prime", _int(1)]]),
+        "repeats the computed key 'c2_prime'",
+        id="repeated-computed-key",
+    ),
+    pytest.param(
+        (("k", 1),),
+        (),
+        GeometricArgument("x"),
+        _payload(inputs=[["k", 1]]),
+        "inputs key 'k'",
+        id="input-not-a-string",
+    ),
+    pytest.param(
+        (("k", "1", "2"),),
+        (),
+        GeometricArgument("x"),
+        _payload(inputs=[["k", "1", "2"]]),
+        "inputs entry ('k', '1', '2')",
+        id="input-not-a-pair",
+    ),
+    pytest.param(
+        ((1, "1"),),
+        (),
+        GeometricArgument("x"),
+        _payload(inputs=[[1, "1"]]),
+        "inputs entry (1, '1')",
+        id="input-key-not-a-string",
+    ),
+    pytest.param(
+        (),
+        (("x", 1.5),),
+        GeometricArgument("x"),
+        _payload(computed=[["x", {"t": "int", "v": 1.5}]]),
+        "'x'",
+        id="value-of-another-type",
+    ),
+    pytest.param(
+        (),
+        (("x", 1),),
+        ("x", "is-integer", None),
+        _payload(computed=[["x", _int(1)]], verdict={"kind": "made-up"}),
+        'verdict of no known kind',
+        id="verdict-of-no-kind",
+    ),
+    pytest.param(
+        (),
+        (("c2", 1),),
+        ArithmeticContradiction("chi", "is-integer"),
+        _payload(computed=[["c2", _int(1)]], verdict=_contradiction("chi", "is-integer")),
+        "no computed value 'chi'",
+        id="contradiction-quantity-absent",
+    ),
+    pytest.param(
+        (),
+        (("c2", 1),),
+        ArithmeticContradiction("c2", "~", 0),
+        _payload(computed=[["c2", _int(1)]], verdict=_contradiction("c2", "~", _int(0))),
+        "cannot test 'c2': unknown requirement op '~'",
+        id="contradiction-unknown-op",
+    ),
+    pytest.param(
+        (),
+        (("c2", 1),),
+        ArithmeticContradiction("c2", "<", "a"),
+        _payload(
+            computed=[["c2", _int(1)]],
+            verdict=_contradiction("c2", "<", {"t": "str", "v": "a"}),
+        ),
+        "cannot test 'c2': cannot compare 1 with 'a'",
+        id="contradiction-not-comparable",
+    ),
+    pytest.param(
+        (),
+        (("s", "1/2"),),
+        ArithmeticContradiction("s", "is-integer"),
+        _payload(
+            computed=[["s", {"t": "str", "v": "1/2"}]],
+            verdict=_contradiction("s", "is-integer"),
+        ),
+        "cannot test 's': integrality is not defined for '1/2'",
+        id="contradiction-integrality-of-text",
+    ),
+]
+
+_WELL_FORMED = CaseRecord("made-up", (), (), GeometricArgument("x"))
+
+# every public way to build a record, from its fields or from its payload
+_BUILDERS = {
+    "CaseRecord": lambda fields, payload: CaseRecord(*fields),
+    "_make": lambda fields, payload: CaseRecord._make(fields),
+    "_replace": lambda fields, payload: _WELL_FORMED._replace(
+        **dict(zip(CaseRecord._fields, fields))
+    ),
+    "record_from_payload": lambda fields, payload: record_from_payload(payload),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+@pytest.mark.parametrize(
+    "inputs, computed, verdict, payload, names",
+    _REFUSALS,
+)
+def test_case_record_refuses_a_malformed_record(build, inputs, computed, verdict, payload, names):
+    fields = ("made-up", inputs, computed, verdict)
+    with pytest.raises((TypeError, ValueError), match=f"^record made-up .*{re.escape(names)}"):
+        build(fields, payload)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"t": "int", "v": 1.5},
+        {"t": "int", "v": True},
+        {"t": "int", "v": "1"},
+        {"t": "bool", "v": "false"},
+        {"t": "bool", "v": 0},
+        {"t": "str", "v": 5},
+        {"t": "str", "v": None},
+        {"t": "frac", "v": "1/0"},
+        {"t": "frac", "v": "2/4"},
+        {"t": "frac", "v": "1/-2"},
+        {"t": "frac", "v": "-1/-2"},
+        {"t": "frac", "v": "+1/2"},
+        {"t": "frac", "v": " 1/2"},
+        {"t": "frac", "v": "01/2"},
+        {"t": "frac", "v": "-0/1"},
+        {"t": "frac", "v": "1.5"},
+        {"t": "frac", "v": "3"},
+        {"t": "frac", "v": 0.5},
+        {"t": "float", "v": 1.5},
+    ],
+    ids=lambda v: f"{v['t']}:{v['v']!r}",
+)
+def test_record_from_payload_reads_a_value_only_as_written(value):
+    # each tag at its own JSON type, a fraction as p/q in lowest terms with q > 0
+    with pytest.raises(ValueError, match="^record made-up has an unreadable value for 'x': "):
+        record_from_payload(_payload(computed=[["x", value]]))
+    target = {"kind": "arithmetic-contradiction", "quantity": "x", "op": "==", "target": value}
+    with pytest.raises(ValueError, match="^record made-up has an unreadable value for 'x': "):
+        record_from_payload(_payload(computed=[["x", _int(1)]], verdict=target))
 
 
 def test_no_reproduce_record_repeats_a_key():
+    # the builders skip CaseRecord's check (tuple.__new__): each of their
+    # records must be one it accepts, unchanged
     for records in _full_ledger().values():
         for r in records:
             for pairs in (r.inputs, r.computed):
                 keys = [k for k, _ in pairs]
                 assert len(keys) == len(set(keys)), (r.context, keys)
+            checked = CaseRecord(*r)
+            assert type(r) is CaseRecord and checked == r, r.context
+            assert type(checked.verdict) is type(r.verdict)

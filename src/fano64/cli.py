@@ -149,14 +149,9 @@ def _cmd_bundle(args) -> int:
         c2 = solve_c2_for_degree(c1, args.solve_degree)
         integral = c2.denominator == 1
         flag = "INTEGRAL" if integral else "NON-INTEGRAL"
-        lines.append(f"c2 for degree {args.solve_degree}: {_fmt(c2)} ({flag})")
-        doc.update(
-            {
-                "solve_degree": args.solve_degree,
-                "c2": _fmt(c2),
-                "integral": integral,
-            }
-        )
+        shown = _fmt(c2)
+        lines.append(f"c2 for degree {args.solve_degree}: {shown} ({flag})")
+        doc.update({"solve_degree": args.solve_degree, "c2": shown, "integral": integral})
         if integral:
             minus_k, chi = p1_bundle_anticanonical(c1), str(chi_rank2(c1, int(c2)))
             lines.append(f"-K: {minus_k}")
@@ -179,15 +174,16 @@ def _cmd_wps(args) -> int:
     degree = wps_degree(w)
     index = wps_anticanonical_index(w)
     gorenstein = wps_is_gorenstein(w)
+    shown = _fmt(degree)
     lines = [
         f"space: {w}",
-        f"degree: {_fmt(degree)}",
+        f"degree: {shown}",
         f"anticanonical index: {index}",
         f"gorenstein: {_fmt(gorenstein)}",
     ]
     doc: dict = {
         "weights": list(w.as_tuple()),
-        "degree": _fmt(degree),
+        "degree": shown,
         "anticanonical_index": index,
         "gorenstein": gorenstein,
     }

@@ -21,9 +21,11 @@ CHI_TARGETS) are stored as data so each case is reproducible and
 individually addressable.
 
 Records are well formed by construction: `CaseRecord(...)`, `_make`,
-`_replace` and `record_from_payload` refuse a repeated key, an input
-that is not a pair of strings, a value or verdict of another type, and
-a contradiction whose quantity is absent or cannot be evaluated.  The
+`_replace` and `record_from_payload` refuse a context that is not a
+string, a repeated key, an input that is not a pair of strings, a value,
+target or verdict of another type, a verdict whose text is not a
+string, and a contradiction whose quantity is absent or cannot be
+evaluated: what they accept, `record_to_json` can write.  The
 builders skip the check (`tuple.__new__`); a test holds their records
 to it.  `check_ledger` is the one place that decides whether a run of
 the ledger holds, on its claims alone; the command line only prints its
@@ -117,18 +119,26 @@ class CaseRecord(namedtuple("CaseRecord", ["context", "inputs", "computed", "ver
     __slots__ = ()
 
     def __new__(cls, context, inputs, computed, verdict):
+        if type(context) is not str:
+            raise TypeError(f"record {context} has a context of type {type(context).__name__}")
         _checked_pairs(context, "inputs", inputs, (str,))
         values = _checked_pairs(context, "computed", computed, _VALUE_TYPES)
         if type(verdict) is ArithmeticContradiction:
             quantity, op, target = verdict
             if quantity not in values:
                 raise ValueError(f"record {context} has no computed value {quantity!r}")
+            if target is not None and type(target) not in _VALUE_TYPES:
+                kind = type(target).__name__
+                raise TypeError(f"record {context} tests {quantity!r} against a {kind}")
             try:
                 requirement_holds(values[quantity], op, target)
             except (TypeError, ValueError) as error:
                 raise type(error)(f"record {context} cannot test {quantity!r}: {error}") from None
         elif type(verdict) not in (Survives, GeometricArgument):
             raise TypeError(f"record {context} has a verdict of no known kind: {verdict!r}")
+        elif type(verdict[0]) is not str:
+            field = verdict._fields[0]
+            raise TypeError(f"record {context} has {verdict!r}, whose {field} is not a str")
         return tuple.__new__(cls, (context, inputs, computed, verdict))
 
     @classmethod

@@ -28,6 +28,7 @@ from fano64.wps import Weights
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 P3 = str(FANS / "p3.fan")
+P1P1P1 = str(FANS / "p1p1p1.fan")
 X66 = str(FANS / "x66.fan")
 
 
@@ -37,12 +38,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv):
-    """Run the CLI in a new interpreter that imports the fano64 under test."""
+def run_fresh(*argv, flags=()):
+    """Run the CLI in a new interpreter, given `flags`, that imports the fano64 under test."""
     src = str(Path(fano64.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "fano64.cli", *argv],
+        [sys.executable, *flags, "-m", "fano64.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -208,6 +209,11 @@ def test_toric_degree_mismatch_exits_two(capsys):
     code, out, _ = run(capsys, "toric", X66, "degree", "--expect", "64")
     assert code == 2
     assert "MISMATCH" in out
+    assert run(capsys, "toric", P3, "degree", "--expect", "63") == (
+        2,
+        "degree: 64\nexpected: 63 (MISMATCH)\n",
+        "",
+    )
 
 
 def test_toric_degree_machine(capsys):
@@ -341,6 +347,8 @@ def test_toric_validate_output_is_pinned(capsys):
         + '], "max_cones": 4, "rays": 5}\n',
         (P3, False): "rays: 4\nmaximal cones: 4\nclean\n",
         (P3, True): '{"clean": true, "findings": [], "max_cones": 4, "rays": 4}\n',
+        (P1P1P1, False): "rays: 6\nmaximal cones: 8\nclean\n",
+        (P1P1P1, True): '{"clean": true, "findings": [], "max_cones": 8, "rays": 6}\n',
     }
     for (fan, machine), text in expected.items():
         argv = ("toric", fan, "validate") + (("--machine",) if machine else ())
@@ -638,6 +646,12 @@ NOT_ARRAYS = '"rays" and "cones" must be arrays'
 HOSTILE_FANS = {
     # name: (rays, cones, actions that reject the file, message)
     "no-rays": ([], P3_CONES, ALL_ACTIONS, "fan needs at least one ray"),
+    "ray-of-two-entries": (
+        [[1, 2]],
+        [[0, 1, 2]],
+        ALL_ACTIONS,
+        "ray [1, 2] is not a triple of integers",
+    ),
     "rays-not-array": ({"0": [1, 0, 0]}, P3_CONES, ALL_ACTIONS, NOT_ARRAYS),
     "cones-not-array": (P3_RAYS, 5, ALL_ACTIONS, NOT_ARRAYS),
     "cone-not-array": (P3_RAYS, [5], ALL_ACTIONS, "cone 5 is not an array of integer indices"),
@@ -843,6 +857,8 @@ def test_reproduce_machine(capsys):
     ]
     assert len(doc["parts"]["classification"]) == 7
     assert sorted(doc["parts"]["twisted-sweep"]) == ["F0", "F2", "F3", "F4", "P2"]
+    sections = [s for p in doc["parts"].values() for s in (p.values() if type(p) is dict else [p])]
+    assert sum(map(len, sections)) == 259
 
 
 # sha256 of the `reproduce` stdout, whole and for each part; a change to
@@ -966,6 +982,8 @@ def test_machine_records_round_trip_through_the_serializer(capsys):
         # records are tuples, equal across verdict kinds with equal fields
         assert back == records
         assert [type(b.verdict) for b in back] == [type(r.verdict) for r in records]
+        # and each section's records write back byte for byte
+        assert "[" + ", ".join(map(record_to_json, back)) + "]" in out, name
 
 
 def _no_floats(text: str):
@@ -987,15 +1005,38 @@ def test_machine_output_holds_no_floats(capsys):
         json.loads(out, parse_float=_no_floats, parse_constant=_no_floats)
 
 
-def test_no_arguments_is_a_usage_error(capsys):
-    code, _, _ = run(capsys)
-    assert code == 1
+# argv: its exit code, and the first line of its help or the last line of its usage error
+USAGE = {
+    (): (1, "fano64: error: the following arguments are required: command"),
+    ("--help",): (0, "usage: fano64 [-h] {bundle,wps,toric,reproduce} ..."),
+    ("toric", P3, "degree", "-h"): (0, "usage: fano64 toric [-h] [--expect N] [--machine]"),
+    ("toric", P3, "degree", "extra"): (1, "fano64: error: unrecognized arguments: extra"),
+    ("-x", "toric", P3, "degree"): (1, "fano64: error: unrecognized arguments: -x"),
+    ("toric", P3, "degree", "--expect", "1_0"): (
+        1,
+        "fano64 toric: error: argument --expect: expected a decimal integer, got '1_0'",
+    ),
+}
+
+
+def test_no_arguments_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    for argv, (status, line) in USAGE.items():
+        code, out, err = run(capsys, *argv)
+        shown = out.splitlines()[0] if code == 0 else err.splitlines()[-1]
+        assert (code, shown) == (status, line), argv
 
 
 def test_console_script_is_installed():
     out = run_fresh("wps", "1", "1", "1", "1")
     assert out.returncode == 0
     assert "degree: 64" in out.stdout
+
+
+def test_reproduce_under_python_O_prints_the_same_report(capsys):
+    # -O drops assert statements: every check must still run, with the same report
+    fresh = run_fresh("reproduce", flags=["-O"])
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == run(capsys, "reproduce")
 
 
 def test_back_to_back_calls_match_fresh_processes(capsys, monkeypatch):

@@ -770,10 +770,10 @@ def test_serialized_fractions_stay_exact():
     assert record_from_payload(payload).value("q") == Fraction(-5, 4)
 
 
-def _payload(inputs=(), computed=(), verdict=None) -> dict:
-    """A `reproduce --machine` record entry for a record named made-up, written out."""
+def _payload(inputs=(), computed=(), verdict=None, context="made-up") -> dict:
+    """A `reproduce --machine` record entry, written out; the record is named made-up by default."""
     return {
-        "context": "made-up",
+        "context": context,
         "inputs": list(inputs),
         "computed": list(computed),
         "verdict": verdict or {"kind": "geometric-argument", "argument": "x"},
@@ -900,6 +900,42 @@ _REFUSALS = [
         "cannot test 's': integrality is not defined for '1/2'",
         id="contradiction-integrality-of-text",
     ),
+    # each passes the requirement, and record_to_json could not write it
+    pytest.param(
+        (),
+        (("x", 1),),
+        ArithmeticContradiction("x", "<", 1.5),
+        _payload(
+            computed=[["x", _int(1)]],
+            verdict=_contradiction("x", "<", {"t": "float", "v": 1.5}),
+        ),
+        "'x'",
+        id="contradiction-target-of-another-type",
+    ),
+    pytest.param(
+        (),
+        (),
+        GeometricArgument("x"),
+        _payload(context=5),
+        "has a context of type int",
+        id="context-not-a-string",
+    ),
+    pytest.param(
+        (),
+        (),
+        Survives(3),
+        _payload(verdict={"kind": "survives", "construction": 3}),
+        "whose construction is not a str",
+        id="construction-not-a-string",
+    ),
+    pytest.param(
+        (),
+        (),
+        GeometricArgument(None),
+        _payload(verdict={"kind": "geometric-argument", "argument": None}),
+        "whose argument is not a str",
+        id="argument-not-a-string",
+    ),
 ]
 
 _WELL_FORMED = CaseRecord("made-up", (), (), GeometricArgument("x"))
@@ -921,8 +957,9 @@ _BUILDERS = {
     _REFUSALS,
 )
 def test_case_record_refuses_a_malformed_record(build, inputs, computed, verdict, payload, names):
-    fields = ("made-up", inputs, computed, verdict)
-    with pytest.raises((TypeError, ValueError), match=f"^record made-up .*{re.escape(names)}"):
+    context = payload["context"]
+    fields = (context, inputs, computed, verdict)
+    with pytest.raises((TypeError, ValueError), match=f"^record {context} .*{re.escape(names)}"):
         build(fields, payload)
 
 

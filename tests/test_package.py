@@ -10,6 +10,9 @@ classes, which document each field's type as a bare annotation.  A
 plain `toric` command does not load `argparse` either; every other
 argv does.  No check rests on an `assert` statement, which `python -O`
 drops, and the memoized functions are a fixed, named set.
+
+Every check reads the package that `import fano64` finds, so the suite
+run against an installed copy checks that copy.
 """
 
 import ast
@@ -18,7 +21,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fano64"
+import fano64
+
+PACKAGE = Path(fano64.__file__).resolve().parent
+FANS = Path(__file__).resolve().parent.parent / "fans"
 
 # Public names that only tests call, each kept as an independent cross-check.
 ORACLES = {
@@ -87,9 +93,10 @@ def test_no_module_imports_dataclasses_or_typing():
 def _fresh_cli(code: str) -> list[str]:
     """The lines `code` prints after `import fano64.cli` in a fresh interpreter.
 
-    The interpreter reads src/ only, writes no bytecode and skips `site`,
-    which may load `typing` itself.  The child first prints the cli's
-    path, which is checked and dropped.
+    The interpreter reads only the directory that holds the package under
+    test, writes no bytecode and skips `site`, which may load `typing`
+    itself.  The child first prints the cli's path, which is checked and
+    dropped.
     """
     child = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fano64.cli; "
@@ -115,7 +122,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_argparse():
 
 
 def test_only_an_argv_that_needs_argparse_loads_it():
-    fan = PACKAGE.parent.parent / "fans" / "p3.fan"
+    fan = FANS / "p3.fan"
     lines = _fresh_cli(
         "main = fano64.cli.main; "
         f"print(main(['toric', {str(fan)!r}, 'degree', '--machine']), 'argparse' in sys.modules); "

@@ -35,6 +35,7 @@ JSON text, and `record_from_payload` reads it back to an equal record.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -168,6 +169,17 @@ def _checked_pairs(context: str, field: str, pairs, kinds: tuple[type, ...]) -> 
     return values
 
 
+# the comparison ops a requirement may state, besides "is-integer"
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def requirement_holds(value: Value, op: str, target: Value | None) -> bool:
     """Evaluate the requirement an ArithmeticContradiction claims to violate."""
     if op == "is-integer":
@@ -176,19 +188,11 @@ def requirement_holds(value: Value, op: str, target: Value | None) -> bool:
         return Fraction(value).denominator == 1
     if isinstance(value, str) != isinstance(target, str):
         raise TypeError(f"cannot compare {value!r} with {target!r}")
-    if op == "==":
-        return value == target
-    if op == "!=":
-        return value != target
-    if op == "<":
-        return value < target
-    if op == "<=":
-        return value <= target
-    if op == ">":
-        return value > target
-    if op == ">=":
-        return value >= target
-    raise ValueError(f"unknown requirement op {op!r}")
+    try:
+        compare = _COMPARISONS[op]
+    except (KeyError, TypeError):  # TypeError: an op read from JSON may be a list
+        raise ValueError(f"unknown requirement op {op!r}") from None
+    return compare(value, target)
 
 
 def verify_record(record: CaseRecord) -> bool:
@@ -277,14 +281,17 @@ _PATCHING_ARGUMENT = (
 def _forced_vertical_splitting(c1_fiber_degree: int, fiber_self: int) -> tuple[int, ...]:
     """Splitting degrees q >= 0 on a fiber allowed by the gap bound.
 
-    The restriction to a fiber splits as O(q) (+) O(c1.fiber - q); the
-    movable-curve gap bound prunes the candidates.
+    The restriction to a fiber splits as O(q) (+) O(c - q), c = c1.fiber,
+    and the movable-curve gap bound |2q - c| <= 2 + Z^2 confines q to
+    (c - 2 - Z^2) / 2 <= q <= (c + 2 + Z^2) / 2.  The candidates are
+    the q >= 0 in that window, and the bound itself still prunes them.
     """
-    allowed = []
-    for q in range(0, 8):
-        if split_gap_bound_holds(q, c1_fiber_degree - q, fiber_self):
-            allowed.append(q)
-    return tuple(allowed)
+    gap = 2 + fiber_self
+    lowest = max(0, -((gap - c1_fiber_degree) // 2))  # the ceiling of (c - gap) / 2
+    candidates = range(lowest, (c1_fiber_degree + gap) // 2 + 1)
+    return tuple(
+        q for q in candidates if split_gap_bound_holds(q, c1_fiber_degree - q, fiber_self)
+    )
 
 
 def eliminate_p1_bundles() -> list[CaseRecord]:
@@ -442,7 +449,8 @@ def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
     chi(c1', 0) - c2'), the twist by B gives c2' = c2 + c1.B + B^2, and
     the degree has slope -8 in c2 (so deg(c1', c2') = deg(c1', 0) -
     8 c2', and the gap between the twisted and the untwisted bundle does
-    not depend on c2).
+    not depend on c2).  Each (a, b) case builds its records for every
+    chi in one place, and the report interleaves them chi by chi.
     """
     if base not in SWEEP_BASES:
         *others, last = map(str, SWEEP_BASES)
@@ -453,62 +461,41 @@ def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
 
 
 def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
-    records = []
-    # per parity corner (a', b'): its class, chi and degree at c2 = 0,
-    # and the c2' of every case twisting to it
-    corners: dict[tuple[int, int], tuple[SurfaceClass, int, int, list[int]]] = {}
+    # per parity corner (a', b'): its chi and degree at c2 = 0, and the
+    # c2' of every case twisting to it
+    corners: dict[tuple[int, int], tuple[int, int, list[int]]] = {}
     base_text = str(base)
     argument = GeometricArgument(_SECTION_EXCLUSION)
-    cases = []
+    # each chi with its text and its input pair, built once per call
+    chis = [(chi, text, (("chi", text),)) for chi in CHI_TARGETS for text in [str(chi)]]
+    per_case = []
     for a, b in _hirzebruch_coefficient_range(base.n):
         c1 = SurfaceClass(base, a, b)
         a_p, b_p = _negative_parity_part(a), _negative_parity_part(b)
         p, q = (a - a_p) // 2, (b - b_p) // 2
+        # shift = c1.B + B^2 is c2' at c2 = 0, the shift from c2 to c2'
         c1_p, shift = twist(c1, 0, SurfaceClass(base, -p, -q))
+        if c1_p != (base, a_p, b_p):  # a class equals the tuple of its fields
+            corner_class = SurfaceClass(base, a_p, b_p)
+            raise ArithmeticError(f"twisting {c1} gives {c1_p}, off its corner {corner_class}")
         corner = corners.get((a_p, b_p))
         if corner is None:
-            c1_corner = SurfaceClass(base, a_p, b_p)
-            corner = corners[a_p, b_p] = (
-                c1_corner, chi_rank2(c1_corner, 0), degree_p1_bundle(c1_corner, 0), []
-            )
-        c1_corner, chi_corner, degree_corner, c2_primes = corner
-        if c1_p != c1_corner:
-            raise ArithmeticError(f"twisting {c1} gives {c1_p}, off its corner {c1_corner}")
-        # shift = c1.B + B^2 is c2' at c2 = 0, the shift from c2 to c2'
-        preserved = degree_corner - 8 * shift == degree_p1_bundle(c1, 0)
-        cases.append(
-            (
-                f"twisted-sweep/{base_text}/a={a}/b={b}/chi=",
-                (("base", base_text), ("c1", str(c1))),
-                chi_rank2(c1, 0),
-                shift,
-                chi_corner - shift,  # chi' at c2 = 0
-                # the pairs that do not depend on chi, shared by the case's records
-                ("a_prime", a_p),
-                ("b_prime", b_p),
-                ("degree_preserved", preserved),
-                c2_primes,
-            )
-        )
-    for chi in CHI_TARGETS:
-        chi_text = str(chi)
-        chi_input = (("chi", chi_text),)
-        for (
-            head,
-            inputs,
-            chi_at_zero,
-            shift,
-            chi_p_at_zero,
-            a_pair,
-            b_pair,
-            preserved_pair,
-            c2_primes,
-        ) in cases:
+            corner = corners[a_p, b_p] = (chi_rank2(c1_p, 0), degree_p1_bundle(c1_p, 0), [])
+        chi_corner, degree_corner, c2_primes = corner
+        chi_at_zero = chi_rank2(c1, 0)
+        chi_p_at_zero = chi_corner - shift  # chi' at c2 = 0
+        head = f"twisted-sweep/{base_text}/a={a}/b={b}/chi="
+        inputs = (("base", base_text), ("c1", str(c1)))
+        # the pairs that do not depend on chi, shared by the case's records
+        a_pair, b_pair = ("a_prime", a_p), ("b_prime", b_p)
+        preserved = ("degree_preserved", degree_corner - 8 * shift == degree_p1_bundle(c1, 0))
+        case_records = []
+        for chi, chi_text, chi_input in chis:
             c2 = chi_at_zero - chi
             c2_prime = c2 + shift
             c2_primes.append(c2_prime)
             # built as `_record` builds, from the final fields
-            records.append(
+            case_records.append(
                 tuple.__new__(
                     CaseRecord,
                     (
@@ -520,17 +507,20 @@ def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
                             b_pair,
                             ("c2_prime", c2_prime),
                             ("chi_prime", chi_p_at_zero - c2),
-                            preserved_pair,
+                            preserved,
                         ),
                         argument,
                     ),
                 )
             )
+        per_case.append(case_records)
+    # the report lists the records chi by chi
+    records = [r for same_chi in zip(*per_case) for r in same_chi]
     # chi' is an affine function chi' = threshold - c2' on each twisted
     # parity corner, so chi' <= 0 would need c2' >= threshold.  A corner
     # with threshold <= -1 is compatible with c2' < 0 and needs its own
     # certificate: the subfamily's largest c2' stays strictly below it.
-    for (a_p, b_p), (_, threshold, _, values) in sorted(corners.items()):
+    for (a_p, b_p), (threshold, _, values) in sorted(corners.items()):
         if threshold > -1:
             continue
         records.append(

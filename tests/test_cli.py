@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.metadata
 import json
 import os
 import re
@@ -1027,10 +1029,27 @@ def test_no_arguments_is_a_usage_error(capsys, monkeypatch):
         assert (code, shown) == (status, line), argv
 
 
-def test_console_script_is_installed():
+def test_python_m_fano64_cli_runs_in_a_fresh_interpreter():
     out = run_fresh("wps", "1", "1", "1", "1")
     assert out.returncode == 0
     assert "degree: 64" in out.stdout
+
+
+def test_console_script_names_the_cli_main(capsys):
+    """The `fano64` script of pyproject.toml runs cli.main; an installed script loads it too."""
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    # a regex, since Python 3.10 has no tomllib
+    script = re.search(r'^\[project\.scripts\]\nfano64 = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert script, "pyproject.toml declares no fano64 console script"
+    module, name = script.groups()
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    assert entry(["wps", "1", "1", "1", "1"]) == 0
+    assert "degree: 64" in capsys.readouterr().out
+    # where the package is installed, its script must load the same function
+    for installed in importlib.metadata.entry_points(group="console_scripts", name="fano64"):
+        assert installed.value == f"{module}:{name}"
+        assert installed.load() is entry
 
 
 def test_reproduce_under_python_O_prints_the_same_report(capsys):

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fano64 import elimination
-from fano64.bundles import chi_rank2, degree_p1_bundle, twist
+from fano64.bundles import chi_rank2, degree_p1_bundle, split_gap_bound_holds, twist
 from fano64.elimination import (
     CHI_TARGETS,
     SWEEP_BASES,
@@ -57,6 +57,36 @@ def test_requirement_holds():
     with pytest.raises(ValueError):
         requirement_holds(1, "~=", 1)
 
+    # every comparison op, on ints and Fractions, as Python's own operators read it
+    python_ops = {
+        "==": lambda x, y: x == y,
+        "!=": lambda x, y: x != y,
+        "<": lambda x, y: x < y,
+        "<=": lambda x, y: x <= y,
+        ">": lambda x, y: x > y,
+        ">=": lambda x, y: x >= y,
+    }
+    numbers = [-2, 0, 1, 3, Fraction(-3, 2), Fraction(1, 2), Fraction(3), Fraction(7, 3)]
+    for op, python_op in python_ops.items():
+        for value in numbers:
+            for target in numbers:
+                expected = python_op(value, target)
+                assert requirement_holds(value, op, target) is expected, (value, op, target)
+
+    # the order of the checks: "is-integer" first, before any target is looked at
+    assert requirement_holds(3, "is-integer", "abc")
+    with pytest.raises(TypeError, match="^integrality is not defined for 'abc'$"):
+        requirement_holds("abc", "is-integer", None)
+    # then text against a number, even under an unknown op
+    with pytest.raises(TypeError, match="^cannot compare 'abc' with 3$"):
+        requirement_holds("abc", "~=", 3)
+    with pytest.raises(TypeError, match="^cannot compare 3 with 'abc'$"):
+        requirement_holds(3, "<", "abc")
+    # then the op itself, whatever JSON type it was read as
+    for op in ("~=", "=", None, ["=="]):
+        with pytest.raises(ValueError, match="^unknown requirement op "):
+            requirement_holds(1, op, 1)
+
 
 def test_p1_bundle_elimination():
     records = eliminate_p1_bundles()
@@ -84,6 +114,9 @@ def test_p1_bundle_elimination():
     assert r.value("c2") == -2
     assert r.value("chi") == 2
     assert r.value("fiber_splittings_allowed") == "0"
+    r = verdict_of(records, "p1-bundle/F1/even-even")
+    assert isinstance(r.verdict, GeometricArgument)
+    assert r.value("fiber_splittings_allowed") == "0"
 
     for ctx, label in [
         ("p1-bundle/F0/even-even", "cone over P1 x P1"),
@@ -99,6 +132,13 @@ def test_p1_bundle_elimination():
         "cone over P1 x P1",
         "cone over F1",
     }
+
+
+def test_forced_vertical_splitting_window_matches_a_brute_force_search():
+    for c in range(-20, 21):
+        for z_self in range(-3, 4):
+            searched = tuple(q for q in range(101) if split_gap_bound_holds(q, c - q, z_self))
+            assert elimination._forced_vertical_splitting(c, z_self) == searched, (c, z_self)
 
 
 def test_quadric_bundle_degree_filter():

@@ -10,6 +10,7 @@ Submodules:
 * wps: weighted projective 3-space invariants
 * toric: fans, cone singularities and anticanonical polytopes
 * ledger: degree/genus bookkeeping under blow-ups and projections
+* records: case records, their JSON, and what a ledger run must satisfy
 * elimination: the case-analysis engine, built at degree 64, and the
   classification summary
 * cli: the `fano64` command-line tool

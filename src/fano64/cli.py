@@ -8,11 +8,12 @@ print as p/q, never as decimals.
 
 This module only parses arguments and formats results.  What a
 `reproduce` run must satisfy is decided in the library, by
-`elimination.check_ledger`; the report prints its failures.  What
+`records.check_ledger`; the report prints its failures.  What
 `toric singularities` says of each cone is decided by
 `toric.cone_singularity`; the command formats each cone only in the
 form it prints.  Integer arguments are plain decimals: an optional
-sign and ASCII digits, with surrounding spaces allowed.
+sign and ASCII digits, with surrounding spaces allowed.  A number read
+or computed past the interpreter's digit limit is refused by that bound.
 
 A command line is parsed one of two ways.  A plain `toric` one, the
 shape of every `toric` call the benchmark's fan workloads make (a fan
@@ -45,21 +46,23 @@ from .bundles import (
     solve_c2_for_degree,
 )
 from .elimination import (
-    PARTS,
     SWEEP_BASES,
+    classification_summary,
+    eliminate_p1_bundles,
+    filter_quadric_bundle_degrees,
+    sweep_twisted_bundles,
+)
+from .lattice import vec_str
+from .ledger import genus_of_degree
+from .records import (
+    PARTS,
     ArithmeticContradiction,
     CaseRecord,
     GeometricArgument,
     Survives,
     check_ledger,
-    classification_summary,
-    eliminate_p1_bundles,
-    filter_quadric_bundle_degrees,
     record_to_json,
-    sweep_twisted_bundles,
 )
-from .lattice import vec_str
-from .ledger import genus_of_degree
 from .surfaces import BASES, BaseSurface, SurfaceClass
 from .toric import (
     anticanonical_polytope,
@@ -90,6 +93,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _too_long() -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"a number has more than {limit} digits, the most this program reads or prints"
+
+
 def _integer(text: str) -> int:
     """An optional sign and ASCII decimal digits, with surrounding spaces stripped.
 
@@ -103,8 +111,8 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
     try:
         return int(digits)
-    except ValueError as exc:  # more digits than int() converts
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(_too_long()) from None
 
 
 def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
@@ -478,7 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a number read or computed past the interpreter's digit limit: worded without its API
+        too_long = type(exc) is ValueError and "set_int_max_str_digits" in str(exc)
+        print(f"error: {_too_long() if too_long else exc}", file=sys.stderr)
         return 1
 
 

@@ -19,15 +19,13 @@ from fano64.bundles import (
 )
 from fano64.cli import main
 from fano64.elimination import (
-    Survives,
     classification_summary,
     eliminate_p1_bundles,
-    surviving_constructions,
     sweep_twisted_bundles,
-    verify_record,
 )
 from fano64.lattice import _dot
 from fano64.ledger import blowup_curve_degree, project_from_center
+from fano64.records import Survives, surviving_constructions, verify_record
 from fano64.surfaces import (
     F0,
     F1,

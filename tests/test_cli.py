@@ -18,13 +18,9 @@ import fano64
 import fano64.toric
 from fano64 import cli
 from fano64.cli import _build_parser, _plain_toric_args, main
-from fano64.elimination import (
-    CaseRecord,
-    GeometricArgument,
-    Survives,
-    classification_summary,
-)
+from fano64.elimination import classification_summary
 from fano64.ledger import genus_of_degree
+from fano64.records import CaseRecord, GeometricArgument, Survives
 from fano64.toric import Fan
 from fano64.wps import Weights
 
@@ -191,6 +187,26 @@ def test_integer_arguments_read_only_decimal_digits(capsys, name):
     assert one[2] == "", one
     for same in (" 1 ", "+1", "01"):
         assert run(capsys, *(a.format(same) for a in template)) == one, (name, same)
+
+
+# the interpreter's own words would name its API, sys.set_int_max_str_digits
+TOO_LONG = (
+    f"a number has more than {sys.get_int_max_str_digits()} digits, "
+    "the most this program reads or prints"
+)
+
+
+def test_a_number_past_the_digit_limit_is_refused_in_the_programs_words(capsys):
+    code, out, err = run(capsys, "wps", "1", "1", "1", "1" * 5000)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"fano64 wps: error: argument W: {TOO_LONG}\n"), err
+    # each degree below has thousands of digits more than its inputs
+    for argv in (
+        ("wps", "1", "1", "1", "1" * 3000),
+        ("wps", "1", "1", "1", "1" * 3000, "--machine"),
+        ("bundle", "--base", "P2", "--c1", "1" * 3000, "--c2", "0"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {TOO_LONG}\n"), argv[:4]
 
 
 def test_toric_degree_with_matching_expectation(capsys):
@@ -735,6 +751,15 @@ HOSTILE_FANS = {
         ("degree",),
         "polytope is unbounded: rays do not positively span (direction (1,0,0))",
     ),
+    # rays given as JSON text: json.dumps cannot write a number this long
+    "coordinate-too-long": (
+        f"[{E[0]}, {E[1]}, {E[2]}, [-{'9' * 5001}, -1, -1]]",
+        P3_CONES,
+        ALL_ACTIONS,
+        TOO_LONG,
+    ),
+    # a simplex fan whose degree has more digits than the interpreter prints
+    "degree-too-long": ([*E, [-(10**1500), -1, -1]], P3_CONES, ("degree",), TOO_LONG),
 }
 
 
@@ -742,7 +767,8 @@ HOSTILE_FANS = {
 def test_toric_rejects_a_hostile_fan_file(tmp_path, capsys, fan):
     rays, cones, actions, message = HOSTILE_FANS[fan]
     path = tmp_path / "hostile.fan"
-    path.write_text(json.dumps({"rays": rays, "cones": cones}))
+    rays_text = rays if type(rays) is str else json.dumps(rays)
+    path.write_text(f'{{"rays": {rays_text}, "cones": {json.dumps(cones)}}}')
     for action in actions:
         for machine in ((), ("--machine",)):
             argv = ("toric", str(path), action, *machine)
@@ -955,12 +981,8 @@ def test_reproduce_text_words_each_verdict_by_its_kind(capsys, monkeypatch):
 
 def test_machine_records_round_trip_through_the_serializer(capsys):
     from fano64.cli import _reproduce
-    from fano64.elimination import (
-        PARTS,
-        SWEEP_BASES,
-        record_from_payload,
-        record_to_json,
-    )
+    from fano64.elimination import SWEEP_BASES
+    from fano64.records import PARTS, record_from_payload, record_to_json
 
     code, out, _ = run(capsys, "reproduce", "--machine")
     assert code == 0

@@ -19,19 +19,21 @@ from fano64.bundles import chi_rank2, degree_p1_bundle, split_gap_bound_holds, t
 from fano64.elimination import (
     CHI_TARGETS,
     SWEEP_BASES,
+    classification_summary,
+    eliminate_p1_bundles,
+    filter_quadric_bundle_degrees,
+    sweep_twisted_bundles,
+)
+from fano64.records import (
     ArithmeticContradiction,
     CaseRecord,
     GeometricArgument,
     Survives,
     check_ledger,
-    classification_summary,
-    eliminate_p1_bundles,
-    filter_quadric_bundle_degrees,
     record_from_payload,
     record_to_json,
     requirement_holds,
     surviving_constructions,
-    sweep_twisted_bundles,
     verify_record,
 )
 from fano64.surfaces import F0, F2, F3, F4, P2, SurfaceClass

@@ -7,14 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fano64
-import fano64.bundles
-import fano64.cli
-import fano64.elimination
 import fano64.lattice
-import fano64.ledger
-import fano64.surfaces
-import fano64.toric
-import fano64.wps
 from fano64.lattice import _cross, _dot, _is_primitive, det3, solve3, vec_str
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -125,25 +118,20 @@ def test_lattice_builds_no_fractions():
             assert node.module != "fractions"
 
 
-@pytest.mark.parametrize(
-    "module",
-    [
-        fano64,
-        fano64.lattice,
-        fano64.toric,
-        fano64.elimination,
-        fano64.bundles,
-        fano64.surfaces,
-        fano64.cli,
-        fano64.wps,
-        fano64.ledger,
-    ],
-)
-def test_integer_kernels_hold_no_floats(module):
+PACKAGE_FILES = sorted(Path(fano64.__file__).resolve().parent.glob("*.py"))
+
+
+def _module_name(path: Path) -> str:
+    return "fano64" if path.stem == "__init__" else f"fano64.{path.stem}"
+
+
+# every module of the package, so a new one cannot escape the ban
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=_module_name)
+def test_integer_kernels_hold_no_floats(path):
     """No float literal, no `float` name and no true division: `/` would yield a float silently."""
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
-        where = f"{module.__name__} line {getattr(node, 'lineno', '?')}"
+        where = f"{_module_name(path)} line {getattr(node, 'lineno', '?')}"
         assert not isinstance(getattr(node, "op", None), ast.Div), where
         assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), where
         assert not (isinstance(node, ast.Name) and node.id == "float"), where

@@ -9,7 +9,9 @@ first loads, out of its import: its records are `collections.namedtuple`
 classes, which document each field's type as a bare annotation.  A
 plain `toric` command does not load `argparse` either; every other
 argv does.  No check rests on an `assert` statement, which `python -O`
-drops, and the memoized functions are a fixed, named set.
+drops, and the memoized functions are a fixed, named set.  `records`,
+which decides what a record is and what a run must satisfy, loads no
+other module of the package.
 
 Every check reads the package that `import fano64` finds, so the suite
 run against an installed copy checks that copy.
@@ -90,17 +92,17 @@ def test_no_module_imports_dataclasses_or_typing():
     assert not importers, importers
 
 
-def _fresh_cli(code: str) -> list[str]:
-    """The lines `code` prints after `import fano64.cli` in a fresh interpreter.
+def _fresh_import(module: str, code: str) -> list[str]:
+    """The lines `code` prints after `import fano64.<module>` in a fresh interpreter.
 
     The interpreter reads only the directory that holds the package under
     test, writes no bytecode and skips `site`, which may load `typing`
-    itself.  The child first prints the cli's path, which is checked and
-    dropped.
+    itself.  The child first prints the module's path, which is checked
+    and dropped.
     """
     child = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import fano64.cli; "
-        "print(fano64.cli.__file__); " + code
+        f"import sys; sys.path.insert(0, sys.argv[1]); import fano64.{module}; "
+        f"print(fano64.{module}.__file__); " + code
     )
     done = subprocess.run(
         [sys.executable, "-I", "-B", "-S", "-c", child, str(PACKAGE.parent)],
@@ -115,7 +117,8 @@ def _fresh_cli(code: str) -> list[str]:
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_argparse():
-    [loaded] = _fresh_cli(
+    [loaded] = _fresh_import(
+        "cli",
         "print(*sorted({'dataclasses', 'inspect', 'typing', 'argparse'} & set(sys.modules)))"
     )
     assert not loaded, f"importing fano64.cli loaded {loaded}"
@@ -123,7 +126,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_argparse():
 
 def test_only_an_argv_that_needs_argparse_loads_it():
     fan = FANS / "p3.fan"
-    lines = _fresh_cli(
+    lines = _fresh_import(
+        "cli",
         "main = fano64.cli.main; "
         f"print(main(['toric', {str(fan)!r}, 'degree', '--machine']), 'argparse' in sys.modules); "
         "print(main(['reproduce', '--part', 'quadric-filter']), 'argparse' in sys.modules)"
@@ -131,6 +135,26 @@ def test_only_an_argv_that_needs_argparse_loads_it():
     assert lines[0] == '{"degree": "64", "vertices": 4}'
     assert lines[1] == "0 False", "a plain toric command loaded argparse"
     assert lines[-2:] == ["all checks passed", "0 True"]
+
+
+def test_records_imports_no_other_module_of_the_package():
+    # what a record is and what a run must satisfy rest on nothing that builds records
+    tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    ours = [m for m in imported if m.startswith(".") or m.partition(".")[0] == "fano64"]
+    assert not ours, ours
+
+
+def test_importing_records_loads_no_other_module_of_the_package():
+    [loaded] = _fresh_import(
+        "records", "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'fano64'))"
+    )
+    assert loaded.split() == ["fano64", "fano64.records"], loaded
 
 
 # Each record class with its field defaults; every other field has none.
@@ -143,10 +167,10 @@ RECORDS = {
     "toric.RationalPolytope": {},
     "toric.ConeSingularity": {"index": None, "kind": None, "witness": None, "support": None},
     "toric.FanReport": {},
-    "elimination.ArithmeticContradiction": {"target": None},
-    "elimination.Survives": {},
-    "elimination.GeometricArgument": {},
-    "elimination.CaseRecord": {},
+    "records.ArithmeticContradiction": {"target": None},
+    "records.Survives": {},
+    "records.GeometricArgument": {},
+    "records.CaseRecord": {},
 }
 
 
@@ -193,7 +217,7 @@ MEMOIZED = {
     "cli._build_parser",
     "surfaces.canonical_class",
     "surfaces.k_squared",
-    "elimination._argument_json",
+    "records._argument_json",
 }
 
 

@@ -68,7 +68,6 @@ from .toric import (
     anticanonical_polytope,
     cone_singularity,
     fan_from_json,
-    polytope_degree,
     validate_fan,
 )
 from .wps import (
@@ -190,7 +189,7 @@ def _cmd_wps(args) -> int:
         f"gorenstein: {_fmt(gorenstein)}",
     ]
     doc: dict = {
-        "weights": list(w.as_tuple()),
+        "weights": list(w),
         "degree": shown,
         "anticanonical_index": index,
         "gorenstein": gorenstein,
@@ -204,7 +203,7 @@ def _cmd_wps(args) -> int:
     vertices = []
     for i in range(4):
         t = wps_vertex_singularity(w, i)
-        lines.append(f"vertex {i} (weight {w.as_tuple()[i]}): {t}")
+        lines.append(f"vertex {i} (weight {w[i]}): {t}")
         vertices.append(str(t))
     doc["vertex_singularities"] = vertices
     edges = []
@@ -242,7 +241,7 @@ def _cmd_toric(args) -> int:
         return 0
     if args.action == "degree":
         polytope = anticanonical_polytope(fan)
-        degree = polytope_degree(polytope)
+        degree = polytope.degree
         shown = _fmt(degree)
         lines = [f"degree: {shown}"]
         doc = {"degree": shown, "vertices": len(polytope.vertices)}

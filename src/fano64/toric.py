@@ -22,10 +22,11 @@ facet: about a ring edge only when no facet found so far runs it the
 other way, so every wrap reaches a new facet.  Each facet of
 Delta lies on the plane <m, v> = -1 of one vertex v of conv(rays): its
 vertices are the facets around v, listed in boundary order from the
-rings' shared edges, not by a second sort.  The volume is a sum of
-pyramids from the origin over the facets, each an integer shoelace sum,
-in that order, on the facet projected along a coordinate k with
-v_k != 0.  A vertex is kept as the integer pair (p, d) = (-n, c), the
+rings' shared edges, not by a second sort.  The degree is summed as
+each ring is built: a pyramid from the origin over the facet, an
+integer shoelace sum in that order on the facet projected along a
+coordinate k with v_k != 0, so only the code that builds a ring reads
+its order.  A vertex is kept as the integer pair (p, d) = (-n, c), the
 point p / d in lowest terms, so Delta is a lattice polytope exactly
 when every d is 1.
 validate_fan performs structural sanity checks and returns findings
@@ -47,7 +48,8 @@ line exactly when it has no zero ray and the origin is a vertex of
 conv(rays and 0), and its walls are then that hull's facets through the
 origin.  A wall is keyed by the indices of the rays on it alone: it
 holds two rays that are not parallel, so they fix its plane.  The cone
-checks build no Fraction; polytope_degree builds one per polytope.
+checks build no Fraction; anticanonical_polytope builds one per
+polytope, its degree.
 """
 
 from __future__ import annotations
@@ -130,16 +132,17 @@ class Fan(_FanFields):
 QPoint = tuple[IVec, int]
 
 
-class RationalPolytope(namedtuple("RationalPolytope", ["vertices", "facets"])):
-    """Vertices (p, d) meaning p / d, and facets (ray v, vertices on <m, v> = -1).
+class RationalPolytope(namedtuple("RationalPolytope", ["vertices", "facets", "degree"])):
+    """Vertices (p, d) meaning p / d, facets (ray v, vertices on <m, v> = -1), and 6 vol.
 
-    Each facet lists its vertices in boundary order, as polytope_degree
-    needs and does not check; anticanonical_polytope takes that order
-    from its hull walk.
+    Each facet lists its vertices in boundary order, taken from the hull
+    walk; anticanonical_polytope sums the degree as it builds each ring,
+    so no other code reads a ring's order.
     """
 
     vertices: tuple[QPoint, ...]
     facets: tuple[tuple[IVec, tuple[QPoint, ...]], ...]
+    degree: Fraction
     __slots__ = ()
 
 
@@ -360,7 +363,7 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
 
 
 def anticanonical_polytope(f: Fan) -> RationalPolytope:
-    """Polar polytope Delta of the fan's rays, with its facets in ring order.
+    """Polar polytope Delta of the fan's rays, its facets in ring order, and 6 vol(Delta).
 
     Each facet <n, x> = c of conv(rays), n primitive and outward, is the
     vertex (-n, c) of Delta: c > 0, so -n / c is in lowest terms.  Each
@@ -371,6 +374,17 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     again.  A repeated ray counts once.  Raises when Delta is unbounded,
     i.e. the rays fail to positively span the space; the walk names the
     direction from the supporting plane that shows it.
+
+    The degree is summed as each ring is built, one pyramid from the
+    origin, interior to Delta, per facet.  The facet F on <m, v> = -1,
+    projected along a coordinate k with v_k != 0 and scaled by the lcm L
+    of its vertices' d, has integer points p L / d whose shoelace sum S
+    in ring order is 2 L^2 times the projected area; as vol(pyramid) =
+    area(F)/(3|v|) and the projection scales area by |v_k|/|v|, the
+    pyramid adds 6 vol = |S| / (L^2 |v_k|).  num / den keeps the sum,
+    den the running lcm of the L^2 |v_k|, and one Fraction is built at
+    the end.  A bounded Delta is full-dimensional, so a zero sum means a
+    broken walk and raises ArithmeticError.
     """
     rays = tuple(dict.fromkeys(f.rays))
     hull = _hull_facets(rays)
@@ -383,14 +397,32 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
             around.setdefault(v, {})[a] = (m, b)
             a, v = v, b
     facets = []
+    num, den = 0, 1
     for v, step in around.items():
+        ray = rays[v]
         ms = []
         a = next(iter(step))
         for _ in step:
             m, a = step[a]
             ms.append(m)
-        facets.append((rays[v], tuple(ms)))
-    return RationalPolytope(tuple(vertices), tuple(facets))
+        facets.append((ray, tuple(ms)))
+        k, i, j = _axes(ray)
+        scale = lcm(*[d for _, d in ms])
+        s = 0
+        m, d = ms[-1]
+        x0, y0 = m[i] * (scale // d), m[j] * (scale // d)
+        for m, d in ms:
+            q = scale // d
+            x1, y1 = m[i] * q, m[j] * q
+            s += x0 * y1 - x1 * y0
+            x0, y0 = x1, y1
+        w = scale * scale * abs(ray[k])
+        common = lcm(den, w)
+        num = num * (common // den) + abs(s) * (common // w)
+        den = common
+    if num == 0:
+        raise ArithmeticError("hull walk gave a polytope with no volume")
+    return RationalPolytope(tuple(vertices), tuple(facets), Fraction(num, den))
 
 
 def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -422,45 +454,6 @@ def _hull_order(index: dict[tuple[int, int], int]) -> list[int]:
             upper.pop()
         upper.append(pt)
     return [index[pt] for pt in lower[:-1] + upper[:-1]]
-
-
-def polytope_degree(p: RationalPolytope) -> Fraction:
-    """6 times the Euclidean volume of the polytope, exact.
-
-    The origin is interior to Delta, so Delta is the union of the
-    pyramids from the origin over its facets.  The facet F on the plane
-    <m, v> = -1 is projected along a coordinate k with v_k != 0 and
-    scaled by the lcm L of its vertices' d, which gives integer
-    points p L / d; taken in the facet's ring order, which
-    anticanonical_polytope gives, their shoelace sum S is 2 L^2 times
-    the projected area.  Since vol(pyramid) = area(F)/(3|v|) and the
-    projection scales area by |v_k|/|v|, the pyramid adds
-    6 vol = |S| / (L^2 |v_k|).  The sum is kept as an integer pair
-    num / den, den the running lcm of the L^2 |v_k|, and becomes the one
-    Fraction built per polytope at the end.  A polytope whose facets add
-    no volume is not full-dimensional and raises.  Nothing checks the ring order: a facet listed out of order,
-    as a hand-built RationalPolytope may be, gives a wrong degree, not
-    an error.
-    """
-    num, den = 0, 1
-    for v, ring in p.facets:
-        k, i, j = _axes(v)
-        scale = lcm(*[d for _, d in ring])
-        s = 0
-        m, d = ring[-1]
-        x0, y0 = m[i] * (scale // d), m[j] * (scale // d)
-        for m, d in ring:
-            q = scale // d
-            x1, y1 = m[i] * q, m[j] * q
-            s += x0 * y1 - x1 * y0
-            x0, y0 = x1, y1
-        w = scale * scale * abs(v[k])
-        common = lcm(den, w)
-        num = num * (common // den) + abs(s) * (common // w)
-        den = common
-    if num == 0:
-        raise ValueError("polytope is not full-dimensional")
-    return Fraction(num, den)
 
 
 class FanReport(

@@ -44,11 +44,8 @@ class Weights(_WeightsFields):
                 )
         return tuple.__new__(cls, s)
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a0, self.a1, self.a2, self.a3)
-
     def __str__(self) -> str:
-        return "P({},{},{},{})".format(*self.as_tuple())
+        return "P({},{},{},{})".format(*self)
 
 
 _QuotientTypeFields = namedtuple("_QuotientTypeFields", ["order", "residues"])
@@ -78,19 +75,18 @@ class QuotientType(_QuotientTypeFields):
 
 def wps_degree(w: Weights) -> Fraction:
     """Anticanonical degree (sum a)^3 / (prod a), exact."""
-    return Fraction(sum(w.as_tuple()) ** 3, prod(w.as_tuple()))
+    return Fraction(sum(w) ** 3, prod(w))
 
 
 def wps_anticanonical_index(w: Weights) -> int:
     """m with O(-K) = O(m), namely the sum of the weights."""
-    return sum(w.as_tuple())
+    return sum(w)
 
 
 def wps_vertex_singularity(w: Weights, i: int) -> QuotientType:
     """Quotient type at the i-th coordinate vertex: 1/a_i(other weights mod a_i)."""
-    weights = w.as_tuple()
-    r = weights[i]
-    others = tuple(a for j, a in enumerate(weights) if j != i)
+    r = w[i]
+    others = tuple(a for j, a in enumerate(w) if j != i)
     return QuotientType(r, others)
 
 
@@ -103,13 +99,12 @@ def wps_edge_singularity(w: Weights, i: int, j: int) -> QuotientType:
     """
     if i == j:
         raise ValueError("edge needs two distinct vertices")
-    weights = w.as_tuple()
-    g = gcd(weights[i], weights[j])
-    others = tuple(a for k, a in enumerate(weights) if k not in (i, j))
+    g = gcd(w[i], w[j])
+    others = tuple(a for k, a in enumerate(w) if k not in (i, j))
     return QuotientType(g, others)
 
 
 def wps_is_gorenstein(w: Weights) -> bool:
     """Gorenstein criterion: every weight divides the sum of the weights."""
-    total = sum(w.as_tuple())
-    return all(total % a == 0 for a in w.as_tuple())
+    total = sum(w)
+    return all(total % a == 0 for a in w)

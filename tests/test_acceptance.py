@@ -40,7 +40,6 @@ from fano64.toric import (
     anticanonical_polytope,
     cone_singularity,
     fan_from_json,
-    polytope_degree,
     validate_fan,
 )
 from fano64.wps import Weights, wps_degree
@@ -126,7 +125,7 @@ def test_toric_diagnostics_flag_the_defective_cone(capsys):
     assert cone_singularity((e1, e3, (-1, -1, 3), (-1, 2, -1))).support == (1, 0, 0)
 
     p3 = fan_from_json((FANS / "p3.fan").read_text())
-    assert polytope_degree(anticanonical_polytope(p3)) == 64
+    assert anticanonical_polytope(p3).degree == 64
 
     # the printed defective fan: validation must call out the cone with
     # no Gorenstein support, and the degree run must show the computed

@@ -22,7 +22,6 @@ from fano64.toric import (
     anticanonical_polytope,
     cone_singularity,
     fan_from_json,
-    polytope_degree,
     validate_fan,
 )
 from fano64.wps import Weights, wps_degree, wps_is_gorenstein
@@ -242,8 +241,9 @@ def test_cone_checks_build_no_fraction(monkeypatch):
         validate_fan(f)
         for cone in f.max_cones:
             cone_singularity([f.rays[i] for i in cone])
+    # the polytope's degree is one Fraction, so the patch does bite
     with pytest.raises(AssertionError, match="built in the cone checks"):
-        polytope_degree(anticanonical_polytope(fans[0]))
+        anticanonical_polytope(fans[0])
 
 
 def test_classify_smooth_cone():
@@ -281,20 +281,20 @@ def test_p3_polytope():
         ((-1, 3, -1), 1),
         ((3, -1, -1), 1),
     }
-    assert polytope_degree(p) == 64
+    assert p.degree == 64
 
 
 def test_cube_polytope_degree():
     p = anticanonical_polytope(load("p1p1p1.fan"))
     assert len(p.vertices) == 8
-    assert polytope_degree(p) == 48
+    assert p.degree == 48
 
 
 def test_x66_polytope_degree():
     # the defective fan still has a bounded anticanonical polytope and
     # its normalized volume comes out at the claimed 66
     p = anticanonical_polytope(load("x66.fan"))
-    assert polytope_degree(p) == 66
+    assert p.degree == 66
 
 
 def test_repeated_ray_bounds_one_facet():
@@ -303,14 +303,14 @@ def test_repeated_ray_bounds_one_facet():
     p = anticanonical_polytope(f)
     assert set(p.vertices) == set(anticanonical_polytope(base).vertices)
     assert len(p.facets) == 4
-    assert polytope_degree(p) == 64
+    assert p.degree == 64
     # the same on P(5,2,1,1), whose facets need the lcm and |v_k| scaling
     base = _wps_fan((5, 2, 1, 1))
     f = Fan(rays=base.rays + ((-5, -2, -1), (0, 1, 0)), max_cones=base.max_cones)
     p = anticanonical_polytope(f)
     assert set(p.vertices) == set(anticanonical_polytope(base).vertices)
     assert len(p.facets) == 4
-    assert polytope_degree(p) == Fraction(729, 10) == _oracle_degree(p)
+    assert p.degree == Fraction(729, 10) == _oracle_degree(p)
 
 
 def test_cube_face_fan_has_the_octahedron_as_polar():
@@ -327,7 +327,7 @@ def test_cube_face_fan_has_the_octahedron_as_polar():
     units = {(tuple(s * (i == k) for i in range(3)), 1) for k in range(3) for s in (-1, 1)}
     assert set(p.vertices) == units
     assert {v for v, _ in p.facets} == set(product((-1, 1), repeat=3))
-    assert polytope_degree(p) == 8
+    assert p.degree == 8
 
 
 def _weight_kernel_rows(weights: tuple[int, ...]) -> tuple[IVec, ...]:
@@ -368,14 +368,14 @@ def _wps_fans() -> list[tuple[Weights, Fan]]:
             w = Weights(*weights)
         except ValueError:
             continue
-        out.append((w, _wps_fan(w.as_tuple())))
+        out.append((w, _wps_fan(w)))
     return out
 
 
 def test_toric_degree_of_weighted_projective_space_matches_wps_degree():
     checked = 0
     for w, f in _wps_fans():
-        assert polytope_degree(anticanonical_polytope(f)) == wps_degree(w)
+        assert anticanonical_polytope(f).degree == wps_degree(w)
         checked += 1
     assert checked == 125
 
@@ -478,7 +478,7 @@ def test_polytope_degree_matches_the_fraction_oracle_on_random_fans():
             tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(rng.randint(4, 12))
         )
         f = Fan(rays, ((0, 1, 2),))
-        outcome = _degree_outcome(polytope_degree, f)
+        outcome = _degree_outcome(lambda p: p.degree, f)
         assert outcome == _degree_outcome(_oracle_degree, f), rays
         assert (outcome == "unbounded") is (_positive_span_fails(rays) is not None), rays
         if isinstance(outcome, str):
@@ -495,7 +495,7 @@ def test_polytope_degree_matches_the_fraction_oracle_on_shipped_and_wps_fans():
     fans += [f for _, f in _wps_fans()]
     for f in fans:
         p = anticanonical_polytope(f)
-        assert polytope_degree(p) == _oracle_degree(p)
+        assert p.degree == _oracle_degree(p)
     assert len(fans) == 128
 
 
@@ -510,7 +510,7 @@ def test_facet_with_mixed_denominators_is_scaled_by_their_lcm():
     p = anticanonical_polytope(_wps_fan((5, 2, 1, 1)))
     on_facet = _facet_on(p, (-5, -2, -1))
     assert {d for _, d in on_facet} == {1, 2, 5}
-    assert polytope_degree(p) == Fraction(729, 10) == _oracle_degree(p)
+    assert p.degree == Fraction(729, 10) == _oracle_degree(p)
 
 
 def test_facet_normal_with_a_large_dropped_coordinate():
@@ -519,7 +519,7 @@ def test_facet_normal_with_a_large_dropped_coordinate():
     p = anticanonical_polytope(_wps_fan((6, 4, 1, 1)))
     normal = (-6, -4, -1)
     assert len(_facet_on(p, normal)) == 3
-    assert polytope_degree(p) == 72 == _oracle_degree(p)
+    assert p.degree == 72 == _oracle_degree(p)
 
 
 def _lattice_point_count(f: Fan, p: RationalPolytope) -> int:
@@ -542,14 +542,14 @@ def test_reflexive_degree_matches_the_lattice_point_count():
         p = anticanonical_polytope(f)
         assert _is_integral(p)
         assert _lattice_point_count(f, p) == points
-        assert polytope_degree(p) == degree
+        assert p.degree == degree
     reflexive = 0
     for w, f in _wps_fans():
         p = anticanonical_polytope(f)
         # Delta is a lattice polytope exactly when -K is Cartier
         assert _is_integral(p) == wps_is_gorenstein(w), w
         if _is_integral(p):
-            assert polytope_degree(p) == 2 * (_lattice_point_count(f, p) - 3), w
+            assert p.degree == 2 * (_lattice_point_count(f, p) - 3), w
             reflexive += 1
     assert reflexive == 9
 
@@ -615,7 +615,7 @@ def test_polytope_degree_is_unimodular_invariant():
                 rays=tuple(apply(m, v) for v in base.rays),
                 max_cones=base.max_cones,
             )
-            assert polytope_degree(anticanonical_polytope(f)) == degree
+            assert anticanonical_polytope(f).degree == degree
             # the ring walls project along a coordinate, so they depend on coordinates
             assert validate_fan(f).findings() == findings
 
@@ -704,11 +704,11 @@ def _polytope_outcome(f: Fan):
     # each vertex p / d is in lowest terms with d > 0
     assert all(d > 0 and gcd(*m, d) == 1 for m, d in p.vertices), p.vertices
     facets = _fraction_facets(p)
-    # polytope_degree takes the shoelace sum in the order the facets come in
+    # the degree is a shoelace sum in the order the facets come in
     for ray, ring in facets:
         assert _is_boundary_order(list(ring), _oracle_hull_order(ring, ray)), (f.rays, ray)
     incidences = {(v, frozenset(ms)) for v, ms in facets}
-    return sorted(map(_fraction_point, p.vertices)), incidences, polytope_degree(p)
+    return sorted(map(_fraction_point, p.vertices)), incidences, p.degree
 
 
 def _oracle_outcome(f: Fan):
@@ -1185,26 +1185,6 @@ def test_integer_coordinates_required():
         with pytest.raises(ValueError) as err:
             Fan(p3_rays, (cone, (0, 1, 3), (0, 2, 3), (1, 2, 3)))
         assert str(err.value) == f"cone {cone} is not an array of integer indices"
-
-
-def test_degenerate_polytope_has_no_volume():
-    # a facet whose vertices are collinear has a zero shoelace sum
-    # the points (x, 2x/3, -1) for x = 0, 1, 2
-    line = (((0, 0, -1), 1), ((3, 2, -3), 3), ((6, 4, -3), 3))
-    flat = RationalPolytope(vertices=line, facets=(((0, 0, 1), line),))
-    for degree in (polytope_degree, _oracle_degree):
-        with pytest.raises(ValueError, match="not full-dimensional"):
-            degree(flat)
-
-
-def test_polytope_degree_trusts_the_facet_order():
-    # a facet out of boundary order is not detected: a square listed as a
-    # bow tie adds a zero shoelace sum, so the cube's 48 reads 40
-    p = anticanonical_polytope(load("p1p1p1.fan"))
-    (ray, (a, b, c, d)), *rest = p.facets
-    bow_tie = RationalPolytope(p.vertices, ((ray, (a, c, b, d)), *rest))
-    assert polytope_degree(p) == 48
-    assert polytope_degree(bow_tie) == 40
 
 
 def test_fan_json_round_trip():

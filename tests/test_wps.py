@@ -33,7 +33,7 @@ weight_tuples = st.tuples(*(st.integers(min_value=1, max_value=9),) * 4).filter(
 
 def test_weights_normalize_to_descending_order():
     w = Weights(1, 6, 4, 1)
-    assert w.as_tuple() == (6, 4, 1, 1)
+    assert w == (6, 4, 1, 1)
     assert str(w) == "P(6,4,1,1)"
 
 
@@ -100,7 +100,7 @@ def test_gorenstein_condition():
 def test_gorenstein_means_every_weight_divides_the_index(raw):
     w = Weights(*raw)
     total = wps_anticanonical_index(w)
-    assert wps_is_gorenstein(w) == all(total % a == 0 for a in w.as_tuple())
+    assert wps_is_gorenstein(w) == all(total % a == 0 for a in w)
 
 
 @given(weight_tuples)

@@ -224,8 +224,7 @@ def _cmd_toric(args) -> int:
     with open(args.fan_file, encoding="utf-8") as fh:
         fan = fan_from_json(fh.read())
     if args.action == "validate":
-        report = validate_fan(fan)
-        findings = report.findings()
+        findings = validate_fan(fan)
         lines = [f"rays: {len(fan.rays)}", f"maximal cones: {len(fan.max_cones)}"]
         if findings:
             lines += [f"finding: {f}" for f in findings]

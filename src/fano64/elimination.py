@@ -188,8 +188,11 @@ def eliminate_p1_bundles() -> list[CaseRecord]:
 # ---------------------------------------------------------------------------
 # Degree filter for quadric-bundle candidates
 
-# Candidates have dim |-K| >= 34, i.e. degree >= 64, up to the maximum 72.
-_QUADRIC_MIN_DIM = 34
+# Candidates have dim |-K| at least that of the classified degree, so they
+# start at DEGREE; 72 is the largest degree of a Fano threefold with
+# canonical Gorenstein singularities (Prokhorov, "The degree of Fano
+# threefolds with canonical Gorenstein singularities", Sb. Math. 2005).
+_QUADRIC_MIN_DIM = rr_dim_anticanonical(DEGREE)
 _QUADRIC_MAX_DEGREE = 72
 
 # The geometric exclusion of each candidate degree divisible by 8.

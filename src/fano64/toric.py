@@ -29,12 +29,16 @@ coordinate k with v_k != 0, so only the code that builds a ring reads
 its order.  A vertex is kept as the integer pair (p, d) = (-n, c), the
 point p / d in lowest terms, so Delta is a lattice polytope exactly
 when every d is 1.
-validate_fan performs structural sanity checks and returns findings
+validate_fan performs structural sanity checks and returns its
+findings, a tuple of strings that is empty when the fan is clean,
 instead of raising, so defective input data can be examined rather than
-rejected.  A ray that lies in no maximal cone is one finding: it still
-bounds Delta, so it changes the degree.  The cone checks (rank, strong
-convexity, walls, Gorenstein supports) run in integers only, from one
-support plane per cone: the m with <m, v> = -1 on the cone's first
+rejected.  Rays come first, non-primitive then unused; then cones,
+degenerate then not strongly convex; then walls not shared by exactly
+two cones; then cones without an integral Gorenstein support.  A ray
+that lies in no maximal cone is one finding: it still bounds Delta, so
+it changes the degree.  The cone checks (rank, strong convexity,
+walls, Gorenstein supports) run in integers only, from one support
+plane per cone: the m with <m, v> = -1 on the cone's first
 independent triple is solve3's Cramer pair n / d, and one gcd reduces
 it to the integer plane <s, x> = -L, L > 0 the lcm of m's denominators.
 The cone has rank 3 exactly when such a triple exists, and a Gorenstein
@@ -456,46 +460,6 @@ def _hull_order(index: dict[tuple[int, int], int]) -> list[int]:
     return [index[pt] for pt in lower[:-1] + upper[:-1]]
 
 
-class FanReport(
-    namedtuple(
-        "FanReport",
-        [
-            "non_primitive_rays",
-            "unused_rays",
-            "degenerate_cones",
-            "non_convex_cones",
-            "unpaired_walls",
-            "cones_without_gorenstein_support",
-        ],
-    )
-):
-    """Findings from validate_fan; empty tuples everywhere means clean."""
-
-    non_primitive_rays: tuple[int, ...]
-    unused_rays: tuple[int, ...]
-    degenerate_cones: tuple[int, ...]
-    non_convex_cones: tuple[int, ...]
-    unpaired_walls: tuple[str, ...]
-    cones_without_gorenstein_support: tuple[int, ...]
-    __slots__ = ()
-
-    def findings(self) -> tuple[str, ...]:
-        out = []
-        for i in self.non_primitive_rays:
-            out.append(f"ray {i} is not primitive")
-        for i in self.unused_rays:
-            out.append(f"ray {i} lies in no maximal cone")
-        for i in self.degenerate_cones:
-            out.append(f"cone {i} is degenerate (rays do not span)")
-        for i in self.non_convex_cones:
-            out.append(f"cone {i} is not strongly convex (contains a line)")
-        for w in self.unpaired_walls:
-            out.append(f"wall {w} is not shared by exactly two maximal cones")
-        for i in self.cones_without_gorenstein_support:
-            out.append(f"cone {i} has no integral Gorenstein support vector")
-        return tuple(out)
-
-
 def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> list[tuple[int, ...]]:
     """Walls (2-faces) of a cone whose rays all lie on one plane <s, x> = -L, L > 0.
 
@@ -558,47 +522,48 @@ def _cone_walls(
     return bool(walls), walls
 
 
-def validate_fan(f: Fan) -> FanReport:
+def validate_fan(f: Fan) -> tuple[str, ...]:
     """Structural checks: primitivity, ray use, convexity, wall pairing, supports.
 
-    One support plane per cone decides its rank and its Gorenstein
-    support, and chooses how its walls are found: from the ring of its
-    rays when they all lie on the plane, else from the hull walk over
-    its rays and the origin.
+    Returns the findings, empty when the fan is clean, in this order:
+    non-primitive rays, rays in no maximal cone, degenerate cones, cones
+    that contain a line, walls not shared by exactly two cones (in
+    sorted key order), then cones with no integral Gorenstein support;
+    each kind in index order.  One support plane per cone decides its
+    rank and its Gorenstein support, and chooses how its walls are
+    found: from the ring of its rays when they all lie on the plane, else
+    from the hull walk over its rays and the origin.
     """
-    non_primitive = tuple([i for i, v in enumerate(f.rays) if not _is_primitive(v)])
+    findings = [f"ray {i} is not primitive" for i, v in enumerate(f.rays) if not _is_primitive(v)]
     used = {i for cone in f.max_cones for i in cone}
-    unused = tuple([i for i in range(len(f.rays)) if i not in used])
-    degenerate = []
+    findings += [f"ray {i} lies in no maximal cone" for i in range(len(f.rays)) if i not in used]
     non_convex = []
     wall_count: dict = {}
     no_support = []
     for ci, cone in enumerate(f.max_cones):
         plane = _support_plane([f.rays[i] for i in cone])
         if plane is None:
-            degenerate.append(ci)
+            findings.append(f"cone {ci} is degenerate (rays do not span)")
             continue
         s, level, on_plane = plane
         if level != 1 or not on_plane:
-            no_support.append(ci)
+            no_support.append(f"cone {ci} has no integral Gorenstein support vector")
         if on_plane:
             convex, walls = True, _ring_walls(f.rays, cone, s)
         else:
             convex, walls = _cone_walls(f.rays, cone)
         if not convex:
-            non_convex.append(ci)
+            non_convex.append(f"cone {ci} is not strongly convex (contains a line)")
         else:
             for wall in walls:
                 wall_count[wall] = wall_count.get(wall, 0) + 1
-    unpaired = tuple(f"rays{list(key)}" for key, n in sorted(wall_count.items()) if n != 2)
-    return FanReport(
-        non_primitive_rays=non_primitive,
-        unused_rays=unused,
-        degenerate_cones=tuple(degenerate),
-        non_convex_cones=tuple(non_convex),
-        unpaired_walls=unpaired,
-        cones_without_gorenstein_support=tuple(no_support),
-    )
+    findings += non_convex
+    findings += [
+        f"wall rays{list(key)} is not shared by exactly two maximal cones"
+        for key, n in sorted(wall_count.items())
+        if n != 2
+    ]
+    return (*findings, *no_support)
 
 
 def _reject_float(s: str):

@@ -161,6 +161,10 @@ def test_bundle_argument_errors(capsys):
     assert code == 1
     assert "single coefficient" in err
 
+    code, out, err = run(capsys, "bundle", "--base", "F1", "--c1", "1", "--c2", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: c1 on F1 takes two coefficients a,b\n"
+
     code, _, err = run(capsys, "bundle", "--base", "F0", "--c1", "1,1")
     assert code == 1  # needs --c2 or --solve-degree
 

@@ -15,7 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fano64 import elimination
-from fano64.bundles import chi_rank2, degree_p1_bundle, split_gap_bound_holds, twist
+from fano64.bundles import (
+    chi_rank2,
+    degree_p1_bundle,
+    rr_dim_anticanonical,
+    split_gap_bound_holds,
+    twist,
+)
 from fano64.elimination import (
     CHI_TARGETS,
     SWEEP_BASES,
@@ -25,6 +31,7 @@ from fano64.elimination import (
     sweep_twisted_bundles,
 )
 from fano64.records import (
+    DEGREE,
     ArithmeticContradiction,
     CaseRecord,
     GeometricArgument,
@@ -165,6 +172,19 @@ def test_quadric_bundle_degree_filter():
     by_degree = dict(zip(degrees, records))
     assert by_degree[64].value("rr_dim") == 34
     assert by_degree[72].value("rr_dim") == 38
+
+
+def test_quadric_filter_window_is_every_even_degree_with_enough_sections():
+    """The filter's degrees are the whole solution set of its dimension bound, from DEGREE on."""
+    degrees = [int(dict(r.inputs)["degree"]) for r in filter_quadric_bundle_degrees()]
+    searched = [
+        d
+        for d in range(0, elimination._QUADRIC_MAX_DEGREE + 1, 2)
+        if rr_dim_anticanonical(d) >= elimination._QUADRIC_MIN_DIM
+    ]
+    assert degrees == searched
+    assert degrees[0] == DEGREE
+    assert elimination._QUADRIC_MIN_DIM == 34
 
 
 def test_twisted_sweep_has_no_exceptions():

@@ -166,7 +166,6 @@ RECORDS = {
     "toric.Fan": {},
     "toric.RationalPolytope": {},
     "toric.ConeSingularity": {"index": None, "kind": None, "witness": None, "support": None},
-    "toric.FanReport": {},
     "records.ArithmeticContradiction": {"target": None},
     "records.Survives": {},
     "records.GeometricArgument": {},

@@ -37,6 +37,9 @@ def test_surface_construction():
     assert str(F0) == "F0"
     with pytest.raises(ValueError):
         BaseSurface(-1)
+    with pytest.raises(ValueError) as err:
+        P2.n
+    assert str(err.value) == "the projective plane has no Hirzebruch index"
 
 
 def test_class_strings():

@@ -606,7 +606,7 @@ def test_polytope_degree_is_unimodular_invariant():
     rng = random.Random(66)
     for name, degree in (("p3.fan", 64), ("p1p1p1.fan", 48), ("x66.fan", 66)):
         base = load(name)
-        findings = validate_fan(base).findings()
+        findings = validate_fan(base)
         # x66 has a cone off its support plane, which takes the hull walk
         assert (len(findings) == 6) is (name == "x66.fan"), findings
         for _ in range(100):
@@ -617,7 +617,7 @@ def test_polytope_degree_is_unimodular_invariant():
             )
             assert anticanonical_polytope(f).degree == degree
             # the ring walls project along a coordinate, so they depend on coordinates
-            assert validate_fan(f).findings() == findings
+            assert validate_fan(f) == findings
 
 
 def _positive_span_fails(rays: tuple[IVec, ...]) -> IVec | None:
@@ -892,28 +892,40 @@ def test_hull_order_matches_the_monotone_chain(points):
     assert fano64.toric._hull_order(index) == _monotone_chain_order(index)
 
 
+NON_PRIMITIVE = "is not primitive"
+UNUSED = "lies in no maximal cone"
+DEGENERATE = "is degenerate (rays do not span)"
+NON_CONVEX = "is not strongly convex (contains a line)"
+UNPAIRED = "is not shared by exactly two maximal cones"
+NO_SUPPORT = "has no integral Gorenstein support vector"
+
+
+def _of_kind(findings: tuple[str, ...], kind: str) -> tuple[str, ...]:
+    """The findings of one kind, in validate_fan's order: those that end with its text."""
+    return tuple(f for f in findings if f.endswith(kind))
+
+
 def test_validate_clean_fans():
     for name in ("p3.fan", "p1p1p1.fan"):
-        report = validate_fan(load(name))
-        assert report.findings() == ()
+        assert validate_fan(load(name)) == ()
 
 
 def test_validate_flags_the_defective_fan():
-    report = validate_fan(load("x66.fan"))
-    assert report.findings() != ()
-    assert 2 in report.non_convex_cones
-    assert 2 in report.cones_without_gorenstein_support
-    assert report.non_primitive_rays == ()
-    assert report.unused_rays == ()
-    assert report.degenerate_cones == ()
-    assert len(report.unpaired_walls) == 4
-    assert any("no integral Gorenstein support" in f for f in report.findings())
+    findings = validate_fan(load("x66.fan"))
+    assert type(findings) is tuple and findings != ()
+    assert f"cone 2 {NON_CONVEX}" in findings
+    assert f"cone 2 {NO_SUPPORT}" in findings
+    assert _of_kind(findings, NON_PRIMITIVE) == ()
+    assert _of_kind(findings, UNUSED) == ()
+    assert _of_kind(findings, DEGENERATE) == ()
+    assert len(_of_kind(findings, UNPAIRED)) == 4
+    assert any("no integral Gorenstein support" in f for f in findings)
 
 
 def _one_cone_is_convex(rays: tuple[IVec, ...]) -> bool:
-    report = validate_fan(Fan(rays, (tuple(range(len(rays))),)))
-    assert report.degenerate_cones == ()
-    return report.non_convex_cones == ()
+    findings = validate_fan(Fan(rays, (tuple(range(len(rays))),)))
+    assert _of_kind(findings, DEGENERATE) == ()
+    return _of_kind(findings, NON_CONVEX) == ()
 
 
 def test_strong_convexity_matches_the_positive_dependence_oracle():
@@ -1068,7 +1080,7 @@ def test_hull_walls_match_the_pair_scan_on_cones_off_their_plane():
 def test_walls_on_one_plane_are_told_apart_by_their_rays():
     """In P1 x P1 x P1 the plane z = 0 holds four walls, each shared by two cones."""
     f = load("p1p1p1.fan")
-    assert validate_fan(f).findings() == ()
+    assert validate_fan(f) == ()
     on_z0 = [
         wall
         for cone in f.max_cones
@@ -1087,16 +1099,19 @@ def test_a_wall_with_an_extra_ray_on_one_side_stays_unpaired():
     rays = ((1, 0, 0), (-1, 2, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
     f = Fan(rays, ((0, 1, 3), (0, 1, 2, 4)))
     assert _support_plane([rays[i] for i in f.max_cones[1]]) == ((-1, -1, 1), 1, True)
-    report = validate_fan(f)
-    assert report.unpaired_walls == (
-        "rays[0, 1]",
-        "rays[0, 1, 2]",
-        "rays[0, 3]",
-        "rays[0, 4]",
-        "rays[1, 3]",
-        "rays[1, 4]",
+    findings = validate_fan(f)
+    assert _of_kind(findings, UNPAIRED) == tuple(
+        f"wall {w} {UNPAIRED}"
+        for w in (
+            "rays[0, 1]",
+            "rays[0, 1, 2]",
+            "rays[0, 3]",
+            "rays[0, 4]",
+            "rays[1, 3]",
+            "rays[1, 4]",
+        )
     )
-    assert report.findings()[:2] == (
+    assert findings[:2] == (
         "wall rays[0, 1] is not shared by exactly two maximal cones",
         "wall rays[0, 1, 2] is not shared by exactly two maximal cones",
     )
@@ -1116,9 +1131,9 @@ def test_validate_flags_rank_deficient_cones():
         cones.append(tuple(vsum(scaled(u, i), scaled(w, j)) for i, j in coefficients))
     for rays in cones:
         assert not any(det3(*t) for t in combinations(rays, 3)), rays
-        report = validate_fan(Fan(rays, (tuple(range(len(rays))),)))
-        assert report.degenerate_cones == (0,), rays
-        assert (report.non_convex_cones, report.unpaired_walls) == ((), ()), rays
+        findings = validate_fan(Fan(rays, (tuple(range(len(rays))),)))
+        assert _of_kind(findings, DEGENERATE) == (f"cone 0 {DEGENERATE}",), rays
+        assert (_of_kind(findings, NON_CONVEX), _of_kind(findings, UNPAIRED)) == ((), ()), rays
         # simplicial or not, the singularity report calls it degenerate too
         assert cone_singularity(rays) == ConeSingularity(degenerate=True), rays
 
@@ -1130,11 +1145,15 @@ def test_validate_and_cone_singularity_agree_on_every_cone():
         rays = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(3, 7)))
         cones = (tuple(rng.sample(range(len(rays)), rng.randint(3, len(rays)))) for _ in range(3))
         f = Fan(rays, tuple(dict.fromkeys(tuple(sorted(c)) for c in cones)))
-        report = validate_fan(f)
+        findings = validate_fan(f)
         sings = [cone_singularity([rays[i] for i in cone]) for cone in f.max_cones]
-        assert report.degenerate_cones == tuple(i for i, s in enumerate(sings) if s.degenerate)
-        assert report.cones_without_gorenstein_support == tuple(
-            i for i, s in enumerate(sings) if not s.degenerate and s.support is None
+        assert _of_kind(findings, DEGENERATE) == tuple(
+            f"cone {i} {DEGENERATE}" for i, s in enumerate(sings) if s.degenerate
+        )
+        assert _of_kind(findings, NO_SUPPORT) == tuple(
+            f"cone {i} {NO_SUPPORT}"
+            for i, s in enumerate(sings)
+            if not s.degenerate and s.support is None
         )
 
 
@@ -1151,22 +1170,26 @@ def test_validate_flags_non_primitive_rays():
     cones = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     # the zero vector is not primitive either
     for ray in ((2, 0, 0), (2, 4, 6), (0, 0, 0)):
-        assert validate_fan(Fan((ray, *others), cones)).non_primitive_rays == (0,), ray
+        findings = validate_fan(Fan((ray, *others), cones))
+        assert _of_kind(findings, NON_PRIMITIVE) == (f"ray 0 {NON_PRIMITIVE}",), ray
     for ray in ((2, 3, 5), (0, 0, 1)):
-        assert validate_fan(Fan((ray, *others), cones)).non_primitive_rays == (), ray
+        assert _of_kind(validate_fan(Fan((ray, *others), cones)), NON_PRIMITIVE) == (), ray
 
 
 def test_validate_flags_unused_rays():
     p3_rays = (*UNIT, (-1, -1, -1))
     cones = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     # an unused ray still cuts the polytope: P3's degree 64 drops to 56
-    report = validate_fan(Fan((*p3_rays, (1, 1, 1)), cones))
-    assert report.unused_rays == (4,)
-    assert report.findings() == ("ray 4 lies in no maximal cone",)
-    assert validate_fan(Fan((*p3_rays, (1, 1, 1), (2, 1, 1)), cones)).unused_rays == (4, 5)
+    findings = validate_fan(Fan((*p3_rays, (1, 1, 1)), cones))
+    assert _of_kind(findings, UNUSED) == (f"ray 4 {UNUSED}",)
+    assert findings == ("ray 4 lies in no maximal cone",)
+    assert _of_kind(validate_fan(Fan((*p3_rays, (1, 1, 1), (2, 1, 1)), cones)), UNUSED) == (
+        f"ray 4 {UNUSED}",
+        f"ray 5 {UNUSED}",
+    )
     # the octant alone leaves the fourth ray in no cone
-    assert validate_fan(Fan(p3_rays, cones[:1])).unused_rays == (3,)
-    assert validate_fan(Fan(p3_rays, cones)).unused_rays == ()
+    assert _of_kind(validate_fan(Fan(p3_rays, cones[:1])), UNUSED) == (f"ray 3 {UNUSED}",)
+    assert _of_kind(validate_fan(Fan(p3_rays, cones)), UNUSED) == ()
 
 
 def test_integer_coordinates_required():

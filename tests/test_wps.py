@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fano64.bundles import rr_dim_anticanonical
+from fano64.ledger import genus_of_degree
 from fano64.wps import (
     QuotientType,
     Weights,
@@ -88,6 +90,12 @@ def test_quotient_type_reduces_residues():
     assert str(QuotientType(1, (0, 0, 0))) == "smooth"
 
 
+def test_quotient_type_refuses_a_non_positive_order():
+    with pytest.raises(ValueError) as err:
+        QuotientType(0, (1, 1))
+    assert str(err.value) == "order must be positive, got 0"
+
+
 def test_gorenstein_condition():
     assert wps_is_gorenstein(Weights(1, 1, 1, 1))
     assert wps_is_gorenstein(Weights(3, 1, 1, 1))
@@ -114,3 +122,39 @@ def test_gorenstein_vertex_residues_sum_to_zero(raw):
     for i in range(4):
         q = wps_vertex_singularity(w, i)
         assert sum(q.residues) % q.order == 0
+
+
+def monomial_count(weights, degree):
+    """The number of monomials of weighted degree `degree`, by a DP over the weights."""
+    counts = [1] + [0] * degree
+    for q in weights:
+        for t in range(q, degree + 1):
+            counts[t] += counts[t - q]
+    return counts[degree]
+
+
+def test_sections_of_minus_mk_match_the_count_of_monomials():
+    """h0(-mK) on a Gorenstein P(q) counts the monomials of weighted degree m * sum(q)."""
+    found = [
+        (a0, a1, a2, a3)
+        for a0 in range(1, 43)
+        for a1 in range(1, a0 + 1)
+        for a2 in range(1, a1 + 1)
+        for a3 in range(1, a2 + 1)
+        if (a0 + a1 + a2 + a3) % a0 == 0
+        and (a0 + a1 + a2 + a3) % a1 == 0
+        and (a0 + a1 + a2 + a3) % a2 == 0
+        and (a0 + a1 + a2 + a3) % a3 == 0
+        and well_formed((a0, a1, a2, a3))
+    ]
+    assert len(found) == 14, found
+    for raw in found:
+        w = Weights(*raw)
+        assert wps_is_gorenstein(w), raw
+        d = wps_degree(w)
+        for m in (1, 2, 3):
+            count = monomial_count(raw, m * sum(raw))
+            assert count == m * (m + 1) * (2 * m + 1) * d / 12 + 2 * m + 1, (raw, m)
+        count = monomial_count(raw, sum(raw))
+        assert d.denominator == 1, raw
+        assert count == rr_dim_anticanonical(int(d)) + 1 == genus_of_degree(d) + 2, raw

@@ -15,12 +15,12 @@ form it prints.  Integer arguments are plain decimals: an optional
 sign and ASCII digits, with surrounding spaces allowed.  A number read
 or computed past the interpreter's digit limit is refused by that bound.
 
-A command line is parsed one of two ways.  A plain `toric` one, the
-shape of every `toric` call the benchmark's fan workloads make (a fan
-file, an action and at most one exact `--machine`), is read token by
-token into a namespace with the attributes argparse would set, and
-neither imports argparse nor builds a parser.  Every other one goes
-through argparse, `--expect N` included, which alone reads option
+A command line is parsed one of two ways.  A plain `toric` one,
+`toric <fan> <action>` or `toric <fan> <action> --machine`, the shapes
+of every `toric` call the benchmark's fan workloads make, is read into
+a namespace with the attributes argparse would set, and neither imports
+argparse nor builds a parser.  Every other one goes through argparse,
+other token orders and `--expect N` included, which alone reads option
 values and prints usage, help and error text.  argparse is imported
 only where it is used, so a plain `toric` process never loads it (nor
 the gettext it loads).
@@ -372,33 +372,25 @@ _TORIC_ACTIONS = ("validate", "degree", "singularities")
 def _plain_toric_args(tokens: list[str]) -> SimpleNamespace | None:
     """argparse's attributes for `toric` and a plain argv, in a SimpleNamespace, or None.
 
-    Plain means exactly two positionals, neither starting with "-", the
-    second one of the actions, and at most one exact "--machine": the
-    `toric <fan> <action> --machine` argvs of the benchmark's fan
-    workloads, which this reader is sized to.  On such tokens argparse
-    takes each positional and the flag as it stands, in any order.
-    Anything else returns None and goes to argparse: "--expect" in any
+    Plain means exactly `<fan> <action>` or `<fan> <action> --machine`,
+    the fan not starting with "-": the argvs of the benchmark's fan
+    workloads.  argparse takes such tokens as they stand.  Anything else
+    returns None and goes to argparse: another order of the same tokens,
+    which argparse reads into the same namespace, "--expect" in any
     form, help, "--", "=" forms, abbreviations, a repeated flag, a
     missing or extra positional, an unknown action.
     """
-    positionals = []
-    machine = False
-    for token in tokens:
-        if token == "--machine" and not machine:
-            machine = True
-        elif token.startswith("-"):
-            return None
-        else:
-            positionals.append(token)
-    if len(positionals) != 2 or positionals[1] not in _TORIC_ACTIONS:
+    if len(tokens) < 2 or tokens[2:] not in ([], ["--machine"]):
         return None
-    fan_file, action = positionals
+    fan_file, action = tokens[:2]
+    if fan_file.startswith("-") or action not in _TORIC_ACTIONS:
+        return None
     return SimpleNamespace(
         command="toric",
         fan_file=fan_file,
         action=action,
         expect=None,
-        machine=machine,
+        machine=len(tokens) == 3,
         func=_cmd_toric,
     )
 

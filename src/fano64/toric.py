@@ -50,7 +50,10 @@ pointed, and its walls are the consecutive pairs of the polygon's ring.
 A cone off its plane goes through the hull walk instead: it contains no
 line exactly when it has no zero ray and the origin is a vertex of
 conv(rays and 0), and its walls are then that hull's facets through the
-origin.  A wall is keyed by the indices of the rays on it alone: it
+origin.  Either routine answers with the wall keys alone: no walls
+means the cone contains a line.  One monotone chain, _hull_order, rings
+each hull facet and the rays of each cone of four or more rays on its
+plane.  A wall is keyed by the indices of the rays on it alone: it
 holds two rays that are not parallel, so they fix its plane.  The cone
 checks build no Fraction; anticanonical_polytope builds one per
 polytope, its degree.
@@ -429,35 +432,30 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     return RationalPolytope(tuple(vertices), tuple(facets), Fraction(num, den))
 
 
-def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Twice the signed area of the triangle (o, a, b); positive for a left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _hull_order(index: dict[tuple[int, int], int]) -> list[int]:
     """The indices of the hull vertices of `index`'s points, counter-clockwise.
 
-    `index` maps each integer point to its index; a monotone chain gives
-    the boundary order.  Three points are their own ring, ordered by one
-    turn, or just the two endpoints when collinear: the ring the chain
-    gives, with the same start and direction.
+    `index` maps each integer point to its index.  Andrew's monotone
+    chain gives the ring: the lower chain from the least point in
+    lexicographic order, then the upper chain back, each dropping a
+    point that makes no strict left turn, so collinear points keep only
+    their two ends.
     """
     flat = sorted(index)
-    if len(flat) == 3:
-        a, b, c = flat
-        t = _turn(a, b, c)
-        return [index[pt] for pt in ((a, b, c) if t > 0 else (a, c, b) if t < 0 else (a, c))]
-    lower: list[tuple[int, int]] = []
-    for pt in flat:
-        while len(lower) >= 2 and _turn(lower[-2], lower[-1], pt) <= 0:
-            lower.pop()
-        lower.append(pt)
-    upper: list[tuple[int, int]] = []
-    for pt in reversed(flat):
-        while len(upper) >= 2 and _turn(upper[-2], upper[-1], pt) <= 0:
-            upper.pop()
-        upper.append(pt)
-    return [index[pt] for pt in lower[:-1] + upper[:-1]]
+    ring: list[tuple[int, int]] = []
+    for chain in (flat, flat[::-1]):
+        start = len(ring)
+        for pt in chain:
+            x, y = pt
+            while len(ring) - start >= 2:
+                (ox, oy), (ax, ay) = ring[-2], ring[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                ring.pop()
+            ring.append(pt)
+        # a chain's last point starts the other chain
+        ring.pop()
+    return [index[pt] for pt in ring]
 
 
 def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> list[tuple[int, ...]]:
@@ -488,16 +486,15 @@ def _ring_walls(rays: Sequence[IVec], indices: tuple[int, ...], s: IVec) -> list
     return walls
 
 
-def _cone_walls(
-    rays: Sequence[IVec], indices: tuple[int, ...]
-) -> tuple[bool, list[tuple[int, ...]]]:
-    """Strong convexity and walls (2-faces) of a rank-3 cone off its support plane.
+def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Walls (2-faces) of a rank-3 cone off its support plane; none when it holds a line.
 
     This takes the cones _ring_walls cannot: those that are not
     Q-Cartier, and those with a zero ray.  A cone with a zero ray is not
     strongly convex.  Otherwise the cone contains no line exactly when
     the origin is a vertex of P = conv(rays and 0), and its walls are then
-    P's facets through the origin.  _hull_facets walks P's k distinct
+    P's facets through the origin: at least three, and none when the
+    origin is not a vertex.  _hull_facets walks P's k distinct
     points p as k p - (their sum): that puts their centroid, inside P as
     the rays have rank 3, at the origin, so the walk never raises, and
     keeps each facet's normal n.  A facet whose ring holds the origin's
@@ -505,21 +502,21 @@ def _cone_walls(
     it, in the order of indices: it holds two rays that are not parallel,
     so the key fixes its plane, and the same wall keys equally from both
     adjacent cones when both list their rays in ascending order, as Fan
-    does.  Returns (strongly convex, the wall keys).
+    does.  Returns the wall keys, an empty list exactly when the cone is
+    not strongly convex.
     """
     cone = [rays[t] for t in indices]
     if (0, 0, 0) in cone:
-        return False, []
+        return []
     pts = [*dict.fromkeys(cone), (0, 0, 0)]
     k = len(pts)
     sx, sy, sz = (sum(p[i] for p in pts) for i in range(3))
     hull = _hull_facets([(k * x - sx, k * y - sy, k * z - sz) for x, y, z in pts])
-    walls = [
+    return [
         tuple([t for t, v in zip(indices, cone) if _dot(n, v) == 0])
         for (n, _), ring in hull.items()
         if k - 1 in ring
     ]
-    return bool(walls), walls
 
 
 def validate_fan(f: Fan) -> tuple[str, ...]:
@@ -532,7 +529,8 @@ def validate_fan(f: Fan) -> tuple[str, ...]:
     each kind in index order.  One support plane per cone decides its
     rank and its Gorenstein support, and chooses how its walls are
     found: from the ring of its rays when they all lie on the plane, else
-    from the hull walk over its rays and the origin.
+    from the hull walk over its rays and the origin.  A cone with no
+    walls contains a line.
     """
     findings = [f"ray {i} is not primitive" for i, v in enumerate(f.rays) if not _is_primitive(v)]
     used = {i for cone in f.max_cones for i in cone}
@@ -548,15 +546,11 @@ def validate_fan(f: Fan) -> tuple[str, ...]:
         s, level, on_plane = plane
         if level != 1 or not on_plane:
             no_support.append(f"cone {ci} has no integral Gorenstein support vector")
-        if on_plane:
-            convex, walls = True, _ring_walls(f.rays, cone, s)
-        else:
-            convex, walls = _cone_walls(f.rays, cone)
-        if not convex:
+        walls = _ring_walls(f.rays, cone, s) if on_plane else _cone_walls(f.rays, cone)
+        if not walls:
             non_convex.append(f"cone {ci} is not strongly convex (contains a line)")
-        else:
-            for wall in walls:
-                wall_count[wall] = wall_count.get(wall, 0) + 1
+        for wall in walls:
+            wall_count[wall] = wall_count.get(wall, 0) + 1
     findings += non_convex
     findings += [
         f"wall rays{list(key)} is not shared by exactly two maximal cones"

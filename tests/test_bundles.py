@@ -7,6 +7,8 @@ over every small coefficient combination rather than spot values only.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -154,6 +156,102 @@ def test_chi_of_split_bundles():
             for b in range(n * a, n * a + 5):
                 sections = sum(b - n * i + 1 for i in range(a + 1))
                 assert chi_rank2(SurfaceClass(BaseSurface(n), a, b), 0) == 1 + sections
+
+
+@cache
+def _sections(d: SurfaceClass) -> int:
+    """#P_D, the lattice points m with <m, u> >= -d_u on every ray u of the base's fan.
+
+    P^2 has rays (1,0), (0,1), (-1,-1), with aL = a D_(-1,-1); F_n has
+    rays (1,0), (0,1), (-1,n), (0,-1), with l = D_(1,0) and the negative
+    section h = D_(0,1).  Each row y is scanned between its facet
+    inequalities: u_x x >= -d_u - u_y y bounds x below when u_x > 0,
+    above when u_x < 0, and empties the row when u_x = 0 and it fails.
+    The rows at both ends of the window must be empty, so the window
+    holds the whole polygon.  For nef D this is h^0(D) = chi(D).
+    """
+    s = d.surface
+    if s.is_plane:
+        rays, coeffs = ((1, 0), (0, 1), (-1, -1)), (0, 0, d.a)
+    else:
+        rays, coeffs = ((1, 0), (0, 1), (-1, s.n), (0, -1)), (d.b, d.a, 0, 0)
+    reach = (1 + max(abs(t) for u in rays for t in u)) * max(map(abs, coeffs)) + 1
+    rows = []
+    for y in range(-reach, reach + 1):
+        lo, hi, empty = None, None, False
+        for (ux, uy), c in zip(rays, coeffs):
+            r = -c - uy * y
+            if ux > 0:
+                bound = -(-r // ux)
+                lo = bound if lo is None else max(lo, bound)
+            elif ux < 0:
+                bound = r // ux
+                hi = bound if hi is None else min(hi, bound)
+            elif r > 0:
+                empty = True
+        rows.append(0 if empty else max(0, hi - lo + 1))
+    assert rows[0] == rows[-1] == 0, d
+    return sum(rows)
+
+
+def _is_nef(d: SurfaceClass) -> bool:
+    # D.C >= 0 on the torus-invariant curves: L on P^2; the fiber l and h on F_n
+    return d.a >= 0 if d.surface.is_plane else d.a >= 0 and d.b >= d.surface.n * d.a
+
+
+def _classes(base: BaseSurface, a_max: int, b_max: int) -> list[SurfaceClass]:
+    b_values = [0] if base.is_plane else range(-b_max, b_max + 1)
+    return [SurfaceClass(base, a, b) for a in range(-a_max, a_max + 1) for b in b_values]
+
+
+def test_chi_of_line_bundles_counts_sections_and_obeys_serre_duality():
+    """chi(D) = chi_rank2(D, 0) - 1, as O + O(D) has chi(O) = 1, against #P_D.
+
+    On P^2 with |a| <= 9, and on F0 ... F4 with |a| <= 5 and |b| <= 12:
+    chi(D) = #P_D for nef D, and chi(D) = chi(K - D) = #P_(K - D) when
+    K - D is nef.
+    """
+    nef = dual = 0
+    for base in [P2] + HIRZEBRUCHS:
+        k = canonical_class(base)
+        for d in _classes(base, 9 if base.is_plane else 5, 12):
+            chi = chi_rank2(d, 0) - 1
+            assert chi == chi_rank2(k - d, 0) - 1, d
+            if _is_nef(d):
+                assert chi == _sections(d), d
+                nef += 1
+            if _is_nef(k - d):
+                assert chi == _sections(k - d), d
+                dual += 1
+    # P^2 and F0 ... F4 hold 10 + 252 nef classes in the box, and 7 + 127 with K - D nef
+    assert (nef, dual) == (262, 134)
+
+
+def test_chi_of_split_pairs_and_their_twists_counts_sections():
+    """O(D1) + O(D2) has c1 = D1 + D2 and c2 = D1.D2, and chi = #P_D1 + #P_D2.
+
+    Every unordered pair of nef classes with |a| <= 3 and |b| <= 6, on P^2
+    and F0 ... F4.  Twisting by B, with |a| <= 1 and |b| <= 2, gives the
+    split pair O(D1 + B) + O(D2 + B): twist's Chern data must have that
+    c1 and, where both summands stay nef, their count of sections.
+    """
+    pairs = twisted = 0
+    for base in [P2] + HIRZEBRUCHS:
+        nef = [d for d in _classes(base, 3, 6) if _is_nef(d)]
+        twists = _classes(base, 1, 2)
+        for d1, d2 in combinations_with_replacement(nef, 2):
+            c1, c2 = d1 + d2, intersect(d1, d2)
+            assert chi_rank2(c1, c2) == _sections(d1) + _sections(d2), (d1, d2)
+            pairs += 1
+            for b in twists:
+                e1, e2 = d1 + b, d2 + b
+                c1_t, c2_t = twist(c1, c2, b)
+                assert c1_t == e1 + e2, (d1, d2, b)
+                if _is_nef(e1) and _is_nef(e2):
+                    assert chi_rank2(c1_t, c2_t) == _sections(e1) + _sections(e2), (d1, d2, b)
+                    twisted += 1
+    # unordered pairs of the 4 nef classes on P^2 and 28, 22, 16, 12, 10 on F0 ... F4
+    assert (pairs, twisted) == (938, 8714)
 
 
 def test_twist_chern_classes():

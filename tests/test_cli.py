@@ -1244,14 +1244,19 @@ def test_toric_argvs_match_a_top_level_parse(capsys, monkeypatch, parsed_namespa
     assert (*run(capsys, *argv), parsed_namespaces[:]) == expected, argv
 
 
+# the two shapes the reader takes, for each action, then odd fan names
 PLAIN_TORIC = [
-    (P3, "degree"),
-    (P3, "validate", "--machine"),
-    ("--machine", P3, "singularities"),
+    *(
+        (P3, action, *machine)
+        for action in ("validate", "degree", "singularities")
+        for machine in ((), ("--machine",))
+    ),
     ("", "degree"),
     (str(FANS / "missing.fan"), "degree"),
 ]
 FALLBACK_TORIC = [
+    ("--machine", P3, "singularities"),  # argparse reads it into the same namespace
+    (P3, "--machine", "validate"),
     (P3, "--expect", "64", "degree"),
     (P3, "degree", "--expect", "64", "--machine"),
     ("--expect", " 64 ", "--machine", P3, "degree"),

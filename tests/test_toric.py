@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 from pathlib import Path
@@ -859,37 +860,56 @@ def test_hull_walk_raises_when_it_reaches_a_facet_twice(monkeypatch):
     assert len(planes) == 2
 
 
-def _monotone_chain_order(index: dict[tuple[int, int], int]) -> list[int]:
-    """_hull_order's counter-clockwise hull indices, by the monotone chain alone."""
-    flat = sorted(index)
+def _strict_hull_ring(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The strict hull vertices of distinct points, by brute force; none for one point.
 
-    def turn(o, a, b):
+    A point is a strict vertex unless it lies on a segment or in a
+    closed triangle of the other points (Caratheodory in the plane).
+    The vertices are listed counter-clockwise from the lexicographically
+    least one, which is a vertex: no two others are collinear with it,
+    so one cross product orders each pair.
+    """
+
+    def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list = []
-    for pt in flat:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], pt) <= 0:
-            lower.pop()
-        lower.append(pt)
-    upper: list = []
-    for pt in reversed(flat):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], pt) <= 0:
-            upper.pop()
-        upper.append(pt)
-    return [index[pt] for pt in lower[:-1] + upper[:-1]]
+    def on_segment(p, a, b):
+        return cross(a, b, p) == 0 and min(a, b) <= p <= max(a, b)
+
+    def in_triangle(p, a, b, c):
+        sides = (cross(a, b, p), cross(b, c, p), cross(c, a, p))
+        return cross(a, b, c) != 0 and (min(sides) >= 0 or max(sides) <= 0)
+
+    if len(points) < 2:
+        return []  # a ring needs an edge
+    vertices = []
+    for p in points:
+        others = [q for q in points if q != p]
+        if not any(on_segment(p, a, b) for a, b in combinations(others, 2)) and not any(
+            in_triangle(p, a, b, c) for a, b, c in combinations(others, 3)
+        ):
+            vertices.append(p)
+    first = min(vertices)
+    rest = sorted(
+        (v for v in vertices if v != first),
+        key=cmp_to_key(lambda a, b: -cross(first, a, b)),
+    )
+    return [first, *rest]
 
 
 @given(
-    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6, unique=True)
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=10, unique=True)
 )
 @example([(0, 0), (1, 1), (2, 2)])  # collinear
 @example([(0, 2), (0, 0), (0, 1)])  # collinear, vertical
 @example([(1, 1), (0, 0), (1, 0)])  # counter-clockwise in sorted order
 @example([(1, 0), (0, 1), (0, 0)])  # clockwise in sorted order
-def test_hull_order_matches_the_monotone_chain(points):
-    # the adjacency in anticanonical_polytope reads each ring's start and direction
+def test_hull_order_lists_the_strict_hull_vertices_counter_clockwise(points):
+    # the adjacency in anticanonical_polytope reads each ring's start and direction;
+    # hull facets and rings of rays hold 4 to 9 points on fan-large's fans
     index = {pt: t for t, pt in enumerate(points)}
-    assert fano64.toric._hull_order(index) == _monotone_chain_order(index)
+    want = [index[pt] for pt in _strict_hull_ring(points)]
+    assert fano64.toric._hull_order(index) == want
 
 
 NON_PRIMITIVE = "is not primitive"
@@ -1062,7 +1082,8 @@ def test_hull_walls_match_the_pair_scan_on_cones_off_their_plane():
         if plane is None or plane[2]:
             continue
         indices = tuple(range(len(rays)))
-        convex, walls = _cone_walls(rays, indices)
+        walls = _cone_walls(rays, indices)
+        convex = bool(walls)
         want_convex, want_walls = _pair_scan_walls(rays, indices)
         assert convex is want_convex, rays
         # a cone with a zero ray is never strongly convex

@@ -904,7 +904,7 @@ def _strict_hull_ring(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 @example([(0, 2), (0, 0), (0, 1)])  # collinear, vertical
 @example([(1, 1), (0, 0), (1, 0)])  # counter-clockwise in sorted order
 @example([(1, 0), (0, 1), (0, 0)])  # clockwise in sorted order
-def test_hull_order_lists_the_strict_hull_vertices_counter_clockwise(points):
+def test_hull_order_matches_the_monotone_chain(points):
     # the adjacency in anticanonical_polytope reads each ring's start and direction;
     # hull facets and rings of rays hold 4 to 9 points on fan-large's fans
     index = {pt: t for t, pt in enumerate(points)}

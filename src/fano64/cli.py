@@ -267,7 +267,7 @@ def _cmd_toric(args) -> int:
                 "gorenstein_support": sing.support,
             }
             if sing.kind is not None:
-                entry["type"] = sing.kind.value
+                entry["type"] = sing.kind
                 if sing.witness is not None:
                     entry["witness"] = sing.witness
             cones_doc.append(entry)
@@ -281,7 +281,7 @@ def _cmd_toric(args) -> int:
             lines.append(f"{prefix} index {sing.index}, not classified")
         else:
             witness = "" if sing.witness is None else f", witness {vec_str(sing.witness)}"
-            lines.append(f"{prefix} index {sing.index}, {sing.kind.value}{witness}")
+            lines.append(f"{prefix} index {sing.index}, {sing.kind}{witness}")
         if sing.support is None:
             lines.append(f"{prefix} no integral Gorenstein support")
         else:

@@ -311,7 +311,7 @@ def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
         p, q = (a - a_p) // 2, (b - b_p) // 2
         # shift = c1.B + B^2 is c2' at c2 = 0, the shift from c2 to c2'
         c1_p, shift = twist(c1, 0, SurfaceClass(base, -p, -q))
-        if c1_p != (base, a_p, b_p):  # a class equals the tuple of its fields
+        if c1_p.a != a_p or c1_p.b != b_p:
             corner_class = SurfaceClass(base, a_p, b_p)
             raise ArithmeticError(f"twisting {c1} gives {c1_p}, off its corner {corner_class}")
         corner = corners.get((a_p, b_p))

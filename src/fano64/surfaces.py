@@ -23,10 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-_BaseSurfaceFields = namedtuple("_BaseSurfaceFields", ["hirzebruch_n"], defaults=[None])
-
-
-class BaseSurface(_BaseSurfaceFields):
+class BaseSurface(namedtuple("BaseSurface", ["hirzebruch_n"], defaults=[None])):
     """The projective plane (hirzebruch_n is None) or F_n (n >= 0)."""
 
     hirzebruch_n: int | None
@@ -63,10 +60,7 @@ F4 = BaseSurface(4)
 BASES = {str(s): s for s in (P2, F0, F1, F2, F3, F4)}
 
 
-_SurfaceClassFields = namedtuple("_SurfaceClassFields", ["surface", "a", "b"], defaults=[0])
-
-
-class SurfaceClass(_SurfaceClassFields):
+class SurfaceClass(namedtuple("SurfaceClass", ["surface", "a", "b"], defaults=[0])):
     """A divisor class: a*L on the plane, a*h + b*l on F_n.
 
     Classes combine (add, intersect) only with classes on the same surface.

@@ -5,7 +5,8 @@ index sets.  Fan alone checks that they are well formed, so a fan file
 that fan_from_json reads and a fan built in code get the same message
 for the same defect.  cone_singularity tells, for one cone, whether
 its rays span, the lattice index of a simplicial cone, the type of an
-index-1 or index-2 cone, and its integral Gorenstein support vector.
+index-1 or index-2 cone, one of the strings "smooth", "transverse-A1"
+and "isolated-half-point", and its integral Gorenstein support vector.
 The toolkit also computes the polar polytope
 
     Delta = { m : <m, v> >= -1 for every ray v },
@@ -65,7 +66,6 @@ import json
 import reprlib
 from collections import namedtuple
 from collections.abc import Sequence
-from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -73,10 +73,7 @@ from math import gcd, lcm
 from .lattice import IVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
 
 
-_FanFields = namedtuple("_FanFields", ["rays", "max_cones"])
-
-
-class Fan(_FanFields):
+class Fan(namedtuple("Fan", ["rays", "max_cones"])):
     """Rays plus maximal cones, checked here and stored as tuples.
 
     A ray is a list or tuple of exactly three ints, and a cone a list or
@@ -153,12 +150,6 @@ class RationalPolytope(namedtuple("RationalPolytope", ["vertices", "facets", "de
     __slots__ = ()
 
 
-class ConeSingularityKind(Enum):
-    SMOOTH = "smooth"
-    ISOLATED_HALF_POINT = "isolated-half-point"
-    TRANSVERSE_A1 = "transverse-A1"
-
-
 class ConeSingularity(
     namedtuple(
         "ConeSingularity",
@@ -170,14 +161,15 @@ class ConeSingularity(
 
     A degenerate cone (rays of rank at most 2) has nothing else.  A
     simplicial cone has its lattice index; at index 1 and 2 it has a
-    kind, and at index 2 the witness, the lattice point which is a
-    half-integer combination of the three rays.  support is the integral
-    Gorenstein support vector, when the cone has one.
+    kind, "smooth" at index 1 and "transverse-A1" or "isolated-half-point"
+    at index 2, where it also has the witness, the lattice point which is
+    a half-integer combination of the three rays.  support is the
+    integral Gorenstein support vector, when the cone has one.
     """
 
     degenerate: bool
     index: int | None
-    kind: ConeSingularityKind | None
+    kind: str | None
     witness: IVec | None
     support: IVec | None
     __slots__ = ()
@@ -248,7 +240,7 @@ def cone_singularity(rays: Sequence[IVec]) -> ConeSingularity:
     index = abs(det3(*rays)) if len(rays) == 3 else None
     kind = witness = None
     if index == 1:
-        kind = ConeSingularityKind.SMOOTH
+        kind = "smooth"
     elif index == 2:
         a, b, c = rays
         for e, f, g in product((0, 1), repeat=3):
@@ -259,9 +251,9 @@ def cone_singularity(rays: Sequence[IVec]) -> ConeSingularity:
                 break
         else:
             raise ArithmeticError(f"index-2 cone {rays} has no half-integer lattice point")
-        kind = ConeSingularityKind.TRANSVERSE_A1
+        kind = "transverse-A1"
         if e and f and g:
-            kind = ConeSingularityKind.ISOLATED_HALF_POINT
+            kind = "isolated-half-point"
         witness = (x // 2, y // 2, z // 2)
     support = s if level == 1 and on_plane else None
     return ConeSingularity(False, index, kind, witness, support)

@@ -12,10 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
-_WeightsFields = namedtuple("_WeightsFields", ["a0", "a1", "a2", "a3"])
-
-
-class Weights(_WeightsFields):
+class Weights(namedtuple("Weights", ["a0", "a1", "a2", "a3"])):
     """Weights of a weighted projective 3-space, stored sorted a0 >= a1 >= a2 >= a3.
 
     Well-formedness: every triple of weights is coprime (gcd 1).  Input
@@ -48,10 +45,7 @@ class Weights(_WeightsFields):
         return "P({},{},{},{})".format(*self)
 
 
-_QuotientTypeFields = namedtuple("_QuotientTypeFields", ["order", "residues"])
-
-
-class QuotientType(_QuotientTypeFields):
+class QuotientType(namedtuple("QuotientType", ["order", "residues"])):
     """A cyclic quotient singularity type 1/r(w1,...,wk), residues mod r."""
 
     order: int

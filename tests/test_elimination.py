@@ -370,6 +370,21 @@ def test_sweep_raises_when_a_twist_lands_off_its_corner(monkeypatch):
         sweep_twisted_bundles(F2)
 
 
+def test_sweeps_do_not_compare_a_class_with_a_tuple(monkeypatch):
+    unpatched = {base: sweep_twisted_bundles(base) for base in SWEEP_BASES}
+
+    def eq(self, other):
+        return type(other) is SurfaceClass and tuple.__eq__(self, other)
+
+    # a class now equals only a class, not the tuple of its fields
+    monkeypatch.setattr(SurfaceClass, "__eq__", eq)
+    monkeypatch.setattr(SurfaceClass, "__ne__", lambda self, other: not eq(self, other))
+    assert SurfaceClass(F0, -2, -2) != (F0, -2, -2)
+    assert SurfaceClass(F0, -2, -2) == SurfaceClass(F0, -2, -2)
+    for base in SWEEP_BASES:
+        assert sweep_twisted_bundles(base) == unpatched[base], base
+
+
 def test_sweep_rejects_surfaces_outside_its_scope():
     from fano64.surfaces import BaseSurface
 

@@ -6,7 +6,9 @@ public name has one home, its submodule: the package namespace binds
 nothing but `__version__`.  Every command starts a fresh interpreter,
 so the package keeps `dataclasses` and `typing`, and the `inspect` the
 first loads, out of its import: its records are `collections.namedtuple`
-classes, which document each field's type as a bare annotation.  A
+classes, which document each field's type as a bare annotation.  Each
+record subclasses a namedtuple of its own name inline, and no module
+imports `enum`: a kind is the string it prints.  A
 plain `toric` command does not load `argparse` either; every other
 argv does.  No check rests on an `assert` statement, which `python -O`
 drops, and the memoized functions are a fixed, named set.  `records`,
@@ -77,7 +79,8 @@ def test_package_namespace_binds_only_the_version():
     assert len(rest) == 1 and rest[0].startswith("__version__ = '"), rest
 
 
-def test_no_module_imports_dataclasses_or_typing():
+def _importers(names: set[str]) -> list[str]:
+    """Where a module of the package imports one of `names`, as file:line."""
     importers = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -87,8 +90,13 @@ def test_no_module_imports_dataclasses_or_typing():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.partition(".")[0] in {"dataclasses", "typing"} for m in modules):
+            if any(m.partition(".")[0] in names for m in modules):
                 importers.append(f"{path.name}:{node.lineno}")
+    return importers
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    importers = _importers({"dataclasses", "typing"})
     assert not importers, importers
 
 
@@ -194,6 +202,20 @@ def test_each_record_documents_its_fields_and_defaults():
         assert cls.__doc__, name
         assert cls._field_defaults == RECORDS[name], name
         assert vars(cls).get("__slots__") == (), name
+
+
+def test_each_record_subclasses_its_own_namedtuple_and_no_module_imports_enum():
+    # one idiom, `class X(namedtuple("X", ...))`: no private base, and no
+    # enum beside the records, so a kind is the string it prints
+    for name in RECORDS:
+        module, _, attr = name.partition(".")
+        cls = getattr(importlib.import_module(f"fano64.{module}"), attr)
+        [base] = cls.__bases__
+        # the namedtuple itself defines _fields; it has no base but tuple
+        assert base.__name__ == attr and base.__bases__ == (tuple,), name
+        assert "_fields" in vars(base), name
+    importers = _importers({"enum"})
+    assert not importers, importers
 
 
 def test_no_module_uses_an_assert_statement():

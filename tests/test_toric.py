@@ -14,7 +14,6 @@ import fano64.toric
 from fano64.lattice import IVec, _cross, _dot, det3, solve3
 from fano64.toric import (
     ConeSingularity,
-    ConeSingularityKind,
     Fan,
     RationalPolytope,
     _cone_walls,
@@ -249,13 +248,13 @@ def test_cone_checks_build_no_fraction(monkeypatch):
 
 def test_classify_smooth_cone():
     out = cone_singularity(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert out.kind is ConeSingularityKind.SMOOTH
+    assert out.kind == "smooth"
     assert out.witness is None
 
 
 def test_classify_transverse_a1():
     out = cone_singularity((E1, E2, E3))
-    assert out.kind is ConeSingularityKind.TRANSVERSE_A1
+    assert out.kind == "transverse-A1"
     assert out.witness == (0, -1, 1)
     # the witness is the half-sum of two generators, so it lies in the
     # lattice on a two-dimensional face
@@ -265,7 +264,7 @@ def test_classify_transverse_a1():
 def test_classify_isolated_half_point():
     rays = ((1, 0, 0), (0, 1, 0), (1, 1, 2))
     out = cone_singularity(rays)
-    assert out.kind is ConeSingularityKind.ISOLATED_HALF_POINT
+    assert out.kind == "isolated-half-point"
     assert scaled(out.witness, 2) == vsum(*rays)
 
 
@@ -382,26 +381,24 @@ def test_toric_degree_of_weighted_projective_space_matches_wps_degree():
 
 
 def _oracle_hull_order(points, normal):
-    """Cyclic boundary order of coplanar Fraction points via a 2D monotone chain."""
+    """Cyclic boundary order of the vertices of one facet of Delta, as Fraction points.
+
+    Not the monotone chain that _hull_order runs.  Every point is a
+    vertex of the facet, so projected along a coordinate with
+    normal_k != 0 no two others are collinear with the lexicographically
+    least one, and one cross product orders each pair counter-clockwise
+    around it, as _strict_hull_ring does.
+    """
     drop = max(range(3), key=lambda i: abs(normal[i]))
-    flat = sorted((tuple(x for i, x in enumerate(pt) if i != drop), pt) for pt in points)
+    flat = {tuple(x for i, x in enumerate(pt) if i != drop): pt for pt in points}
+    (ox, oy) = first = min(flat)
 
-    def cross(o, a, b):
-        return (a[0][0] - o[0][0]) * (b[0][1] - o[0][1]) - (a[0][1] - o[0][1]) * (
-            b[0][0] - o[0][0]
-        )
+    def compare(a, b):
+        # negative when a comes first, counter-clockwise around first
+        return (b[0] - ox) * (a[1] - oy) - (b[1] - oy) * (a[0] - ox)
 
-    lower: list = []
-    for item in flat:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], item) <= 0:
-            lower.pop()
-        lower.append(item)
-    upper: list = []
-    for item in reversed(flat):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], item) <= 0:
-            upper.pop()
-        upper.append(item)
-    return [pt for _, pt in lower[:-1] + upper[:-1]]
+    rest = sorted((q for q in flat if q != first), key=cmp_to_key(compare))
+    return [flat[q] for q in (first, *rest)]
 
 
 def _fraction_point(vertex) -> tuple[Fraction, Fraction, Fraction]:
@@ -553,6 +550,53 @@ def test_reflexive_degree_matches_the_lattice_point_count():
             assert p.degree == 2 * (_lattice_point_count(f, p) - 3), w
             reflexive += 1
     assert reflexive == 9
+
+
+def _edge_length_sum(rays) -> int:
+    """Sum of l(e*) l(e) over the edges e* of conv(rays), when every facet has c = 1.
+
+    Each edge e* = [a, b] runs a -> b in one ring of _hull_facets and
+    b -> a in its neighbour's; its dual edge e joins those two facets'
+    vertices -n of Delta.  l is the lattice length, the gcd of the
+    difference.
+    """
+    hull = fano64.toric._hull_facets(rays)
+    booked = {}
+    for plane, ring in hull.items():
+        for a, b in zip(ring[-1:] + ring, ring):
+            booked[a, b] = plane
+    total = 0
+    for (a, b), (n, _) in booked.items():
+        if a < b:
+            m, _ = booked[b, a]
+            total += gcd(*(x - y for x, y in zip(rays[a], rays[b]))) * gcd(
+                *(x - y for x, y in zip(n, m))
+            )
+    return total
+
+
+def _reflexive(rays) -> bool:
+    """Whether Delta is bounded and every facet <n, x> = c of conv(rays) has c = 1."""
+    try:
+        return all(c == 1 for _, c in fano64.toric._hull_facets(rays))
+    except ValueError:
+        return False
+
+
+def test_reflexive_edge_lengths_sum_to_24():
+    # for reflexive Delta, the sum over the edges of Delta* = conv(rays)
+    # of l(e*) l(e) is 24, the Euler number of a K3 surface
+    fans = [load(name).rays for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    fans += [f.rays for w, f in _wps_fans() if wps_is_gorenstein(w)]
+    assert len(fans) == 12 and all(map(_reflexive, fans))
+    rng = random.Random(27)
+    cube = [v for v in product((-1, 0, 1), repeat=3) if v != (0, 0, 0)]
+    while len(fans) < 212:
+        rays = rng.sample(cube, rng.randint(4, 26))
+        if _reflexive(rays):
+            fans.append(rays)
+    for rays in fans:
+        assert _edge_length_sum(rays) == 24, rays
 
 
 def test_unbounded_polytope_rejected():

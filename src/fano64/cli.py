@@ -36,7 +36,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .bundles import (
@@ -62,6 +61,7 @@ from .records import (
     Survives,
     check_ledger,
     record_to_json,
+    value_text,
 )
 from .surfaces import BASES, BaseSurface, SurfaceClass
 from .toric import (
@@ -78,18 +78,6 @@ from .wps import (
     wps_is_gorenstein,
     wps_vertex_singularity,
 )
-
-
-def _fmt(v) -> str:
-    # exact types: an isinstance test against Fraction runs the slow ABC check.
-    # `reproduce`'s text report writes exact ints itself: change both together
-    if type(v) is bool:
-        return "true" if v else "false"
-    if type(v) is Fraction:
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 def _too_long() -> str:
@@ -156,7 +144,7 @@ def _cmd_bundle(args) -> int:
         c2 = solve_c2_for_degree(c1, args.solve_degree)
         integral = c2.denominator == 1
         flag = "INTEGRAL" if integral else "NON-INTEGRAL"
-        shown = _fmt(c2)
+        shown = value_text(c2)
         lines.append(f"c2 for degree {args.solve_degree}: {shown} ({flag})")
         doc.update({"solve_degree": args.solve_degree, "c2": shown, "integral": integral})
         if integral:
@@ -181,12 +169,12 @@ def _cmd_wps(args) -> int:
     degree = wps_degree(w)
     index = wps_anticanonical_index(w)
     gorenstein = wps_is_gorenstein(w)
-    shown = _fmt(degree)
+    shown = value_text(degree)
     lines = [
         f"space: {w}",
         f"degree: {shown}",
         f"anticanonical index: {index}",
-        f"gorenstein: {_fmt(gorenstein)}",
+        f"gorenstein: {value_text(gorenstein)}",
     ]
     doc: dict = {
         "weights": list(w),
@@ -241,7 +229,7 @@ def _cmd_toric(args) -> int:
     if args.action == "degree":
         polytope = anticanonical_polytope(fan)
         degree = polytope.degree
-        shown = _fmt(degree)
+        shown = value_text(degree)
         lines = [f"degree: {shown}"]
         doc = {"degree": shown, "vertices": len(polytope.vertices)}
         if args.expect is not None:
@@ -334,19 +322,19 @@ def _cmd_reproduce(args) -> int:
         for name, records in sections.items():
             for record in records:
                 lines.append(f"[{name}] {record.context}")
-                # most values are exact ints, which _fmt would only str();
+                # most values are exact ints, which value_text would only str();
                 # a plain loop, since a comprehension per record costs a frame
                 for key, value in record.computed:
                     if type(value) is int:
                         lines.append(f"    {key} = {value}")
                     else:
-                        lines.append(f"    {key} = {_fmt(value)}")
+                        lines.append(f"    {key} = {value_text(value)}")
                 # most verdicts are geometric arguments: test for those first
                 v = record.verdict
                 if isinstance(v, GeometricArgument):
                     lines.append(f"    geometric argument: {v.argument}")
                 elif isinstance(v, ArithmeticContradiction):
-                    got = _fmt(record.value(v.quantity))
+                    got = value_text(record.value(v.quantity))
                     lines.append(f"    contradiction: {v.describe()}, got {got}")
                 else:
                     lines.append(f"    survives: {v.construction}")

@@ -400,12 +400,13 @@ def _sweep_plane() -> list[CaseRecord]:
         )
     )
     # c1 = 9 saturates the nef-domination bound and is decomposable by
-    # an external splitting argument, so 0 <= c1 <= 8 from here on.
+    # an external splitting argument, so 0 <= c1 < 9 from here on.
+    boundary = SurfaceClass(P2, 9)
     records.append(
         _record(
             "twisted-sweep/P2/c1-boundary",
-            {"base": P2, "c1": SurfaceClass(P2, 9)},
-            {"nef_dominated": c1_nef_dominated(SurfaceClass(P2, 9))},
+            {"base": P2, "c1": boundary},
+            {"nef_dominated": c1_nef_dominated(boundary)},
             GeometricArgument(
                 "c1 = 9 attains the nef-domination bound and such a bundle "
                 "splits (external), reducing to the decomposable case; "
@@ -418,13 +419,12 @@ def _sweep_plane() -> list[CaseRecord]:
         "via Serre duality, so it has a section; the zero-"
         "locus analysis excludes it (external)"
     )
-    # Parity split of 0 <= c1 <= 8: odd c1 = 2m - 3 and even c1 = 2m - 2.
-    for parity, c1_of_m, m_range in (
-        ("odd", lambda m: 2 * m - 3, range(2, 6)),
-        ("even", lambda m: 2 * m - 2, range(1, 6)),
-    ):
-        for m in m_range:
-            c1 = SurfaceClass(P2, c1_of_m(m))
+    # Parity split of 0 <= c1 < 9, each c1 twisted by -m for m = (c1 + 3) // 2:
+    # odd c1 = 2m - 3 and even c1 = 2m - 2.
+    for parity, first in (("odd", 1), ("even", 0)):
+        for a in range(first, boundary.a, 2):
+            m = (a + 3) // 2
+            c1 = SurfaceClass(P2, a)
             c1_twisted, shift = twist(c1, 0, SurfaceClass(P2, -m))
             chi_at_zero = chi_rank2(c1, 0)
             head = f"twisted-sweep/P2/{parity}/m={m}/chi="

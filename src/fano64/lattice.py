@@ -4,12 +4,12 @@ A lattice vector in Z^3 is a plain ``tuple[int, int, int]`` (``IVec``);
 the helper set is ``_cross``, ``_dot`` and ``_is_primitive``
 (package-internal), ``det3``, ``solve3`` and the formatter ``vec_str``.
 Everything here is integer arithmetic: determinants, Cramer numerators
-and gcd bookkeeping.  A rational solution is handed back as integer
-numerators over a common determinant, and the caller decides whether
-to reduce it.  No floating point appears anywhere in this package:
-elsewhere ``fractions.Fraction`` carries every non-integer value, and
-Python integers are arbitrary precision, so enumeration loops cannot
-overflow.
+and gcd bookkeeping.  ``solve3`` solves the package's one linear system,
+rows * m = (-1, -1, -1), and hands its solution back as integer
+numerators over the determinant; the caller reduces it.  No floating
+point appears anywhere in this package: elsewhere ``fractions.Fraction``
+carries every non-integer value, and Python integers are arbitrary
+precision, so enumeration loops cannot overflow.
 """
 
 from __future__ import annotations
@@ -46,26 +46,17 @@ def det3(a: IVec, b: IVec, c: IVec) -> int:
     return _dot(a, _cross(b, c))
 
 
-def solve3(rows: tuple[IVec, IVec, IVec], rhs: IVec) -> tuple[IVec, int] | None:
-    """Solve the 3x3 system rows * m = rhs by Cramer's rule, in integers.
+def solve3(rows: tuple[IVec, IVec, IVec]) -> tuple[IVec, int]:
+    """Solve rows * m = (-1, -1, -1) by Cramer's rule, in integers.
 
-    For rows a, b, c and right-hand side (p, q, r) the solution is n / d
-    with n = p b x c + q c x a + r a x b and d = det(a, b, c), so that
-    rows * n = d rhs.  Returns (n, d) unreduced, or None when the rows
-    are linearly dependent (a normal outcome, not an error).
+    For rows a, b, c the solution is n / d with n = -(b x c + c x a + a x b)
+    and d = det(a, b, c), so that rows * n = (-d, -d, -d).  Returns (n, d)
+    unreduced; dependent rows (d = 0) raise ArithmeticError.
     """
     a, b, c = rows
     bc = _cross(b, c)
     d = _dot(a, bc)
     if d == 0:
-        return None
+        raise ArithmeticError(f"rows {rows} are linearly dependent")
     ca, ab = _cross(c, a), _cross(a, b)
-    p, q, r = rhs
-    return (
-        (
-            p * bc[0] + q * ca[0] + r * ab[0],
-            p * bc[1] + q * ca[1] + r * ab[1],
-            p * bc[2] + q * ca[2] + r * ab[2],
-        ),
-        d,
-    )
+    return (-bc[0] - ca[0] - ab[0], -bc[1] - ca[1] - ab[1], -bc[2] - ca[2] - ab[2]), d

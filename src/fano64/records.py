@@ -24,7 +24,8 @@ their records to it.  `check_ledger` is the one place that decides
 whether a run of the ledger holds, on its claims alone; the command
 line only prints its failures.  `record_to_json` writes a record as
 `reproduce --machine` JSON text, and `record_from_payload` reads it back
-to an equal record.  This module imports only the standard library.
+to an equal record; `value_text` is how the text reports print a value.
+This module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ Value = int | Fraction | bool | str
 _VALUE_TYPES = (int, Fraction, bool, str)  # exact types: a bool is not an int here
 
 
+def value_text(v: Value) -> str:
+    """How the reports print an exact value: a bool as true or false, anything else by str."""
+    if type(v) is bool:
+        return "true" if v else "false"
+    return str(v)
+
+
 class ArithmeticContradiction(
     namedtuple("ArithmeticContradiction", ["quantity", "op", "target"], defaults=[None])
 ):
@@ -61,7 +69,7 @@ class ArithmeticContradiction(
     def describe(self) -> str:
         if self.op == "is-integer":
             return f"{self.quantity} must be an integer"
-        return f"requires {self.quantity} {self.op} {self.target}"
+        return f"requires {self.quantity} {self.op} {value_text(self.target)}"
 
 
 class Survives(namedtuple("Survives", ["construction"])):

@@ -208,7 +208,7 @@ def _support_plane(rays: Sequence[IVec]) -> tuple[IVec, int, bool] | None:
             break
     else:
         return None
-    (x, y, z), d = solve3((a, b, c), (-1, -1, -1))
+    (x, y, z), d = solve3((a, b, c))
     g = gcd(x, y, z, d)
     if d < 0:
         g = -g

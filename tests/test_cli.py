@@ -20,7 +20,14 @@ from fano64 import cli
 from fano64.cli import _build_parser, _plain_toric_args, main
 from fano64.elimination import classification_summary
 from fano64.ledger import genus_of_degree
-from fano64.records import CaseRecord, GeometricArgument, Survives
+from fano64.records import (
+    ArithmeticContradiction,
+    CaseRecord,
+    GeometricArgument,
+    Survives,
+    value_text,
+)
+from fano64.surfaces import BASES
 from fano64.toric import Fan
 from fano64.wps import Weights
 
@@ -81,17 +88,21 @@ def test_wps_fractional_degree_has_no_genus_row(capsys):
     assert "genus" not in out
 
 
+def _well_formed(weights: tuple[int, ...]) -> bool:
+    try:
+        Weights(*weights)
+    except ValueError:
+        return False
+    return True
+
+
 def test_one_genus_formula_across_the_ledger_and_the_wps_command(capsys):
     for r in classification_summary():
         genus = r.value("genus")
         assert genus == genus_of_degree(r.value("degree")), r.context
         assert r.value("ambient_dim") == genus + 1, r.context
     with_genus = 0
-    for weights in combinations_with_replacement(range(7, 0, -1), 4):
-        try:
-            Weights(*weights)
-        except ValueError:
-            continue  # ill-formed
+    for weights in filter(_well_formed, combinations_with_replacement(range(7, 0, -1), 4)):
         code, out, _ = run(capsys, "wps", *map(str, weights), "--machine")
         assert code == 0, weights
         doc = json.loads(out)
@@ -933,6 +944,46 @@ def test_reproduce_output_is_pinned_by_digest(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, flags
 
 
+def _stdout_digest(capsys, argvs: list[tuple[str, ...]]) -> str:
+    """sha256 over the stdout of each argv in turn; each must exit 0 and write no stderr."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        digest.update(out.encode("utf-8"))
+    return digest.hexdigest()
+
+
+# `wps` on every well-formed weight vector with entries at most 7, and
+# `bundle` on each base at three c1 values, with --c2 and --solve-degree,
+# each in text and --machine.  Only commands that succeed are pinned:
+# argparse words its errors differently from one Python to the next.
+WPS_ARGVS = [
+    ("wps", *map(str, w), *flags)
+    for w in combinations_with_replacement(range(7, 0, -1), 4)
+    if _well_formed(w)
+    for flags in ((), ("--machine",))
+]
+BUNDLE_C1 = {"P2": ("0", "3", "8")}
+BUNDLE_ARGVS = [
+    ("bundle", "--base", base, f"--c1={c1}", option, *flags)
+    for base in sorted(BASES)
+    for c1 in BUNDLE_C1.get(base, ("2,2", "-2,-2", "1,3"))
+    for option in ("--c2=0", "--c2=-2", "--solve-degree=64", "--solve-degree=63")
+    for flags in ((), ("--machine",))
+]
+COMMAND_DIGESTS = {
+    "wps": "bc19f8a95390f4bccb64fb0ced4425ec1925862f46676afe32180dc9fe99c273",
+    "bundle": "223c2bc814b415b9649f31bdc31fa202223d04b9aff544d19b619eae9bbd9b3b",
+}
+
+
+def test_wps_and_bundle_output_is_pinned_by_digest(capsys):
+    assert (len(WPS_ARGVS), len(BUNDLE_ARGVS)) == (250, 144)
+    assert _stdout_digest(capsys, WPS_ARGVS) == COMMAND_DIGESTS["wps"]
+    assert _stdout_digest(capsys, BUNDLE_ARGVS) == COMMAND_DIGESTS["bundle"]
+
+
 def test_reproduce_single_part(capsys):
     code, out, _ = run(capsys, "reproduce", "--part", "p1-bundles", "--machine")
     assert code == 0
@@ -981,6 +1032,28 @@ def test_reproduce_text_words_each_verdict_by_its_kind(capsys, monkeypatch):
         "[twisted-sweep/F0] c",
         "    survives: x",
     ]
+
+
+def test_reproduce_text_prints_a_bool_target_as_it_prints_a_bool_value(capsys, monkeypatch):
+    record = CaseRecord(
+        "d", (), (("flag", False),), ArithmeticContradiction("flag", "==", True)
+    )
+    monkeypatch.setattr(cli, "_reproduce", lambda part: {"twisted-sweep/F0": [record]})
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "[twisted-sweep/F0] d",
+        "    flag = false",
+        "    contradiction: requires flag == true, got false",
+    ]
+
+
+def test_value_text_prints_each_value_type():
+    assert value_text(-7) == "-7"
+    assert value_text(Fraction(6, 2)) == "3"
+    assert value_text(Fraction(-125, 2)) == "-125/2"
+    assert (value_text(True), value_text(False)) == ("true", "false")
+    assert value_text("2D + pi*(l)") == "2D + pi*(l)"
 
 
 def test_machine_records_round_trip_through_the_serializer(capsys):

@@ -73,39 +73,45 @@ def _fraction_solve(rows, rhs) -> tuple[Fraction, ...] | None:
     return tuple(aug[i][3] / aug[i][i] for i in range(3))
 
 
-@given(vectors, vectors, vectors, vectors, vectors)
-@example((1, 2, 3), (2, 4, 6), (0, 0, 1), (1, 1, 1), (1, -1, 2))  # parallel rows
-@example((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 1), (0, 0, 1))  # a row in the others' plane
-@example((0, 1, 0), (2, 0, 0), (0, 0, 3), (1, 1, 1), (1, 1, 1))  # det < 0, fractional
-def test_solve3_round_trip(a, b, c, x, ints):
-    """Integral solutions, and integer right-hand sides with fractional solutions.
+@given(vectors, vectors, vectors, st.integers(-3, 3), st.integers(-3, 3))
+@example((1, 2, 3), (2, 4, 6), (0, 0, 1), 0, 0)  # parallel rows
+@example((1, 0, 0), (0, 1, 0), (1, 1, 0), 1, 1)  # a row in the others' plane
+@example((0, 1, 0), (2, 0, 0), (0, 0, 3), 0, 0)  # det < 0, fractional
+def test_solve3_round_trip(a, b, c, p, q):
+    """Cramer numerators n over the determinant d, unreduced: rows * n = (-d, -d, -d).
 
-    solve3 returns Cramer numerators n over the determinant d, unreduced:
-    rows * n = d rhs, n / d is the rational solution, and the answer is
-    None exactly when the rows are singular.
+    n / d is the rational solution of rows * m = (-1, -1, -1), and the
+    rows raise ArithmeticError exactly when they are dependent, as a, b
+    and p a + q b always are.
     """
     rows = (a, b, c)
-    oracle = _fraction_solve(rows, ints)
-    assert (solve3(rows, ints) is None) is (oracle is None) is (det3(a, b, c) == 0)
-    if oracle is None:
-        assert solve3(rows, (0, 0, 0)) is None
-        return
     d = det3(a, b, c)
-    rhs = tuple(_dot(r, x) for r in rows)
-    assert solve3(rows, rhs) == ((d * x[0], d * x[1], d * x[2]), d)
-    n, d = solve3(rows, ints)
-    assert all(type(t) is int for t in (*n, d))
-    assert tuple(_dot(r, n) for r in rows) == (d * ints[0], d * ints[1], d * ints[2])
-    assert tuple(Fraction(t, d) for t in n) == oracle
+    oracle = _fraction_solve(rows, (-1, -1, -1))
+    assert (oracle is None) is (d == 0)
+    if oracle is None:
+        with pytest.raises(ArithmeticError):
+            solve3(rows)
+    else:
+        n, d_solved = solve3(rows)
+        assert d_solved == d
+        assert all(type(t) is int for t in (*n, d_solved))
+        assert tuple(_dot(r, n) for r in rows) == (-d, -d, -d)
+        assert tuple(Fraction(t, d) for t in n) == oracle
+    dependent = tuple(p * x + q * y for x, y in zip(a, b))
+    with pytest.raises(ArithmeticError):
+        solve3((a, b, dependent))
 
 
 def test_solve3_fractional_solution():
     rows = ((2, 0, 0), (0, 3, 0), (0, 0, 1))
-    # (1/2, 1/3, 5) and (1/2, -1/3, 0), each over the determinant 6
-    assert solve3(rows, (1, 1, 5)) == ((3, 2, 30), 6)
-    assert solve3(rows, (1, -1, 0)) == ((3, -2, 0), 6)
+    # (-1/2, -1/3, -1) over the determinant 6
+    assert solve3(rows) == ((-3, -2, -6), 6)
     # swapping two rows flips the sign of d and n, not the solution
-    assert solve3((rows[1], rows[0], rows[2]), (1, 1, 5)) == ((-3, -2, -30), -6)
+    assert solve3((rows[1], rows[0], rows[2])) == ((3, 2, 6), -6)
+    # (-1/2, -1/2, -1/2) over 2, with no diagonal row
+    assert solve3(((1, 1, 0), (0, 1, 1), (1, 0, 1))) == ((-1, -1, -1), 2)
+    # unreduced: (-1/2, -1/2, -1/2) as (-4, -4, -4) over 8
+    assert solve3(((2, 0, 0), (0, 2, 0), (0, 0, 2))) == ((-4, -4, -4), 8)
 
 
 def test_lattice_builds_no_fractions():

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 from pathlib import Path
@@ -186,9 +186,9 @@ def test_support_plane_of_a_rank_2_cone_solves_nothing(monkeypatch):
     """3000 rays on one plane: no triple is independent, and none is solved."""
     calls = []
 
-    def counting_solve3(rows, rhs):
+    def counting_solve3(rows):
         calls.append(rows)
-        return solve3(rows, rhs)
+        return solve3(rows)
 
     monkeypatch.setattr(fano64.toric, "solve3", counting_solve3)
     rays = tuple((1, i, 0) for i in range(3000))
@@ -583,20 +583,74 @@ def _reflexive(rays) -> bool:
         return False
 
 
-def test_reflexive_edge_lengths_sum_to_24():
-    # for reflexive Delta, the sum over the edges of Delta* = conv(rays)
-    # of l(e*) l(e) is 24, the Euler number of a K3 surface
+@cache
+def _reflexive_fans() -> tuple[tuple[IVec, ...], ...]:
+    """Rays of 212 reflexive fans, drawn once.
+
+    They are the 3 shipped fans, the 9 reflexive wps fans with weights
+    <= 7, and 200 seeded subsets of {-1, 0, 1}^3 whose hull has every
+    facet at c = 1.
+    """
     fans = [load(name).rays for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
     fans += [f.rays for w, f in _wps_fans() if wps_is_gorenstein(w)]
     assert len(fans) == 12 and all(map(_reflexive, fans))
     rng = random.Random(27)
     cube = [v for v in product((-1, 0, 1), repeat=3) if v != (0, 0, 0)]
     while len(fans) < 212:
-        rays = rng.sample(cube, rng.randint(4, 26))
+        rays = tuple(rng.sample(cube, rng.randint(4, 26)))
         if _reflexive(rays):
             fans.append(rays)
-    for rays in fans:
+    return tuple(fans)
+
+
+def test_reflexive_edge_lengths_sum_to_24():
+    # for reflexive Delta, the sum over the edges of Delta* = conv(rays)
+    # of l(e*) l(e) is 24, the Euler number of a K3 surface
+    for rays in _reflexive_fans():
         assert _edge_length_sum(rays) == 24, rays
+
+
+def _dilate_point_count(rays, vertices: list[IVec], m: int) -> int:
+    """#(m Delta n Z^3), Delta = {x : <x, v> >= -1 for every ray v}, counted row by row.
+
+    Each (x, y) in the box of m Delta's vertices is a row: a ray with
+    v_z > 0 bounds z from below by <(x, y, z), v> >= -m, one with
+    v_z < 0 from above, and one with v_z = 0 keeps or empties the row.
+    Rays that span positively bound every row on both sides.
+    """
+    xs, ys, _ = zip(*vertices)
+    box = [range(m * min(c), m * max(c) + 1) for c in (xs, ys)]
+    count = 0
+    for x, y in product(*box):
+        lows, highs, inside = [], [], True
+        for vx, vy, vz in rays:
+            rest = -m - vx * x - vy * y  # the ray asks vz * z >= rest
+            if vz > 0:
+                lows.append(-(-rest // vz))
+            elif vz < 0:
+                highs.append(rest // vz)
+            else:
+                inside = inside and rest <= 0
+        if inside:
+            count += max(0, min(highs) - max(lows) + 1)
+    return count
+
+
+def test_reflexive_dilates_count_their_ehrhart_polynomial():
+    # for reflexive Delta of degree d, #(m Delta n M) = m(m+1)(2m+1)d/12 + 2m + 1
+    counts = {}
+    for rays in _reflexive_fans():
+        hull = fano64.toric._hull_facets(rays)
+        p = anticanonical_polytope(Fan(rays, list(hull.values())))
+        assert _is_integral(p), rays
+        vertices = [v for v, _ in p.vertices]
+        for m in (2, 3):
+            count = _dilate_point_count(rays, vertices, m)
+            assert count == m * (m + 1) * (2 * m + 1) * p.degree / 12 + 2 * m + 1, (rays, m)
+            counts[rays, m] = count
+    p3, p1p1p1 = (load(name).rays for name in ("p3.fan", "p1p1p1.fan"))
+    assert (counts[p3, 2], counts[p3, 3]) == (165, 455)
+    assert (counts[p1p1p1, 2], counts[p1p1p1, 3]) == (125, 343)
 
 
 def test_unbounded_polytope_rejected():

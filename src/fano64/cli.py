@@ -107,8 +107,11 @@ def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
 
     try:
         coeffs = [_integer(p) for p in text.split(",")]
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"c1 coefficients must be integers, got {text!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        reason = str(exc)
+        if reason != _too_long():
+            reason = f"c1 coefficients must be integers, got {text!r}"
+        raise ValueError(reason) from None
     if base.is_plane:
         if len(coeffs) != 1:
             raise ValueError("c1 on P2 takes a single coefficient")

@@ -22,14 +22,14 @@ facet of conv(rays) as the ring of its vertices, and wraps once per
 facet: about a ring edge only when no facet found so far runs it the
 other way, so every wrap reaches a new facet.  Each facet of
 Delta lies on the plane <m, v> = -1 of one vertex v of conv(rays): its
-vertices are the facets around v, listed in boundary order from the
-rings' shared edges, not by a second sort.  The degree is summed as
-each ring is built: a pyramid from the origin over the facet, an
-integer shoelace sum in that order on the facet projected along a
-coordinate k with v_k != 0, so only the code that builds a ring reads
-its order.  A vertex is kept as the integer pair (p, d) = (-n, c), the
-point p / d in lowest terms, so Delta is a lattice polytope exactly
-when every d is 1.
+vertices are the facets around v.  The degree is a pyramid from the
+origin over each such facet, an integer shoelace sum on the facet
+projected along a coordinate k with v_k != 0, summed edge by edge off
+the rings: the facets that run a ring edge as v -> b and as b -> v are
+neighbours round v, so each gives one term of v's sum, and no facet of
+Delta is listed or ordered.  A vertex is kept as the integer pair
+(p, d) = (-n, c), the point p / d in lowest terms, so Delta is a
+lattice polytope exactly when every d is 1.
 validate_fan performs structural sanity checks and returns its
 findings, a tuple of strings that is empty when the fan is clean,
 instead of raising, so defective input data can be examined rather than
@@ -136,16 +136,10 @@ class Fan(namedtuple("Fan", ["rays", "max_cones"])):
 QPoint = tuple[IVec, int]
 
 
-class RationalPolytope(namedtuple("RationalPolytope", ["vertices", "facets", "degree"])):
-    """Vertices (p, d) meaning p / d, facets (ray v, vertices on <m, v> = -1), and 6 vol.
-
-    Each facet lists its vertices in boundary order, taken from the hull
-    walk; anticanonical_polytope sums the degree as it builds each ring,
-    so no other code reads a ring's order.
-    """
+class RationalPolytope(namedtuple("RationalPolytope", ["vertices", "degree"])):
+    """Vertices (p, d) meaning p / d, in the order the hull walk finds them, and 6 vol."""
 
     vertices: tuple[QPoint, ...]
-    facets: tuple[tuple[IVec, tuple[QPoint, ...]], ...]
     degree: Fraction
     __slots__ = ()
 
@@ -362,66 +356,59 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
 
 
 def anticanonical_polytope(f: Fan) -> RationalPolytope:
-    """Polar polytope Delta of the fan's rays, its facets in ring order, and 6 vol(Delta).
+    """Polar polytope Delta of the fan's rays and 6 vol(Delta), from one hull walk.
 
     Each facet <n, x> = c of conv(rays), n primitive and outward, is the
     vertex (-n, c) of Delta: c > 0, so -n / c is in lowest terms.  Each
     vertex v of conv(rays) is the facet of Delta on <m, v> = -1, whose
-    vertices are those of the facets around v, listed in boundary order
-    from the walk's adjacency: if F's ring runs a -> v -> b, the next
-    facet round v is the one whose ring runs b -> v.  No facet is sorted
-    again.  A repeated ray counts once.  Raises when Delta is unbounded,
-    i.e. the rays fail to positively span the space; the walk names the
-    direction from the supporting plane that shows it.
+    vertices are those of the facets around v.  A repeated ray counts
+    once.  Raises when Delta is unbounded, i.e. the rays fail to
+    positively span the space; the walk names the direction from the
+    supporting plane that shows it.
 
-    The degree is summed as each ring is built, one pyramid from the
-    origin, interior to Delta, per facet.  The facet F on <m, v> = -1,
-    projected along a coordinate k with v_k != 0 and scaled by the lcm L
-    of its vertices' d, has integer points p L / d whose shoelace sum S
-    in ring order is 2 L^2 times the projected area; as vol(pyramid) =
-    area(F)/(3|v|) and the projection scales area by |v_k|/|v|, the
-    pyramid adds 6 vol = |S| / (L^2 |v_k|).  num / den keeps the sum,
-    den the running lcm of the L^2 |v_k|, and one Fraction is built at
-    the end.  A bounded Delta is full-dimensional, so a zero sum means a
-    broken walk and raises ArithmeticError.
+    The degree is one pyramid from the origin, interior to Delta, per
+    facet.  The facet F on <m, v> = -1, projected along a coordinate k
+    with v_k != 0 and scaled by the lcm L of its vertices' d, has integer
+    points p L / d whose shoelace sum S in boundary order is 2 L^2 times
+    the projected area; as vol(pyramid) = area(F)/(3|v|) and the
+    projection scales area by |v_k|/|v|, the pyramid adds
+    6 vol = |S| / (L^2 |v_k|).  S is summed edge by edge off the walk's
+    rings, in any order: if the facet G of conv(rays) has the ring edge
+    v -> b, the one with b -> v comes next round v, so each ring edge
+    out of v gives one term of S.  num / den keeps the sum, den the
+    running lcm of the L^2 |v_k|, and one Fraction is built at the end.
+    A bounded Delta is full-dimensional, so a zero sum means a broken
+    walk and raises ArithmeticError.
     """
     rays = tuple(dict.fromkeys(f.rays))
     hull = _hull_facets(rays)
     vertices = [((-x, -y, -z), c) for (x, y, z), c in hull]
-    # around[v][a] = (F's vertex of Delta, b) when F's ring runs a -> v -> b
-    around: dict[int, dict[int, tuple[QPoint, int]]] = {}
-    for m, ring in zip(vertices, hull.values()):
-        a, v = ring[-2], ring[-1]
+    # owner[a, b] is the vertex of Delta whose facet's ring runs a -> b; scale[v] is L
+    owner: dict[tuple[int, int], QPoint] = {}
+    scale: dict[int, int] = {}
+    for (m, d), ring in zip(vertices, hull.values()):
+        a = ring[-1]
         for b in ring:
-            around.setdefault(v, {})[a] = (m, b)
-            a, v = v, b
-    facets = []
+            owner[a, b] = m, d
+            scale[a] = lcm(scale.get(a, 1), d)
+            a = b
+    sums = dict.fromkeys(scale, 0)
+    axes = {v: _axes(rays[v]) for v in scale}
+    for (v, b), (m, d) in owner.items():
+        n, e = owner[b, v]
+        _, i, j = axes[v]
+        level = scale[v]
+        sums[v] += (m[i] * n[j] - n[i] * m[j]) * (level // d) * (level // e)
     num, den = 0, 1
-    for v, step in around.items():
-        ray = rays[v]
-        ms = []
-        a = next(iter(step))
-        for _ in step:
-            m, a = step[a]
-            ms.append(m)
-        facets.append((ray, tuple(ms)))
-        k, i, j = _axes(ray)
-        scale = lcm(*[d for _, d in ms])
-        s = 0
-        m, d = ms[-1]
-        x0, y0 = m[i] * (scale // d), m[j] * (scale // d)
-        for m, d in ms:
-            q = scale // d
-            x1, y1 = m[i] * q, m[j] * q
-            s += x0 * y1 - x1 * y0
-            x0, y0 = x1, y1
-        w = scale * scale * abs(ray[k])
+    for v, s in sums.items():
+        k = axes[v][0]
+        w = scale[v] ** 2 * abs(rays[v][k])
         common = lcm(den, w)
         num = num * (common // den) + abs(s) * (common // w)
         den = common
     if num == 0:
         raise ArithmeticError("hull walk gave a polytope with no volume")
-    return RationalPolytope(tuple(vertices), tuple(facets), Fraction(num, den))
+    return RationalPolytope(tuple(vertices), Fraction(num, den))
 
 
 def _hull_order(index: dict[tuple[int, int], int]) -> list[int]:

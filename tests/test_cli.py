@@ -215,6 +215,13 @@ def test_a_number_past_the_digit_limit_is_refused_in_the_programs_words(capsys):
     code, out, err = run(capsys, "wps", "1", "1", "1", "1" * 5000)
     assert (code, out) == (1, "")
     assert err.endswith(f"fano64 wps: error: argument W: {TOO_LONG}\n"), err
+    # --c1 reads its own coefficients, and gives the same reason, not the whole argument
+    c1 = "9" * 5000 + ",1"
+    assert run(capsys, "bundle", "--base", "F0", "--c1", c1, "--c2", "0") == (
+        1,
+        "",
+        f"error: {TOO_LONG}\n",
+    )
     # each degree below has thousands of digits more than its inputs
     for argv in (
         ("wps", "1", "1", "1", "1" * 3000),

@@ -17,18 +17,19 @@ Delta is the polar of conv(rays), so its vertices come from an integer
 walk over the facets of conv(rays), a facet <n, x> = c giving the
 vertex -n / c.  Delta is unbounded exactly when the walk meets a
 supporting plane with c <= 0: no ray lies beyond it, so the error names
--n, a direction m with <m, v> >= 0 on every ray.  The walk gives each
-facet of conv(rays) as the ring of its vertices, and wraps once per
-facet: about a ring edge only when no facet found so far runs it the
-other way, so every wrap reaches a new facet.  Each facet of
+-n, a direction m with <m, v> >= 0 on every ray.  The walk rings each
+facet of conv(rays) by its vertices and returns one map, from each
+directed ring edge a -> b to the facet (n, c) that runs it, and wraps
+once per facet: about a ring edge only when no facet found so far runs
+it the other way, so every wrap reaches a new facet.  Each facet of
 Delta lies on the plane <m, v> = -1 of one vertex v of conv(rays): its
 vertices are the facets around v.  The degree is a pyramid from the
 origin over each such facet, an integer shoelace sum on the facet
 projected along a coordinate k with v_k != 0, summed edge by edge off
-the rings: the facets that run a ring edge as v -> b and as b -> v are
-neighbours round v, so each gives one term of v's sum, and no facet of
-Delta is listed or ordered.  A vertex is kept as the integer pair
-(p, d) = (-n, c), the point p / d in lowest terms, so Delta is a
+that map: the facets that run an edge as v -> b and as b -> v are
+neighbours round v, so each edge gives one term of v's sum, and no
+facet of Delta is listed or ordered.  A vertex is kept as the integer
+pair (p, d) = (-n, c), the point p / d in lowest terms, so Delta is a
 lattice polytope exactly when every d is 1.
 validate_fan performs structural sanity checks and returns its
 findings, a tuple of strings that is empty when the fan is clean,
@@ -286,21 +287,23 @@ def _wrap(pts: Sequence[IVec], a: IVec, b: IVec) -> tuple[IVec, int]:
     return (nx // g, ny // g, nz // g), c // g
 
 
-def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
-    """The facets <n, x> = c of conv(pts) with their rings of vertices, by gift wrapping.
+def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[int, int], tuple[IVec, int]]:
+    """Each directed ring edge a -> b of conv(pts), mapped to the facet <n, x> = c that runs it.
 
     The walk starts on a supporting plane through the vertical line at
     the largest point a, and crosses to a facet where a plane meets the
     hull in an edge only, as its monotone chain leaves two corners.  A
     facet's ring lists its corners, the hull vertices on it, turning
-    about -n, so wrapping about its edge p -> q reaches the facet whose
-    ring runs it as q -> p: anticanonical_polytope orders the facets of
-    the polar from this adjacency.  Each ring edge goes on a stack, and
-    is wrapped about when popped only if no facet found so far runs it
-    as q -> p, so the walk makes one wrap per facet, plus one for the
-    first plane when it meets the hull in an edge only.  A wrap that
-    still reaches a facet found before raises ArithmeticError, as a
-    plane with a point beyond it does: either means the walk is broken.
+    about -n, and maps each of its edges p -> q to its plane, so each
+    hull edge is mapped once each way, and the facets come in walk
+    order.  Wrapping about p -> q reaches the facet that runs q -> p.
+    Each ring edge goes on a stack, and is wrapped about when popped
+    only if no facet found so far runs it as q -> p, so the walk makes
+    one wrap per facet, plus one for the first plane when it meets the
+    hull in an edge only.  A wrap that still reaches a facet found
+    before, whose first ring edge is then already mapped, raises
+    ArithmeticError, as a plane with a point beyond it does: either
+    means the walk is broken.
     When the origin is not inside the hull the walk meets a supporting
     plane with c <= 0 and raises ValueError: no point lies beyond it,
     so m = -n has <m, p> >= 0 on every point, and the message names m.
@@ -312,8 +315,7 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
     """
     a = max(pts)
     plane = _wrap(pts, a, (a[0], a[1], a[2] + 1))
-    facets: dict[tuple[IVec, int], list[int]] = {}
-    edges = set()
+    edges: dict[tuple[int, int], tuple[IVec, int]] = {}
     todo = []
     while True:
         n, c = plane
@@ -324,8 +326,6 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
             raise ValueError(
                 f"polytope is unbounded: rays do not positively span (direction {vec_str(m)})"
             )
-        if plane in facets:
-            raise ArithmeticError(f"hull walk reached the facet {plane} twice")
         nx, ny, nz = n
         k, i, j = _axes(n)
         flat = {}
@@ -342,16 +342,17 @@ def _hull_facets(pts: Sequence[IVec]) -> dict[tuple[IVec, int], list[int]]:
             # counter-clockwise in coordinates k + 1, k + 2 turns about +e_k
             if n[k] > 0:
                 ring.reverse()
-            facets[plane] = ring
             ring_edges = list(zip(ring[-1:] + ring, ring))
-            edges.update(ring_edges)
+            if ring_edges[0] in edges:
+                raise ArithmeticError(f"hull walk reached the facet {plane} twice")
+            edges.update(dict.fromkeys(ring_edges, plane))
             todo += ring_edges
         while todo:
             p, q = todo.pop()
             if (q, p) not in edges:
                 break
         else:
-            return facets
+            return edges
         plane = _wrap(pts, pts[p], pts[q])
 
 
@@ -373,29 +374,25 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     the projected area; as vol(pyramid) = area(F)/(3|v|) and the
     projection scales area by |v_k|/|v|, the pyramid adds
     6 vol = |S| / (L^2 |v_k|).  S is summed edge by edge off the walk's
-    rings, in any order: if the facet G of conv(rays) has the ring edge
-    v -> b, the one with b -> v comes next round v, so each ring edge
-    out of v gives one term of S.  num / den keeps the sum, den the
-    running lcm of the L^2 |v_k|, and one Fraction is built at the end.
-    A bounded Delta is full-dimensional, so a zero sum means a broken
-    walk and raises ArithmeticError.
+    map, in any order: if the facet G of conv(rays) runs the edge
+    v -> b, the one that runs b -> v comes next round v, so each edge
+    out of v gives one term of S.  The term pairs the two facets'
+    normals n, not the vertices -n, which leaves it unchanged.  num / den
+    keeps the sum, den the running lcm of the L^2 |v_k|, and one
+    Fraction is built at the end.  A bounded Delta is full-dimensional,
+    so a zero sum means a broken walk and raises ArithmeticError.
     """
     rays = tuple(dict.fromkeys(f.rays))
     hull = _hull_facets(rays)
-    vertices = [((-x, -y, -z), c) for (x, y, z), c in hull]
-    # owner[a, b] is the vertex of Delta whose facet's ring runs a -> b; scale[v] is L
-    owner: dict[tuple[int, int], QPoint] = {}
+    vertices = [((-x, -y, -z), c) for (x, y, z), c in dict.fromkeys(hull.values())]
+    # scale[v] is L, the lcm of the c of the facets with an edge out of v
     scale: dict[int, int] = {}
-    for (m, d), ring in zip(vertices, hull.values()):
-        a = ring[-1]
-        for b in ring:
-            owner[a, b] = m, d
-            scale[a] = lcm(scale.get(a, 1), d)
-            a = b
+    for (v, _), (_, c) in hull.items():
+        scale[v] = lcm(scale.get(v, 1), c)
     sums = dict.fromkeys(scale, 0)
     axes = {v: _axes(rays[v]) for v in scale}
-    for (v, b), (m, d) in owner.items():
-        n, e = owner[b, v]
+    for (v, b), (m, d) in hull.items():
+        n, e = hull[b, v]
         _, i, j = axes[v]
         level = scale[v]
         sums[v] += (m[i] * n[j] - n[i] * m[j]) * (level // d) * (level // e)
@@ -476,10 +473,10 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]) -> list[tuple[in
     origin is not a vertex.  _hull_facets walks P's k distinct
     points p as k p - (their sum): that puts their centroid, inside P as
     the rays have rank 3, at the origin, so the walk never raises, and
-    keeps each facet's normal n.  A facet whose ring holds the origin's
-    point lies on <n, x> = 0, and is keyed by the indices of the rays on
-    it, in the order of indices: it holds two rays that are not parallel,
-    so the key fixes its plane, and the same wall keys equally from both
+    keeps each facet's normal n.  A facet that runs an edge out of the
+    origin's index k - 1 lies on <n, x> = 0, and is keyed by the indices
+    of the rays on it, in the order of indices: it holds two rays that
+    are not parallel, so the key fixes its plane, and the same wall keys equally from both
     adjacent cones when both list their rays in ascending order, as Fan
     does.  Returns the wall keys, an empty list exactly when the cone is
     not strongly convex.
@@ -493,8 +490,8 @@ def _cone_walls(rays: Sequence[IVec], indices: tuple[int, ...]) -> list[tuple[in
     hull = _hull_facets([(k * x - sx, k * y - sy, k * z - sz) for x, y, z in pts])
     return [
         tuple([t for t, v in zip(indices, cone) if _dot(n, v) == 0])
-        for (n, _), ring in hull.items()
-        if k - 1 in ring
+        for (a, _), (n, _) in hull.items()
+        if a == k - 1
     ]
 
 

@@ -573,16 +573,12 @@ def test_reflexive_degree_matches_the_lattice_point_count():
 def _edge_length_sum(rays) -> int:
     """Sum of l(e*) l(e) over the edges e* of conv(rays), when every facet has c = 1.
 
-    Each edge e* = [a, b] runs a -> b in one ring of _hull_facets and
-    b -> a in its neighbour's; its dual edge e joins those two facets'
+    Each edge e* = [a, b] is booked a -> b to one facet by _hull_facets
+    and b -> a to its neighbour; its dual edge e joins those two facets'
     vertices -n of Delta.  l is the lattice length, the gcd of the
     difference.
     """
-    hull = fano64.toric._hull_facets(rays)
-    booked = {}
-    for plane, ring in hull.items():
-        for a, b in zip(ring[-1:] + ring, ring):
-            booked[a, b] = plane
+    booked = fano64.toric._hull_facets(rays)
     total = 0
     for (a, b), (n, _) in booked.items():
         if a < b:
@@ -596,9 +592,17 @@ def _edge_length_sum(rays) -> int:
 def _reflexive(rays) -> bool:
     """Whether Delta is bounded and every facet <n, x> = c of conv(rays) has c = 1."""
     try:
-        return all(c == 1 for _, c in fano64.toric._hull_facets(rays))
+        return all(c == 1 for _, c in fano64.toric._hull_facets(rays).values())
     except ValueError:
         return False
+
+
+def _face_fan(points) -> list[list[int]]:
+    """The cones over the facets of conv(points): each facet's edge starts, from _hull_facets."""
+    cones: dict[tuple[IVec, int], list[int]] = {}
+    for (a, _), plane in fano64.toric._hull_facets(points).items():
+        cones.setdefault(plane, []).append(a)
+    return list(cones.values())
 
 
 @cache
@@ -658,8 +662,7 @@ def test_reflexive_dilates_count_their_ehrhart_polynomial():
     # for reflexive Delta of degree d, #(m Delta n M) = m(m+1)(2m+1)d/12 + 2m + 1
     counts = {}
     for rays in _reflexive_fans():
-        hull = fano64.toric._hull_facets(rays)
-        p = anticanonical_polytope(Fan(rays, list(hull.values())))
+        p = anticanonical_polytope(Fan(rays, _face_fan(rays)))
         assert _is_integral(p), rays
         vertices = [v for v, _ in p.vertices]
         for m in (2, 3):
@@ -804,13 +807,32 @@ def _oracle_polytope(f: Fan):
 
 
 def _polytope_outcome(f: Fan):
-    """Sorted Fraction vertices, facet incidences as sets and degree, or the checked error."""
+    """Sorted Fraction vertices, facet incidences as sets and degree, or the checked error.
+
+    On a bounded Delta it also checks the map the hull walk returns: each
+    edge is mapped both ways, each facet's edges form one directed cycle
+    through distinct points, and the facets, in the order the map first
+    names them, are Delta's vertices (-n, c).
+    """
     try:
         p = anticanonical_polytope(f)
     except ValueError as e:
         return _checked_unbounded(e, f.rays)
     # each vertex p / d is in lowest terms with d > 0
     assert all(d > 0 and gcd(*m, d) == 1 for m, d in p.vertices), p.vertices
+    hull = fano64.toric._hull_facets(tuple(dict.fromkeys(f.rays)))
+    assert all((b, a) in hull for a, b in hull), f.rays
+    rings: dict[tuple[IVec, int], list[tuple[int, int]]] = {}
+    for edge, plane in hull.items():
+        rings.setdefault(plane, []).append(edge)
+    for plane, edges in rings.items():
+        succ = dict(edges)
+        cycle = [edges[0][0]]
+        for _ in edges[1:]:
+            cycle.append(succ[cycle[-1]])
+        assert len(edges) >= 3 and succ[cycle[-1]] == cycle[0], (f.rays, plane)
+        assert len(set(cycle)) == len(succ) == len(edges), (f.rays, plane)
+    assert [((-x, -y, -z), c) for (x, y, z), c in rings] == list(p.vertices), f.rays
     incidences = {(v, frozenset(ms)) for v, ms in _fraction_facets(f, p)}
     return sorted(map(_fraction_point, p.vertices)), incidences, p.degree
 

@@ -85,16 +85,16 @@ def _too_long() -> str:
     return f"a number has more than {limit} digits, the most this program reads or prints"
 
 
-def _integer(text: str) -> int:
-    """An optional sign and ASCII decimal digits, with surrounding spaces stripped.
+# an optional sign and ASCII digits; int() alone also reads "1_0" as 10 and "\u0663" as 3
+_DECIMAL = re.compile("[+-]?[0-9]+")
 
-    int() alone would also read Python literal syntax: "1_0" as 10, and
-    non-ASCII digits such as "\u0663" as 3.
-    """
+
+def _integer(text: str) -> int:
+    """A `_DECIMAL` integer, with surrounding spaces stripped."""
     import argparse
 
     digits = text.strip()
-    if not re.fullmatch("[+-]?[0-9]+", digits):
+    if not _DECIMAL.fullmatch(digits):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
     try:
         return int(digits)
@@ -103,15 +103,13 @@ def _integer(text: str) -> int:
 
 
 def _parse_c1(base: BaseSurface, text: str) -> SurfaceClass:
-    import argparse
-
-    try:
-        coeffs = [_integer(p) for p in text.split(",")]
-    except argparse.ArgumentTypeError as exc:
-        reason = str(exc)
-        if reason != _too_long():
-            reason = f"c1 coefficients must be integers, got {text!r}"
-        raise ValueError(reason) from None
+    """c1 from `_DECIMAL` coefficients, in order; `main` words int()'s too-long ValueError."""
+    coeffs = []
+    for part in text.split(","):
+        digits = part.strip()
+        if not _DECIMAL.fullmatch(digits):
+            raise ValueError(f"c1 coefficients must be integers, got {text!r}")
+        coeffs.append(int(digits))
     if base.is_plane:
         if len(coeffs) != 1:
             raise ValueError("c1 on P2 takes a single coefficient")

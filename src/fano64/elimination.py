@@ -22,7 +22,6 @@ from .bundles import (
     rr_dim_anticanonical,
     scroll_degree,
     solve_c2_for_degree,
-    split_gap_bound_holds,
     twist,
 )
 from .ledger import blowup_curve_degree, genus_of_degree, project_from_center
@@ -119,17 +118,14 @@ _PATCHING_ARGUMENT = (
 def _forced_vertical_splitting(c1_fiber_degree: int, fiber_self: int) -> tuple[int, ...]:
     """Splitting degrees q >= 0 on a fiber allowed by the gap bound.
 
-    The restriction to a fiber splits as O(q) (+) O(c - q), c = c1.fiber,
-    and the movable-curve gap bound |2q - c| <= 2 + Z^2 confines q to
-    (c - 2 - Z^2) / 2 <= q <= (c + 2 + Z^2) / 2.  The candidates are
-    the q >= 0 in that window, and the bound itself still prunes them.
+    The restriction to a fiber splits as O(q) (+) O(c - q), c = c1.fiber.
+    The movable-curve gap bound |2q - c| <= 2 + Z^2 (`split_gap_bound_holds`)
+    holds exactly for (c - 2 - Z^2) / 2 <= q <= (c + 2 + Z^2) / 2: the q >= 0
+    there are exactly the bound's solutions, so none is filtered again.
     """
     gap = 2 + fiber_self
     lowest = max(0, -((gap - c1_fiber_degree) // 2))  # the ceiling of (c - gap) / 2
-    candidates = range(lowest, (c1_fiber_degree + gap) // 2 + 1)
-    return tuple(
-        q for q in candidates if split_gap_bound_holds(q, c1_fiber_degree - q, fiber_self)
-    )
+    return tuple(range(lowest, (c1_fiber_degree + gap) // 2 + 1))
 
 
 def eliminate_p1_bundles() -> list[CaseRecord]:

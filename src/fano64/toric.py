@@ -549,30 +549,25 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# NaN, Infinity and -Infinity reach parse_constant, not parse_float
-_FAN_DECODER = json.JSONDecoder(
-    parse_float=_reject_float,
-    parse_constant=_reject_float,
-    object_pairs_hook=_reject_repeated_keys,
-)
-
-
 def fan_from_json(text: str) -> Fan:
     """Parse the fan file format: {"rays": [[x,y,z]...], "cones": [[i...]...]}.
 
-    Integers only; floats and booleans anywhere are rejected, and so is
-    an object that repeats a key, which json would otherwise resolve by
-    keeping the last value.  Cone entries are 0-based ray indices.
-    Input nested too deeply for the parser is rejected with ValueError
-    like any other malformed file.  This reader checks only the JSON
-    shape; Fan checks every ray and cone, in the same words as for a
-    caller that builds one.
+    Integers only: floats, NaN and the infinities (which reach
+    parse_constant, not parse_float) and booleans anywhere are rejected,
+    and so is an object that repeats a key, which json would otherwise
+    resolve by keeping the last value.  json.loads words a byte-order
+    mark itself.  Cone entries are 0-based ray indices.  Input nested
+    too deeply for the parser is rejected with ValueError like any other
+    malformed file.  This reader checks only the JSON shape; Fan checks
+    every ray and cone, in the same words as for a caller that builds one.
     """
-    if text.startswith("\ufeff"):
-        # json.loads words this itself; the bare decoder would not
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        data = _FAN_DECODER.decode(text)
+        data = json.loads(
+            text,
+            parse_float=_reject_float,
+            parse_constant=_reject_float,
+            object_pairs_hook=_reject_repeated_keys,
+        )
     except RecursionError:
         raise ValueError("fan file is nested too deeply") from None
     if not isinstance(data, dict) or set(data.keys()) != {"rays", "cones"}:

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import fano64.bundles
 from fano64.bundles import (
     c1_nef_dominated,
     chi_rank2,
@@ -330,3 +331,11 @@ def test_half_k_squared_genus_integrality():
     assert not kg2_integral(66)
     assert not kg2_integral(68)
     assert not kg2_integral(70)
+
+
+def test_chi_rank2_refuses_an_odd_c1_c1_minus_k(monkeypatch):
+    # no divisor on a smooth surface gives one; a broken intersection form would
+    monkeypatch.setattr(fano64.bundles, "intersect", lambda a, b: 1)
+    with pytest.raises(ArithmeticError) as err:
+        chi_rank2(SurfaceClass(P2, 1), 0)
+    assert str(err.value) == "c1.(c1 - K) = 1 is odd for c1 = L"

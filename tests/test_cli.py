@@ -179,6 +179,16 @@ def test_bundle_argument_errors(capsys):
     code, _, err = run(capsys, "bundle", "--base", "F0", "--c1", "1,1")
     assert code == 1  # needs --c2 or --solve-degree
 
+    # the coefficients are read in order, and the first bad one is worded
+    nines = "9" * 5000
+    malformed_first = f"abc,{nines}"
+    for c1, reason in (
+        (malformed_first, f"c1 coefficients must be integers, got {malformed_first!r}"),
+        (f"{nines},abc", TOO_LONG),
+    ):
+        code, out, err = run(capsys, "bundle", "--base", "F0", "--c1", c1, "--c2", "0")
+        assert (code, out, err) == (1, "", f"error: {reason}\n")
+
 
 INTEGER_ARGUMENTS = {
     "c1 on P2": ("bundle", "--base", "P2", "--c1", "{}", "--c2", "0"),

@@ -34,6 +34,7 @@ FANS = Path(__file__).resolve().parent.parent / "fans"
 ORACLES = {
     "triple_intersection": "cubes a divisor class term by term, against degree_p1_bundle",
     "record_from_payload": "reads a serialized record back, against record_to_json",
+    "split_gap_bound_holds": "the gap bound itself, against _forced_vertical_splitting's window",
 }
 
 

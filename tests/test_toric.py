@@ -538,16 +538,18 @@ def test_facet_normal_with_a_large_dropped_coordinate():
     assert p.degree == 72 == _oracle_degree(f, p)
 
 
-def _lattice_point_count(f: Fan, p: RationalPolytope) -> int:
-    """#(Delta n Z^3) for a lattice polytope: scan its bounding box, test <m, v> >= -1 in integers."""
+def _lattice_points(f: Fan, p: RationalPolytope) -> list[IVec]:
+    """Delta n Z^3 for a lattice polytope: scan its bounding box, test <m, v> >= -1 in integers."""
     rays = f.rays
     points = [m for m, _ in p.vertices]
     box = [range(min(m[i] for m in points), max(m[i] for m in points) + 1) for i in range(3)]
-    return sum(
-        1
-        for m in product(*box)
-        if all(m[0] * v[0] + m[1] * v[1] + m[2] * v[2] >= -1 for v in rays)
-    )
+    return [
+        m for m in product(*box) if all(m[0] * v[0] + m[1] * v[1] + m[2] * v[2] >= -1 for v in rays)
+    ]
+
+
+def _lattice_point_count(f: Fan, p: RationalPolytope) -> int:
+    return len(_lattice_points(f, p))
 
 
 def test_reflexive_degree_matches_the_lattice_point_count():
@@ -1434,3 +1436,32 @@ def test_fan_checks_every_entry_type_first(rays, cones, message):
     with pytest.raises(ValueError) as err:
         Fan(rays, cones)
     assert str(err.value) == message
+
+
+# The self-checks below guard against a broken collaborator; no input to
+# a sound one reaches them, so each is reached with that collaborator patched.
+
+
+def test_an_index_2_cone_without_a_half_point_raises(monkeypatch):
+    monkeypatch.setattr(fano64.toric, "det3", lambda a, b, c: 2)
+    with pytest.raises(ArithmeticError) as err:
+        cone_singularity(UNIT)
+    assert str(err.value) == (
+        "index-2 cone ((1, 0, 0), (0, 1, 0), (0, 0, 1)) has no half-integer lattice point"
+    )
+
+
+def test_a_hull_walk_plane_with_a_point_beyond_it_raises(monkeypatch):
+    monkeypatch.setattr(fano64.toric, "_wrap", lambda pts, a, b: ((1, 0, 0), 1))
+    with pytest.raises(ArithmeticError) as err:
+        fano64.toric._hull_facets([*UNIT, (-1, -1, -1), (2, 1, 1)])
+    assert str(err.value) == "hull walk reached a plane ((1, 0, 0), 1) that is not a facet"
+
+
+def test_a_hull_walk_with_no_volume_raises(monkeypatch):
+    # both directions of the edge 0 -> 1 on one plane: the shoelace terms all vanish
+    plane = ((1, 0, 0), 1)
+    monkeypatch.setattr(fano64.toric, "_hull_facets", lambda pts: {(0, 1): plane, (1, 0): plane})
+    with pytest.raises(ArithmeticError) as err:
+        anticanonical_polytope(load("p3.fan"))
+    assert str(err.value) == "hull walk gave a polytope with no volume"

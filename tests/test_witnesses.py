@@ -13,17 +13,30 @@ anticanonical embeddings.  Each is rebuilt from the polygon P of its
 base surface: Delta_X = conv(2P x {-1}, (0, 0, 1)) has every facet
 <n, x> = 1, so the fan's rays are its polar's vertices -n, and its cones
 are the face fan of conv(rays).
+
+Two more fans tie pairs of degree-64 varieties together.
+`fans/cone-p112.fan` is the cone over P(1,1,2), the quadric cone,
+rebuilt the same way from its polygon; a unimodular matrix carries its
+Delta onto Delta of P(4,2,1,1).  `fans/p3111-tangent.fan` is P(3,1,1,1)
+projected from the tangent space at a smooth torus-fixed point: Delta
+loses the vertex u and the first lattice point u + e along each of its
+three edges, the other lattice points are hulled again, and the fan's
+rays are the polar's vertices -n.  A unimodular matrix carries its
+Delta onto Delta of the cone over F1, so the records "cone over F1" and
+"P(3,1,1,1) projected from a tangent space" name one toric class.
 """
 
 from itertools import chain
+from math import gcd
 from pathlib import Path
 
 import pytest
-from test_toric import _face_fan, _lattice_point_count, _wps_fan
+from test_toric import _face_fan, _lattice_point_count, _lattice_points, _wps_fan
 
 import fano64.toric
 from fano64.cli import _reproduce, main
 from fano64.elimination import classification_summary
+from fano64.lattice import _dot, det3
 from fano64.records import surviving_constructions
 from fano64.toric import Fan, anticanonical_polytope, fan_from_json
 
@@ -80,13 +93,17 @@ def test_no_survivor_of_the_ledger_names_it():
     assert not any("4,2,1,1" in name for name in survivors)
 
 
-def _cone_fan(polygon) -> Fan:
-    """The face fan of the polar of Delta_X = conv(2P x {-1}, (0, 0, 1)), rays and cones sorted."""
-    points = [(2 * x, 2 * y, -1) for x, y in polygon] + [(0, 0, 1)]
+def _polar_face_fan(points) -> Fan:
+    """The face fan of the polar of the reflexive conv(points), rays and cones sorted."""
     planes = dict.fromkeys(fano64.toric._hull_facets(points).values())
-    assert all(c == 1 for _, c in planes), polygon
+    assert all(c == 1 for _, c in planes), points
     rays = sorted((-x, -y, -z) for (x, y, z), _ in planes)
     return Fan(rays, sorted(sorted(cone) for cone in _face_fan(rays)))
+
+
+def _cone_fan(polygon) -> Fan:
+    """The fan of the polar of Delta_X = conv(2P x {-1}, (0, 0, 1))."""
+    return _polar_face_fan([(2 * x, 2 * y, -1) for x, y in polygon] + [(0, 0, 1)])
 
 
 @pytest.mark.parametrize("name", CONES)
@@ -104,11 +121,88 @@ def test_toric_finds_each_cone_clean_and_of_degree_64(name, capsys):
     assert capsys.readouterr().out == "degree: 64\nexpected: 64 (match)\n"
 
 
+def _record_degree(label: str):
+    (record,) = [r for r in classification_summary() if r.context == f"classification/{label}"]
+    return dict(record.computed)["degree"]
+
+
 @pytest.mark.parametrize("name", CONES)
 def test_each_cone_has_35_points_and_the_degree_of_its_record(name):
     label, polygon = CONES[name]
     f = _cone_fan(polygon)
     p = anticanonical_polytope(f)
     assert _lattice_point_count(f, p) == 35
-    (record,) = [r for r in classification_summary() if r.context == f"classification/{label}"]
-    assert dict(record.computed)["degree"] == p.degree == 64
+    assert _record_degree(label) == p.degree == 64
+
+
+def _tangent_fan(weights, u) -> Fan:
+    """The fan of P(weights) projected from the tangent space at the smooth vertex u of its Delta.
+
+    Delta is a simplex, so u's edges run to the other three vertices.
+    """
+    f = _wps_fan(weights)
+    p = anticanonical_polytope(f)
+    dropped = {u}
+    edges = []
+    for w, _ in p.vertices:
+        if w != u:
+            step = tuple(a - b for a, b in zip(w, u))
+            e = tuple(x // gcd(*step) for x in step)
+            edges.append(e)
+            dropped.add(tuple(a + b for a, b in zip(u, e)))
+    assert len(edges) == 3 and det3(*edges) in (1, -1), (weights, u)
+    return _polar_face_fan([m for m in _lattice_points(f, p) if m not in dropped])
+
+
+# each new file's rebuild, and its numbers of rays and of cones
+WITNESSES = {
+    "cone-p112.fan": (lambda: _cone_fan(((-1, -1), (3, -1), (-1, 1))), 4, 4),
+    "p3111-tangent.fan": (lambda: _tangent_fan((3, 1, 1, 1), (-1, 5, -1)), 5, 5),
+}
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_each_witness_file_is_its_rebuild(name):
+    rebuild, _, _ = WITNESSES[name]
+    assert fan_from_json((FANS / name).read_text(encoding="utf-8")) == rebuild()
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_toric_finds_each_witness_clean_and_of_degree_64(name, capsys):
+    _, rays, cones = WITNESSES[name]
+    path = str(FANS / name)
+    assert main(["toric", path, "validate"]) == 0
+    assert capsys.readouterr().out == f"rays: {rays}\nmaximal cones: {cones}\nclean\n"
+    assert main(["toric", path, "degree", "--expect", "64"]) == 0
+    assert capsys.readouterr().out == "degree: 64\nexpected: 64 (match)\n"
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_each_witness_has_35_points(name):
+    f = WITNESSES[name][0]()
+    assert _lattice_point_count(f, anticanonical_polytope(f)) == 35
+
+
+def _vertices(name: str) -> set:
+    f = fan_from_json((FANS / name).read_text(encoding="utf-8"))
+    return {m for m, _ in anticanonical_polytope(f).vertices}
+
+
+# M, with the file whose Delta M carries onto the other file's Delta
+EQUIVALENCES = [
+    ("cone-p112.fan", ((0, 0, 1), (0, 1, -1), (1, 0, -1)), "p4211.fan"),
+    ("p3111-tangent.fan", ((1, 1, 0), (1, 0, 1), (1, 0, 0)), "cone-f1.fan"),
+]
+
+
+@pytest.mark.parametrize(("source", "matrix", "target"), EQUIVALENCES)
+def test_a_unimodular_matrix_carries_one_delta_onto_the_other(source, matrix, target):
+    assert det3(*matrix) in (1, -1)
+    image = {tuple(_dot(row, m) for row in matrix) for m in _vertices(source)}
+    assert image == _vertices(target)
+
+
+def test_both_records_of_the_cone_over_f1_class_report_degree_64():
+    # the tangent projection of P(3,1,1,1) and the cone over F1 share one Delta up to GL3(Z)
+    for label in ("cone over F1", "P(3,1,1,1) projected from a tangent space"):
+        assert _record_degree(label) == 64, label

@@ -23,14 +23,12 @@ directed ring edge a -> b to the facet (n, c) that runs it, and wraps
 once per facet: about a ring edge only when no facet found so far runs
 it the other way, so every wrap reaches a new facet.  Each facet of
 Delta lies on the plane <m, v> = -1 of one vertex v of conv(rays): its
-vertices are the facets around v.  The degree is a pyramid from the
-origin over each such facet, an integer shoelace sum on the facet
-projected along a coordinate k with v_k != 0, summed edge by edge off
-that map: the facets that run an edge as v -> b and as b -> v are
-neighbours round v, so each edge gives one term of v's sum, and no
-facet of Delta is listed or ordered.  A vertex is kept as the integer
-pair (p, d) = (-n, c), the point p / d in lowest terms, so Delta is a
-lattice polytope exactly when every d is 1.
+vertices are the facets around v, and the facets that run an edge as
+v -> b and as b -> v are neighbours round v.  So the degree is one
+determinant sum over that map, a tetrahedron from the origin per map
+entry, and no facet of Delta is listed or ordered.  A vertex is kept
+as the integer pair (p, d) = (-n, c), the point p / d in lowest terms,
+so Delta is a lattice polytope exactly when every d is 1.
 validate_fan performs structural sanity checks and returns its
 findings, a tuple of strings that is empty when the fan is clean,
 instead of raising, so defective input data can be examined rather than
@@ -367,45 +365,33 @@ def anticanonical_polytope(f: Fan) -> RationalPolytope:
     positively span the space; the walk names the direction from the
     supporting plane that shows it.
 
-    The degree is one pyramid from the origin, interior to Delta, per
-    facet.  The facet F on <m, v> = -1, projected along a coordinate k
-    with v_k != 0 and scaled by the lcm L of its vertices' d, has integer
-    points p L / d whose shoelace sum S in boundary order is 2 L^2 times
-    the projected area; as vol(pyramid) = area(F)/(3|v|) and the
-    projection scales area by |v_k|/|v|, the pyramid adds
-    6 vol = |S| / (L^2 |v_k|).  S is summed edge by edge off the walk's
-    map, in any order: if the facet G of conv(rays) runs the edge
-    v -> b, the one that runs b -> v comes next round v, so each edge
-    out of v gives one term of S.  The term pairs the two facets'
-    normals n, not the vertices -n, which leaves it unchanged.  num / den
-    keeps the sum, den the running lcm of the L^2 |v_k|, and one
-    Fraction is built at the end.  A bounded Delta is full-dimensional,
-    so a zero sum means a broken walk and raises ArithmeticError.
+    The degree is a sum of tetrahedra that cone the boundary of Delta
+    from the origin, which is interior to it, read off the walk's map
+    alone.  If the facet (m, d) of conv(rays) runs the edge v -> b, the
+    facet (n, e) that runs b -> v comes next round v, so each map entry
+    is one edge of Delta's facet on <m, v> = -1.  Fanned from an apex
+    (a, c), the first facet seen with an edge out of v, that edge cones
+    to the tetrahedron on the origin and -a / c, -m / d, -n / e, of
+    6 vol = |det(a, m, n)| / (c d e).  The walk turns every ring one way,
+    so no det(a, m, n) is negative.  Over the lcm L of every c each term
+    is the integer det(a, m, n) (L / c) (L / d) (L / e), their sum is
+    6 vol(Delta) L^3, and one Fraction is built at the end.  A bounded
+    Delta is full-dimensional, so a sum that is not positive means a
+    broken walk and raises ArithmeticError.
     """
-    rays = tuple(dict.fromkeys(f.rays))
-    hull = _hull_facets(rays)
-    vertices = [((-x, -y, -z), c) for (x, y, z), c in dict.fromkeys(hull.values())]
-    # scale[v] is L, the lcm of the c of the facets with an edge out of v
-    scale: dict[int, int] = {}
-    for (v, _), (_, c) in hull.items():
-        scale[v] = lcm(scale.get(v, 1), c)
-    sums = dict.fromkeys(scale, 0)
-    axes = {v: _axes(rays[v]) for v in scale}
+    hull = _hull_facets(tuple(dict.fromkeys(f.rays)))
+    planes = dict.fromkeys(hull.values())
+    vertices = [((-x, -y, -z), c) for (x, y, z), c in planes]
+    level = lcm(*[c for _, c in planes])
+    apex: dict[int, tuple[IVec, int]] = {}
+    total = 0
     for (v, b), (m, d) in hull.items():
         n, e = hull[b, v]
-        _, i, j = axes[v]
-        level = scale[v]
-        sums[v] += (m[i] * n[j] - n[i] * m[j]) * (level // d) * (level // e)
-    num, den = 0, 1
-    for v, s in sums.items():
-        k = axes[v][0]
-        w = scale[v] ** 2 * abs(rays[v][k])
-        common = lcm(den, w)
-        num = num * (common // den) + abs(s) * (common // w)
-        den = common
-    if num == 0:
+        a, c = apex.setdefault(v, (m, d))
+        total += det3(a, m, n) * (level // c) * (level // d) * (level // e)
+    if total <= 0:
         raise ArithmeticError("hull walk gave a polytope with no volume")
-    return RationalPolytope(tuple(vertices), Fraction(num, den))
+    return RationalPolytope(tuple(vertices), Fraction(total, level**3))
 
 
 def _hull_order(index: dict[tuple[int, int], int]) -> list[int]:

@@ -286,7 +286,7 @@ DEGREE_OUTPUT = {
     "p3": ("degree: 64\n", '{"degree": "64", "vertices": 4}\n'),
     "p1p1p1": ("degree: 48\n", '{"degree": "48", "vertices": 8}\n'),
     "x66": ("degree: 66\n", '{"degree": "66", "vertices": 5}\n'),
-    # a facet normal with |v_k| = 6 on the projected-away coordinate
+    # a facet normal with a coordinate of 6
     "p6411": ("degree: 72\n", '{"degree": "72", "vertices": 4}\n'),
     # vertices with denominators 2 and 5, and a fractional degree
     "p5211": ("degree: 729/10\n", '{"degree": "729/10", "vertices": 4}\n'),

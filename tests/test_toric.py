@@ -304,7 +304,7 @@ def test_repeated_ray_bounds_one_facet():
     assert set(p.vertices) == set(anticanonical_polytope(base).vertices)
     assert len(_polar_facets(f, p)) == 4
     assert p.degree == 64
-    # the same on P(5,2,1,1), whose facets need the lcm and |v_k| scaling
+    # the same on P(5,2,1,1), whose vertices' denominators 1, 2 and 5 need their common lcm
     base = _wps_fan((5, 2, 1, 1))
     f = Fan(rays=base.rays + ((-5, -2, -1), (0, 1, 0)), max_cones=base.max_cones)
     p = anticanonical_polytope(f)
@@ -529,8 +529,8 @@ def test_facet_with_mixed_denominators_is_scaled_by_their_lcm():
 
 
 def test_facet_normal_with_a_large_dropped_coordinate():
-    # P(6,4,1,1): the facet on (-6,-4,-1) is projected along x, where
-    # |v_x| = 6, so its shoelace sum is divided by 6
+    # P(6,4,1,1): the facet on (-6,-4,-1), a normal far from a unit one,
+    # adds the same determinant terms as any other facet
     f = _wps_fan((6, 4, 1, 1))
     p = anticanonical_polytope(f)
     normal = (-6, -4, -1)
@@ -1459,9 +1459,22 @@ def test_a_hull_walk_plane_with_a_point_beyond_it_raises(monkeypatch):
 
 
 def test_a_hull_walk_with_no_volume_raises(monkeypatch):
-    # both directions of the edge 0 -> 1 on one plane: the shoelace terms all vanish
+    # both directions of the edge 0 -> 1 on one plane: the determinant terms all vanish
     plane = ((1, 0, 0), 1)
     monkeypatch.setattr(fano64.toric, "_hull_facets", lambda pts: {(0, 1): plane, (1, 0): plane})
     with pytest.raises(ArithmeticError) as err:
         anticanonical_polytope(load("p3.fan"))
+    assert str(err.value) == "hull walk gave a polytope with no volume"
+
+
+def test_a_hull_walk_with_every_ring_reversed_raises(monkeypatch):
+    # every ring turned the other way makes every determinant term negative
+    real = fano64.toric._hull_facets
+    monkeypatch.setattr(
+        fano64.toric,
+        "_hull_facets",
+        lambda pts: {(b, a): plane for (a, b), plane in real(pts).items()},
+    )
+    with pytest.raises(ArithmeticError) as err:
+        anticanonical_polytope(load("p1p1p1.fan"))
     assert str(err.value) == "hull walk gave a polytope with no volume"

@@ -24,6 +24,14 @@ three edges, the other lattice points are hulled again, and the fan's
 rays are the polar's vertices -n.  A unimodular matrix carries its
 Delta onto Delta of the cone over F1, so the records "cone over F1" and
 "P(3,1,1,1) projected from a tangent space" name one toric class.
+`fans/p6411-tangent.fan` is P(6,4,1,1) projected the same way from its
+smooth vertex (-1, -1, -1); a unimodular matrix carries the projection
+from its other smooth vertex, (-1, -1, 11), onto it, so both vertices
+give one class.
+
+Each classification record with a witness fan is tied to its file in
+one table: the file is clean and its degree is the record's.  The
+records for X70 and X66 have no witness.
 """
 
 from itertools import chain
@@ -38,15 +46,15 @@ from fano64.cli import _reproduce, main
 from fano64.elimination import classification_summary
 from fano64.lattice import _dot, det3
 from fano64.records import surviving_constructions
-from fano64.toric import Fan, anticanonical_polytope, fan_from_json
+from fano64.toric import Fan, anticanonical_polytope, fan_from_json, validate_fan
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 FAN = FANS / "p4211.fan"
 WEIGHTS = (4, 2, 1, 1)
-# each cone's file, the classification record that names it, and its base's polygon
+# each cone's file and its base's polygon
 CONES = {
-    "cone-p1p1.fan": ("cone over P1 x P1", ((-1, -1), (1, -1), (1, 1), (-1, 1))),
-    "cone-f1.fan": ("cone over F1", ((-1, -1), (1, -1), (1, 0), (-1, 2))),
+    "cone-p1p1.fan": ((-1, -1), (1, -1), (1, 1), (-1, 1)),
+    "cone-f1.fan": ((-1, -1), (1, -1), (1, 0), (-1, 2)),
 }
 
 
@@ -108,8 +116,7 @@ def _cone_fan(polygon) -> Fan:
 
 @pytest.mark.parametrize("name", CONES)
 def test_each_cone_file_is_the_fan_of_its_polygon(name):
-    _, polygon = CONES[name]
-    assert fan_from_json((FANS / name).read_text(encoding="utf-8")) == _cone_fan(polygon)
+    assert fan_from_json((FANS / name).read_text(encoding="utf-8")) == _cone_fan(CONES[name])
 
 
 @pytest.mark.parametrize("name", CONES)
@@ -121,18 +128,12 @@ def test_toric_finds_each_cone_clean_and_of_degree_64(name, capsys):
     assert capsys.readouterr().out == "degree: 64\nexpected: 64 (match)\n"
 
 
-def _record_degree(label: str):
-    (record,) = [r for r in classification_summary() if r.context == f"classification/{label}"]
-    return dict(record.computed)["degree"]
-
-
 @pytest.mark.parametrize("name", CONES)
-def test_each_cone_has_35_points_and_the_degree_of_its_record(name):
-    label, polygon = CONES[name]
-    f = _cone_fan(polygon)
+def test_each_cone_has_35_points(name):
+    f = _cone_fan(CONES[name])
     p = anticanonical_polytope(f)
     assert _lattice_point_count(f, p) == 35
-    assert _record_degree(label) == p.degree == 64
+    assert p.degree == 64
 
 
 def _tangent_fan(weights, u) -> Fan:
@@ -158,6 +159,7 @@ def _tangent_fan(weights, u) -> Fan:
 WITNESSES = {
     "cone-p112.fan": (lambda: _cone_fan(((-1, -1), (3, -1), (-1, 1))), 4, 4),
     "p3111-tangent.fan": (lambda: _tangent_fan((3, 1, 1, 1), (-1, 5, -1)), 5, 5),
+    "p6411-tangent.fan": (lambda: _tangent_fan((6, 4, 1, 1), (-1, -1, -1)), 5, 5),
 }
 
 
@@ -202,7 +204,34 @@ def test_a_unimodular_matrix_carries_one_delta_onto_the_other(source, matrix, ta
     assert image == _vertices(target)
 
 
-def test_both_records_of_the_cone_over_f1_class_report_degree_64():
-    # the tangent projection of P(3,1,1,1) and the cone over F1 share one Delta up to GL3(Z)
-    for label in ("cone over F1", "P(3,1,1,1) projected from a tangent space"):
-        assert _record_degree(label) == 64, label
+def test_both_smooth_vertices_of_p6411_give_one_class():
+    matrix = ((1, 0, 0), (0, 1, 0), (-6, -4, -1))
+    assert det3(*matrix) == -1
+    f = _tangent_fan((6, 4, 1, 1), (-1, -1, 11))
+    image = {tuple(_dot(row, m) for row in matrix) for m, _ in anticanonical_polytope(f).vertices}
+    assert image == _vertices("p6411-tangent.fan")
+
+
+# each classification record with a witness, and the witness's file
+WITNESS_OF = {
+    "P3": "p3.fan",
+    "cone over P1 x P1": "cone-p1p1.fan",
+    "cone over F1": "cone-f1.fan",
+    "P(3,1,1,1) projected from a tangent space": "p3111-tangent.fan",
+    "P(6,4,1,1) projected from a tangent space": "p6411-tangent.fan",
+}
+NO_WITNESS = ("X70 projected from a plane", "X66 projected from a cDV point")
+
+
+def test_the_witness_table_names_the_seven_classification_records():
+    labels = [r.context.removeprefix("classification/") for r in classification_summary()]
+    assert len(labels) == 7
+    assert set(labels) == {*WITNESS_OF, *NO_WITNESS}
+
+
+@pytest.mark.parametrize("label", WITNESS_OF)
+def test_each_witness_is_clean_with_the_degree_of_its_record(label):
+    (record,) = [r for r in classification_summary() if r.context == f"classification/{label}"]
+    f = fan_from_json((FANS / WITNESS_OF[label]).read_text(encoding="utf-8"))
+    assert validate_fan(f) == ()
+    assert dict(record.computed)["degree"] == anticanonical_polytope(f).degree == 64

@@ -128,11 +128,11 @@ def _emit(doc: dict, machine: bool, lines: list[str]) -> None:
     JSON is one compact line with sorted keys, from one shared C encoder
     (`json.dumps` with a keyword builds one per call) that skips the
     cycle check, as every document is a fresh tree.  The text is
-    written in one call, and nothing is written for no lines.
+    written in one call.
     """
     if machine:
         print(_ENCODER.encode(doc))
-    elif lines:
+    else:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -212,6 +212,7 @@ def _cmd_toric(args) -> int:
         raise ValueError("--expect only applies to the degree action")
     with open(args.fan_file, encoding="utf-8") as fh:
         fan = fan_from_json(fh.read())
+    code = 0  # 2 only on an --expect mismatch
     if args.action == "validate":
         findings = validate_fan(fan)
         lines = [f"rays: {len(fan.rays)}", f"maximal cones: {len(fan.max_cones)}"]
@@ -225,9 +226,7 @@ def _cmd_toric(args) -> int:
             "clean": not findings,
             "findings": findings,
         }
-        _emit(doc, args.machine, lines)
-        return 0
-    if args.action == "degree":
+    elif args.action == "degree":
         polytope = anticanonical_polytope(fan)
         degree = polytope.degree
         shown = value_text(degree)
@@ -238,45 +237,44 @@ def _cmd_toric(args) -> int:
             lines.append(f"expected: {args.expect} ({'match' if matches else 'MISMATCH'})")
             doc["expected"] = args.expect
             doc["match"] = matches
-            _emit(doc, args.machine, lines)
-            return 0 if matches else 2
-        _emit(doc, args.machine, lines)
-        return 0
-    # singularities: each cone builds only the form that is printed
-    lines = []
-    cones_doc = []
-    for ci, cone in enumerate(fan.max_cones):
-        sing = cone_singularity([fan.rays[i] for i in cone])
-        if args.machine:
-            # json writes the tuples as arrays
-            entry = {
-                "cone": cone,
-                "degenerate": sing.degenerate,
-                "index": sing.index,
-                "gorenstein_support": sing.support,
-            }
-            if sing.kind is not None:
-                entry["type"] = sing.kind
-                if sing.witness is not None:
-                    entry["witness"] = sing.witness
-            cones_doc.append(entry)
-            continue
-        prefix = f"cone {ci} {list(cone)}:"
-        if sing.degenerate:
-            lines.append(f"{prefix} degenerate (rays do not span), index not computed")
-        elif sing.index is None:
-            lines.append(f"{prefix} non-simplicial, index not computed")
-        elif sing.kind is None:
-            lines.append(f"{prefix} index {sing.index}, not classified")
-        else:
-            witness = "" if sing.witness is None else f", witness {vec_str(sing.witness)}"
-            lines.append(f"{prefix} index {sing.index}, {sing.kind}{witness}")
-        if sing.support is None:
-            lines.append(f"{prefix} no integral Gorenstein support")
-        else:
-            lines.append(f"{prefix} Gorenstein support {vec_str(sing.support)}")
-    _emit({"cones": cones_doc}, args.machine, lines)
-    return 0
+            code = 0 if matches else 2
+    else:
+        # singularities: each cone builds only the form that is printed
+        lines = []
+        cones_doc = []
+        for ci, cone in enumerate(fan.max_cones):
+            sing = cone_singularity([fan.rays[i] for i in cone])
+            if args.machine:
+                # json writes the tuples as arrays
+                entry = {
+                    "cone": cone,
+                    "degenerate": sing.degenerate,
+                    "index": sing.index,
+                    "gorenstein_support": sing.support,
+                }
+                if sing.kind is not None:
+                    entry["type"] = sing.kind
+                    if sing.witness is not None:
+                        entry["witness"] = sing.witness
+                cones_doc.append(entry)
+                continue
+            prefix = f"cone {ci} {list(cone)}:"
+            if sing.degenerate:
+                lines.append(f"{prefix} degenerate (rays do not span), index not computed")
+            elif sing.index is None:
+                lines.append(f"{prefix} non-simplicial, index not computed")
+            elif sing.kind is None:
+                lines.append(f"{prefix} index {sing.index}, not classified")
+            else:
+                witness = "" if sing.witness is None else f", witness {vec_str(sing.witness)}"
+                lines.append(f"{prefix} index {sing.index}, {sing.kind}{witness}")
+            if sing.support is None:
+                lines.append(f"{prefix} no integral Gorenstein support")
+            else:
+                lines.append(f"{prefix} Gorenstein support {vec_str(sing.support)}")
+        doc = {"cones": cones_doc}
+    _emit(doc, args.machine, lines)
+    return code
 
 
 def _reproduce(part: str | None) -> dict[str, list[CaseRecord]]:

@@ -258,11 +258,6 @@ def _hirzebruch_coefficient_range(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(0, 3) for b in range(a * n, n + 3)]
 
 
-def _negative_parity_part(x: int) -> int:
-    """The representative of x mod 2 in {-2, -1}."""
-    return -2 if x % 2 == 0 else -1
-
-
 def sweep_twisted_bundles(base: BaseSurface) -> list[CaseRecord]:
     """Exhaust the Chern-class cases for rank-2 bundles with many sections.
 
@@ -303,7 +298,8 @@ def _sweep_hirzebruch(base: BaseSurface) -> list[CaseRecord]:
     per_case = []
     for a, b in _hirzebruch_coefficient_range(base.n):
         c1 = SurfaceClass(base, a, b)
-        a_p, b_p = _negative_parity_part(a), _negative_parity_part(b)
+        # the representatives mod 2 in {-2, -1}, as Python's % is non-negative
+        a_p, b_p = a % 2 - 2, b % 2 - 2
         p, q = (a - a_p) // 2, (b - b_p) // 2
         # shift = c1.B + B^2 is c2' at c2 = 0, the shift from c2 to c2'
         c1_p, shift = twist(c1, 0, SurfaceClass(base, -p, -q))

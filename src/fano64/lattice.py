@@ -1,8 +1,8 @@
 """Exact linear algebra in dimension 3, on int triples.
 
 A lattice vector in Z^3 is a plain ``tuple[int, int, int]`` (``IVec``);
-the helper set is ``_cross``, ``_dot`` and ``_is_primitive``
-(package-internal), ``det3``, ``solve3`` and the formatter ``vec_str``.
+the helper set is ``_cross`` and ``_dot`` (package-internal), ``det3``,
+``solve3`` and the formatter ``vec_str``.
 Everything here is integer arithmetic: determinants, Cramer numerators
 and gcd bookkeeping.  ``solve3`` solves the package's one linear system,
 rows * m = (-1, -1, -1), and hands its solution back as integer
@@ -13,8 +13,6 @@ precision, so enumeration loops cannot overflow.
 """
 
 from __future__ import annotations
-
-import math
 
 IVec = tuple[int, int, int]
 
@@ -34,11 +32,6 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 def vec_str(v: IVec) -> str:
     """The vector as "(x,y,z)"."""
     return f"({v[0]},{v[1]},{v[2]})"
-
-
-def _is_primitive(v: IVec) -> bool:
-    """True when gcd of the coordinates is 1; the zero vector is not primitive."""
-    return math.gcd(*v) == 1
 
 
 def det3(a: IVec, b: IVec, c: IVec) -> int:

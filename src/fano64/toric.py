@@ -69,7 +69,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .lattice import IVec, _cross, _dot, _is_primitive, det3, solve3, vec_str
+from .lattice import IVec, _cross, _dot, det3, solve3, vec_str
 
 
 class Fan(namedtuple("Fan", ["rays", "max_cones"])):
@@ -494,7 +494,8 @@ def validate_fan(f: Fan) -> tuple[str, ...]:
     from the hull walk over its rays and the origin.  A cone with no
     walls contains a line.
     """
-    findings = [f"ray {i} is not primitive" for i, v in enumerate(f.rays) if not _is_primitive(v)]
+    # the zero ray has gcd 0, so it is not primitive
+    findings = [f"ray {i} is not primitive" for i, v in enumerate(f.rays) if gcd(*v) != 1]
     used = {i for cone in f.max_cones for i in cone}
     findings += [f"ray {i} lies in no maximal cone" for i in range(len(f.rays)) if i not in used]
     non_convex = []

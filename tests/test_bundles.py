@@ -26,6 +26,7 @@ from fano64.bundles import (
     triple_intersection,
     twist,
 )
+from fano64.elimination import eliminate_p1_bundles
 from fano64.surfaces import (
     F0,
     F1,
@@ -339,3 +340,47 @@ def test_chi_rank2_refuses_an_odd_c1_c1_minus_k(monkeypatch):
     with pytest.raises(ArithmeticError) as err:
         chi_rank2(SurfaceClass(P2, 1), 0)
     assert str(err.value) == "c1.(c1 - K) = 1 is odd for c1 = L"
+
+
+def _split_nef_pairs() -> list[SurfaceClass]:
+    """D with -K_S + D and -K_S - D both nef, over P2 and F0 ... F8, |a| <= 12, |b| <= 20.
+
+    Y = P(O + O(D)) has two sections, on which -K_Y restricts to
+    -K_S - D and -K_S + D, so -K_Y nef forces both to be nef.  A class
+    is nef when it is >= 0 on h and l, or on L for P2.
+    """
+    found = []
+    for base in [P2, *(BaseSurface(n) for n in range(9))]:
+        if base.is_plane:
+            curves = [SurfaceClass(base, 1)]
+        else:
+            curves = [SurfaceClass(base, 1, 0), SurfaceClass(base, 0, 1)]
+        minus_k = -canonical_class(base)
+        for a in range(-12, 13):
+            for b in [0] if base.is_plane else range(-20, 21):
+                d = SurfaceClass(base, a, b)
+                if all(intersect(minus_k + e * d, c) >= 0 for e in (1, -1) for c in curves):
+                    found.append(d)
+    return found
+
+
+def test_split_bundles_of_degree_64_are_the_twists_of_minus_k_on_f0_f1_f2():
+    found = _split_nef_pairs()
+    assert len(found) == 52
+    for d in found:
+        k = canonical_class(d.surface)
+        # (-K_Y)^3 = 6 K^2 + 2 D^2, and K^2 - D^2 = (-K - D).(-K + D) >= 0
+        assert degree_p1_bundle(d, 0) == 6 * intersect(k, k) + 2 * intersect(d, d)
+        assert intersect(d, d) <= intersect(k, k)
+    assert {d for d in found if degree_p1_bundle(d, 0) == 64} == {
+        e * canonical_class(base) for base in (F0, F1, F2) for e in (1, -1)
+    }
+
+
+def test_the_split_bundle_over_f2_has_the_chern_data_of_its_even_even_record():
+    # O + O(-K) twisted by -2h - 3l
+    c1, c2 = twist(-canonical_class(F2), 0, SurfaceClass(F2, -2, -3))
+    assert (c1, c2) == (SurfaceClass(F2, -2, -2), -2)
+    (record,) = [r for r in eliminate_p1_bundles() if r.context == "p1-bundle/F2/even-even"]
+    assert dict(record.inputs)["c1"] == str(c1)
+    assert dict(record.computed)["c2"] == c2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fano64
 import fano64.lattice
-from fano64.lattice import _cross, _dot, _is_primitive, det3, solve3, vec_str
+from fano64.lattice import _cross, _dot, det3, solve3, vec_str
 
 coords = st.integers(min_value=-50, max_value=50)
 vectors = st.tuples(coords, coords, coords)
@@ -25,13 +25,6 @@ def test_cross_product():
     assert _cross(e1, e2) == e3
     assert _cross(e2, e3) == e1
     assert _cross(e3, e1) == e2
-
-
-def test_primitivity():
-    assert _is_primitive((2, 3, 5))
-    assert not _is_primitive((2, 4, 6))
-    assert _is_primitive((0, 0, 1))
-    assert not _is_primitive((0, 0, 0))
 
 
 def test_det3_values():

@@ -32,10 +32,14 @@ give one class.
 Each classification record with a witness fan is tied to its file in
 one table: the file is clean and its degree is the record's.  The
 records for X70 and X66 have no witness.
+
+Each shipped fan's Fano index r, the largest r with -K = r H for a
+Cartier H, is pinned: Delta is a lattice polytope, and r is the gcd of
+every coordinate of u - u0 over its vertices u.  r^3 divides the degree.
 """
 
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -235,3 +239,38 @@ def test_each_witness_is_clean_with_the_degree_of_its_record(label):
     f = fan_from_json((FANS / WITNESS_OF[label]).read_text(encoding="utf-8"))
     assert validate_fan(f) == ()
     assert dict(record.computed)["degree"] == anticanonical_polytope(f).degree == 64
+
+
+# each shipped fan's Fano index
+FANO_INDEX = {
+    "p3.fan": 4,
+    "p4211.fan": 2,
+    "cone-p1p1.fan": 2,
+    "cone-f1.fan": 2,
+    "cone-p112.fan": 2,
+    "p3111-tangent.fan": 2,
+    "p1p1p1.fan": 2,
+    "p6411-tangent.fan": 1,
+    "x66.fan": 1,
+}
+
+
+def test_the_index_table_names_every_shipped_fan():
+    assert set(FANO_INDEX) == {path.name for path in FANS.glob("*.fan")}
+
+
+@pytest.mark.parametrize("name", FANO_INDEX)
+def test_each_fan_has_its_fano_index(name):
+    f = fan_from_json((FANS / name).read_text(encoding="utf-8"))
+    p = anticanonical_polytope(f)
+    assert all(d == 1 for _, d in p.vertices)
+    (u0, _), *others = p.vertices
+    r = gcd(*(a - b for u, _ in others for a, b in zip(u, u0)))
+    assert r == FANO_INDEX[name]
+    # so H^3 is an integer: 1, 8, 6, 64 or 66
+    assert p.degree % r**3 == 0
+
+
+@pytest.mark.parametrize(("name", "weights"), [("p3.fan", (1, 1, 1, 1)), ("p4211.fan", WEIGHTS)])
+def test_the_index_of_a_weighted_space_is_its_weight_sum_over_their_lcm(name, weights):
+    assert FANO_INDEX[name] * lcm(*weights) == sum(weights)

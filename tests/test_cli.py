@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from test_toric import SHIPPED
 
 import fano64
 import fano64.toric
@@ -242,23 +243,27 @@ def test_a_number_past_the_digit_limit_is_refused_in_the_programs_words(capsys):
 
 
 def test_toric_degree_with_matching_expectation(capsys):
-    code, out, _ = run(capsys, "toric", P3, "degree", "--expect", "64")
-    assert code == 0
-    assert "degree: 64" in out
-    assert "match" in out
+    assert run(capsys, "toric", P3, "degree", "--expect", "64") == (
+        0,
+        "degree: 64\nexpected: 64 (match)\n",
+        "",
+    )
 
 
 def test_toric_degree_reports_value_next_to_expectation(capsys):
-    code, out, _ = run(capsys, "toric", X66, "degree", "--expect", "66")
-    assert code == 0
-    assert "degree: 66" in out
-    assert "expected: 66 (match)" in out
+    assert run(capsys, "toric", X66, "degree", "--expect", "66") == (
+        0,
+        "degree: 66\nexpected: 66 (match)\n",
+        "",
+    )
 
 
 def test_toric_degree_mismatch_exits_two(capsys):
-    code, out, _ = run(capsys, "toric", X66, "degree", "--expect", "64")
-    assert code == 2
-    assert "MISMATCH" in out
+    assert run(capsys, "toric", X66, "degree", "--expect", "64") == (
+        2,
+        "degree: 66\nexpected: 64 (MISMATCH)\n",
+        "",
+    )
     assert run(capsys, "toric", P3, "degree", "--expect", "63") == (
         2,
         "degree: 64\nexpected: 63 (MISMATCH)\n",
@@ -267,10 +272,16 @@ def test_toric_degree_mismatch_exits_two(capsys):
 
 
 def test_toric_degree_machine(capsys):
-    code, out, _ = run(capsys, "toric", X66, "degree", "--expect", "66", "--machine")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc == {"degree": "66", "expected": 66, "match": True, "vertices": 5}
+    assert run(capsys, "toric", X66, "degree", "--expect", "66", "--machine") == (
+        0,
+        '{"degree": "66", "expected": 66, "match": true, "vertices": 5}\n',
+        "",
+    )
+    assert run(capsys, "toric", X66, "degree", "--expect", "64", "--machine") == (
+        2,
+        '{"degree": "66", "expected": 64, "match": false, "vertices": 5}\n',
+        "",
+    )
 
 
 def _wps_fan_file(tmp_path, ray: list[int]) -> str:
@@ -283,9 +294,12 @@ def _wps_fan_file(tmp_path, ray: list[int]) -> str:
 
 WPS_RAY = {"p6411": [-6, -4, -1], "p5211": [-5, -2, -1]}
 DEGREE_OUTPUT = {
-    "p3": ("degree: 64\n", '{"degree": "64", "vertices": 4}\n'),
-    "p1p1p1": ("degree: 48\n", '{"degree": "48", "vertices": 8}\n'),
-    "x66": ("degree: 66\n", '{"degree": "66", "vertices": 5}\n'),
+    name.removesuffix(".fan"): (
+        f"degree: {degree}\n",
+        f'{{"degree": "{degree}", "vertices": {vertices}}}\n',
+    )
+    for name, (degree, vertices, *_) in SHIPPED.items()
+} | {
     # a facet normal with a coordinate of 6
     "p6411": ("degree: 72\n", '{"degree": "72", "vertices": 4}\n'),
     # vertices with denominators 2 and 5, and a fractional degree
@@ -584,7 +598,7 @@ def _singularities_text_and_machine_agree(capsys, path: str) -> list[dict]:
     return entries
 
 
-@pytest.mark.parametrize("name", ["p3.fan", "p1p1p1.fan", "x66.fan"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_toric_singularities_text_and_machine_agree_on_the_shipped_fans(capsys, name):
     entries = _singularities_text_and_machine_agree(capsys, str(FANS / name))
     assert len(entries) == len(json.loads((FANS / name).read_text())["cones"])
@@ -637,15 +651,6 @@ def test_toric_rejects_deeply_nested_json(tmp_path, capsys):
     assert "error: fan file is nested too deeply" in err
 
 
-def test_toric_rejects_a_fan_without_cones(tmp_path, capsys):
-    bare = tmp_path / "bare.fan"
-    bare.write_text('{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], "cones": []}')
-    code, out, err = run(capsys, "toric", str(bare), "validate")
-    assert code == 1
-    assert out == ""
-    assert "error: fan needs at least one maximal cone" in err
-
-
 def test_toric_rejects_a_repeated_key(tmp_path, capsys):
     # without the check the second "cones" list replaces the first and the
     # fan reads as one cone of degree 64
@@ -661,33 +666,10 @@ def test_toric_rejects_a_repeated_key(tmp_path, capsys):
         assert err == 'error: fan file repeats the key "cones"\n'
 
 
-def test_toric_rejects_a_repeated_cone(tmp_path, capsys):
-    # without the check the two copies pair every wall with each other and
-    # one octant validates as a complete fan
-    twice = tmp_path / "twice.fan"
-    twice.write_text(
-        '{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],'
-        ' "cones": [[0, 1, 2], [2, 1, 0]]}'
-    )
-    for action in ("validate", "degree", "singularities"):
-        code, out, err = run(capsys, "toric", str(twice), action)
-        assert code == 1
-        assert out == ""
-        assert err == "error: cone (2, 1, 0) is listed twice\n"
-
-
 def test_toric_file_errors(capsys):
     code, _, err = run(capsys, "toric", str(FANS / "missing.fan"), "degree")
     assert code == 1
     assert "error:" in err
-
-
-def test_toric_rejects_float_entries(tmp_path, capsys):
-    bad = tmp_path / "bad.fan"
-    bad.write_text('{"rays": [[1, 0, 0.5]], "cones": [[0]]}')
-    code, _, err = run(capsys, "toric", str(bad), "degree")
-    assert code == 1
-    assert "only integers" in err
 
 
 P3_RAYS = [*E, [-1, -1, -1]]
@@ -696,6 +678,7 @@ NOT_ARRAYS = '"rays" and "cones" must be arrays'
 HOSTILE_FANS = {
     # name: (rays, cones, actions that reject the file, message)
     "no-rays": ([], P3_CONES, ALL_ACTIONS, "fan needs at least one ray"),
+    "no-cones": (P3_RAYS, [], ALL_ACTIONS, "fan needs at least one maximal cone"),
     "ray-of-two-entries": (
         [[1, 2]],
         [[0, 1, 2]],
@@ -757,6 +740,26 @@ HOSTILE_FANS = {
         "cone (0, 7) references missing ray 7",
     ),
     "cone-empty": (P3_RAYS, [[]], ALL_ACTIONS, "maximal cone () has fewer than 3 rays"),
+    # without the check the two copies pair every wall with each other and
+    # one octant validates as a complete fan; the second copy is named
+    "cone-listed-twice": (
+        P3_RAYS,
+        [[0, 1, 2], [2, 1, 0]],
+        ALL_ACTIONS,
+        "cone (2, 1, 0) is listed twice",
+    ),
+    "cone-listed-twice-reordered": (
+        P3_RAYS,
+        [[2, 1, 0], [0, 1, 2]],
+        ALL_ACTIONS,
+        "cone (0, 1, 2) is listed twice",
+    ),
+    "ray-float": (
+        [*E, [-1, -1, 0.5]],
+        P3_CONES,
+        ALL_ACTIONS,
+        "fan files must contain only integers, got 0.5",
+    ),
     # json reads these constants as floats unless its parse_constant hook says otherwise
     "ray-infinity": (
         [*E, [-1, -1, float("inf")]],

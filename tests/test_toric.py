@@ -1,5 +1,6 @@
 import json
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import combinations, combinations_with_replacement, product
@@ -27,6 +28,20 @@ from fano64.toric import (
 from fano64.wps import Weights, wps_degree, wps_is_gorenstein
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
+Shipped = namedtuple("Shipped", "degree vertices points index findings")
+# each shipped fan's degree, numbers of polar vertices and of lattice
+# points of Delta, Fano index and number of validate findings
+SHIPPED = {
+    "cone-f1.fan": Shipped(64, 5, 35, 2, 0),
+    "cone-p112.fan": Shipped(64, 4, 35, 2, 0),
+    "cone-p1p1.fan": Shipped(64, 5, 35, 2, 0),
+    "p1p1p1.fan": Shipped(48, 8, 27, 2, 0),
+    "p3.fan": Shipped(64, 4, 35, 4, 0),
+    "p3111-tangent.fan": Shipped(64, 5, 35, 2, 0),
+    "p4211.fan": Shipped(64, 4, 35, 2, 0),
+    "p6411-tangent.fan": Shipped(64, 5, 35, 1, 0),
+    "x66.fan": Shipped(66, 5, 36, 1, 6),
+}
 
 # rays of the fan whose walls get modified below; e2, e3, e4 span the
 # defective cone
@@ -47,6 +62,10 @@ def scaled(v: IVec, k: int) -> IVec:
 
 def load(name: str) -> Fan:
     return fan_from_json((FANS / name).read_text())
+
+
+def test_the_shipped_table_names_every_fan_file():
+    assert sorted(SHIPPED) == sorted(path.name for path in FANS.glob("*.fan"))
 
 
 def test_cone_lattice_index():
@@ -234,7 +253,7 @@ def test_cone_checks_build_no_fraction(monkeypatch):
         raise AssertionError(f"Fraction{args} built in the cone checks")
 
     monkeypatch.setattr(fano64.toric, "Fraction", no_fraction)
-    fans = [load(name) for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    fans = [load(name) for name in SHIPPED]
     # a cone with a fractional support: L = 3
     fans.append(Fan(((1, 0, 0), (0, 1, 0), (1, 1, 3), (-1, -1, -1)), ((0, 1, 2),)))
     for f in fans:
@@ -505,12 +524,12 @@ def test_polytope_degree_matches_the_fraction_oracle_on_random_fans():
 
 
 def test_polytope_degree_matches_the_fraction_oracle_on_shipped_and_wps_fans():
-    fans = [load(name) for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    fans = [load(name) for name in SHIPPED]
     fans += [f for _, f in _wps_fans()]
     for f in fans:
         p = anticanonical_polytope(f)
         assert p.degree == _oracle_degree(f, p)
-    assert len(fans) == 128
+    assert len(fans) == 134
 
 
 def _facet_on(f: Fan, p: RationalPolytope, ray: IVec):
@@ -554,13 +573,13 @@ def _lattice_point_count(f: Fan, p: RationalPolytope) -> int:
 
 def test_reflexive_degree_matches_the_lattice_point_count():
     # for a reflexive Delta, (-K)^3 = 2 (#(Delta n M) - 3), independent of any volume
-    shipped = (("p3.fan", 35, 64), ("p1p1p1.fan", 27, 48), ("x66.fan", 36, 66))
-    for name, points, degree in shipped:
+    for name, facts in SHIPPED.items():
         f = load(name)
         p = anticanonical_polytope(f)
-        assert _is_integral(p)
-        assert _lattice_point_count(f, p) == points
-        assert p.degree == degree
+        assert _is_integral(p), name
+        assert len(p.vertices) == facts.vertices, name
+        assert _lattice_point_count(f, p) == facts.points, name
+        assert p.degree == facts.degree == 2 * (facts.points - 3), name
     reflexive = 0
     for w, f in _wps_fans():
         p = anticanonical_polytope(f)
@@ -609,18 +628,18 @@ def _face_fan(points) -> list[list[int]]:
 
 @cache
 def _reflexive_fans() -> tuple[tuple[IVec, ...], ...]:
-    """Rays of 212 reflexive fans, drawn once.
+    """Rays of 218 reflexive fans, drawn once.
 
-    They are the 3 shipped fans, the 9 reflexive wps fans with weights
+    They are the 9 shipped fans, the 9 reflexive wps fans with weights
     <= 7, and 200 seeded subsets of {-1, 0, 1}^3 whose hull has every
     facet at c = 1.
     """
-    fans = [load(name).rays for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    fans = [load(name).rays for name in SHIPPED]
     fans += [f.rays for w, f in _wps_fans() if wps_is_gorenstein(w)]
-    assert len(fans) == 12 and all(map(_reflexive, fans))
+    assert len(fans) == 18 and all(map(_reflexive, fans))
     rng = random.Random(27)
     cube = [v for v in product((-1, 0, 1), repeat=3) if v != (0, 0, 0)]
-    while len(fans) < 212:
+    while len(fans) < 218:
         rays = tuple(rng.sample(cube, rng.randint(4, 26)))
         if _reflexive(rays):
             fans.append(rays)
@@ -726,18 +745,17 @@ def test_lattice_index_is_unimodular_invariant():
 
 def test_polytope_degree_is_unimodular_invariant():
     rng = random.Random(66)
-    for name, degree in (("p3.fan", 64), ("p1p1p1.fan", 48), ("x66.fan", 66)):
+    for name, facts in SHIPPED.items():
         base = load(name)
-        findings = validate_fan(base)
         # x66 has a cone off its support plane, which takes the hull walk
-        assert (len(findings) == 6) is (name == "x66.fan"), findings
+        findings = validate_fan(base)
         for _ in range(100):
             m = random_unimodular(rng)
             f = Fan(
                 rays=tuple(apply(m, v) for v in base.rays),
                 max_cones=base.max_cones,
             )
-            assert anticanonical_polytope(f).degree == degree
+            assert anticanonical_polytope(f).degree == facts.degree
             # the ring walls project along a coordinate, so they depend on coordinates
             assert validate_fan(f) == findings
 
@@ -859,8 +877,12 @@ def _huge_unimodular(rng: random.Random) -> tuple[IVec, IVec, IVec]:
 
 
 def _hull_oracle_fans() -> list[Fan]:
-    """The shipped and wps fans, hand-made corner cases, huge unimodular images and 3000 random fans."""
-    fans = [load(name) for name in ("p3.fan", "p1p1p1.fan", "x66.fan")]
+    """3142 fans for the triple oracle.
+
+    They are the 9 shipped and 125 wps fans, 5 hand-made corner cases, 3
+    huge unimodular images and 3000 random fans.
+    """
+    fans = [load(name) for name in SHIPPED]
     fans += [f for _, f in _wps_fans()]
     p3 = load("p3.fan")
     fans += [
@@ -912,7 +934,7 @@ def test_hull_walk_matches_the_triple_oracle():
         outcome = _polytope_outcome(f)
         assert outcome == _oracle_outcome(f), f.rays
         unbounded += isinstance(outcome, str)
-    assert len(fans) == 3136
+    assert len(fans) == 3142
     assert 1000 < unbounded < 2000, unbounded
 
 
@@ -1053,8 +1075,8 @@ def _of_kind(findings: tuple[str, ...], kind: str) -> tuple[str, ...]:
 
 
 def test_validate_clean_fans():
-    for name in ("p3.fan", "p1p1p1.fan"):
-        assert validate_fan(load(name)) == ()
+    for name, facts in SHIPPED.items():
+        assert len(validate_fan(load(name))) == facts.findings, name
 
 
 def test_validate_flags_the_defective_fan():
@@ -1303,14 +1325,6 @@ def test_validate_and_cone_singularity_agree_on_every_cone():
             for i, s in enumerate(sings)
             if not s.degenerate and s.support is None
         )
-
-
-def test_fan_rejects_a_repeated_cone():
-    rays = (*UNIT, (-1, -1, -1))
-    for cones in (((0, 1, 2), (2, 1, 0)), ((2, 1, 0), (0, 1, 2))):
-        with pytest.raises(ValueError) as err:
-            Fan(rays, cones)
-        assert str(err.value) == f"cone {cones[1]} is listed twice"
 
 
 def test_validate_flags_non_primitive_rays():

@@ -29,13 +29,18 @@ smooth vertex (-1, -1, -1); a unimodular matrix carries the projection
 from its other smooth vertex, (-1, -1, 11), onto it, so both vertices
 give one class.
 
-Each classification record with a witness fan is tied to its file in
-one table: the file is clean and its degree is the record's.  The
-records for X70 and X66 have no witness.
+Each witness file is tied to its rebuild in one table, `REBUILDS`: the
+file is the rebuild, and `toric` finds it clean and of degree 64.  Each
+rebuild's Delta holds 35 lattice points.  Each
+classification record with a witness fan is tied to its file in another:
+the file is clean and its degree is the record's.  The records for X70
+and X66 have no witness.
 
 Each shipped fan's Fano index r, the largest r with -K = r H for a
-Cartier H, is pinned: Delta is a lattice polytope, and r is the gcd of
-every coordinate of u - u0 over its vertices u.  r^3 divides the degree.
+Cartier H, is pinned in test_toric's `SHIPPED` table with its degree
+and lattice-point count: Delta is a lattice polytope, and r is the gcd
+of every coordinate of u - u0 over its vertices u.  r^3 divides the
+degree.
 """
 
 from itertools import chain
@@ -43,7 +48,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from test_toric import _face_fan, _lattice_point_count, _lattice_points, _wps_fan
+from test_toric import SHIPPED, _face_fan, _lattice_point_count, _lattice_points, _wps_fan
 
 import fano64.toric
 from fano64.cli import _reproduce, main
@@ -53,31 +58,7 @@ from fano64.records import surviving_constructions
 from fano64.toric import Fan, anticanonical_polytope, fan_from_json, validate_fan
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
-FAN = FANS / "p4211.fan"
 WEIGHTS = (4, 2, 1, 1)
-# each cone's file and its base's polygon
-CONES = {
-    "cone-p1p1.fan": ((-1, -1), (1, -1), (1, 1), (-1, 1)),
-    "cone-f1.fan": ((-1, -1), (1, -1), (1, 0), (-1, 2)),
-}
-
-
-def test_the_file_is_the_fan_of_its_weights():
-    assert fan_from_json(FAN.read_text(encoding="utf-8")) == _wps_fan(WEIGHTS)
-
-
-def test_toric_finds_it_clean_and_of_degree_64(capsys):
-    assert main(["toric", str(FAN), "validate"]) == 0
-    assert capsys.readouterr().out == "rays: 4\nmaximal cones: 4\nclean\n"
-    assert main(["toric", str(FAN), "degree", "--expect", "64"]) == 0
-    assert capsys.readouterr().out == "degree: 64\nexpected: 64 (match)\n"
-
-
-def test_delta_is_a_lattice_polytope_with_35_points():
-    f = _wps_fan(WEIGHTS)
-    p = anticanonical_polytope(f)
-    assert all(d == 1 for _, d in p.vertices)
-    assert _lattice_point_count(f, p) == 35
 
 
 def test_wps_finds_it_of_degree_64_and_gorenstein(capsys):
@@ -118,28 +99,6 @@ def _cone_fan(polygon) -> Fan:
     return _polar_face_fan([(2 * x, 2 * y, -1) for x, y in polygon] + [(0, 0, 1)])
 
 
-@pytest.mark.parametrize("name", CONES)
-def test_each_cone_file_is_the_fan_of_its_polygon(name):
-    assert fan_from_json((FANS / name).read_text(encoding="utf-8")) == _cone_fan(CONES[name])
-
-
-@pytest.mark.parametrize("name", CONES)
-def test_toric_finds_each_cone_clean_and_of_degree_64(name, capsys):
-    path = str(FANS / name)
-    assert main(["toric", path, "validate"]) == 0
-    assert capsys.readouterr().out == "rays: 5\nmaximal cones: 5\nclean\n"
-    assert main(["toric", path, "degree", "--expect", "64"]) == 0
-    assert capsys.readouterr().out == "degree: 64\nexpected: 64 (match)\n"
-
-
-@pytest.mark.parametrize("name", CONES)
-def test_each_cone_has_35_points(name):
-    f = _cone_fan(CONES[name])
-    p = anticanonical_polytope(f)
-    assert _lattice_point_count(f, p) == 35
-    assert p.degree == 64
-
-
 def _tangent_fan(weights, u) -> Fan:
     """The fan of P(weights) projected from the tangent space at the smooth vertex u of its Delta.
 
@@ -159,33 +118,52 @@ def _tangent_fan(weights, u) -> Fan:
     return _polar_face_fan([m for m in _lattice_points(f, p) if m not in dropped])
 
 
-# each new file's rebuild, and its numbers of rays and of cones
-WITNESSES = {
-    "cone-p112.fan": (lambda: _cone_fan(((-1, -1), (3, -1), (-1, 1))), 4, 4),
-    "p3111-tangent.fan": (lambda: _tangent_fan((3, 1, 1, 1), (-1, 5, -1)), 5, 5),
-    "p6411-tangent.fan": (lambda: _tangent_fan((6, 4, 1, 1), (-1, -1, -1)), 5, 5),
+# each witness file's rebuild: a weighted projective space, a cone over
+# a base's polygon, or a projection from a tangent space
+REBUILDS = {
+    "p4211.fan": lambda: _wps_fan(WEIGHTS),
+    "cone-p1p1.fan": lambda: _cone_fan(((-1, -1), (1, -1), (1, 1), (-1, 1))),
+    "cone-f1.fan": lambda: _cone_fan(((-1, -1), (1, -1), (1, 0), (-1, 2))),
+    "cone-p112.fan": lambda: _cone_fan(((-1, -1), (3, -1), (-1, 1))),
+    "p3111-tangent.fan": lambda: _tangent_fan((3, 1, 1, 1), (-1, 5, -1)),
+    "p6411-tangent.fan": lambda: _tangent_fan((6, 4, 1, 1), (-1, -1, -1)),
 }
 
 
-@pytest.mark.parametrize("name", WITNESSES)
+@pytest.mark.parametrize("name", REBUILDS)
 def test_each_witness_file_is_its_rebuild(name):
-    rebuild, _, _ = WITNESSES[name]
-    assert fan_from_json((FANS / name).read_text(encoding="utf-8")) == rebuild()
+    assert fan_from_json((FANS / name).read_text(encoding="utf-8")) == REBUILDS[name]()
 
 
-@pytest.mark.parametrize("name", WITNESSES)
+@pytest.mark.parametrize("name", REBUILDS)
 def test_toric_finds_each_witness_clean_and_of_degree_64(name, capsys):
-    _, rays, cones = WITNESSES[name]
+    f = REBUILDS[name]()
     path = str(FANS / name)
     assert main(["toric", path, "validate"]) == 0
-    assert capsys.readouterr().out == f"rays: {rays}\nmaximal cones: {cones}\nclean\n"
+    clean = f"rays: {len(f.rays)}\nmaximal cones: {len(f.max_cones)}\nclean\n"
+    assert capsys.readouterr().out == clean
     assert main(["toric", path, "degree", "--expect", "64"]) == 0
     assert capsys.readouterr().out == "degree: 64\nexpected: 64 (match)\n"
 
 
-@pytest.mark.parametrize("name", WITNESSES)
+def test_delta_is_a_lattice_polytope_with_35_points():
+    f = REBUILDS["p4211.fan"]()
+    p = anticanonical_polytope(f)
+    assert all(d == 1 for _, d in p.vertices)
+    assert _lattice_point_count(f, p) == 35
+
+
+@pytest.mark.parametrize("name", ["cone-p1p1.fan", "cone-f1.fan"])
+def test_each_cone_has_35_points(name):
+    f = REBUILDS[name]()
+    p = anticanonical_polytope(f)
+    assert _lattice_point_count(f, p) == 35
+    assert p.degree == 64
+
+
+@pytest.mark.parametrize("name", ["cone-p112.fan", "p3111-tangent.fan", "p6411-tangent.fan"])
 def test_each_witness_has_35_points(name):
-    f = WITNESSES[name][0]()
+    f = REBUILDS[name]()
     assert _lattice_point_count(f, anticanonical_polytope(f)) == 35
 
 
@@ -241,36 +219,18 @@ def test_each_witness_is_clean_with_the_degree_of_its_record(label):
     assert dict(record.computed)["degree"] == anticanonical_polytope(f).degree == 64
 
 
-# each shipped fan's Fano index
-FANO_INDEX = {
-    "p3.fan": 4,
-    "p4211.fan": 2,
-    "cone-p1p1.fan": 2,
-    "cone-f1.fan": 2,
-    "cone-p112.fan": 2,
-    "p3111-tangent.fan": 2,
-    "p1p1p1.fan": 2,
-    "p6411-tangent.fan": 1,
-    "x66.fan": 1,
-}
-
-
-def test_the_index_table_names_every_shipped_fan():
-    assert set(FANO_INDEX) == {path.name for path in FANS.glob("*.fan")}
-
-
-@pytest.mark.parametrize("name", FANO_INDEX)
+@pytest.mark.parametrize("name", SHIPPED)
 def test_each_fan_has_its_fano_index(name):
     f = fan_from_json((FANS / name).read_text(encoding="utf-8"))
     p = anticanonical_polytope(f)
     assert all(d == 1 for _, d in p.vertices)
     (u0, _), *others = p.vertices
     r = gcd(*(a - b for u, _ in others for a, b in zip(u, u0)))
-    assert r == FANO_INDEX[name]
+    assert r == SHIPPED[name].index
     # so H^3 is an integer: 1, 8, 6, 64 or 66
     assert p.degree % r**3 == 0
 
 
 @pytest.mark.parametrize(("name", "weights"), [("p3.fan", (1, 1, 1, 1)), ("p4211.fan", WEIGHTS)])
 def test_the_index_of_a_weighted_space_is_its_weight_sum_over_their_lcm(name, weights):
-    assert FANO_INDEX[name] * lcm(*weights) == sum(weights)
+    assert SHIPPED[name].index * lcm(*weights) == sum(weights)

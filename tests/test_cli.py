@@ -382,17 +382,6 @@ def test_toric_singularities_output_is_pinned(tmp_path, capsys):
     )
 
 
-def test_toric_validate_lists_findings(capsys):
-    code, out, _ = run(capsys, "toric", X66, "validate")
-    assert code == 0
-    assert "cone 2 is not strongly convex" in out
-    assert "cone 2 has no integral Gorenstein support vector" in out
-
-    code, out, _ = run(capsys, "toric", P3, "validate")
-    assert code == 0
-    assert "clean" in out
-
-
 def test_toric_validate_output_is_pinned(capsys):
     walls = [
         f"wall rays[{a}, {b}] is not shared by exactly two maximal cones"
@@ -666,12 +655,6 @@ def test_toric_rejects_a_repeated_key(tmp_path, capsys):
         assert err == 'error: fan file repeats the key "cones"\n'
 
 
-def test_toric_file_errors(capsys):
-    code, _, err = run(capsys, "toric", str(FANS / "missing.fan"), "degree")
-    assert code == 1
-    assert "error:" in err
-
-
 P3_RAYS = [*E, [-1, -1, -1]]
 ALL_ACTIONS = ("validate", "degree", "singularities")
 NOT_ARRAYS = '"rays" and "cones" must be arrays'
@@ -809,6 +792,30 @@ def test_toric_rejects_a_hostile_fan_file(tmp_path, capsys, fan):
             argv = ("toric", str(path), action, *machine)
             # one line on stderr and nothing else: no traceback, no partial output
             assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
+# each fan file that cannot be read: how to make it, and main's one line, given its path
+UNREADABLE_FANS = {
+    "missing": (lambda path: None, "[Errno 2] No such file or directory: {!r}"),
+    "directory": (Path.mkdir, "[Errno 21] Is a directory: {!r}"),
+    "not-utf-8": (
+        lambda path: path.write_bytes(b"\xff"),
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+}
+
+
+@pytest.mark.parametrize("fan", sorted(UNREADABLE_FANS))
+def test_toric_reports_an_unreadable_fan_file_in_one_line(tmp_path, capsys, fan):
+    make, message = UNREADABLE_FANS[fan]
+    path = tmp_path / "unreadable.fan"
+    make(path)
+    err = f"error: {message.format(str(path))}\n"
+    # every plain argv, and one that argparse reads
+    tails = [(action, *machine) for action in ALL_ACTIONS for machine in ((), ("--machine",))]
+    for tail in [*tails, ("degree", "--expect", "64")]:
+        argv = ("toric", str(path), *tail)
+        assert run(capsys, *argv) == (1, "", err), argv
 
 
 # the entries that reach Fan as parsed: not the float constants, which the
@@ -1207,32 +1214,8 @@ DISPATCH_CORPUS = [
     ("-h", "toric"),
     ("bogus",),
     ("tor",),
-    ("toric",),
-    ("toric", "-h"),
-    ("toric", P3, "degree", "-h"),
-    ("toric", P3, "degree", "extra"),
-    ("toric", P3, "degree", "extra", "--machine"),
-    ("toric", P3, "degree", "extra", "more"),
-    ("toric", P3, "degree", "--mach"),
-    ("toric", P3, "degree", "--expect=64"),
-    ("toric", P3, "degree", "--expect", "63"),
-    ("toric", P3, "degree", "--expect", "-5"),
-    ("toric", P3, "degree", "--machine=1"),
-    ("toric", P3, "bogus"),
-    ("toric", P3, "validate", "--expect", "64"),
-    ("toric", str(FANS / "missing.fan"), "degree"),
-    ("toric", "--", P3, "degree"),
-    ("toric", P3, "degree", "--"),
-    ("toric", P3, "degree", "--", "--machine"),
     ("--", "toric", P3, "degree"),
     ("-x", "toric", P3, "degree"),
-    ("toric", P3, "degree", "-x"),
-    # the plain reader takes the first four; _integer rejects the fifth, so argparse words it
-    ("toric", "--machine", P3, "degree"),
-    ("toric", P3, "degree", "--expect", "64", "--machine"),
-    ("toric", P3, "degree", "--expect", " 64 "),
-    ("toric", P3, "degree", "--expect", "+64"),
-    ("toric", P3, "degree", "--expect", "9" * 5000),
     ("reproduce", "--part=classification"),
     ("reproduce", "--part", "bogus"),
     ("wps", "6", "4", "1", "1", "--machine"),
@@ -1242,6 +1225,54 @@ DISPATCH_CORPUS = [
     ("bundle", "--base", "F0", "--c1", "2,2", "--c2", "-5"),
     ("bundle", "--base", "F0", "--c1", "2,2", "--c2", "0", "--solve-degree", "64"),
 ]
+# each `toric` argv after the command, and whether main's plain reader takes
+# it: the two shapes it reads, for each action, then odd fan names, then
+# argvs that it leaves to argparse
+TORIC_ARGVS = {
+    **{(P3, action, *machine): True for action in ALL_ACTIONS for machine in ((), ("--machine",))},
+    ("", "degree"): True,
+    (str(FANS / "missing.fan"), "degree"): True,
+    ("--machine", P3, "singularities"): False,  # argparse reads it into the same namespace
+    ("--machine", P3, "degree"): False,
+    (P3, "--machine", "validate"): False,
+    (P3, "--expect", "64", "degree"): False,
+    (P3, "degree", "--expect", "64", "--machine"): False,
+    ("--expect", " 64 ", "--machine", P3, "degree"): False,
+    (P3, "degree", "--expect", "63"): False,
+    (P3, "degree", "--expect", "+64"): False,
+    (P3, "degree", "--expect", " 64 "): False,
+    (P3, "validate", "--expect", "64"): False,  # argparse reads it; _cmd_toric rejects it
+    (): False,
+    (P3,): False,
+    (P3, "degree", "extra"): False,
+    (P3, "degree", "extra", "--machine"): False,
+    (P3, "degree", "extra", "more"): False,
+    (P3, "bogus"): False,
+    ("-h",): False,
+    (P3, "degree", "-h"): False,
+    (P3, "degree", "--help"): False,
+    ("--", P3, "degree"): False,
+    (P3, "degree", "--"): False,
+    (P3, "degree", "--", "--machine"): False,
+    (P3, "degree", "--machine=1"): False,
+    (P3, "degree", "--expect=64"): False,
+    (P3, "degree", "--mach"): False,
+    (P3, "degree", "--exp", "64"): False,
+    (P3, "degree", "--machine", "--machine"): False,
+    (P3, "degree", "--expect", "64", "--expect", "64"): False,
+    (P3, "degree", "--expect"): False,
+    (P3, "degree", "--expect", "-5"): False,
+    (P3, "degree", "--expect", "--machine"): False,
+    (P3, "degree", "--expect", "1_0"): False,
+    (P3, "degree", "--expect", "\u0663"): False,
+    (P3, "degree", "--expect", ""): False,
+    (P3, "degree", "--expect", "9" * 5000): False,
+    ("-", "degree"): False,
+    ("-5", "degree"): False,
+    ("-x", "degree"): False,
+    (P3, "-x"): False,
+    (P3, "degree", "-x"): False,
+}
 
 
 def _reference_main(argv: list[str]) -> int:
@@ -1283,7 +1314,7 @@ def parsed_namespaces(monkeypatch):
 
 def test_dispatch_matches_a_top_level_parse(capsys, monkeypatch, parsed_namespaces):
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
-    for argv in DISPATCH_CORPUS:
+    for argv in [*DISPATCH_CORPUS, *(("toric", *tokens) for tokens in TORIC_ARGVS)]:
         expected = (_reference_main(list(argv)), *capsys.readouterr(), parsed_namespaces[:])
         parsed_namespaces.clear()
         assert (*run(capsys, *argv), parsed_namespaces[:]) == expected, argv
@@ -1337,61 +1368,15 @@ def test_toric_argvs_match_a_top_level_parse(capsys, monkeypatch, parsed_namespa
     assert (*run(capsys, *argv), parsed_namespaces[:]) == expected, argv
 
 
-# the two shapes the reader takes, for each action, then odd fan names
-PLAIN_TORIC = [
-    *(
-        (P3, action, *machine)
-        for action in ("validate", "degree", "singularities")
-        for machine in ((), ("--machine",))
-    ),
-    ("", "degree"),
-    (str(FANS / "missing.fan"), "degree"),
-]
-FALLBACK_TORIC = [
-    ("--machine", P3, "singularities"),  # argparse reads it into the same namespace
-    (P3, "--machine", "validate"),
-    (P3, "--expect", "64", "degree"),
-    (P3, "degree", "--expect", "64", "--machine"),
-    ("--expect", " 64 ", "--machine", P3, "degree"),
-    (P3, "degree", "--expect", "+64"),
-    (P3, "validate", "--expect", "64"),  # argparse reads it; _cmd_toric rejects it
-    (),
-    (P3,),
-    (P3, "degree", "extra"),
-    (P3, "bogus"),
-    ("-h",),
-    (P3, "degree", "-h"),
-    (P3, "degree", "--help"),
-    ("--", P3, "degree"),
-    (P3, "degree", "--"),
-    (P3, "degree", "--machine=1"),
-    (P3, "degree", "--expect=64"),
-    (P3, "degree", "--mach"),
-    (P3, "degree", "--exp", "64"),
-    (P3, "degree", "--machine", "--machine"),
-    (P3, "degree", "--expect", "64", "--expect", "64"),
-    (P3, "degree", "--expect"),
-    (P3, "degree", "--expect", "-5"),
-    (P3, "degree", "--expect", "--machine"),
-    (P3, "degree", "--expect", "1_0"),
-    (P3, "degree", "--expect", "\u0663"),
-    (P3, "degree", "--expect", ""),
-    (P3, "degree", "--expect", "9" * 5000),
-    ("-", "degree"),
-    ("-5", "degree"),
-    ("-x", "degree"),
-    (P3, "-x"),
-]
-
-
 def test_plain_toric_args_builds_the_parsers_namespace_or_declines():
     parser = _build_parser()
-    for tokens in PLAIN_TORIC:
+    for tokens, plain in TORIC_ARGVS.items():
         args = _plain_toric_args(list(tokens))
-        assert args is not None, tokens
-        assert vars(args) == vars(parser.parse_args(["toric", *tokens])), tokens
-    for tokens in FALLBACK_TORIC:
-        assert _plain_toric_args(list(tokens)) is None, tokens
+        if plain:
+            assert args is not None, tokens
+            assert vars(args) == vars(parser.parse_args(["toric", *tokens])), tokens
+        else:
+            assert args is None, tokens
 
 
 def test_plain_toric_argv_builds_no_parser(capsys):

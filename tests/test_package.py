@@ -13,7 +13,8 @@ plain `toric` command does not load `argparse` either; every other
 argv does.  No check rests on an `assert` statement, which `python -O`
 drops, and the memoized functions are a fixed, named set.  `records`,
 which decides what a record is and what a run must satisfy, loads no
-other module of the package.
+other module of the package.  No test module keeps a top-level name
+that no test module reads.
 
 Every check reads the package that `import fano64` finds, so the suite
 run against an installed copy checks that copy.
@@ -28,7 +29,8 @@ from pathlib import Path
 import fano64
 
 PACKAGE = Path(fano64.__file__).resolve().parent
-FANS = Path(__file__).resolve().parent.parent / "fans"
+TESTS = Path(__file__).resolve().parent
+FANS = TESTS.parent / "fans"
 
 # Public names that only tests call, each kept as an independent cross-check.
 ORACLES = {
@@ -70,6 +72,45 @@ def test_no_public_library_code_only_tests_reach():
     # a name outside the list is test-only code; a listed name now in use,
     # or gone, leaves the list stale
     assert unreferenced == set(ORACLES), sorted(unreferenced ^ set(ORACLES))
+
+
+def unread_test_names(tests: Path) -> list[str]:
+    """Module-level functions, classes, tables and imports of the test modules that none reads.
+
+    A name counts as read in its own module when it is loaded there,
+    as a name or an attribute, or is a parameter name, which is how
+    pytest hands over a fixture; and when another test module imports
+    it.  pytest itself reads the `test_` functions.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in tests.glob("*.py")}
+    read: dict[str, set[str]] = {module: set() for module in trees}
+    defined = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read[module].add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.arg):
+                read[module].add(node.arg)
+            elif isinstance(node, ast.ImportFrom) and node.module in trees:
+                read[node.module].update(alias.name for alias in node.names)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                names = [(alias.asname or alias.name).partition(".")[0] for alias in stmt.names]
+            else:
+                continue
+            defined += [(module, name) for name in names if not name.startswith("test_")]
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read[module])
+
+
+def test_no_test_module_keeps_a_name_that_nothing_reads():
+    # an oracle, table or import left behind when its last test goes fails here
+    unread = unread_test_names(TESTS)
+    assert not unread, unread
 
 
 def test_package_namespace_binds_only_the_version():

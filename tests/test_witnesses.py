@@ -30,11 +30,12 @@ from its other smooth vertex, (-1, -1, 11), onto it, so both vertices
 give one class.
 
 Each witness file is tied to its rebuild in one table, `REBUILDS`: the
-file is the rebuild, and `toric` finds it clean and of degree 64.  Each
-rebuild's Delta holds 35 lattice points.  Each
-classification record with a witness fan is tied to its file in another:
-the file is clean and its degree is the record's.  The records for X70
-and X66 have no witness.
+file is the rebuild, and `toric` finds it clean and of degree 64.
+test_toric's `SHIPPED` table pins each file's Delta at 35 lattice
+points.  Each classification record with a witness fan is tied to its
+file in another table: the file's `SHIPPED` row has no `validate`
+finding and the record's degree.  The records for X70 and X66 have no
+witness.
 
 Each shipped fan's Fano index r, the largest r with -K = r H for a
 Cartier H, is pinned in test_toric's `SHIPPED` table with its degree
@@ -45,19 +46,17 @@ degree.
 
 from itertools import chain
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
-from test_toric import SHIPPED, _face_fan, _lattice_point_count, _lattice_points, _wps_fan
+from test_toric import FANS, SHIPPED, _face_fan, _lattice_points, _wps_fan, load
 
 import fano64.toric
 from fano64.cli import _reproduce, main
 from fano64.elimination import classification_summary
 from fano64.lattice import _dot, det3
 from fano64.records import surviving_constructions
-from fano64.toric import Fan, anticanonical_polytope, fan_from_json, validate_fan
+from fano64.toric import Fan, anticanonical_polytope
 
-FANS = Path(__file__).resolve().parent.parent / "fans"
 WEIGHTS = (4, 2, 1, 1)
 
 
@@ -132,7 +131,7 @@ REBUILDS = {
 
 @pytest.mark.parametrize("name", REBUILDS)
 def test_each_witness_file_is_its_rebuild(name):
-    assert fan_from_json((FANS / name).read_text(encoding="utf-8")) == REBUILDS[name]()
+    assert load(name) == REBUILDS[name]()
 
 
 @pytest.mark.parametrize("name", REBUILDS)
@@ -146,30 +145,8 @@ def test_toric_finds_each_witness_clean_and_of_degree_64(name, capsys):
     assert capsys.readouterr().out == "degree: 64\nexpected: 64 (match)\n"
 
 
-def test_delta_is_a_lattice_polytope_with_35_points():
-    f = REBUILDS["p4211.fan"]()
-    p = anticanonical_polytope(f)
-    assert all(d == 1 for _, d in p.vertices)
-    assert _lattice_point_count(f, p) == 35
-
-
-@pytest.mark.parametrize("name", ["cone-p1p1.fan", "cone-f1.fan"])
-def test_each_cone_has_35_points(name):
-    f = REBUILDS[name]()
-    p = anticanonical_polytope(f)
-    assert _lattice_point_count(f, p) == 35
-    assert p.degree == 64
-
-
-@pytest.mark.parametrize("name", ["cone-p112.fan", "p3111-tangent.fan", "p6411-tangent.fan"])
-def test_each_witness_has_35_points(name):
-    f = REBUILDS[name]()
-    assert _lattice_point_count(f, anticanonical_polytope(f)) == 35
-
-
 def _vertices(name: str) -> set:
-    f = fan_from_json((FANS / name).read_text(encoding="utf-8"))
-    return {m for m, _ in anticanonical_polytope(f).vertices}
+    return {m for m, _ in anticanonical_polytope(load(name)).vertices}
 
 
 # M, with the file whose Delta M carries onto the other file's Delta
@@ -214,15 +191,14 @@ def test_the_witness_table_names_the_seven_classification_records():
 @pytest.mark.parametrize("label", WITNESS_OF)
 def test_each_witness_is_clean_with_the_degree_of_its_record(label):
     (record,) = [r for r in classification_summary() if r.context == f"classification/{label}"]
-    f = fan_from_json((FANS / WITNESS_OF[label]).read_text(encoding="utf-8"))
-    assert validate_fan(f) == ()
-    assert dict(record.computed)["degree"] == anticanonical_polytope(f).degree == 64
+    facts = SHIPPED[WITNESS_OF[label]]
+    assert facts.findings == 0
+    assert dict(record.computed)["degree"] == facts.degree == 64
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_each_fan_has_its_fano_index(name):
-    f = fan_from_json((FANS / name).read_text(encoding="utf-8"))
-    p = anticanonical_polytope(f)
+    p = anticanonical_polytope(load(name))
     assert all(d == 1 for _, d in p.vertices)
     (u0, _), *others = p.vertices
     r = gcd(*(a - b for u, _ in others for a, b in zip(u, u0)))
